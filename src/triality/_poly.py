@@ -1,10 +1,12 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, and substitution.
 
-One engine backs every polynomial flavor in the package (z-variables, the
-Weyl generators, the two curve-coefficient frames, binary-form
-coefficients).  Terms are a dict from exponent tuples to Fraction; zero
-coefficients are never stored.  Subclasses fix the arity, print names and
-which variables may carry negative (Laurent) exponents.
+`SparsePoly` backs the rational polynomial flavors in the package
+(z-variables, the Weyl generators, the two curve-coefficient frames,
+binary-form coefficients).  Terms are a dict from exponent tuples to
+Fraction; zero coefficients are never stored.  Subclasses fix the arity,
+print names and which variables may carry negative (Laurent) exponents.
+The polynomials with q-series coefficients live in `invariant_ring`;
+`substitute` and `compose` serve both kinds.
 
 The canonical term order used everywhere is graded lexicographic with the
 first variable largest; `sorted_terms` lists terms in decreasing order.
@@ -159,8 +161,14 @@ class SparsePoly:
         return NotImplemented
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
+        if not isinstance(n, int):
+            raise ValueError("polynomial powers must be integers")
+        if n < 0:
+            # only a Laurent monomial is a unit
+            if len(self.terms) != 1:
+                raise ValueError("negative power of a polynomial that is not a monomial")
+            (exps, coeff), = self.terms.items()
+            return type(self).monomial(tuple(-e for e in exps), 1 / coeff) ** -n
         result = type(self).one()
         base = self
         while n:
@@ -219,39 +227,40 @@ class SparsePoly:
         return f"{type(self).__name__}({self!s})"
 
 
-def compose(poly, images, target_cls):
-    """Substitute images[i] (elements of target_cls) for variable i of poly.
+def substitute(terms, images, one):
+    """Yield (exps, coeff, image of the monomial) for every {exps: coeff} item.
 
-    Powers of each image are cached across terms.  A negative source
-    exponent is only meaningful when the image is a single monomial, which
-    is then inverted in the target Laurent ring.
+    The monomial image is `one` times images[i] ** exps[i] over all i, where
+    `one` is the unit of the target ring.  Powers of each image are cached
+    across terms; a negative exponent builds on images[i] ** -1, which the
+    target ring defines only for its units.
     """
-    powers = [{0: target_cls.one()} for _ in range(poly.nvars)]
+    powers = [{0: one, 1: image} for image in images]
 
     def power(i, e):
         cache = powers[i]
         if e not in cache:
             if e > 0:
                 cache[e] = power(i, e - 1) * images[i]
+            elif e == -1:
+                cache[e] = images[i] ** -1
             else:
-                img = images[i]
-                if len(img.terms) != 1:
-                    raise ValueError(
-                        "negative exponent on a variable whose image is not a monomial"
-                    )
-                (exps, coeff), = img.terms.items()
-                cache[e] = target_cls.monomial(
-                    tuple(x * e for x in exps), Fraction(coeff) ** e
-                )
+                cache[e] = power(i, e + 1) * power(i, -1)
         return cache[e]
 
-    result = target_cls.zero()
-    for exps, c in poly.terms.items():
-        term = target_cls.constant(c)
+    for exps, coeff in terms.items():
+        value = one
         for i, e in enumerate(exps):
             if e:
-                term = term * power(i, e)
-        result = result + term
+                value = value * power(i, e)
+        yield exps, coeff, value
+
+
+def compose(poly, images, one):
+    """Substitute images[i] for variable i of poly; `one` is the target unit."""
+    result = one * 0
+    for _, coeff, value in substitute(poly.terms, images, one):
+        result = result + value * coeff
     return result
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from ._poly import SparsePoly, compose
-from .linalg import LinearSolver
+from .linalg import nullspace
 from .sw_curve import CurvePolyAB
 
 
@@ -146,33 +147,28 @@ def _embed(P):
     return _KappaPoly({e + (0,): c for e, c in P.terms.items()})
 
 
-_UNIPOTENT_IMAGES = None
-
-
+@lru_cache(maxsize=None)
 def _unipotent_images():
     """Coefficient images under f(u + kappa v, v), g(u + kappa v, v)."""
-    global _UNIPOTENT_IMAGES
-    if _UNIPOTENT_IMAGES is None:
-        kv = [_embed(_fvar(i)) for i in range(9)]
-        k = _kappa_var()
-        a0, a1, a2, b0, b1, b2, b3, u, v = kv
-        _UNIPOTENT_IMAGES = [
-            a0,
-            a1 + 2 * k * a0,
-            a2 + k * a1 + k * k * a0,
-            b0,
-            b1 + 3 * k * b0,
-            b2 + 2 * k * b1 + 3 * k * k * b0,
-            b3 + k * b2 + k * k * b1 + k * k * k * b0,
-            u,
-            v,
-        ]
-    return _UNIPOTENT_IMAGES
+    kv = [_embed(_fvar(i)) for i in range(9)]
+    k = _kappa_var()
+    a0, a1, a2, b0, b1, b2, b3, u, v = kv
+    return (
+        a0,
+        a1 + 2 * k * a0,
+        a2 + k * a1 + k * k * a0,
+        b0,
+        b1 + 3 * k * b0,
+        b2 + 2 * k * b1 + 3 * k * k * b0,
+        b3 + k * b2 + k * k * b1 + k * k * k * b0,
+        u,
+        v,
+    )
 
 
 def _kappa_shift(P):
     """P(primed coefficients) - P, as a polynomial in kappa too."""
-    return compose(P, _unipotent_images(), _KappaPoly) - _embed(P)
+    return compose(P, _unipotent_images(), _KappaPoly.one()) - _embed(P)
 
 
 def is_semiinvariant(P):
@@ -242,7 +238,7 @@ def roberts_to_covariant(Phi):
         return out
 
     images = hat((0, 1, 2), 2) + hat((3, 4, 5, 6), 3) + [_fvar(FormPoly.U), _fvar(FormPoly.V)]
-    result = compose(Phi, images, FormPoly) * FormPoly.variable(FormPoly.U, omega)
+    result = compose(Phi, images, FormPoly.one()) * FormPoly.variable(FormPoly.U, omega)
     if result.min_degree_in(FormPoly.U) < 0:
         raise NotPolynomialError("negative powers of u survived; input was not a semiinvariant")
     return result
@@ -259,6 +255,7 @@ class HatCoefficients:
     d: tuple
 
 
+@lru_cache(maxsize=None)
 def hat_coefficients():
     """The completion-of-the-square images of the form coefficients.
 
@@ -291,25 +288,15 @@ def hat_coefficients():
     return HatCoefficients(a_hat, b_hat, c_hat, d_hat)
 
 
-_HATS = None
-
-
-def _hats():
-    global _HATS
-    if _HATS is None:
-        _HATS = hat_coefficients()
-    return _HATS
-
-
 def psi_forward(p):
     """Substitute a_i -> a-hat_i, b_j -> b-hat_j into a curve polynomial.
 
     For genuine triality invariants all alpha0 denominators cancel and the
     result is a joint semiinvariant; NotPolynomialError otherwise.
     """
-    h = _hats()
+    h = hat_coefficients()
     images = [h.a[0], h.a[2], h.b[0], h.b[1], h.b[2], h.b[3]]
-    result = compose(p, images, FormPoly)
+    result = compose(p, images, FormPoly.one())
     if result.min_degree_in(0) < 0:
         raise NotPolynomialError("alpha0 denominators survived; not in both frames")
     return result
@@ -331,7 +318,7 @@ def psi_inverse(Phi):
         CurvePolyAB.one(),
         CurvePolyAB.one(),
     ]
-    return compose(Phi, images, CurvePolyAB)
+    return compose(Phi, images, CurvePolyAB.one())
 
 
 # -- the fifteen generators --------------------------------------------------------
@@ -420,17 +407,10 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
     if d_alpha < 0 or d_beta < 0:
         raise ValueError("refined degrees must be nonnegative")
     monos = _semiinvariant_monomials(d_alpha, d_beta, omega)
-    if not monos:
-        return 0
-    shifts = [_kappa_shift(FormPoly.monomial(m)) for m in monos]
-    rows = {}
-    for idx, shift in enumerate(shifts):
-        for exps, c in shift.terms.items():
-            rows.setdefault(exps, {})[idx] = c
-    solver = LinearSolver(len(monos))
-    for exps in sorted(rows):
-        entries = rows[exps]
-        solver.add([entries.get(i, Fraction(0)) for i in range(len(monos))])
-        if solver.rank == len(monos):
-            return 0
-    return len(monos) - solver.rank
+    equations = {}
+    for idx, m in enumerate(monos):
+        for exps, c in _kappa_shift(FormPoly.monomial(m)).terms.items():
+            equations.setdefault(exps, {})[idx] = c
+    n = len(monos)
+    rows = ([equations[e].get(i, Fraction(0)) for i in range(n)] for e in sorted(equations))
+    return len(nullspace(rows, n))

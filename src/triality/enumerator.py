@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import LinearSolver
+from .linalg import nullspace
 from .sw_curve import CurvePolyAB, ab_to_cd, curve_poly_json
 
 
@@ -46,13 +46,7 @@ def rational_kernel(matrix):
     """Exact reduced-echelon basis of the null space of a rational matrix."""
     if not matrix:
         return []
-    ncols = len(matrix[0])
-    solver = LinearSolver(ncols)
-    for row in matrix:
-        solver.add([Fraction(x) for x in row])
-        if solver.rank == ncols:
-            break
-    return solver.kernel()
+    return nullspace(([Fraction(x) for x in row] for row in matrix), len(matrix[0]))
 
 
 @dataclass(frozen=True)
@@ -90,16 +84,9 @@ def triality_basis(k, m):
         for exps, coeff in img.terms.items():
             if exps[0] < 0:
                 constraints.setdefault(exps, {})[idx] = coeff
-    solver = LinearSolver(len(monos))
-    for exps in sorted(constraints):
-        entries = constraints[exps]
-        solver.add([entries.get(i, Fraction(0)) for i in range(len(monos))])
-        if solver.rank == len(monos):
-            break
-    basis = []
-    for vec in solver.kernel():
-        poly = CurvePolyAB({e: c for e, c in zip(monos, vec)})
-        basis.append(poly)
+    n = len(monos)
+    rows = ([constraints[e].get(i, Fraction(0)) for i in range(n)] for e in sorted(constraints))
+    basis = [CurvePolyAB(dict(zip(monos, vec))) for vec in nullspace(rows, n)]
     return AnsatzBasis(k, m, tuple(monos), tuple(basis))
 
 

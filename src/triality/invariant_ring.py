@@ -1,19 +1,22 @@
 """The bigraded ring of (weak) D4 triality invariants.
 
-An `Invariant` is a finite sum of monomials in the Weyl generators
-I2, I4, I6, I~4 whose coefficients are exact q-series on the (1/24)Z
-lattice, together with its declared modular weight and its polynomial
-degree in the z-variables.  Weight is metadata fixed at the construction
-sites (the named modular series know their weights) and propagated
-additively by arithmetic; degree is recomputed from the generator
-exponents (2a + 4b + 6c + 4d) and validated.
+The ring is written over two sets of four generators, and `SeriesPoly`
+is the one polynomial type for both: a finite sum of generator monomials
+whose coefficients are exact q-series on the (1/24)Z lattice, together
+with its declared modular weight and its polynomial degree in the
+z-variables.  Weight is metadata fixed at the construction sites (the
+named modular series know their weights) and propagated additively by
+arithmetic; degree is checked against the generator degrees on
+construction.
 
-The module provides the exponent-shift injection that converts the cusp
-condition into plain q-regularity, the resulting three-way classification
-(invariant / weak only / neither), the sign involution realizing the
-tau -> tau + 1 action on the half-integer lattice, the four fundamental
-weak invariants K, L, M, N, and exact rewriting of an invariant as a
-polynomial in K, L, M, N over the level-1 forms E4, E6.
+`Invariant` is the element over the Weyl generators I2, I4, I6, I~4
+(degrees 2, 4, 6, 4).  The module provides its exponent-shift injection,
+which converts the cusp condition into plain q-regularity, the resulting
+three-way classification (invariant / weak only / neither), and the sign
+involution realizing the tau -> tau + 1 action on the half-integer
+lattice.  `KLMNPoly` is the element over the four fundamental weak
+invariants K, L, M, N, which generate freely over the level-1 forms E4, E6
+(Wirthmueller); `express_in_klmn` rewrites an invariant in them exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import ring_det
+from ._poly import ring_det, substitute
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein
 from .linalg import LinearSolver
 from .weyl_poly import I_DEGREES, IPoly
@@ -29,6 +32,11 @@ from .weyl_poly import I_DEGREES, IPoly
 INVARIANT = "invariant"
 WEAK_ONLY = "weak_only"
 NOT_WEAK = "not_weak"
+
+ONE_EXPS = (0, 0, 0, 0)
+
+KLMN_WEIGHTS = (0, 2, 4, 0)
+KLMN_DEGREES = (2, 4, 4, 6)
 
 
 class GradingError(ValueError):
@@ -51,10 +59,21 @@ class AmbiguousRepresentationError(ValueError):
     """The window-restricted rewriting solve has a nontrivial kernel."""
 
 
-class Invariant:
-    """Element of the Weyl-generator ring with q-series coefficients."""
+class SeriesPoly:
+    """Polynomial in four graded generators with q-series coefficients.
 
-    def __init__(self, terms, weight, degree, validate=True):
+    Subclasses fix the generator names, their formal weights and degrees,
+    and the JSON kind.  The declared (weight, degree) of the whole value
+    splits per monomial into the coefficient weight plus the formal ones.
+    Values of different subclasses never mix.
+    """
+
+    NAMES = ()
+    WEIGHTS = (0, 0, 0, 0)
+    DEGREES = ()
+    KIND = ""
+
+    def __init__(self, terms, weight, degree):
         self.weight = int(weight)
         self.degree = int(degree)
         clean = {}
@@ -62,30 +81,31 @@ class Invariant:
             exps = tuple(int(e) for e in exps)
             if series.is_zero:
                 continue
-            if validate:
-                mono_degree = sum(d * e for d, e in zip(I_DEGREES, exps))
-                if mono_degree != self.degree:
-                    raise GradingError(
-                        f"monomial {exps} has degree {mono_degree}, declared {self.degree}"
-                    )
+            mono_degree = sum(d * e for d, e in zip(self.DEGREES, exps))
+            if mono_degree != self.degree:
+                raise GradingError(
+                    f"monomial {exps} has degree {mono_degree}, declared {self.degree}"
+                )
             clean[exps] = series
         self.terms = clean
 
-    # -- constructors ---------------------------------------------------
+    @classmethod
+    def _new(cls, terms, weight, degree):
+        """Arithmetic results: drop zero series, skip the degree check."""
+        value = cls.__new__(cls)
+        value.weight = weight
+        value.degree = degree
+        value.terms = {e: s for e, s in terms.items() if not s.is_zero}
+        return value
 
     @classmethod
     def zero(cls, weight=0, degree=0):
-        return cls({}, weight, degree)
+        return cls._new({}, weight, degree)
 
     @classmethod
-    def from_series(cls, series, weight):
-        return cls({(0, 0, 0, 0): series}, weight, 0)
-
-    @classmethod
-    def from_ipoly_series(cls, ipoly, series, weight):
-        """ipoly (homogeneous) times a single series of the given weight."""
-        degree = ipoly.invariant_degree()
-        return cls({e: series * c for e, c in ipoly.terms.items()}, weight, degree)
+    def one(cls, trunc):
+        """The unit, with its series known below t^trunc."""
+        return cls._new({ONE_EXPS: FracSeries.constant(1, trunc)}, 0, 0)
 
     # -- structure -------------------------------------------------------
 
@@ -100,8 +120,11 @@ class Invariant:
         """Coefficient series of a generator monomial (None if absent)."""
         return self.terms.get(tuple(exps))
 
+    def coefficient_weight(self, exps):
+        return self.weight - sum(w * e for w, e in zip(self.WEIGHTS, exps))
+
     def __eq__(self, other):
-        if not isinstance(other, Invariant):
+        if type(other) is not type(self):
             return NotImplemented
         zero = FracSeries.zero
         for exps in self.terms.keys() | other.terms.keys():
@@ -120,7 +143,7 @@ class Invariant:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Invariant):
+        if type(other) is not type(self):
             return NotImplemented
         if self.is_zero:
             return other
@@ -134,28 +157,21 @@ class Invariant:
         for exps, series in other.terms.items():
             cur = terms.get(exps)
             terms[exps] = series if cur is None else cur + series
-        return Invariant(terms, self.weight, self.degree, validate=False)
+        return self._new(terms, self.weight, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Invariant(
-            {e: -s for e, s in self.terms.items()}, self.weight, self.degree, validate=False
-        )
+        return self._new({e: -s for e, s in self.terms.items()}, self.weight, self.degree)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Invariant(
-                {e: s * other for e, s in self.terms.items()},
-                self.weight,
-                self.degree,
-                validate=False,
+            return self._new(
+                {e: s * other for e, s in self.terms.items()}, self.weight, self.degree
             )
-        if not isinstance(other, Invariant):
+        if type(other) is not type(self):
             return NotImplemented
-        weight = self.weight + other.weight
-        degree = self.degree + other.degree
         terms = {}
         for e1, s1 in self.terms.items():
             for e2, s2 in other.terms.items():
@@ -163,26 +179,29 @@ class Invariant:
                 prod = s1 * s2
                 cur = terms.get(e)
                 terms[e] = prod if cur is None else cur + prod
-        return Invariant(terms, weight, degree, validate=False)
+        return self._new(terms, self.weight + other.weight, self.degree + other.degree)
 
     __rmul__ = __mul__
 
     def scale_series(self, series, series_weight):
         """Multiply by a degree-0 modular series of known weight."""
-        return Invariant(
+        return self._new(
             {e: s * series for e, s in self.terms.items()},
             self.weight + series_weight,
             self.degree,
-            validate=False,
         )
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("invariant powers must be nonnegative integers")
+        if not isinstance(n, int):
+            raise ValueError("powers must be integers")
+        if n < 0:
+            # only a degree-0 value with a single series coefficient is a unit
+            if self.degree or set(self.terms) != {ONE_EXPS}:
+                raise ValueError("negative power of a value that is not a single series")
+            inverse = self.terms[ONE_EXPS].inverse()
+            return self._new({ONE_EXPS: inverse}, -self.weight, 0) ** -n
         if n == 0:
-            return Invariant.from_series(
-                FracSeries.constant(1, self.common_trunc() or LATTICE), 0
-            )
+            return self.one(self.common_trunc() or LATTICE)
         result = None
         base = self
         while n:
@@ -194,15 +213,12 @@ class Invariant:
         return result
 
     def truncate(self, trunc):
-        return Invariant(
-            {e: s.truncate(trunc) for e, s in self.terms.items()},
-            self.weight,
-            self.degree,
-            validate=False,
+        return self._new(
+            {e: s.truncate(trunc) for e, s in self.terms.items()}, self.weight, self.degree
         )
 
     def derivative(self, i):
-        """Formal partial with respect to the i-th Weyl generator."""
+        """Formal partial with respect to the i-th generator."""
         terms = {}
         for exps, series in self.terms.items():
             e = exps[i]
@@ -214,7 +230,59 @@ class Invariant:
             add = series * e
             cur = terms.get(key)
             terms[key] = add if cur is None else cur + add
-        return Invariant(terms, self.weight, self.degree - I_DEGREES[i], validate=False)
+        return self._new(terms, self.weight - self.WEIGHTS[i], self.degree - self.DEGREES[i])
+
+    # -- output ---------------------------------------------------------------
+
+    def _sorted_monomials(self):
+        return sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+
+    def to_json(self):
+        return {
+            "kind": self.KIND,
+            "grading": {"weight": self.weight, "degree": self.degree},
+            "exponent_lattice": LATTICE,
+            "trunc": self.common_trunc(),
+            "terms": [
+                [list(exps), self.terms[exps].to_json()["terms"]]
+                for exps in self._sorted_monomials()
+            ],
+        }
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps in self._sorted_monomials():
+            mono = "*".join(
+                n + (f"^{e}" if e > 1 else "") for n, e in zip(self.NAMES, exps) if e
+            )
+            parts.append(f"({self.terms[exps]})" + (f"*{mono}" if mono else ""))
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self!s}, weight={self.weight}, degree={self.degree})"
+
+
+class Invariant(SeriesPoly):
+    """Element of the Weyl-generator ring with q-series coefficients."""
+
+    NAMES = ("I2", "I4", "I6", "I~4")
+    DEGREES = I_DEGREES
+    KIND = "invariant"
+
+    # bound here too, so this class's own __dict__ holds its multiply for tracers
+    __mul__ = __rmul__ = SeriesPoly.__mul__
+
+    @classmethod
+    def from_series(cls, series, weight):
+        return cls({ONE_EXPS: series}, weight, 0)
+
+    @classmethod
+    def from_ipoly_series(cls, ipoly, series, weight):
+        """ipoly (homogeneous) times a single series of the given weight."""
+        degree = ipoly.invariant_degree()
+        return cls({e: series * c for e, c in ipoly.terms.items()}, weight, degree)
 
     # -- the injection and classification -----------------------------------
 
@@ -228,11 +296,10 @@ class Invariant:
         The coefficient of the monomial (a, b, c, d) is shifted by
         t^-(24a+24b+24c+12d); the grading is unchanged.
         """
-        return Invariant(
+        return self._new(
             {e: s.shift(-self._shift_of(e)) for e, s in self.terms.items()},
             self.weight,
             self.degree,
-            validate=False,
         )
 
     def classify(self):
@@ -278,7 +345,7 @@ class Invariant:
                     )
                 flipped[e] = -c if (e // half + d) % 2 else c
             terms[exps] = FracSeries(flipped, series.trunc)
-        return Invariant(terms, self.weight, self.degree, validate=False)
+        return self._new(terms, self.weight, self.degree)
 
     def leading_ipoly(self):
         """The q^0 coefficient of the injected form, as an IPoly."""
@@ -292,35 +359,6 @@ class Invariant:
                 coeffs[exps] = c
         return IPoly(coeffs)
 
-    # -- output ---------------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "kind": "invariant",
-            "grading": {"weight": self.weight, "degree": self.degree},
-            "exponent_lattice": LATTICE,
-            "trunc": self.common_trunc(),
-            "terms": [
-                [list(exps), self.terms[exps].to_json()["terms"]]
-                for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-            ],
-        }
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = ("I2", "I4", "I6", "I~4")
-        parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            mono = "*".join(
-                n + (f"^{e}" if e > 1 else "") for n, e in zip(names, exps) if e
-            )
-            parts.append(f"({self.terms[exps]})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"Invariant({self!s}, weight={self.weight}, degree={self.degree})"
-
 
 # -- the fundamental weak invariants -------------------------------------------
 
@@ -330,9 +368,6 @@ T_POLYS = (
     IPoly({(0, 1, 0, 0): Fraction(-1, 12), (0, 0, 0, 1): Fraction(-1, 2), (2, 0, 0, 0): Fraction(1, 48)}),
     IPoly({(0, 1, 0, 0): Fraction(-1, 12), (0, 0, 0, 1): Fraction(1, 2), (2, 0, 0, 0): Fraction(1, 48)}),
 )
-
-KLMN_WEIGHTS = (0, 2, 4, 0)
-KLMN_DEGREES = (2, 4, 4, 6)
 
 
 @lru_cache(maxsize=None)
@@ -381,158 +416,34 @@ def klmn_generator_jacobian(order):
 # -- polynomials in formal K, L, M, N -------------------------------------------
 
 
-class KLMNPoly:
+class KLMNPoly(SeriesPoly):
     """Polynomial in formal K, L, M, N with q-series coefficients.
 
-    Formal weights (0, 2, 4, 0) and degrees (2, 4, 4, 6); the declared
-    (weight, degree) of the whole value splits per monomial into the
-    coefficient weight plus the formal weights.
+    Formal weights (0, 2, 4, 0) and degrees (2, 4, 4, 6).
     """
 
-    def __init__(self, terms, weight, degree):
-        self.weight = int(weight)
-        self.degree = int(degree)
-        self.terms = {
-            tuple(int(e) for e in exps): s for exps, s in terms.items() if not s.is_zero
-        }
+    NAMES = ("K", "L", "M", "N")
+    WEIGHTS = KLMN_WEIGHTS
+    DEGREES = KLMN_DEGREES
+    KIND = "klmn_poly"
 
-    @classmethod
-    def zero(cls, weight=0, degree=0):
-        return cls({}, weight, degree)
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps))
-
-    def coefficient_weight(self, exps):
-        return self.weight - sum(w * e for w, e in zip(KLMN_WEIGHTS, exps))
-
-    def __eq__(self, other):
-        if not isinstance(other, KLMNPoly):
-            return NotImplemented
-        zero = FracSeries.zero
-        for exps in self.terms.keys() | other.terms.keys():
-            a = self.terms.get(exps)
-            b = other.terms.get(exps)
-            if a is None:
-                a = zero(b.trunc)
-            if b is None:
-                b = zero(a.trunc)
-            if a != b:
-                return False
-        return True
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if (self.weight, self.degree) != (other.weight, other.degree):
-            raise GradingError("cannot add differently graded values")
-        terms = dict(self.terms)
-        for exps, series in other.terms.items():
-            cur = terms.get(exps)
-            terms[exps] = series if cur is None else cur + series
-        return KLMNPoly(terms, self.weight, self.degree)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return KLMNPoly({e: -s for e, s in self.terms.items()}, self.weight, self.degree)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return KLMNPoly(
-                {e: s * other for e, s in self.terms.items()}, self.weight, self.degree
-            )
-        terms = {}
-        for e1, s1 in self.terms.items():
-            for e2, s2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = s1 * s2
-                cur = terms.get(e)
-                terms[e] = prod if cur is None else cur + prod
-        return KLMNPoly(terms, self.weight + other.weight, self.degree + other.degree)
-
-    __rmul__ = __mul__
-
-    def derivative(self, i):
-        terms = {}
-        for exps, series in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            add = series * e
-            cur = terms.get(key)
-            terms[key] = add if cur is None else cur + add
-        return KLMNPoly(
-            terms, self.weight - KLMN_WEIGHTS[i], self.degree - KLMN_DEGREES[i]
-        )
+    # bound here too, so this class's own __dict__ holds its multiply for tracers
+    __mul__ = __rmul__ = SeriesPoly.__mul__
 
     def constant_series(self):
         """The coefficient of the empty monomial; raises if others are present."""
         extra = [e for e in self.terms if any(e)]
         if extra:
             raise ValueError(f"not a constant: contains {extra}")
-        series = self.terms.get((0, 0, 0, 0))
-        return series
+        return self.terms.get(ONE_EXPS)
 
     def evaluate(self, order):
         """Substitute the actual K, L, M, N invariants at the given order."""
-        gens = klmn(order)
-        powers = [{0: None} for _ in range(4)]
-
-        def gen_power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = gens[i] if e == 1 else gen_power(i, e - 1) * gens[i]
-            return cache[e]
-
+        one = Invariant.one(LATTICE * order)
         result = Invariant.zero(self.weight, self.degree)
-        trunc = LATTICE * order
-        one = FracSeries.constant(1, trunc)
-        for exps, series in self.terms.items():
-            term = Invariant.from_series(one, 0)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * gen_power(i, e)
-            result = result + term.scale_series(series, self.coefficient_weight(exps))
+        for exps, series, value in substitute(self.terms, klmn(order), one):
+            result = result + value.scale_series(series, self.coefficient_weight(exps))
         return result
-
-    def to_json(self):
-        return {
-            "kind": "klmn_poly",
-            "grading": {"weight": self.weight, "degree": self.degree},
-            "exponent_lattice": LATTICE,
-            "trunc": min((s.trunc for s in self.terms.values()), default=None),
-            "terms": [
-                [list(exps), self.terms[exps].to_json()["terms"]]
-                for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
-            ],
-        }
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = ("K", "L", "M", "N")
-        parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            mono = "*".join(
-                n + (f"^{e}" if e > 1 else "") for n, e in zip(names, exps) if e
-            )
-            parts.append(f"({self.terms[exps]})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 def _klmn_candidates(weight, degree):
@@ -578,33 +489,18 @@ def express_in_klmn(phi, order=None):
             return KLMNPoly.zero(phi.weight, phi.degree)
         raise NoRepresentationError("no candidate monomials at this grading")
 
-    e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
-    gens = klmn(order)
     window = LATTICE * order
-
-    klmn_invs = {}
-
-    def klmn_part(key):
-        if key not in klmn_invs:
-            term = Invariant.from_series(FracSeries.constant(1, window), 0)
-            for g, e in zip(gens, key):
-                for _ in range(e):
-                    term = term * g
-            klmn_invs[key] = term
-        return klmn_invs[key]
-
-    eis = {}
-
-    def eis_part(alpha, beta):
-        if (alpha, beta) not in eis:
-            eis[(alpha, beta)] = (e4 ** alpha) * (e6 ** beta)
-        return eis[(alpha, beta)]
-
-    cand_parts = [
-        (eis_part(al, be), klmn_part((a, b, c, d)))
-        for (al, be, a, b, c, d) in candidates
-    ]
+    # the value of every distinct K,L,M,N part and E4,E6 part of a candidate
+    klmn_keys = dict.fromkeys(cand[2:] for cand in candidates)
+    klmn_values = {
+        key: v for key, _, v in substitute(klmn_keys, klmn(order), Invariant.one(window))
+    }
+    eis_keys = dict.fromkeys(cand[:2] for cand in candidates)
+    e4_e6 = (eisenstein(4, order), eisenstein(6, order))
+    eis_values = {
+        key: v for key, _, v in substitute(eis_keys, e4_e6, FracSeries.constant(1, window))
+    }
+    cand_parts = [(eis_values[cand[:2]], klmn_values[cand[2:]]) for cand in candidates]
 
     def entry(mod_series, inv, mono, e):
         # coefficient of t^e in mod_series * inv.terms[mono], by convolution
@@ -621,7 +517,7 @@ def express_in_klmn(phi, order=None):
     # stream equations (one per generator monomial and t-exponent) until the
     # solution is pinned down, then verify the full window exactly
     monomials = set(phi.terms)
-    for inv in klmn_invs.values():
+    for inv in klmn_values.values():
         monomials.update(inv.terms)
     solver = LinearSolver(len(candidates))
     done = False
@@ -644,30 +540,23 @@ def express_in_klmn(phi, order=None):
             break
 
     if not done:
-        if solver.inconsistent:
-            raise NoRepresentationError("inconsistent system within the window")
-        kernel = solver.kernel()
-        if kernel:
-            raise AmbiguousRepresentationError(
-                f"solve has a {len(kernel)}-dimensional kernel within the window"
-            )
+        raise AmbiguousRepresentationError(
+            f"solve has a {len(candidates) - solver.rank}-dimensional kernel within the window"
+        )
 
-    sol = solver.solution()
     grouped = {}
-    for x, (al, be, a, b, c, d) in zip(sol, candidates):
-        if not x:
-            continue
-        key = (a, b, c, d)
-        add = eis_part(al, be) * x
-        cur = grouped.get(key)
-        grouped[key] = add if cur is None else cur + add
+    for x, cand in zip(solver.solution(), candidates):
+        if x:
+            key = cand[2:]
+            add = eis_values[cand[:2]] * x
+            cur = grouped.get(key)
+            grouped[key] = add if cur is None else cur + add
+    rep = KLMNPoly(grouped, phi.weight, phi.degree)
 
-    # exact verification over the whole window
+    # exact verification over the whole window, from the monomial values above
     recon = Invariant.zero(phi.weight, phi.degree)
-    for key, series in grouped.items():
-        coeff_weight = phi.weight - sum(w * e for w, e in zip(KLMN_WEIGHTS, key))
-        recon = recon + klmn_part(key).scale_series(series, coeff_weight)
+    for key, series in rep.terms.items():
+        recon = recon + klmn_values[key].scale_series(series, rep.coefficient_weight(key))
     if not recon == phi:
         raise NoRepresentationError("no representation matches the full window")
-
-    return KLMNPoly(grouped, phi.weight, phi.degree)
+    return rep

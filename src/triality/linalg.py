@@ -87,7 +87,11 @@ class LinearSolver:
 
 
 def nullspace(rows, ncols):
-    """Exact kernel basis of the matrix given as an iterable of rows."""
+    """Exact reduced-echelon kernel basis of the matrix given as an iterable of rows.
+
+    Rows are read only until the rank is full, so a generator of rows is
+    never built past that point.
+    """
     solver = LinearSolver(ncols)
     for row in rows:
         solver.add(row)

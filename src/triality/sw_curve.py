@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._poly import SparsePoly, compose, ring_det
-from .exact_series import LATTICE, FracSeries, eisenstein, eta_delta
+from .exact_series import LATTICE, eisenstein, eta_delta
 from .invariant_ring import Invariant, KLMNPoly
 
 
@@ -122,7 +122,7 @@ _CD_IN_AB = (
 
 def ab_to_cd(p):
     """Express an ab-frame polynomial in the cd frame (Laurent in c0)."""
-    return compose(p, list(_AB_IN_CD), CurvePolyCD)
+    return compose(p, _AB_IN_CD, CurvePolyCD.one())
 
 
 def cd_to_ab(p):
@@ -131,7 +131,7 @@ def cd_to_ab(p):
     Negative c0 powers are allowed and land on a0, so the two frame
     changes are mutually inverse on everything either of them produces.
     """
-    return compose(p, list(_CD_IN_AB), CurvePolyAB)
+    return compose(p, _CD_IN_AB, CurvePolyAB.one())
 
 
 def is_triality_invariant(p):
@@ -190,48 +190,21 @@ def _frame_values(order):
     return tuple(f.evaluate(order) for f in ab), tuple(f.evaluate(order) for f in cd)
 
 
-def _evaluate(p, values, order):
-    cls = type(p)
-    weight = p.weighted_degree(cls.WEIGHTS)
-    degree = p.weighted_degree(cls.DEGREES)
-    powers = {}
-
-    def value_power(i, e):
-        key = (i, e)
-        if key not in powers:
-            if e >= 0:
-                powers[key] = values[i] ** e
-            else:
-                # only the weight-carrying unit coefficients (a0, b0, c0, d0)
-                # are ever inverted; they are pure series of valuation 0
-                series = values[i].coefficient((0, 0, 0, 0))
-                powers[key] = Invariant.from_series(
-                    series.inverse() ** (-e), cls.WEIGHTS[i] * e
-                )
-        return powers[key]
-
-    result = Invariant.zero(weight, degree)
-    one = FracSeries.constant(1, LATTICE * order)
-    for exps, coeff in p.terms.items():
-        term = Invariant.from_series(one * coeff, 0)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * value_power(i, e)
-        result = result + term
-    return result
-
-
 def evaluate_ab(p, order):
-    """Substitute the concrete coefficient values into an ab-frame polynomial."""
+    """Substitute the concrete coefficient values into an ab-frame polynomial.
+
+    Only the unit coefficients a0, b0, c0, d0 (pure series of valuation 0)
+    are ever inverted, where a frame change left them a negative power.
+    """
     if order < 2:
         raise ValueError("order must be >= 2")
-    return _evaluate(p, _frame_values(order)[0], order)
+    return compose(p, _frame_values(order)[0], Invariant.one(LATTICE * order))
 
 
 def evaluate_cd(p, order):
     if order < 2:
         raise ValueError("order must be >= 2")
-    return _evaluate(p, _frame_values(order)[1], order)
+    return compose(p, _frame_values(order)[1], Invariant.one(LATTICE * order))
 
 
 # -- recovery of the fundamental invariants ---------------------------------------

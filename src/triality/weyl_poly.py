@@ -50,7 +50,7 @@ def weyl_generators():
 
 
 def ipoly_to_zpoly(p):
-    return compose(p, list(weyl_generators()), ZPoly)
+    return compose(p, weyl_generators(), ZPoly.one())
 
 
 def i_monomials_of_degree(m):
@@ -85,8 +85,6 @@ def zpoly_to_ipoly(p):
         solver.add([exp.terms.get(mono, Fraction(0)) for exp in expansions], p.terms.get(mono, Fraction(0)))
         if solver.inconsistent:
             raise NotInvariantError(f"{p} is not a polynomial in the invariant generators")
-    if solver.inconsistent:
-        raise NotInvariantError(f"{p} is not a polynomial in the invariant generators")
     sol = solver.solution()
     result = IPoly({e: c for e, c in zip(candidates, sol)})
     # expansions of distinct generator monomials are linearly independent,

@@ -1,6 +1,11 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from triality import cli
 
@@ -136,7 +141,28 @@ def test_cli_output_is_deterministic():
         "--format",
         "json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child runs the package under test, also from an uninstalled checkout
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+# sha256 of the stdout of each call, pinned so that refactors keep every byte
+GOLDEN = [
+    ("expand K --order 6 --format json", "c43a084b18c0e2e74f975c5dd5cf537e30111e2f5d6875f2a0cc676b8c425916"),
+    ("expand b3 --order 5 --format json", "5e09fece9d137e16808b13dda0725762d87e90d7a6cc60831b79c73c688f939f"),
+    ("expand c1 --order 4", "535a32b8bef88e6610d74804dedc067dd1f163fefb62d63188167132f51702c7"),
+    ("basis --weight 36 --degree 12 --format json", "62a9bdfe6cb445370b16fc75a44b0534b869e7b656fdaec70c57f19d45102877"),
+    ("transvect --left f^3 --right g*Q --index 6 --format json", "1a8820ffe9a70e17bd168bdaa883b166186cbcb680c277f3fa7686eed96e53e4"),
+    ("verify curve --order 12 --format json", "0e32631073d7be26e7e6ae9736d2d455b0b391330b891a45609cb1b84bcf6978"),
+]
+
+
+@pytest.mark.parametrize("call, digest", GOLDEN, ids=[call.split(" --")[0] for call, _ in GOLDEN])
+def test_cli_output_matches_golden_digest(capsys, call, digest):
+    code, out = run_cli(capsys, *call.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -26,6 +26,12 @@ def test_rational_kernel():
     assert rational_kernel([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
     assert rational_kernel([[1, 0], [0, 1]]) == []
     assert rational_kernel([[1, -1]]) == [[1, 1]]
+    # rank 2 in 4 unknowns: one vector per free column (2 and 3), with a 1
+    # there and the pivot entries read off the reduced row-echelon form
+    matrix = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, F(1, 2)], [1, 3, 4, F(9, 2)]]
+    assert rational_kernel(matrix) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
+    # rows past full rank are never read
+    assert rational_kernel([[1, 0], [0, 1], ["not a number"]]) == []
 
 
 def test_basis_weight12():

@@ -65,6 +65,28 @@ def test_addition_requires_matching_grading(KLMN):
     assert (K + Invariant.zero()) == K
 
 
+def test_klmn_poly_does_not_mix_with_invariants(KLMN, delta):
+    K = KLMN[0]
+    rep = KLMNPoly({(1, 0, 0, 0): delta / 12}, 12, 2)
+    with pytest.raises(TypeError):
+        rep * K
+    with pytest.raises(TypeError):
+        rep + K
+    # K has degree 2, not 4
+    with pytest.raises(GradingError):
+        KLMNPoly({(1, 0, 0, 0): delta}, 0, 4)
+
+
+def test_negative_powers_of_single_series_units(KLMN, E4):
+    unit = Invariant.from_series(E4, 4)
+    inverse = unit ** -1
+    assert (inverse.weight, inverse.degree) == (-4, 0)
+    assert inverse.coefficient((0, 0, 0, 0)) == E4.inverse()
+    assert unit ** -2 == inverse * inverse
+    with pytest.raises(ValueError):
+        KLMN[0] ** -1
+
+
 def test_multiplication_adds_gradings(KLMN):
     K, L, _, _ = KLMN
     prod = K * L
@@ -99,7 +121,6 @@ def test_inject_is_injective_on_random_samples(order):
             {e: s.shift(24 * (e[0] + e[1] + e[2]) + 12 * e[3]) for e, s in phi.inject().terms.items()},
             phi.weight,
             phi.degree,
-            validate=False,
         )
         assert back == phi
 

@@ -176,3 +176,7 @@ def test_negative_exponent_guards():
     assert cd_to_ab(CurvePolyCD({(-1, 0, 0, 0, 0, 0): 1})) == CurvePolyAB(
         {(-1, 0, 0, 0, 0, 0): 1}
     )
+    # a Laurent monomial is a unit; any other polynomial is not
+    assert CurvePolyAB.variable(0) ** -1 == CurvePolyAB({(-1, 0, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        (CurvePolyAB.variable(0) + CurvePolyAB.variable(2)) ** -1
