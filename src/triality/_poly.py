@@ -258,7 +258,7 @@ def substitute(terms, images, one):
 
 def compose(poly, images, one):
     """Substitute images[i] for variable i of poly; `one` is the target unit."""
-    result = one * 0
+    result = type(one).zero()
     for _, coeff, value in substitute(poly.terms, images, one):
         result = result + value * coeff
     return result

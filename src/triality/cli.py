@@ -412,12 +412,22 @@ def build_parser():
     return parser
 
 
+# the largest accepted values: beyond them a request runs for hours
+MAX_ORDER, MAX_WEIGHT, MAX_DEGREE = 128, 96, 32
+LIMITS = {"order": MAX_ORDER, "weight": MAX_WEIGHT, "kmax": MAX_WEIGHT,
+          "degree": MAX_DEGREE, "mmax": MAX_DEGREE}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.order < 2:
         print("error: --order must be at least 2", file=sys.stderr)
         return 2
+    for name, limit in LIMITS.items():
+        if getattr(args, name, 0) > limit:
+            print(f"error: --{name} must be at most {limit}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

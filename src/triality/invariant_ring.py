@@ -16,7 +16,8 @@ three-way classification (invariant / weak only / neither), and the sign
 involution realizing the tau -> tau + 1 action on the half-integer
 lattice.  `KLMNPoly` is the element over the four fundamental weak
 invariants K, L, M, N, which generate freely over the level-1 forms E4, E6
-(Wirthmueller); `express_in_klmn` rewrites an invariant in them exactly.
+(Wirthmueller), so `express_in_klmn` rewrites an invariant in them by a
+change of generators and a fit of each coefficient into C[E4, E6].
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._poly import ring_det, substitute
-from .exact_series import LATTICE, FracSeries, e_series, eisenstein
-from .linalg import LinearSolver
+from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from .weyl_poly import I_DEGREES, IPoly
 
 INVARIANT = "invariant"
@@ -52,11 +52,11 @@ class HasPoleError(ValueError):
 
 
 class NoRepresentationError(ValueError):
-    """No polynomial in K, L, M, N over E4, E6 matches within the window."""
+    """A rewritten coefficient is not in C[E4, E6] within the window."""
 
 
 class AmbiguousRepresentationError(ValueError):
-    """The window-restricted rewriting solve has a nontrivial kernel."""
+    """The window is too short to pin a rewritten coefficient down."""
 
 
 class SeriesPoly:
@@ -65,7 +65,8 @@ class SeriesPoly:
     Subclasses fix the generator names, their formal weights and degrees,
     and the JSON kind.  The declared (weight, degree) of the whole value
     splits per monomial into the coefficient weight plus the formal ones.
-    Values of different subclasses never mix.
+    Values of different subclasses never mix.  A coefficient that is zero
+    within its window is kept for that window, and output skips it.
     """
 
     NAMES = ()
@@ -76,26 +77,21 @@ class SeriesPoly:
     def __init__(self, terms, weight, degree):
         self.weight = int(weight)
         self.degree = int(degree)
-        clean = {}
-        for exps, series in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if series.is_zero:
-                continue
+        self.terms = {tuple(int(e) for e in exps): s for exps, s in terms.items()}
+        for exps in self.terms:
             mono_degree = sum(d * e for d, e in zip(self.DEGREES, exps))
             if mono_degree != self.degree:
                 raise GradingError(
                     f"monomial {exps} has degree {mono_degree}, declared {self.degree}"
                 )
-            clean[exps] = series
-        self.terms = clean
 
     @classmethod
     def _new(cls, terms, weight, degree):
-        """Arithmetic results: drop zero series, skip the degree check."""
+        """Arithmetic results: skip the degree check."""
         value = cls.__new__(cls)
         value.weight = weight
         value.degree = degree
-        value.terms = {e: s for e, s in terms.items() if not s.is_zero}
+        value.terms = terms
         return value
 
     @classmethod
@@ -111,7 +107,7 @@ class SeriesPoly:
 
     @property
     def is_zero(self):
-        return not self.terms
+        return all(s.is_zero for s in self.terms.values())
 
     def common_trunc(self):
         return min((s.trunc for s in self.terms.values()), default=None)
@@ -145,11 +141,13 @@ class SeriesPoly:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self.is_zero:
+        if not self.terms:
             return other
-        if other.is_zero:
+        if not other.terms:
             return self
-        if (self.weight, self.degree) != (other.weight, other.degree):
+        # a value that is zero within its window adds only its window
+        grading = (other.weight, other.degree) if self.is_zero else (self.weight, self.degree)
+        if not other.is_zero and grading != (other.weight, other.degree):
             raise GradingError(
                 f"cannot add ({self.weight},{self.degree}) and ({other.weight},{other.degree})"
             )
@@ -157,7 +155,7 @@ class SeriesPoly:
         for exps, series in other.terms.items():
             cur = terms.get(exps)
             terms[exps] = series if cur is None else cur + series
-        return self._new(terms, self.weight, self.degree)
+        return self._new(terms, *grading)
 
     def __sub__(self, other):
         return self + (-other)
@@ -182,6 +180,14 @@ class SeriesPoly:
         return self._new(terms, self.weight + other.weight, self.degree + other.degree)
 
     __rmul__ = __mul__
+
+    def change_generators(self, images, one):
+        """Substitute images[i] (of weight WEIGHTS[i]) for generator i; `one`
+        is the target unit, and each coefficient scales its monomial's image."""
+        result = type(one).zero(self.weight, self.degree)
+        for exps, series, value in substitute(self.terms, images, one):
+            result = result + value.scale_series(series, self.coefficient_weight(exps))
+        return result
 
     def scale_series(self, series, series_weight):
         """Multiply by a degree-0 modular series of known weight."""
@@ -235,7 +241,9 @@ class SeriesPoly:
     # -- output ---------------------------------------------------------------
 
     def _sorted_monomials(self):
-        return sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        """Monomials with a coefficient that is nonzero within its window."""
+        shown = [e for e, s in self.terms.items() if not s.is_zero]
+        return sorted(shown, key=lambda e: (sum(e), e), reverse=True)
 
     def to_json(self):
         return {
@@ -250,7 +258,7 @@ class SeriesPoly:
         }
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero:
             return "0"
         parts = []
         for exps in self._sorted_monomials():
@@ -311,7 +319,7 @@ class Invariant(SeriesPoly):
         I~4 and half-odd-integer powers on the odd part.  Nonzero values of
         negative or odd weight are never (weak) invariants.
         """
-        if self.terms and (self.weight < 0 or self.weight % 2):
+        if not self.is_zero and (self.weight < 0 or self.weight % 2):
             return NOT_WEAK
         is_invariant = True
         is_weak = True
@@ -352,7 +360,7 @@ class Invariant(SeriesPoly):
         coeffs = {}
         for exps, series in self.terms.items():
             shifted = series.shift(-self._shift_of(exps))
-            if shifted.valuation < 0:
+            if shifted.terms and shifted.valuation < 0:
                 raise HasPoleError(f"injected coefficient of {exps} has a pole")
             c = shifted.terms.get(0)
             if c:
@@ -406,7 +414,7 @@ def klmn_generator_jacobian(order):
     gens = klmn(order)
     rows = [[g.derivative(j) for j in range(4)] for g in gens]
     det = ring_det(rows)
-    extra = [e for e in det.terms if e != (0, 0, 0, 0)]
+    extra = [e for e, s in det.terms.items() if e != ONE_EXPS and not s.is_zero]
     if extra:
         raise AssertionError(f"generator jacobian is not degree 0: {extra}")
     series = det.terms.get((0, 0, 0, 0))
@@ -432,48 +440,81 @@ class KLMNPoly(SeriesPoly):
 
     def constant_series(self):
         """The coefficient of the empty monomial; raises if others are present."""
-        extra = [e for e in self.terms if any(e)]
+        extra = [e for e, s in self.terms.items() if any(e) and not s.is_zero]
         if extra:
             raise ValueError(f"not a constant: contains {extra}")
         return self.terms.get(ONE_EXPS)
 
     def evaluate(self, order):
         """Substitute the actual K, L, M, N invariants at the given order."""
-        one = Invariant.one(LATTICE * order)
-        result = Invariant.zero(self.weight, self.degree)
-        for exps, series, value in substitute(self.terms, klmn(order), one):
-            result = result + value.scale_series(series, self.coefficient_weight(exps))
-        return result
+        return self.change_generators(klmn(order), Invariant.one(LATTICE * order))
 
 
-def _klmn_candidates(weight, degree):
-    """All (alpha, beta, a, b, c, d) with E4^alpha E6^beta K^a L^b M^c N^d
-    of the given weight and degree, in deterministic order."""
-    out = []
-    for d in range(degree // 6 + 1):
-        for c in range((degree - 6 * d) // 4 + 1):
-            for b in range((degree - 6 * d - 4 * c) // 4 + 1):
-                rest = degree - 6 * d - 4 * c - 4 * b
-                if rest % 2:
-                    continue
-                a = rest // 2
-                w = weight - 2 * b - 4 * c
-                if w < 0:
-                    continue
-                for beta in range(w // 6 + 1):
-                    if (w - 6 * beta) % 4 == 0:
-                        out.append(((w - 6 * beta) // 4, beta, a, b, c, d))
-    out.sort()
-    return out
+@lru_cache(maxsize=None)
+def weyl_in_klmn(order):
+    """I2, I4, I6, I~4 as polynomials in formal K, L, M, N at the given order.
+
+    The inverse of `klmn`: I2 = K, I4 = 6 T1 + K^2/4, I6 = 4N + K T1 and
+    I~4 = -T1 - 2 T2, where (T1, T2) solve L = (e1-e3) T1 + (e2-e3) T2 and
+    M = 12 (e1^2-e3^2) T1 + 12 (e2^2-e3^2) T2, a 2x2 system of determinant
+    -3 eta^12.  Dividing by it costs up to one power of q of window.
+    """
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    one = FracSeries.constant(1, LATTICE * order)
+    e1, e2, e3 = (e_series(i, order) for i in (1, 2, 3))
+    a, b = e1 - e3, e2 - e3
+    c, d = (e1 * e1 - e3 * e3) * 12, (e2 * e2 - e3 * e3) * 12
+    inv_det = (a * d - b * c).inverse()
+    T1 = KLMNPoly({(0, 1, 0, 0): d * inv_det, (0, 0, 1, 0): -b * inv_det}, 0, 4)
+    T2 = KLMNPoly({(0, 1, 0, 0): -c * inv_det, (0, 0, 1, 0): a * inv_det}, 0, 4)
+    K = KLMNPoly({(1, 0, 0, 0): one}, 0, 2)
+    N = KLMNPoly({(0, 0, 0, 1): one}, 0, 6)
+    return K, T1 * 6 + K * K * Fraction(1, 4), N * 4 + K * T1, -T1 - T2 * 2
+
+
+@lru_cache(maxsize=None)
+def _modular_basis(weight, order):
+    """E4^a E6^b Delta^j with 4a + 6b = weight - 12j != 2, b in {0, 1}, one per
+    j: a basis of C[E4, E6]_weight whose j-th element is q^j + O(q^(j+1))."""
+    exps = {}
+    for j in range(weight // 12 + 1):
+        rest = weight - 12 * j
+        if rest % 2 == 0 and rest != 2:
+            b = rest % 4 // 2
+            exps[((rest - 6 * b) // 4, b, j)] = None
+    gens = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
+    one = FracSeries.constant(1, LATTICE * order)
+    return tuple(v.truncate(one.trunc) for _, _, v in substitute(exps, gens, one))
+
+
+def _fit_modular(series, weight, order):
+    """The form of this weight equal to series within its window (raises if
+    none is), or None if the window ends before q^j for the last element j."""
+    basis = _modular_basis(weight, order)
+    window = min(series.trunc, LATTICE * order)
+    rest = series
+    fit = FracSeries.zero(LATTICE * order)
+    for j, element in enumerate(basis):
+        if LATTICE * j >= window:
+            break
+        c = rest.terms.get(LATTICE * j)
+        if c:
+            rest = rest - element * c
+            fit = fit + element * c
+    if not rest.truncate(window).is_zero:
+        raise NoRepresentationError(
+            f"a weight-{weight} coefficient is not in C[E4, E6] within t^{window}"
+        )
+    return None if LATTICE * (len(basis) - 1) >= window else fit
 
 
 def express_in_klmn(phi, order=None):
     """Rewrite an invariant as a polynomial in K, L, M, N over E4, E6.
 
-    Solves the exact linear system over all monomials of matching weight
-    and degree; raises NoRepresentationError when inconsistent within the
-    window and AmbiguousRepresentationError if the solve has a nontrivial
-    kernel (not expected: K, L, M, N are independent over the level-1 ring).
+    Substitutes `weyl_in_klmn` for the Weyl generators, fits every
+    coefficient into C[E4, E6] of its weight, and checks the result by
+    evaluating it over the whole window.
     """
     trunc = phi.common_trunc()
     if order is None:
@@ -481,82 +522,21 @@ def express_in_klmn(phi, order=None):
             return KLMNPoly.zero(phi.weight, phi.degree)
         order = trunc // LATTICE
     elif trunc is not None:
-        # never read equations beyond the window phi actually knows
+        # never read coefficients beyond the window phi actually knows
         order = min(order, trunc // LATTICE)
-    candidates = _klmn_candidates(phi.weight, phi.degree)
-    if not candidates:
-        if phi.is_zero:
-            return KLMNPoly.zero(phi.weight, phi.degree)
-        raise NoRepresentationError("no candidate monomials at this grading")
-
-    window = LATTICE * order
-    # the value of every distinct K,L,M,N part and E4,E6 part of a candidate
-    klmn_keys = dict.fromkeys(cand[2:] for cand in candidates)
-    klmn_values = {
-        key: v for key, _, v in substitute(klmn_keys, klmn(order), Invariant.one(window))
+    coeffs = phi.change_generators(weyl_in_klmn(order), KLMNPoly.one(LATTICE * order))
+    fits = {
+        exps: _fit_modular(series, coeffs.coefficient_weight(exps), order)
+        for exps, series in coeffs.terms.items()
     }
-    eis_keys = dict.fromkeys(cand[:2] for cand in candidates)
-    e4_e6 = (eisenstein(4, order), eisenstein(6, order))
-    eis_values = {
-        key: v for key, _, v in substitute(eis_keys, e4_e6, FracSeries.constant(1, window))
-    }
-    cand_parts = [(eis_values[cand[:2]], klmn_values[cand[2:]]) for cand in candidates]
-
-    def entry(mod_series, inv, mono, e):
-        # coefficient of t^e in mod_series * inv.terms[mono], by convolution
-        s = inv.terms.get(mono)
-        if s is None:
-            return Fraction(0)
-        total = Fraction(0)
-        for j, c in mod_series.terms.items():
-            v = s.terms.get(e - j)
-            if v:
-                total += c * v
-        return total
-
-    # stream equations (one per generator monomial and t-exponent) until the
-    # solution is pinned down, then verify the full window exactly
-    monomials = set(phi.terms)
-    for inv in klmn_values.values():
-        monomials.update(inv.terms)
-    solver = LinearSolver(len(candidates))
-    done = False
-    for mono in sorted(monomials, key=lambda e: (sum(e), e)):
-        target = phi.terms.get(mono)
-        # every series involved lives on the half-integer lattice (12 | e);
-        # off-lattice target terms are caught by the final verification
-        for e in range(0, window, LATTICE // 2):
-            row = [entry(ms, inv, mono, e) for ms, inv in cand_parts]
-            if not any(row) and (target is None or not target.terms.get(e)):
-                continue
-            rhs = target.terms.get(e, Fraction(0)) if target is not None else Fraction(0)
-            solver.add(row, rhs)
-            if solver.inconsistent:
-                raise NoRepresentationError("inconsistent system within the window")
-            if solver.rank == len(candidates):
-                done = True
-                break
-        if done:
-            break
-
-    if not done:
+    # the window must also pin down the zero coefficients of the monomials
+    # left out; a grading's widest spaces are at its weight and, next to L, 2 below
+    widest = max(len(_modular_basis(phi.weight - b, order)) for b in (0, 2 * (phi.degree >= 4)))
+    if widest > order or any(fit is None for fit in fits.values()):
         raise AmbiguousRepresentationError(
-            f"solve has a {len(candidates) - solver.rank}-dimensional kernel within the window"
+            f"window q^{order} is too short to pin every coefficient down"
         )
-
-    grouped = {}
-    for x, cand in zip(solver.solution(), candidates):
-        if x:
-            key = cand[2:]
-            add = eis_values[cand[:2]] * x
-            cur = grouped.get(key)
-            grouped[key] = add if cur is None else cur + add
-    rep = KLMNPoly(grouped, phi.weight, phi.degree)
-
-    # exact verification over the whole window, from the monomial values above
-    recon = Invariant.zero(phi.weight, phi.degree)
-    for key, series in rep.terms.items():
-        recon = recon + klmn_values[key].scale_series(series, rep.coefficient_weight(key))
-    if not recon == phi:
+    rep = KLMNPoly({e: s for e, s in fits.items() if not s.is_zero}, phi.weight, phi.degree)
+    if not rep.evaluate(order) == phi:
         raise NoRepresentationError("no representation matches the full window")
     return rep

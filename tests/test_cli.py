@@ -121,6 +121,31 @@ def test_order_below_two_is_a_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--order", ["expand", "E4", "--order", str(cli.MAX_ORDER + 1)]),
+        ("--weight", ["basis", "--weight", str(cli.MAX_WEIGHT + 2), "--degree", "0"]),
+        ("--degree", ["basis", "--weight", "0", "--degree", str(cli.MAX_DEGREE + 2)]),
+        ("--kmax", ["dims", "--kmax", str(cli.MAX_WEIGHT + 2)]),
+        ("--mmax", ["dims", "--mmax", str(cli.MAX_DEGREE + 2)]),
+    ],
+)
+def test_oversized_request_is_a_usage_error(capsys, flag, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{flag} must be at most" in err
+
+
+def test_limits_admit_the_benchmark_requests():
+    # verify at order 96, dims --kmax 72 --mmax 24, expand up to order 48
+    # and basis cells up to weight 48, degree 16
+    assert cli.MAX_ORDER >= 96
+    assert cli.MAX_WEIGHT >= 72
+    assert cli.MAX_DEGREE >= 24
+
+
 def test_verify_all_in_process(capsys):
     # order 25 shares the session caches built by the other tests
     code, out = run_cli(capsys, "verify", "all", "--order", "25")

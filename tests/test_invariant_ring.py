@@ -18,6 +18,7 @@ from triality.invariant_ring import (
     express_in_klmn,
     klmn,
     klmn_generator_jacobian,
+    weyl_in_klmn,
 )
 from triality.weyl_poly import IPoly
 
@@ -212,13 +213,12 @@ def test_express_delta_k(KLMN, delta):
 
 def test_express_rejects_outside_ring(KLMN, delta, E4):
     K, L, _, _ = KLMN
-    # K itself (no Delta) has weight 0 and degree 2: the only candidate is K
-    # with constant coefficient, which cannot match its q-dependence... K is
-    # exactly K, so use a genuinely unrepresentable value instead:
-    bad = Invariant({(1, 0, 0, 0): delta}, 13, 2)  # odd weight: no candidates
+    # K itself is exactly K, so use a genuinely unrepresentable value: its
+    # K-coefficient has odd weight, and C[E4, E6] has no forms of odd weight
+    bad = Invariant({(1, 0, 0, 0): delta}, 13, 2)
     with pytest.raises(NoRepresentationError):
         express_in_klmn(bad)
-    # wrong series on a valid grading
+    # wrong series on a valid grading: eta^12 is not a level-1 form
     eta, _ = eta_delta(12)
     bad2 = Invariant({(1, 0, 0, 0): eta ** 24 + eta ** 12}, 12, 2)
     with pytest.raises(NoRepresentationError):
@@ -233,13 +233,84 @@ def test_klmn_poly_evaluate_round_trip(KLMN, order, delta, E4):
 
 
 def test_express_reports_ambiguity_on_shallow_windows():
-    # at order 2 there are more weight-54 candidates than window equations,
-    # so the kernel of the solve is visibly nontrivial and gets reported
+    # at order 2 the window ends before q^2, but a weight-54 coefficient has
+    # five basis forms E4^a E6^b Delta^j (j <= 4) and a weight-24 one (of
+    # <g,P>^1 and <f,P>^2) three, so the window cannot tell the last from zero
     from triality.covariants import gordan_generators, psi_inverse, roberts_to_semiinvariant
     from triality.sw_curve import evaluate_ab
 
+    gens = {g.label: g for g in gordan_generators()}
     big = gordan_generators()[-1]
-    p = psi_inverse(roberts_to_semiinvariant(big.poly))
-    value = evaluate_ab(p, 2)
+    for g in (big, gens["<g,P>^1"], gens["<f,P>^2"]):
+        p = psi_inverse(roberts_to_semiinvariant(g.poly))
+        value = evaluate_ab(p, 2)
+        with pytest.raises(AmbiguousRepresentationError):
+            express_in_klmn(value, order=2)
+    # a monomial the value leaves out must be pinned down too: Delta^2 * L
+    # vanishes below q^2, so E4^5 E6 K^2 is not determined at order 2
+    e4, e6 = eisenstein(4, 2), eisenstein(6, 2)
+    value = KLMNPoly({(2, 0, 0, 0): e4 ** 5 * e6}, 26, 4).evaluate(2)
     with pytest.raises(AmbiguousRepresentationError):
         express_in_klmn(value, order=2)
+
+
+def test_shallow_table1_fails_only_on_shallow_windows():
+    # every generator lies in the ring, so a rewrite may fail at a low order
+    # only because its window is too short, never as "no representation"
+    from triality.verify import run_suite
+
+    for order in (2, 3):
+        failed = [r for r in run_suite("table1", order) if not r.passed]
+        assert failed
+        for r in failed:
+            assert "too shallow" in r.detail, r.name
+
+
+def test_weyl_generators_in_klmn_evaluate_back(order, eta):
+    trunc = 24 * order
+    one = FracSeries.constant(1, trunc)
+    weyl = [
+        Invariant({exps: one}, 0, degree)
+        for exps, degree in zip(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (2, 4, 6, 4))
+    ]
+    for image, generator in zip(weyl_in_klmn(order), weyl):
+        value = image.evaluate(order)
+        # dividing by the determinant, of valuation q^(1/2), costs at most q
+        assert min(value.common_trunc(), generator.common_trunc()) >= trunc - 24
+        assert value == generator
+    e1, e2, e3 = (e_series(i, order) for i in (1, 2, 3))
+    det = 12 * (e1 - e3) * (e2 - e3) * (e2 - e1)
+    assert det == eta ** 12 * -3
+
+
+@pytest.mark.parametrize("weight, degree", [(16, 6), (20, 6), (24, 8), (30, 10), (36, 12)])
+def test_express_round_trips_random_klmn_polys(weight, degree):
+    # random rational combinations of E4^a E6^b as coefficients, so every
+    # coefficient lies in C[E4, E6] of its weight
+    order = 6
+    rng = random.Random(weight * 100 + degree)
+    e4, e6 = eisenstein(4, order), eisenstein(6, order)
+    monomials = [
+        (a, b, c, d)
+        for d in range(degree // 6 + 1)
+        for c in range(degree // 4 + 1)
+        for b in range(degree // 4 + 1)
+        for a in range(degree // 2 + 1)
+        if 2 * a + 4 * b + 4 * c + 6 * d == degree
+    ]
+    terms = {}
+    for exps in monomials:
+        w = weight - 2 * exps[1] - 4 * exps[2]
+        forms = [e4 ** ((w - 6 * b) // 4) * e6 ** b for b in range(w // 6 + 1) if (w - 6 * b) % 4 == 0]
+        # keep every M and N monomial, and about half of the others
+        if not forms or not (exps[2] or exps[3] or rng.random() < 0.5):
+            continue
+        coeffs = [F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in forms]
+        coeffs[0] = coeffs[0] or F(1)
+        series = FracSeries.zero(24 * order)
+        for c, form in zip(coeffs, forms):
+            series = series + form * c
+        terms[exps] = series
+    rep = KLMNPoly(terms, weight, degree)
+    assert any(e[2] for e in rep.terms) and any(e[3] for e in rep.terms)
+    assert express_in_klmn(rep.evaluate(order)).to_json() == rep.to_json()
