@@ -238,14 +238,18 @@ def substitute(terms, images, one):
     powers = [{0: one, 1: image} for image in images]
 
     def power(i, e):
+        # one more factor at a time, up (or down) from the nearest cached power
         cache = powers[i]
         if e not in cache:
-            if e > 0:
-                cache[e] = power(i, e - 1) * images[i]
-            elif e == -1:
-                cache[e] = images[i] ** -1
-            else:
-                cache[e] = power(i, e + 1) * power(i, -1)
+            if e < 0 and -1 not in cache:
+                cache[-1] = images[i] ** -1
+            step, factor = (1, images[i]) if e > 0 else (-1, cache[-1])
+            k = e
+            while k not in cache:
+                k -= step
+            while k != e:
+                k += step
+                cache[k] = cache[k - step] * factor
         return cache[e]
 
     for exps, coeff in terms.items():

@@ -58,8 +58,17 @@ def _tokenize(text):
     return tokens
 
 
+def _checked_degree(degree):
+    if degree > MAX_EXPR_DEGREE:
+        raise ExprError(f"total degree must be at most {MAX_EXPR_DEGREE}, got {degree}")
+
+
 def parse_poly(text, atoms, cls):
-    """Parse +, -, *, /, ^ and parentheses over named atoms into cls."""
+    """Parse +, -, *, /, ^ and parentheses over named atoms into cls.
+
+    A product or power whose total degree would pass MAX_EXPR_DEGREE is
+    refused before it is multiplied out.
+    """
     tokens = _tokenize(text)
     pos = [0]
 
@@ -98,6 +107,7 @@ def parse_poly(text, atoms, cls):
         if peek()[0] == "^":
             take()
             expo = take("int")[1]
+            _checked_degree(base.total_degree() * expo)
             base = base ** expo
         return base
 
@@ -107,6 +117,7 @@ def parse_poly(text, atoms, cls):
             op = take()[0]
             rhs = factor()
             if op == "*":
+                _checked_degree(value.total_degree() + rhs.total_degree())
                 value = value * rhs
             else:
                 const = rhs.terms.get((0,) * cls.nvars)
@@ -414,6 +425,8 @@ def build_parser():
 
 # the largest accepted values: beyond them a request runs for hours
 MAX_ORDER, MAX_WEIGHT, MAX_DEGREE = 128, 96, 32
+# total degree of a product or power in a polynomial argument
+MAX_EXPR_DEGREE = 24
 LIMITS = {"order": MAX_ORDER, "weight": MAX_WEIGHT, "kmax": MAX_WEIGHT,
           "degree": MAX_DEGREE, "mmax": MAX_DEGREE}
 

@@ -3,17 +3,13 @@
 The generators are the elementary symmetric functions of the squares
 z_i^2 together with the product z1 z2 z3 z4; they freely generate the
 invariant ring of the degree-(2,4,6,4) reflection group acting on C^4.
-Conversion from z-coordinates back to generator coordinates is an exact
-linear solve over the finite monomial basis of matching degree, which
-doubles as an invariance test.
+Conversion from z-coordinates back to generator coordinates reduces by
+leading terms, which doubles as an invariance test.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._poly import SparsePoly, compose, ring_det
-from .linalg import LinearSolver
 
 I_DEGREES = (2, 4, 6, 4)
 
@@ -69,27 +65,24 @@ def i_monomials_of_degree(m):
 def zpoly_to_ipoly(p):
     """Invert the generator substitution on a homogeneous z-polynomial.
 
+    The lex-leading z-monomial of I2^a I4^b I6^c I~4^d is
+    z1^(2a+2b+2c+d) z2^(2b+2c+d) z3^(2c+d) z4^d with coefficient 1, so the
+    leading term of p names the next generator monomial to subtract.
     Raises NotInvariantError when no generator polynomial expands to p.
     """
-    if p.is_zero:
-        return IPoly.zero()
-    m = p.weighted_degree((1, 1, 1, 1))
-    candidates = i_monomials_of_degree(m)
-    expansions = [ipoly_to_zpoly(IPoly.monomial(e)) for e in candidates]
-    # one equation per z-monomial appearing anywhere
-    z_monos = set(p.terms)
-    for exp in expansions:
-        z_monos.update(exp.terms)
-    solver = LinearSolver(len(candidates))
-    for mono in sorted(z_monos):
-        solver.add([exp.terms.get(mono, Fraction(0)) for exp in expansions], p.terms.get(mono, Fraction(0)))
-        if solver.inconsistent:
+    p.weighted_degree((1, 1, 1, 1))  # raises ValueError if inhomogeneous
+    result = {}
+    while not p.is_zero:
+        lead = max(p.terms)
+        p1, p2, p3, p4 = lead
+        steps = (p1 - p2, p2 - p3, p3 - p4)
+        if any(s < 0 or s % 2 for s in steps):
             raise NotInvariantError(f"{p} is not a polynomial in the invariant generators")
-    sol = solver.solution()
-    result = IPoly({e: c for e, c in zip(candidates, sol)})
-    # expansions of distinct generator monomials are linearly independent,
-    # so a consistent solve is automatically unique
-    return result
+        exps = (steps[0] // 2, steps[1] // 2, steps[2] // 2, p4)
+        coeff = p.terms[lead]
+        result[exps] = coeff
+        p = p - ipoly_to_zpoly(IPoly.monomial(exps, coeff))
+    return IPoly(result)
 
 
 def jacobian_z(f1, f2, f3, f4):

@@ -1,10 +1,24 @@
+import contextlib
+import io
+import json
+
 import pytest
 
+from triality import cli
 from triality.exact_series import eisenstein, eta_delta
 from triality.invariant_ring import klmn
 
 # q^24 must lie inside the compared window, so the suite runs one order higher
 ORDER = 25
+
+
+@pytest.fixture(scope="session")
+def verify_report():
+    """Exit code and JSON report of `triality verify all` at ORDER, run once."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "all", "--order", str(ORDER), "--format", "json"])
+    return code, json.loads(out.getvalue())
 
 
 @pytest.fixture(scope="session")

@@ -1,229 +1,121 @@
-"""Acceptance suite: every criterion at its stated window, one line each.
+"""Acceptance suite: every criterion of the paper, read from one `verify` run.
 
-Exact rational arithmetic throughout: tolerance is exact equality of every
-coefficient inside the compared window.  The suite runs at order 25 so the
-q^24 coefficient itself is part of every comparison.
+`triality.verify` is the one place where each identity is written; these
+tests assert on its verdicts from the shared `verify all` run at order 25,
+so the q^24 coefficient is inside every compared window.  Each criterion
+names its checks by prefix, and every check belongs to exactly one
+criterion.  `pytest -s` prints one line per check.
 """
 
-from fractions import Fraction as F
+from triality import sw_curve, verify
+from triality.invariant_ring import AmbiguousRepresentationError
 
-from triality import covariants, enumerator, sw_curve
-from triality.exact_series import e_series, eisenstein, eta_delta
-from triality.invariant_ring import (
-    INVARIANT,
-    WEAK_ONLY,
-    Invariant,
-    express_in_klmn,
-    klmn,
-    klmn_generator_jacobian,
-)
-from triality.sw_curve import CurvePolyAB, CurvePolyCD, evaluate_ab, evaluate_cd
-from triality.verify import LEADING_AB, LEADING_CD
-from triality.weyl_poly import jacobian_z, vandermonde_product, weyl_generators
-
-ORDER = 25
-K_MAX, M_MAX = 24, 8
-
-
-def report(criterion, detail=""):
-    print(f"PASS {criterion}" + (f" [{detail}]" if detail else ""))
-
-
-def test_criterion_01_special_function_identities(E4, E6, delta):
-    assert delta == (E4 ** 3 - E6 ** 2) / 1728
-    assert (e_series(1, ORDER) + e_series(2, ORDER) + e_series(3, ORDER)).is_zero
-    report("criterion 1: discriminant identity and e1+e2+e3 = 0, exact to q^24")
-
-
-def test_criterion_02_jacobians(eta, E4, E6, delta):
-    assert jacobian_z(*weyl_generators()) == 8 * vandermonde_product()
-    assert klmn_generator_jacobian(ORDER) == (eta ** 12) * F(-1, 16)
-    det_ab, det_cd = sw_curve.jacobian_klmn(ORDER)
-    assert det_ab == (delta ** 3) * E4.inverse() * F(-1, 16)
-    assert det_cd == (delta ** 3) * E6.inverse() * F(-3, 4)
-    report("criterion 2: all three jacobian identities, exact to q^24")
-
-
-def test_criterion_03_leading_coefficients():
-    for i, name in enumerate(CurvePolyAB.names):
-        value = evaluate_ab(CurvePolyAB.variable(i), ORDER)
-        assert value.leading_ipoly() == LEADING_AB[name], name
-    for i, name in enumerate(CurvePolyCD.names):
-        value = evaluate_cd(CurvePolyCD.variable(i), ORDER)
-        assert value.leading_ipoly() == LEADING_CD[name], name
-    report("criterion 3: all 12 leading-coefficient identities, exact")
-
-
-def test_criterion_04_frame_changes(delta, KLMN):
-    K, L, M, N = KLMN
-    for i in (1, 3, 4, 5):  # a2, b1, b2, b3
-        p = CurvePolyAB.variable(i)
-        img = sw_curve.ab_to_cd(p)
-        assert evaluate_cd(img, ORDER) == evaluate_ab(p, ORDER)
-        assert sw_curve.cd_to_ab(img) == p
-    targets = (
-        K.scale_series(delta, 12),
-        L.scale_series(delta ** 2, 24),
-        M.scale_series(delta ** 2, 24),
-        N.scale_series(delta ** 3, 36),
-    )
-    ab_polys, cd_polys = sw_curve.recover_klmn()
-    for poly, target in zip(ab_polys, targets):
-        assert evaluate_ab(poly, ORDER) == target
-    for poly, target in zip(cd_polys, targets):
-        assert evaluate_cd(poly, ORDER) == target
-    report("criterion 4: frame changes and all 8 recovery polynomials, exact to q^24")
-
-
-def oracle_dimension(k, m):
-    total = 0
-    for da in range((k - m) // 4 + 1):
-        rest = k - m - 4 * da
-        if rest >= 0 and rest % 6 == 0:
-            total += covariants.semiinvariant_dimension(da, rest // 6, (k - 3 * m) // 2)
-    return total
-
-
-def test_criterion_05_enumerator_oracle_cross_validation():
-    cells = 0
-    for k in range(0, K_MAX + 1, 2):
-        for m in range(0, M_MAX + 1, 2):
-            dim = enumerator.triality_basis(k, m).dimension
-            assert dim == oracle_dimension(k, m), (k, m)
-            cells += 1
-    report(
-        "criterion 5: enumerated dimensions equal semiinvariant-oracle sums",
-        f"{cells} cells, k<={K_MAX}, m<={M_MAX}",
-    )
-
-
-def test_criterion_06_weight_lower_bound():
-    table = enumerator.dimension_table(K_MAX, M_MAX)
-    for (k, m), dim in table.items():
-        if k < 3 * m:
-            assert dim == 0, (k, m)
-    report("criterion 6: every entry with weight below 3*degree vanishes")
-
-
-def test_criterion_07_rank_series_consistency():
-    table = enumerator.dimension_table(K_MAX, M_MAX)
-    ranks = enumerator.rank_series(6)
-    stabilization = {}
-    for m in (0, 2, 4, 6):
-        total = 0
-        gens = {}
-        for k in range(0, K_MAX + 1, 2):
-            s = (
-                table[(k, m)]
-                - table.get((k - 4, m), 0)
-                - table.get((k - 6, m), 0)
-                + table.get((k - 10, m), 0)
-            )
-            assert s >= 0, (k, m, s)
-            if s:
-                gens[k] = s
-                total += s
-        assert total == ranks[m], (m, total, ranks[m])
-        stabilization[m] = max(gens) if gens else 0
-    assert [ranks[m] for m in (0, 2, 4, 6)] == [1, 1, 3, 4]
-    report(
-        "criterion 7: free-module alternating sums nonnegative, totals (1,1,3,4)",
-        f"stabilization weights {stabilization}",
-    )
-
-
-def test_criterion_08_generator_table_suite(E4, E6, delta):
-    gens = covariants.gordan_generators()
-    assert len(gens) == 15
-    cells = {}
-    for g in gens:
-        cells[(g.degree_m, g.order_omega)] = cells.get((g.degree_m, g.order_omega), 0) + 1
-    assert cells == {
-        (0, 2): 1, (0, 3): 1, (2, 3): 1,
-        (4, 0): 1, (4, 1): 1, (4, 2): 1,
-        (6, 1): 1, (6, 2): 1, (6, 3): 1,
-        (8, 0): 1, (10, 1): 1,
-        (12, 0): 2, (12, 1): 1, (18, 0): 1,
-    }
-    totals = [0, 0, 0, 0]
-    for g in gens:
-        totals[g.order_omega] += 1
-    assert totals == [5, 4, 3, 3]
-
-    leads = {g.label: covariants.roberts_to_semiinvariant(g.poly) for g in gens}
-    for label, semi in leads.items():
-        assert covariants.is_semiinvariant(semi), label
-
-    images = {label: covariants.psi_inverse(semi) for label, semi in leads.items()}
-    for label, p in images.items():
-        assert sw_curve.is_triality_invariant(p), label
-
-    explicit = {
-        "f": (CurvePolyAB({(1, 0, 0, 0, 0, 0): 1}), {(0, 0, 0, 0): E4 / 12}),
-        "g": (CurvePolyAB({(0, 0, 1, 0, 0, 0): 1}), {(0, 0, 0, 0): E6 / 216}),
-        "<f,g>^1": (
-            CurvePolyAB({(1, 0, 0, 1, 0, 0): F(1, 3)}),
-            {(1, 0, 0, 0): delta / 36},
+# criterion: (number of checks, prefixes of their names)
+CRITERIA = {
+    1: (2, ("discriminant:", "weight-2 forms:")),
+    2: (4, ("generator jacobian in z", "det ")),
+    3: (12, tuple(f"leading coefficient of {n}" for n in sw_curve.CurvePolyAB.names + sw_curve.CurvePolyCD.names)),
+    4: (12, ("frame change preserves", "first-frame recovery", "second-frame recovery")),
+    5: (1, ("enumerated dimensions match the semiinvariant oracle",)),
+    6: (1, ("no invariants of weight below 3*degree",)),
+    7: (4, ("free-module generator count",)),
+    8: (
+        54,
+        (
+            "exactly 15 generators", "per-(degree, order) cell counts", "order totals",
+            "leading coefficient of f ", "leading coefficient of g ", "leading coefficient of <",
+            "curve image of", "explicit forms of",
+            # "<label> lies in the K,L,M,N polynomial ring" for all 15 generators
+            "f lies in", "g lies in", "<",
         ),
-        "<f,f>^2": (
-            CurvePolyAB({(1, 1, 0, 0, 0, 0): 2}),
-            {
-                (2, 0, 0, 0): delta / 24,
-                (0, 1, 0, 0): -(E4 * E6) / 144,
-                (0, 0, 1, 0): (E4 ** 2) / 144,
-            },
-        ),
-        "<f,g>^2": (
-            CurvePolyAB({(1, 0, 0, 0, 1, 0): F(1, 3), (0, 1, 1, 0, 0, 0): 1}),
-            {
-                (0, 1, 0, 0): -((E6 ** 2) + 576 * delta) / 3456,
-                (0, 0, 1, 0): (E4 * E6) / 3456,
-            },
-        ),
-        "<g,g>^2": (
-            CurvePolyAB({(0, 0, 1, 0, 1, 0): F(2, 3), (0, 0, 0, 2, 0, 0): F(-2, 9)}),
-            {
-                (2, 0, 0, 0): -(12 * E4 * delta) / 93312,
-                (0, 1, 0, 0): -((E4 ** 2) * E6) / 93312,
-                (0, 0, 1, 0): (E6 ** 2) / 93312,
-            },
-        ),
-    }
-    for label, (poly_expected, klmn_expected) in explicit.items():
-        assert images[label] == poly_expected, label
-        rep = express_in_klmn(evaluate_ab(images[label], ORDER))
-        assert set(rep.terms) == set(klmn_expected), label
-        for key, series in klmn_expected.items():
-            assert rep.coefficient(key) == series, (label, key)
-
-    for label, p in images.items():
-        express_in_klmn(evaluate_ab(p, ORDER))  # must succeed for all 15
-    report(
-        "criterion 8: 15 generators, cell counts, all memberships, six explicit"
-        " lines (both forms), K,L,M,N-ring membership of all 15, exact to q^24"
-    )
+    ),
+    9: (3, ("leading-coefficient round trips", "round trips preserve", "substitution isomorphism")),
+    10: (7, ("classify ",)),
+}
 
 
-def test_criterion_09_roberts_round_trips():
-    for g in covariants.gordan_generators():
-        semi = covariants.roberts_to_semiinvariant(g.poly)
-        cov = covariants.roberts_to_covariant(semi)
-        assert cov == g.poly, g.label
-        assert covariants.roberts_to_semiinvariant(cov) == semi
-        assert covariants.order_of(semi) == g.order_omega
-        assert covariants.uv_order(cov) == g.order_omega
-        assert covariants.refined_form_degrees(semi) == (g.d_a, g.d_b)
-        assert covariants.refined_form_degrees(cov) == (g.d_a, g.d_b)
-    report("criterion 9: Roberts round trips on all 15 generators, degree and order kept")
+def assert_criterion(verify_report, number):
+    count, prefixes = CRITERIA[number]
+    checks = [c for c in verify_report[1]["checks"] if c["name"].startswith(prefixes)]
+    for c in checks:
+        detail = f" [{c['detail']}]" if c["detail"] else ""
+        print(f"{'PASS' if c['passed'] else 'FAIL'} criterion {number}: {c['name']}{detail}")
+    assert len(checks) == count
+    assert [c["name"] for c in checks if not c["passed"]] == []
 
 
-def test_criterion_10_classification(KLMN, delta, E4, E6):
-    K, L, M, N = KLMN
-    assert K.scale_series(delta, 12).classify() == INVARIANT
-    assert K.classify() == WEAK_ONLY
-    assert L.classify() == WEAK_ONLY
-    assert M.classify() == WEAK_ONLY
-    assert N.classify() == WEAK_ONLY
-    assert Invariant.from_series(E4, 4).classify() == INVARIANT
-    assert Invariant.from_series(E6, 6).classify() == INVARIANT
-    report("criterion 10: classification verdicts at the q^24 window")
+def test_every_check_belongs_to_exactly_one_criterion(verify_report):
+    for c in verify_report[1]["checks"]:
+        owners = [n for n, (_, prefixes) in CRITERIA.items() if c["name"].startswith(prefixes)]
+        assert len(owners) == 1, (c["name"], owners)
+    assert sum(count for count, _ in CRITERIA.values()) == len(verify_report[1]["checks"])
+
+
+def test_criterion_01_special_function_identities(verify_report):
+    assert_criterion(verify_report, 1)
+
+
+def test_criterion_02_jacobians(verify_report):
+    assert_criterion(verify_report, 2)
+
+
+def test_criterion_03_leading_coefficients(verify_report):
+    assert_criterion(verify_report, 3)
+
+
+def test_criterion_04_frame_changes(verify_report):
+    assert_criterion(verify_report, 4)
+
+
+def test_criterion_05_enumerator_oracle_cross_validation(verify_report):
+    assert_criterion(verify_report, 5)
+
+
+def test_criterion_06_weight_lower_bound(verify_report):
+    assert_criterion(verify_report, 6)
+
+
+def test_criterion_07_rank_series_consistency(verify_report):
+    assert_criterion(verify_report, 7)
+
+
+def test_criterion_08_generator_table_suite(verify_report):
+    assert_criterion(verify_report, 8)
+
+
+def test_criterion_09_roberts_round_trips(verify_report):
+    assert_criterion(verify_report, 9)
+
+
+def test_criterion_10_classification(verify_report):
+    assert_criterion(verify_report, 10)
+
+
+# -- the checks cannot pass vacuously ------------------------------------------------
+
+
+def test_window_one_power_short_fails_the_discriminant(monkeypatch):
+    order = 4
+    eta, delta = verify.eta_delta(order)
+    short = delta.truncate(24 * order - 24)
+    monkeypatch.setattr(verify, "eta_delta", lambda n: (eta, short))
+    (result,) = [r for r in verify.series_checks(order) if r.name.startswith("discriminant")]
+    assert not result.passed
+
+
+def test_broken_round_trip_fails_the_frame_change(monkeypatch):
+    monkeypatch.setattr(sw_curve, "cd_to_ab", lambda p: sw_curve.CurvePolyAB.zero())
+    failed = {r.name for r in verify.curve_checks(4) if not r.passed}
+    assert "frame change preserves the value of a2" in failed
+
+
+def test_failed_rewrite_fails_the_explicit_forms(monkeypatch):
+    def shallow(value):
+        raise AmbiguousRepresentationError("window too short")
+
+    monkeypatch.setattr(verify, "express_in_klmn", shallow)
+    results = verify.table1_checks(2)
+    explicit = [r for r in results if r.name.startswith("explicit forms of")]
+    assert len(explicit) == 6
+    for r in explicit:
+        assert not r.passed and "too shallow" in r.detail, r.name

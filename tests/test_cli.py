@@ -129,6 +129,9 @@ def test_order_below_two_is_a_usage_error(capsys):
         ("--degree", ["basis", "--weight", "0", "--degree", str(cli.MAX_DEGREE + 2)]),
         ("--kmax", ["dims", "--kmax", str(cli.MAX_WEIGHT + 2)]),
         ("--mmax", ["dims", "--mmax", str(cli.MAX_DEGREE + 2)]),
+        ("total degree", ["membership", "a2^1200"]),
+        ("total degree", ["membership", "(b3^40)^40"]),
+        ("total degree", ["transvect", "--left", "Q^3*Q^2", "--right", "f", "--index", "0"]),
     ],
 )
 def test_oversized_request_is_a_usage_error(capsys, flag, argv):
@@ -144,13 +147,18 @@ def test_limits_admit_the_benchmark_requests():
     assert cli.MAX_ORDER >= 96
     assert cli.MAX_WEIGHT >= 72
     assert cli.MAX_DEGREE >= 24
+    # membership inputs of total degree 12, and form expressions such as f^3
+    # and g*Q of total degree 9 and 10
+    assert cli.MAX_EXPR_DEGREE >= 12
 
 
-def test_verify_all_in_process(capsys):
-    # order 25 shares the session caches built by the other tests
-    code, out = run_cli(capsys, "verify", "all", "--order", "25")
-    assert code == 0, out
-    assert "FAIL" not in out
+def test_verify_all_in_process(verify_report):
+    # the test session's one `verify all --order 25 --format json` run
+    code, report = verify_report
+    assert code == 0
+    assert (report["passed"], report["failed"]) == (100, 0)
+    names = [c["name"] for c in report["checks"]]
+    assert len(names) == len(set(names)) == 100
 
 
 def test_cli_output_is_deterministic():

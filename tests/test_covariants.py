@@ -207,18 +207,6 @@ def test_gordan_generator_metadata():
         assert g.weight == 3 * g.degree_m + 2 * g.order_omega
 
 
-def test_gordan_table_cells():
-    cells = {}
-    for g in gordan_generators():
-        cells[(g.degree_m, g.order_omega)] = cells.get((g.degree_m, g.order_omega), 0) + 1
-    assert cells[(12, 0)] == 2
-    assert sum(cells.values()) == 15
-    totals = [0, 0, 0, 0]
-    for g in gordan_generators():
-        totals[g.order_omega] += 1
-    assert totals == [5, 4, 3, 3]
-
-
 def test_semiinvariant_dimension_basics():
     assert semiinvariant_dimension(0, 0, 0) == 1
     assert semiinvariant_dimension(1, 0, 2) == 1

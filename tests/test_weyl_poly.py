@@ -11,7 +11,6 @@ from triality.weyl_poly import (
     i_monomials_of_degree,
     ipoly_to_zpoly,
     jacobian_z,
-    vandermonde_product,
     weyl_generators,
     zpoly_to_ipoly,
 )
@@ -75,11 +74,6 @@ def test_degree_six_combination_point_value():
     # I6/4 - I2 I4/24 + I2^3/96 at (1, 0, 0, 0)
     n = IPoly({(0, 0, 1, 0): F(1, 4), (1, 1, 0, 0): F(-1, 24), (3, 0, 0, 0): F(1, 96)})
     assert ipoly_to_zpoly(n).evaluate((1, 0, 0, 0)) == F(1, 96)
-
-
-def test_generator_jacobian():
-    jac = jacobian_z(*weyl_generators())
-    assert jac == 8 * vandermonde_product()
 
 
 def test_jacobian_alternating_and_multilinear():
