@@ -6,7 +6,9 @@ binary-form coefficients).  Terms are a dict from exponent tuples to
 Fraction; zero coefficients are never stored.  Subclasses fix the arity,
 print names and which variables may carry negative (Laurent) exponents.
 The polynomials with q-series coefficients live in `invariant_ring`;
-`substitute` and `compose` serve both kinds.
+`substitute` and `compose` serve both kinds.  `taylor_shift` is the one
+shift u -> u + s v of a binary form's coefficients, from which every frame
+change and hat substitution of the package is built.
 
 The canonical term order used everywhere is graded lexicographic with the
 first variable largest; `sorted_terms` lists terms in decreasing order.
@@ -15,6 +17,7 @@ first variable largest; `sorted_terms` lists terms in decreasing order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 
 def _grlex_key(exps):
@@ -92,9 +95,6 @@ class SparsePoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree_in(self, i):
-        return max((e[i] for e in self.terms), default=0)
-
     def min_degree_in(self, i):
         return min((e[i] for e in self.terms), default=0)
 
@@ -104,9 +104,6 @@ class SparsePoly:
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous: weighted degrees {sorted(degs)}")
         return degs.pop() if degs else 0
-
-    def is_homogeneous(self, weights):
-        return len({sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}) <= 1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -266,6 +263,20 @@ def compose(poly, images, one):
     for _, coeff, value in substitute(poly.terms, images, one):
         result = result + value * coeff
     return result
+
+
+def taylor_shift(coeffs, s):
+    """Coefficients of F(u + s v, v) for the binary form F = sum coeffs[i] u^(n-i) v^i.
+
+    out_i = sum over j <= i of C(n-j, i-j) s^(i-j) coeffs[j].  The
+    coefficients and s may lie in any commutative ring with integer
+    multiples; shifting by s and then by t is shifting by s + t.
+    """
+    n = len(coeffs) - 1
+    return tuple(
+        sum((comb(n - j, i - j) * s ** (i - j) * coeffs[j] for j in range(i)), coeffs[i])
+        for i in range(n + 1)
+    )
 
 
 def ring_det(matrix):

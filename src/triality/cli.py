@@ -301,17 +301,15 @@ def cmd_transvect(args):
         left = parse_poly(args.left, atoms, covariants.FormPoly)
         right = parse_poly(args.right, atoms, covariants.FormPoly)
         result = covariants.transvectant(left, right, args.index)
+        if args.format == "json":
+            d_a, d_b = covariants.refined_form_degrees(result)
     except (ExprError, covariants.BadOrderError, covariants.NotHomogeneousError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         payload = {
             "kind": "form",
-            "grading": {
-                "d_a": covariants.refined_form_degrees(result)[0] if result.terms else 0,
-                "d_b": covariants.refined_form_degrees(result)[1] if result.terms else 0,
-                "order_omega": covariants.uv_order(result),
-            },
+            "grading": {"d_a": d_a, "d_b": d_b, "order_omega": covariants.uv_order(result)},
             "variables": list(covariants.FormPoly.names),
             "terms": result.to_json(),
         }

@@ -7,11 +7,16 @@ alpha0, beta0 and u appear only inside the completion-of-the-square
 substitutions and the inverse Roberts map; every public result is
 validated polynomial.
 
-Semiinvariance is tested by full formal substitution u -> u + kappa*v
-(all powers of kappa must cancel), the grading by the diagonal scaling
-weights alpha_i -> 2-2i, beta_i -> 3-2i.  The module also carries the
-fifteen classical transvectant generators of the joint covariant ring and
-a brute-force dimension oracle for spaces of joint semiinvariants.
+Every coefficient substitution here (the hats of the substitution
+isomorphism and of the inverse Roberts map) is one shift u -> u + s v of
+the coefficients, `_poly.taylor_shift`.  Semiinvariance under the
+unipotent shift u -> u + kappa v is DP = 0 for its derivation
+D = 2 alpha0 d/dalpha1 + alpha1 d/dalpha2 + 3 beta0 d/dbeta1
++ 2 beta1 d/dbeta2 + beta2 d/dbeta3, since P(kappa) = exp(kappa D) P.
+The grading is by the diagonal scaling weights alpha_i -> 2-2i,
+beta_i -> 3-2i.  The module also carries the fifteen classical
+transvectant generators of the joint covariant ring and a brute-force
+dimension oracle for spaces of joint semiinvariants.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from ._poly import SparsePoly, compose
+from ._poly import SparsePoly, compose, taylor_shift
 from .linalg import nullspace
 from .sw_curve import CurvePolyAB
 
@@ -51,14 +56,6 @@ class FormPoly(SparsePoly):
 
     U = 7
     V = 8
-
-
-class _KappaPoly(SparsePoly):
-    """Internal: FormPoly extended by the unipotent parameter kappa."""
-
-    nvars = 10
-    names = FormPoly.names + ("kappa",)
-    laurent = frozenset({0, 3, 7})
 
 
 def _fvar(i, power=1):
@@ -139,44 +136,24 @@ def transvectant(f1, f2, i, n1=None, n2=None):
 # -- semiinvariance --------------------------------------------------------------
 
 
-def _kappa_var(power=1):
-    return _KappaPoly.variable(9, power)
+# the terms w x_(i-1) d/dx_i of D (see the module docstring) as pairs (i, w)
+_DERIVATION = ((1, 2), (2, 1), (4, 3), (5, 2), (6, 1))
 
 
-def _embed(P):
-    return _KappaPoly({e + (0,): c for e, c in P.terms.items()})
-
-
-@lru_cache(maxsize=None)
-def _unipotent_images():
-    """Coefficient images under f(u + kappa v, v), g(u + kappa v, v)."""
-    kv = [_embed(_fvar(i)) for i in range(9)]
-    k = _kappa_var()
-    a0, a1, a2, b0, b1, b2, b3, u, v = kv
-    return (
-        a0,
-        a1 + 2 * k * a0,
-        a2 + k * a1 + k * k * a0,
-        b0,
-        b1 + 3 * k * b0,
-        b2 + 2 * k * b1 + 3 * k * k * b0,
-        b3 + k * b2 + k * k * b1 + k * k * k * b0,
-        u,
-        v,
-    )
-
-
-def _kappa_shift(P):
-    """P(primed coefficients) - P, as a polynomial in kappa too."""
-    return compose(P, _unipotent_images(), _KappaPoly.one()) - _embed(P)
+def _derivation(P):
+    """DP.  Since P(kappa) = exp(kappa D) P, P is unchanged by the shift iff DP = 0."""
+    total = FormPoly.zero()
+    for i, weight in _DERIVATION:
+        total = total + P.derivative(i) * _fvar(i - 1) * weight
+    return total
 
 
 def is_semiinvariant(P):
-    """True iff P is unchanged by u -> u + kappa v for formal kappa."""
+    """True iff P is unchanged by u -> u + kappa v for formal kappa, i.e. DP = 0."""
     for e in P.terms:
         if e[FormPoly.U] or e[FormPoly.V]:
             raise ValueError("semiinvariance applies to (u, v)-free polynomials")
-    return _kappa_shift(P).is_zero
+    return _derivation(P).is_zero
 
 
 def order_of(P):
@@ -217,27 +194,16 @@ def roberts_to_covariant(Phi):
     """Rebuild the covariant u^omega Phi(hatted coefficients).
 
     The hatted coefficient alpha_(k,i) is sum_(j>=i) alpha_(k,j) C(j, i)
-    (v/u)^(j-i); all negative powers of u cancel for a semiinvariant of
-    nonnegative order.
+    (v/u)^(j-i): the coefficients read in reverse, shifted by v/u.  All
+    negative powers of u cancel for a semiinvariant of nonnegative order.
     """
     omega = order_of(Phi)
     if omega < 0:
         raise NegativeOrderError(f"order {omega} is negative")
-    step = FormPoly({(0,) * 7 + (-1, 1): 1})
-    vu = [FormPoly.one()]  # vu[p] = (v/u)^p
-    for _ in range(3):
-        vu.append(vu[-1] * step)
-
-    def hat(indices, n):
-        out = []
-        for i, _ in enumerate(indices):
-            acc = FormPoly.zero()
-            for j in range(i, n + 1):
-                acc = acc + comb(j, i) * _fvar(indices[j]) * vu[j - i]
-            out.append(acc)
-        return out
-
-    images = hat((0, 1, 2), 2) + hat((3, 4, 5, 6), 3) + [_fvar(FormPoly.U), _fvar(FormPoly.V)]
+    v_over_u = FormPoly({(0,) * 7 + (-1, 1): 1})
+    alpha_hat = taylor_shift([_fvar(i) for i in (2, 1, 0)], v_over_u)[::-1]
+    beta_hat = taylor_shift([_fvar(i) for i in (6, 5, 4, 3)], v_over_u)[::-1]
+    images = alpha_hat + beta_hat + (_fvar(FormPoly.U), _fvar(FormPoly.V))
     result = compose(Phi, images, FormPoly.one()) * FormPoly.variable(FormPoly.U, omega)
     if result.min_degree_in(FormPoly.U) < 0:
         raise NotPolynomialError("negative powers of u survived; input was not a semiinvariant")
@@ -265,26 +231,10 @@ def hat_coefficients():
     """
     al = [_fvar(i) for i in range(3)]
     be = [_fvar(3 + i) for i in range(4)]
-
-    def shifted(coeffs, n, num_index, den_scale, den_index):
-        # shift amount -coeffs[num_index]/(den_scale * coeffs[den_index]),
-        # raised to i-j as a Laurent monomial
-        out = []
-        for i in range(n + 1):
-            acc = FormPoly.zero()
-            for j in range(i + 1):
-                exps = [0] * 9
-                exps[num_index] = i - j
-                exps[den_index] = -(i - j)
-                mono = FormPoly.monomial(tuple(exps), Fraction(-1, den_scale) ** (i - j))
-                acc = acc + comb(n - j, n - i) * coeffs[j] * mono
-            out.append(acc)
-        return tuple(out)
-
-    a_hat = shifted(al, 2, 1, 2, 0)
-    b_hat = shifted(be, 3, 1, 2, 0)
-    c_hat = shifted(al, 2, 4, 3, 3)
-    d_hat = shifted(be, 3, 4, 3, 3)
+    s_a = FormPoly.monomial((-1, 1, 0, 0, 0, 0, 0, 0, 0), Fraction(-1, 2))
+    s_c = FormPoly.monomial((0, 0, 0, -1, 1, 0, 0, 0, 0), Fraction(-1, 3))
+    a_hat, b_hat = taylor_shift(al, s_a), taylor_shift(be, s_a)
+    c_hat, d_hat = taylor_shift(al, s_c), taylor_shift(be, s_c)
     return HatCoefficients(a_hat, b_hat, c_hat, d_hat)
 
 
@@ -401,15 +351,14 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
     """dim of joint semiinvariants of refined degrees (d_alpha, d_beta), order omega.
 
     Enumerates every monomial of matching degrees and scaling weight and
-    solves the exact linear system expressing invariance under the formal
-    unipotent substitution.
+    computes the exact kernel of the unipotent derivation D on their span.
     """
     if d_alpha < 0 or d_beta < 0:
         raise ValueError("refined degrees must be nonnegative")
     monos = _semiinvariant_monomials(d_alpha, d_beta, omega)
     equations = {}
     for idx, m in enumerate(monos):
-        for exps, c in _kappa_shift(FormPoly.monomial(m)).terms.items():
+        for exps, c in _derivation(FormPoly.monomial(m)).terms.items():
             equations.setdefault(exps, {})[idx] = c
     n = len(monos)
     rows = ([equations[e].get(i, Fraction(0)) for i in range(n)] for e in sorted(equations))

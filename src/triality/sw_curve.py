@@ -2,11 +2,13 @@
 
 The abstract rings are Q[a0, a2, b0, b1, b2, b3] and Q[c0, c1, c2, d0, d2,
 d3] (no a1, no d1), bigraded by modular weight and z-degree, with refined
-degrees counting a- resp. b-type exponents.  The frame changes substitute
-one family into the other and introduce a controlled Laurent denominator
-(c0 going one way, b0 the other); a polynomial is a triality invariant
-exactly when its image carries no negative powers, which is the membership
-test the enumerator is built on.
+degrees counting a- resp. b-type exponents.  Each frame holds the
+coefficients of a binary quadratic and cubic, and the frame changes are
+one shift u -> u + s v of both (`_poly.taylor_shift`): s = -c1/(2 c0)
+completes the square (a1 = 0), s = -b1/(3 b0) removes d1.  They introduce
+a controlled Laurent denominator (c0 going one way, b0 the other); a
+polynomial is a triality invariant exactly when its image carries no
+negative powers, which is the membership test the enumerator is built on.
 
 Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import SparsePoly, compose, ring_det
+from ._poly import SparsePoly, compose, ring_det, taylor_shift
 from .exact_series import LATTICE, eisenstein, eta_delta
 from .invariant_ring import Invariant, KLMNPoly
 
@@ -88,41 +90,28 @@ def curve_poly_json(p):
     }
 
 
-# frame-change images: the degree-shift substitutions with d1 = a1 = 0
-_AB_IN_CD = (
-    CurvePolyCD({(1, 0, 0, 0, 0, 0): 1}),  # a0 -> c0
-    CurvePolyCD({(0, 0, 1, 0, 0, 0): 1, (-1, 2, 0, 0, 0, 0): Fraction(-1, 4)}),
-    CurvePolyCD({(0, 0, 0, 1, 0, 0): 1}),  # b0 -> d0
-    CurvePolyCD({(-1, 1, 0, 1, 0, 0): Fraction(-3, 2)}),
-    CurvePolyCD({(0, 0, 0, 0, 1, 0): 1, (-2, 2, 0, 1, 0, 0): Fraction(3, 4)}),
-    CurvePolyCD(
-        {
-            (0, 0, 0, 0, 0, 1): 1,
-            (-1, 1, 0, 0, 1, 0): Fraction(-1, 2),
-            (-3, 3, 0, 1, 0, 0): Fraction(-1, 8),
-        }
-    ),
-)
+@lru_cache(maxsize=None)
+def _frame_change_images():
+    """Images of the ab variables in the cd frame, and of the cd variables in ab.
 
-_CD_IN_AB = (
-    CurvePolyAB({(1, 0, 0, 0, 0, 0): 1}),  # c0 -> a0
-    CurvePolyAB({(1, 0, -1, 1, 0, 0): Fraction(-2, 3)}),
-    CurvePolyAB({(0, 1, 0, 0, 0, 0): 1, (1, 0, -2, 2, 0, 0): Fraction(1, 9)}),
-    CurvePolyAB({(0, 0, 1, 0, 0, 0): 1}),  # d0 -> b0
-    CurvePolyAB({(0, 0, 0, 0, 1, 0): 1, (0, 0, -1, 2, 0, 0): Fraction(-1, 3)}),
-    CurvePolyAB(
-        {
-            (0, 0, 0, 0, 0, 1): 1,
-            (0, 0, -1, 1, 1, 0): Fraction(-1, 3),
-            (0, 0, -2, 3, 0, 0): Fraction(2, 27),
-        }
-    ),
-)
+    Each frame's quadratic and cubic are the other's shifted by
+    u -> u + s v: s = -c1/(2 c0) kills a1, and s = -b1/(3 b0) kills d1.
+    """
+    c0, c1, c2, d0, d2, d3 = (CurvePolyCD.variable(i) for i in range(6))
+    s = CurvePolyCD.monomial((-1, 1, 0, 0, 0, 0), Fraction(-1, 2))
+    a0, _, a2 = taylor_shift((c0, c1, c2), s)
+    ab_in_cd = (a0, a2) + taylor_shift((d0, CurvePolyCD.zero(), d2, d3), s)
+
+    a0, a2, b0, b1, b2, b3 = (CurvePolyAB.variable(i) for i in range(6))
+    s = CurvePolyAB.monomial((0, 0, -1, 1, 0, 0), Fraction(-1, 3))
+    d0, _, d2, d3 = taylor_shift((b0, b1, b2, b3), s)
+    cd_in_ab = taylor_shift((a0, CurvePolyAB.zero(), a2), s) + (d0, d2, d3)
+    return ab_in_cd, cd_in_ab
 
 
 def ab_to_cd(p):
     """Express an ab-frame polynomial in the cd frame (Laurent in c0)."""
-    return compose(p, _AB_IN_CD, CurvePolyCD.one())
+    return compose(p, _frame_change_images()[0], CurvePolyCD.one())
 
 
 def cd_to_ab(p):
@@ -131,7 +120,7 @@ def cd_to_ab(p):
     Negative c0 powers are allowed and land on a0, so the two frame
     changes are mutually inverse on everything either of them produces.
     """
-    return compose(p, _CD_IN_AB, CurvePolyAB.one())
+    return compose(p, _frame_change_images()[1], CurvePolyAB.one())
 
 
 def is_triality_invariant(p):

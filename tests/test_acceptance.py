@@ -119,3 +119,16 @@ def test_failed_rewrite_fails_the_explicit_forms(monkeypatch):
     assert len(explicit) == 6
     for r in explicit:
         assert not r.passed and "too shallow" in r.detail, r.name
+
+
+def test_rewrite_one_power_short_fails_the_explicit_forms(monkeypatch):
+    order = 4
+    rewrite = verify.express_in_klmn
+
+    def short(value):
+        return rewrite(value).truncate(24 * order - 24)
+
+    monkeypatch.setattr(verify, "express_in_klmn", short)
+    explicit = [r for r in verify.table1_checks(order) if r.name.startswith("explicit forms of")]
+    assert len(explicit) == 6
+    assert [r.name for r in explicit if r.passed] == []

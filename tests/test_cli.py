@@ -89,6 +89,19 @@ def test_transvect_bad_index(capsys):
     assert code == 2
 
 
+def test_transvect_json_without_refined_grading_is_a_usage_error(capsys):
+    # homogeneous in (u, v), so the text format prints it; the JSON grading
+    # needs refined degrees, which f^4 + f*g^2 does not have
+    argv = ["transvect", "--left", "f^3+g^2", "--right", "f", "--index", "0"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("alpha0^4*u^8 + ")
+    code = cli.main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_membership_cli(capsys):
     code, out = run_cli(capsys, "membership", "a0*b1")
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -222,3 +223,24 @@ def test_semiinvariant_dimension_matches_kernel_meaning():
     assert semiinvariant_dimension(2, 0, 4) == 1
     assert semiinvariant_dimension(2, 0, 0) == 1
     assert semiinvariant_dimension(2, 0, 2) == 0
+
+
+def test_semiinvariant_dimension_matches_cayley_sylvester():
+    # dim = N(omega) - N(omega + 2) for omega >= 0, where N(w) counts the
+    # monomials of refined degrees (d_a, d_b) and scaling order w; no
+    # semiinvariant has negative order
+    def orders(n, d):
+        # scaling orders of the degree-d monomials in the coefficients of a form of order n
+        monos = combinations_with_replacement(range(n + 1), d)
+        return [sum(n - 2 * i for i in mono) for mono in monos]
+
+    for d_a in range(5):
+        for d_b in range(5):
+            counts = {}
+            for wa in orders(2, d_a):
+                for wb in orders(3, d_b):
+                    counts[wa + wb] = counts.get(wa + wb, 0) + 1
+            top = 2 * d_a + 3 * d_b
+            for omega in range(-top - 1, top + 2):
+                expected = counts.get(omega, 0) - counts.get(omega + 2, 0) if omega >= 0 else 0
+                assert semiinvariant_dimension(d_a, d_b, omega) == expected, (d_a, d_b, omega)

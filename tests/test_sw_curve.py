@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from triality._poly import SparsePoly, taylor_shift
 from triality.invariant_ring import Invariant
 from triality.sw_curve import (
     CurvePolyAB,
@@ -24,16 +25,54 @@ C0, C1, C2, D0, D2, D3 = (CurvePolyCD.variable(i) for i in range(6))
 
 
 def test_frame_change_images():
-    assert ab_to_cd(A0) == C0
-    assert ab_to_cd(B0) == D0
-    assert ab_to_cd(B1) == CurvePolyCD({(-1, 1, 0, 1, 0, 0): F(-3, 2)})
-    assert ab_to_cd(A2) == CurvePolyCD({(0, 0, 1, 0, 0, 0): 1, (-1, 2, 0, 0, 0, 0): F(-1, 4)})
+    # the literal substitution u -> u - c1/(2 c0) v of (c0, c1, c2), (d0, 0, d2, d3)
+    assert [ab_to_cd(x) for x in (A0, A2, B0, B1, B2, B3)] == [
+        C0,
+        CurvePolyCD({(0, 0, 1, 0, 0, 0): 1, (-1, 2, 0, 0, 0, 0): F(-1, 4)}),
+        D0,
+        CurvePolyCD({(-1, 1, 0, 1, 0, 0): F(-3, 2)}),
+        CurvePolyCD({(0, 0, 0, 0, 1, 0): 1, (-2, 2, 0, 1, 0, 0): F(3, 4)}),
+        CurvePolyCD(
+            {(0, 0, 0, 0, 0, 1): 1, (-1, 1, 0, 0, 1, 0): F(-1, 2), (-3, 3, 0, 1, 0, 0): F(-1, 8)}
+        ),
+    ]
 
 
 def test_inverse_images():
-    assert cd_to_ab(C0) == A0
-    assert cd_to_ab(D0) == B0
-    assert cd_to_ab(C1) == CurvePolyAB({(1, 0, -1, 1, 0, 0): F(-2, 3)})
+    # the literal substitution u -> u - b1/(3 b0) v of (a0, 0, a2), (b0, b1, b2, b3)
+    assert [cd_to_ab(x) for x in (C0, C1, C2, D0, D2, D3)] == [
+        A0,
+        CurvePolyAB({(1, 0, -1, 1, 0, 0): F(-2, 3)}),
+        CurvePolyAB({(0, 1, 0, 0, 0, 0): 1, (1, 0, -2, 2, 0, 0): F(1, 9)}),
+        B0,
+        CurvePolyAB({(0, 0, 0, 0, 1, 0): 1, (0, 0, -1, 2, 0, 0): F(-1, 3)}),
+        CurvePolyAB(
+            {(0, 0, 0, 0, 0, 1): 1, (0, 0, -1, 1, 1, 0): F(-1, 3), (0, 0, -2, 3, 0, 0): F(2, 27)}
+        ),
+    ]
+
+
+class _Symbols(SparsePoly):
+    nvars = 6
+    names = ("x0", "x1", "x2", "x3", "s", "t")
+
+
+def test_taylor_shift_is_a_group_action():
+    x = [_Symbols.variable(i) for i in range(4)]
+    s, t = _Symbols.variable(4), _Symbols.variable(5)
+    for coeffs in (x[:3], x):
+        assert taylor_shift(taylor_shift(coeffs, s), t) == taylor_shift(coeffs, s + t)
+        assert taylor_shift(coeffs, _Symbols.zero()) == tuple(coeffs)
+    # F(u + s v, v) for F = x0 u^2 + x1 u v + x2 v^2
+    assert taylor_shift(x[:3], s) == (x[0], x[1] + 2 * s * x[0], x[2] + s * x[1] + s * s * x[0])
+
+
+def test_round_trip_on_random_polynomials():
+    rng = random.Random(11)
+    for _ in range(20):
+        terms = {tuple(rng.randrange(3) for _ in range(6)): rng.randrange(-5, 6) for _ in range(4)}
+        p = CurvePolyAB(terms)
+        assert cd_to_ab(ab_to_cd(p)) == p
 
 
 def test_round_trip_on_invariant_elements():
