@@ -204,6 +204,8 @@ GOLDEN = [
     ("basis --weight 36 --degree 12 --format json", "62a9bdfe6cb445370b16fc75a44b0534b869e7b656fdaec70c57f19d45102877"),
     ("transvect --left f^3 --right g*Q --index 6 --format json", "1a8820ffe9a70e17bd168bdaa883b166186cbcb680c277f3fa7686eed96e53e4"),
     ("verify curve --order 12 --format json", "0e32631073d7be26e7e6ae9736d2d455b0b391330b891a45609cb1b84bcf6978"),
+    ("expand L --order 48", "7d9951837d93972714e94d95d7810d78c6df7f1f36c1106f80e119d2563386b8"),
+    ("expand M --order 96 --format json", "984301bd9a066d2ea9f5e821428201901dbe4654d47d68c15e36aaadab24e2a1"),
 ]
 
 
