@@ -6,6 +6,12 @@ the eta prefactor q^(1/24) = t).  A series knows its truncation bound
 `trunc`: coefficients at exponents >= trunc are unknown, never assumed zero.
 Equality is therefore only ever tested on the common window of two series.
 
+A series stores integer numerators over one positive common denominator,
+reduced by the gcd of the denominator and all numerators, so its stored
+form is canonical.  Sums scale both sides to the lcm of the denominators,
+products are integer convolutions over the product of the denominators,
+and only reading `terms` or a coefficient builds a `Fraction`.
+
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
 the weight-2 level-2 forms e1, e2, e3) take an `order` argument in q-units:
@@ -15,6 +21,7 @@ the result is exact for all exponents below q^order.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,20 +34,62 @@ class ZeroSeriesError(ZeroDivisionError):
     """Raised when inverting a series with no nonzero term below trunc."""
 
 
+def _reduced(num, den):
+    """Drop zero numerators and divide out the gcd of den and the rest."""
+    num = {e: n for e, n in num.items() if n}
+    g = math.gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {e: n // g for e, n in num.items()}, den // g
+
+
+class _Terms(Mapping):
+    """Read-only {exponent: Fraction} view of numerators over one denominator."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, e):
+        return Fraction(self._num[e], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+
 class FracSeries:
-    """A truncated Laurent series sum_e c_e t^e, c_e rational, e < trunc."""
+    """A truncated Laurent series sum_e c_e t^e, c_e rational, e < trunc.
+
+    `_num` maps exponents to nonzero integer numerators over the positive
+    denominator `_den`, and gcd(_den, *_num.values()) == 1.  `terms` is a
+    read-only {exponent: Fraction} view of the same coefficients.
+    """
 
     def __init__(self, terms, trunc):
-        self.trunc = int(trunc)
+        trunc = int(trunc)
         clean = {}
-        for e, c in (terms.items() if isinstance(terms, dict) else terms):
-            if e >= self.trunc:
-                continue
-            c = Fraction(c)
-            if c:
+        for e, c in (terms.items() if isinstance(terms, Mapping) else terms):
+            if e < trunc:
                 e = int(e)
-                clean[e] = clean.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c}
+                clean[e] = clean.get(e, 0) + Fraction(c)
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.trunc = trunc
+        self._num, self._den = _reduced(
+            {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den
+        )
+
+    @classmethod
+    def _new(cls, num, den, trunc):
+        """Arithmetic results: exact numerators below trunc over den > 0."""
+        value = cls.__new__(cls)
+        value.trunc = trunc
+        value._num, value._den = _reduced(num, den)
+        return value
 
     # -- constructors ------------------------------------------------
 
@@ -68,18 +117,22 @@ class FracSeries:
     # -- basic queries -----------------------------------------------
 
     @property
+    def terms(self):
+        return _Terms(self._num, self._den)
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     @property
     def valuation(self):
         """Smallest known exponent; trunc for a (window-)zero series."""
-        return min(self.terms) if self.terms else self.trunc
+        return min(self._num) if self._num else self.trunc
 
     def coeff(self, e):
         if e >= self.trunc:
             raise ValueError(f"exponent {e} is at or beyond trunc {self.trunc}")
-        return self.terms.get(e, Fraction(0))
+        return Fraction(self._num.get(e, 0), self._den)
 
     def q_coeff(self, n):
         """Coefficient of q^n (n may be a Fraction on the (1/24)Z lattice)."""
@@ -92,10 +145,8 @@ class FracSeries:
         if not isinstance(other, FracSeries):
             return NotImplemented
         w = min(self.trunc, other.trunc)
-        for e in self.terms.keys() | other.terms.keys():
-            if e < w and self.terms.get(e, 0) != other.terms.get(e, 0):
-                return False
-        return True
+        a, b, da, db = self._num, other._num, self._den, other._den
+        return all(a.get(e, 0) * db == b.get(e, 0) * da for e in a.keys() | b.keys() if e < w)
 
     __hash__ = None
 
@@ -104,37 +155,47 @@ class FracSeries:
     def __add__(self, other):
         if not isinstance(other, FracSeries):
             return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return FracSeries(terms, trunc)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, FracSeries):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        trunc = min(self.trunc, other.trunc)
+        den = math.lcm(self._den, other._den)
+        num = {}
+        for part, scale in ((self._num, den // self._den), (other._num, sign * den // other._den)):
+            for e, n in part.items():
+                if e < trunc:
+                    num[e] = num.get(e, 0) + n * scale
+        return FracSeries._new(num, den, trunc)
 
     def __neg__(self):
-        return FracSeries({e: -c for e, c in self.terms.items()}, self.trunc)
+        return FracSeries._new({e: -n for e, n in self._num.items()}, self._den, self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if not c:
-                return FracSeries({}, self.trunc)
-            return FracSeries({e: c * v for e, v in self.terms.items()}, self.trunc)
+            num = {e: n * c.numerator for e, n in self._num.items()}
+            return FracSeries._new(num, self._den * c.denominator, self.trunc)
         if not isinstance(other, FracSeries):
             return NotImplemented
         # The product coefficient at e is complete iff every split e = i + j
         # with i >= val(a), j >= val(b) has i, j inside the known windows.
         trunc = min(self.trunc + other.valuation, other.trunc + self.valuation)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        right = sorted(other._num.items())
+        num = {}
+        for e1, n1 in self._num.items():
+            limit = trunc - e1
+            for e2, n2 in right:
+                if e2 >= limit:
+                    break
                 e = e1 + e2
-                if e >= trunc:
-                    continue
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return FracSeries(terms, trunc)
+                num[e] = num.get(e, 0) + n1 * n2
+        return FracSeries._new(num, self._den * other._den, trunc)
 
     __rmul__ = __mul__
 
@@ -167,28 +228,35 @@ class FracSeries:
         if self.is_zero:
             raise ZeroSeriesError("cannot invert a series with no nonzero term below trunc")
         v = self.valuation
-        lead = self.terms[v]
         width = self.trunc - v
-        # self = lead * t^v * (1 + u); invert 1 + u by the standard recurrence.
-        u = {e - v: c / lead for e, c in self.terms.items() if e != v}
-        inv = {0: Fraction(1)}
-        for n in range(1, width):
-            acc = Fraction(0)
-            for j, uj in u.items():
-                if 0 < j <= n:
-                    s = inv.get(n - j)
-                    if s:
-                        acc += uj * s
-            if acc:
-                inv[n] = -acc
-        return FracSeries({e - v: c / lead for e, c in inv.items()}, self.trunc - 2 * v)
+        # self = (sign/den) t^v sum_k a_k t^(step k) with a_0 > 0; the k-th
+        # coefficient of the inverse of the sum is b_k / a_0^(k+1), where
+        # b_0 = 1 and b_k = -sum_{j>=1} a_j a_0^(j-1) b_(k-j), all integers.
+        sign = 1 if self._num[v] > 0 else -1
+        step = math.gcd(*(e - v for e in self._num)) or width
+        a0 = sign * self._num[v]
+        u = [((e - v) // step, sign * n * a0 ** ((e - v) // step - 1))
+             for e, n in sorted(self._num.items())[1:]]
+        b = [1]
+        for k in range(1, (width - 1) // step + 1):
+            acc = 0
+            for j, c in u:
+                if j > k:
+                    break
+                acc += c * b[k - j]
+            b.append(-acc)
+        top = len(b) - 1
+        num = {step * k - v: sign * self._den * bk * a0 ** (top - k) for k, bk in enumerate(b)}
+        return FracSeries._new(num, a0 ** (top + 1), self.trunc - 2 * v)
 
     def shift(self, offset):
         """Multiply by t^offset (exponents and trunc move together)."""
-        return FracSeries({e + offset: c for e, c in self.terms.items()}, self.trunc + offset)
+        num = {e + offset: n for e, n in self._num.items()}
+        return FracSeries._new(num, self._den, self.trunc + offset)
 
     def truncate(self, trunc):
-        return FracSeries(self.terms, min(self.trunc, trunc))
+        trunc = min(self.trunc, trunc)
+        return FracSeries._new({e: n for e, n in self._num.items() if e < trunc}, self._den, trunc)
 
     # -- output --------------------------------------------------------
 

@@ -346,23 +346,23 @@ class Invariant(SeriesPoly):
         for exps, series in self.terms.items():
             d = exps[3]
             flipped = {}
-            for e, c in series.terms.items():
+            for e, n in series._num.items():
                 if e % half:
                     raise UnsupportedLatticeError(
                         f"t-exponent {e} is not a multiple of {half}"
                     )
-                flipped[e] = -c if (e // half + d) % 2 else c
-            terms[exps] = FracSeries(flipped, series.trunc)
+                flipped[e] = -n if (e // half + d) % 2 else n
+            terms[exps] = FracSeries._new(flipped, series._den, series.trunc)
         return self._new(terms, self.weight, self.degree)
 
     def leading_ipoly(self):
         """The q^0 coefficient of the injected form, as an IPoly."""
         coeffs = {}
         for exps, series in self.terms.items():
-            shifted = series.shift(-self._shift_of(exps))
-            if shifted.terms and shifted.valuation < 0:
+            shift = self._shift_of(exps)
+            if not series.is_zero and series.valuation < shift:
                 raise HasPoleError(f"injected coefficient of {exps} has a pole")
-            c = shifted.terms.get(0)
+            c = series.coeff(shift) if shift < series.trunc else 0
             if c:
                 coeffs[exps] = c
         return IPoly(coeffs)
@@ -498,7 +498,7 @@ def _fit_modular(series, weight, order):
     for j, element in enumerate(basis):
         if LATTICE * j >= window:
             break
-        c = rest.terms.get(LATTICE * j)
+        c = rest.coeff(LATTICE * j)
         if c:
             rest = rest - element * c
             fit = fit + element * c

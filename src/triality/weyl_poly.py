@@ -49,19 +49,6 @@ def ipoly_to_zpoly(p):
     return compose(p, weyl_generators(), ZPoly.one())
 
 
-def i_monomials_of_degree(m):
-    """All generator exponent tuples (a, b, c, d) with 2a+4b+6c+4d = m, canonical order."""
-    found = []
-    for c in range(m // 6 + 1):
-        for d in range((m - 6 * c) // 4 + 1):
-            for b in range((m - 6 * c - 4 * d) // 4 + 1):
-                rest = m - 6 * c - 4 * d - 4 * b
-                if rest % 2 == 0:
-                    found.append((rest // 2, b, c, d))
-    found.sort(key=lambda e: (sum(e), e), reverse=True)
-    return found
-
-
 def zpoly_to_ipoly(p):
     """Invert the generator substitution on a homogeneous z-polynomial.
 
