@@ -9,8 +9,8 @@ Equality is therefore only ever tested on the common window of two series.
 A series stores integer numerators over one positive common denominator,
 reduced by the gcd of the denominator and all numerators, so its stored
 form is canonical.  Sums scale both sides to the lcm of the denominators,
-products are integer convolutions over the product of the denominators,
-and only reading `terms` or a coefficient builds a `Fraction`.
+and products are integer convolutions over the product of the
+denominators; `terms` and `coeff` read coefficients back as Fractions.
 
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and

@@ -96,6 +96,16 @@ def test_sum_difference_and_scaling_match_fractions(a, b, c):
 
 
 @PROPERTY
+@given(series(), series(), st.integers(-6, 120))
+def test_equality_compares_coefficients_on_the_common_window(a, b, w):
+    cut = a.truncate(w)
+    assert a == cut and cut == a
+    window = min(a.trunc, b.trunc)
+    keys = a.terms.keys() | b.terms.keys()
+    assert (a == b) == all(a.terms.get(e, 0) == b.terms.get(e, 0) for e in keys if e < window)
+
+
+@PROPERTY
 @given(units())
 def test_inverse_is_a_two_sided_inverse_on_its_window(a):
     v = a.valuation
