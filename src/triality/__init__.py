@@ -11,6 +11,7 @@ two worlds.
 from .exact_series import (
     LATTICE,
     FracSeries,
+    UnknownCoefficientError,
     ZeroSeriesError,
     bernoulli,
     e_series,

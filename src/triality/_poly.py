@@ -1,14 +1,19 @@
-"""Sparse multivariate polynomials over exact rationals, and substitution.
+"""Sparse multivariate polynomials over exact rationals, and the term kernels.
 
 `SparsePoly` backs the rational polynomial flavors in the package
 (z-variables, the Weyl generators, the two curve-coefficient frames,
 binary-form coefficients).  Terms are a dict from exponent tuples to
 Fraction; zero coefficients are never stored.  Subclasses fix the arity,
 print names and which variables may carry negative (Laurent) exponents.
-The polynomials with q-series coefficients live in `invariant_ring`;
-`substitute` and `compose` serve both kinds.  `taylor_shift` is the one
-shift u -> u + s v of a binary form's coefficients, from which every frame
-change and hat substitution of the package is built.
+The constructor validates values built from outside input; arithmetic
+results go through the trusted `_new`, which only drops zeros, and sums
+through the one-pass `_sum`.  The polynomials with q-series coefficients
+live in `invariant_ring` and share the term kernels (`add_terms`,
+`mul_terms`, `derivative_terms`, square-and-multiply `power`), `substitute`
+and `compose`.  `taylor_shift` is the one shift u -> u + s v of a binary
+form's coefficients, from which every frame change and hat substitution of
+the package is built.  `bounded_monomials` walks exponent vectors of fixed
+weighted degrees.
 
 The canonical term order used everywhere is graded lexicographic with the
 first variable largest; `sorted_terms` lists terms in decreasing order.
@@ -18,10 +23,81 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def add_terms(acc, terms):
+    """Add the {exps: coeff} items of terms into the dict acc, in place."""
+    for exps, c in terms.items():
+        cur = acc.get(exps)
+        acc[exps] = c if cur is None else cur + c
+
+
+def mul_terms(left, right):
+    """Product of two {exps: coeff} dicts; terms that cancel stay in it."""
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            prod = c1 * c2
+            cur = out.get(e)
+            out[e] = prod if cur is None else cur + prod
+    return out
+
+
+def derivative_terms(terms, i):
+    """Partial derivative by variable i of a {exps: coeff} dict."""
+    return {
+        exps[:i] + (e - 1,) + exps[i + 1 :]: c * e for exps, c in terms.items() if (e := exps[i])
+    }
+
+
+def power(base, n):
+    """base ** n for an integer n >= 1, by square-and-multiply."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+def bounded_monomials(weights, targets):
+    """Exponent tuples e >= 0 with sum_i row[i] * e[i] == target for every
+    (row, target) in zip(weights, targets), in decreasing grlex order.
+
+    Every variable needs a positive weight in some row.  The walk visits
+    first the variables of the row that the fewest variables weigh, and the
+    last variable each row weighs takes the one exponent that meets that
+    row's target, so rows are met early and few dead branches are walked.
+    """
+    n = len(weights[0])
+    order = []
+    for row in sorted(weights, key=lambda row: sum(map(bool, row))):
+        order += [i for i in range(n) if row[i] and i not in order]
+    columns = [tuple(row[i] for row in weights) for i in order]
+    fixed_by = {max(p for p, c in enumerate(columns) if c[r]): r for r in range(len(weights))}
+    found = []
+
+    def walk(p, left, prefix):
+        if p == n:
+            if not any(left):
+                found.append(tuple(prefix[order.index(i)] for i in range(n)))
+            return
+        column, r = columns[p], fixed_by.get(p)
+        top = min(rest // w for rest, w in zip(left, column) if w)
+        for e in range(0 if r is None else max(top, 0), top + 1):
+            if r is None or column[r] * e == left[r]:
+                walk(p + 1, tuple(rest - w * e for rest, w in zip(left, column)), prefix + (e,))
+
+    walk(0, tuple(targets), ())
+    return sorted(found, key=_grlex_key, reverse=True)
 
 
 class SparsePoly:
@@ -43,6 +119,21 @@ class SparsePoly:
                     raise ValueError(f"negative exponent on {self.names[i]}")
             clean[exps] = clean.get(exps, Fraction(0)) + coeff
         self.terms = {e: c for e, c in clean.items() if c}
+
+    @classmethod
+    def _new(cls, terms):
+        """Arithmetic results: only drop zero coefficients."""
+        value = cls.__new__(cls)
+        value.terms = {e: c for e, c in terms.items() if c}
+        return value
+
+    @classmethod
+    def _sum(cls, values):
+        """Sum of values of this type, added into one dict in one pass."""
+        terms = {}
+        for value in values:
+            add_terms(terms, value.terms)
+        return cls._new(terms)
 
     # -- constructors -------------------------------------------------
 
@@ -118,37 +209,26 @@ class SparsePoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return type(self)(terms)
+        return self._sum((self, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return type(self)({e: -c for e, c in self.terms.items()})
+        return self._new({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return type(self)({e: c * v for e, v in self.terms.items()})
+            return self._new({e: c * v for e, v in self.terms.items()})
         if type(other) is not type(self):
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return type(self)(terms)
+        return self._new(mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -166,26 +246,12 @@ class SparsePoly:
                 raise ValueError("negative power of a polynomial that is not a monomial")
             (exps, coeff), = self.terms.items()
             return type(self).monomial(tuple(-e for e in exps), 1 / coeff) ** -n
-        result = type(self).one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return type(self).one()
+        return power(self, n)
 
     def derivative(self, i):
-        terms = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            terms[tuple(new)] = c * e
-        return type(self)(terms)
+        return self._new(derivative_terms(self.terms, i))
 
     def evaluate(self, point):
         """Exact value at a tuple of rationals (Laurent exponents divide)."""
@@ -234,7 +300,7 @@ def substitute(terms, images, one):
     """
     powers = [{0: one, 1: image} for image in images]
 
-    def power(i, e):
+    def cached_power(i, e):
         # one more factor at a time, up (or down) from the nearest cached power
         cache = powers[i]
         if e not in cache:
@@ -253,16 +319,13 @@ def substitute(terms, images, one):
         value = one
         for i, e in enumerate(exps):
             if e:
-                value = value * power(i, e)
+                value = value * cached_power(i, e)
         yield exps, coeff, value
 
 
 def compose(poly, images, one):
     """Substitute images[i] for variable i of poly; `one` is the target unit."""
-    result = type(one).zero()
-    for _, coeff, value in substitute(poly.terms, images, one):
-        result = result + value * coeff
-    return result
+    return type(one)._sum(value * coeff for _, coeff, value in substitute(poly.terms, images, one))
 
 
 def taylor_shift(coeffs, s):
@@ -280,10 +343,10 @@ def taylor_shift(coeffs, s):
 
 
 def ring_det(matrix):
-    """Determinant of a small square matrix over any commutative ring.
+    """Determinant of a small square matrix of polynomials of one type.
 
     Expansion by minors with memoization on (row count consumed, column
-    subset); entries only need +, * and unary -.
+    subset); each minor is one `_sum` of its signed cofactor products.
     """
     n = len(matrix)
     if n == 0:
@@ -293,17 +356,14 @@ def ring_det(matrix):
     def minor(row, cols):
         if len(cols) == 1:
             return matrix[row][cols[0]]
-        key = (row, cols)
-        if key in cache:
-            return cache[key]
-        total = None
-        for k, col in enumerate(cols):
-            rest = cols[:k] + cols[k + 1 :]
-            term = matrix[row][col] * minor(row + 1, rest)
-            if k % 2:
-                term = -term
-            total = term if total is None else total + term
-        cache[key] = total
-        return total
+        if (row, cols) not in cache:
+            products = (
+                matrix[row][col] * minor(row + 1, cols[:k] + cols[k + 1 :])
+                for k, col in enumerate(cols)
+            )
+            cache[row, cols] = type(matrix[row][0])._sum(
+                -p if k % 2 else p for k, p in enumerate(products)
+            )
+        return cache[row, cols]
 
     return minor(0, tuple(range(n)))

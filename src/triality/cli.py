@@ -127,12 +127,11 @@ def parse_poly(text, atoms, cls):
         return value
 
     def expr():
-        value = term()
+        summands = [term()]
         while peek()[0] in ("+", "-"):
             op = take()[0]
-            rhs = term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            summands.append(term() if op == "+" else -term())
+        return cls._sum(summands)
 
     result = expr()
     take("end")

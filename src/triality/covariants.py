@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from ._poly import SparsePoly, compose, taylor_shift
+from ._poly import SparsePoly, bounded_monomials, compose, taylor_shift
 from .linalg import nullspace
 from .sw_curve import CurvePolyAB
 
@@ -125,10 +125,7 @@ def transvectant(f1, f2, i, n1=None, n2=None):
 
     p1 = partials(f1)
     p2 = partials(f2)
-    total = FormPoly.zero()
-    for j in range(i + 1):
-        term = p1[j] * p2[i - j] * comb(i, j)
-        total = total + (-term if j % 2 else term)
+    total = FormPoly._sum(p1[j] * p2[i - j] * ((-1) ** j * comb(i, j)) for j in range(i + 1))
     pref = Fraction(factorial(n1 - i) * factorial(n2 - i), factorial(n1) * factorial(n2))
     return total * pref
 
@@ -142,10 +139,7 @@ _DERIVATION = ((1, 2), (2, 1), (4, 3), (5, 2), (6, 1))
 
 def _derivation(P):
     """DP.  Since P(kappa) = exp(kappa D) P, P is unchanged by the shift iff DP = 0."""
-    total = FormPoly.zero()
-    for i, weight in _DERIVATION:
-        total = total + P.derivative(i) * _fvar(i - 1) * weight
-    return total
+    return FormPoly._sum(P.derivative(i) * _fvar(i - 1) * weight for i, weight in _DERIVATION)
 
 
 def is_semiinvariant(P):
@@ -324,27 +318,15 @@ def gordan_generators():
 # -- the brute-force dimension oracle -----------------------------------------------
 
 
+# the refined degrees, and the scaling weight (SCALE) shifted by 2 per alpha_i
+# and 3 per beta_i so that every alpha_i and beta_i weighs 0 or more
+_SEMIINVARIANT_WEIGHTS = ((1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1), (4, 2, 0, 6, 4, 2, 0))
+
+
 def _semiinvariant_monomials(d_alpha, d_beta, omega):
     """All (u, v)-free monomial exponents of the given refined degrees and order."""
-    alphas = [
-        (p0, p1, d_alpha - p0 - p1)
-        for p0 in range(d_alpha + 1)
-        for p1 in range(d_alpha - p0 + 1)
-    ]
-    betas = [
-        (q0, q1, q2, d_beta - q0 - q1 - q2)
-        for q0 in range(d_beta + 1)
-        for q1 in range(d_beta - q0 + 1)
-        for q2 in range(d_beta - q0 - q1 + 1)
-    ]
-    out = []
-    for pa in alphas:
-        wa = 2 * pa[0] - 2 * pa[2]
-        for qb in betas:
-            if wa + 3 * qb[0] + qb[1] - qb[2] - 3 * qb[3] == omega:
-                out.append(pa + qb + (0, 0))
-    out.sort(key=lambda e: (sum(e), e), reverse=True)
-    return out
+    targets = (d_alpha, d_beta, omega + 2 * d_alpha + 3 * d_beta)
+    return [e + (0, 0) for e in bounded_monomials(_SEMIINVARIANT_WEIGHTS, targets)]
 
 
 def semiinvariant_dimension(d_alpha, d_beta, omega):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._poly import bounded_monomials
 from .linalg import nullspace
 from .sw_curve import CurvePolyAB, ab_to_cd, curve_poly_json
 
@@ -20,26 +21,7 @@ from .sw_curve import CurvePolyAB, ab_to_cd, curve_poly_json
 def monomials_of(k, m):
     """Exponent tuples over (a0, a2, b0, b1, b2, b3) of weight k and degree m,
     in canonical (graded lexicographic, descending) order."""
-    weights = CurvePolyAB.WEIGHTS
-    degrees = CurvePolyAB.DEGREES
-    found = []
-
-    def walk(i, k_left, m_left, prefix):
-        if i == len(weights):
-            if k_left == 0 and m_left == 0:
-                found.append(tuple(prefix))
-            return
-        w, d = weights[i], degrees[i]
-        top = k_left // w
-        if d:
-            top = min(top, m_left // d)
-        for e in range(top + 1):
-            walk(i + 1, k_left - w * e, m_left - d * e, prefix + [e])
-
-    if k >= 0 and m >= 0:
-        walk(0, k, m, [])
-    found.sort(key=lambda e: (sum(e), e), reverse=True)
-    return found
+    return bounded_monomials((CurvePolyAB.WEIGHTS, CurvePolyAB.DEGREES), (k, m))
 
 
 def rational_kernel(matrix):
@@ -86,7 +68,7 @@ def triality_basis(k, m):
                 constraints.setdefault(exps, {})[idx] = coeff
     n = len(monos)
     rows = ([constraints[e].get(i, Fraction(0)) for i in range(n)] for e in sorted(constraints))
-    basis = [CurvePolyAB(dict(zip(monos, vec))) for vec in nullspace(rows, n)]
+    basis = [CurvePolyAB._new(dict(zip(monos, vec))) for vec in nullspace(rows, n)]
     return AnsatzBasis(k, m, tuple(monos), tuple(basis))
 
 

@@ -25,6 +25,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
+from ._poly import power
+
 # t-units per power of q: the lattice (1/24)Z houses eta (1/24), theta2
 # (1/8) and q^(1/2) simultaneously.
 LATTICE = 24
@@ -32,6 +34,10 @@ LATTICE = 24
 
 class ZeroSeriesError(ZeroDivisionError):
     """Raised when inverting a series with no nonzero term below trunc."""
+
+
+class UnknownCoefficientError(ValueError):
+    """Raised when reading a coefficient at or beyond trunc, which is unknown."""
 
 
 def _reduced(num, den):
@@ -131,7 +137,7 @@ class FracSeries:
 
     def coeff(self, e):
         if e >= self.trunc:
-            raise ValueError(f"exponent {e} is at or beyond trunc {self.trunc}")
+            raise UnknownCoefficientError(f"exponent {e} is at or beyond trunc {self.trunc}")
         return Fraction(self._num.get(e, 0), self._den)
 
     def q_coeff(self, n):
@@ -213,15 +219,7 @@ class FracSeries:
             return self.inverse() ** (-n)
         if n == 0:
             return FracSeries.constant(1, self.trunc)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n)
 
     def inverse(self):
         """Multiplicative inverse; valuation flips sign, trunc shrinks by 2*val."""

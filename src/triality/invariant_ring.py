@@ -6,8 +6,11 @@ whose coefficients are exact q-series on the (1/24)Z lattice, together
 with its declared modular weight and its polynomial degree in the
 z-variables.  Weight is metadata fixed at the construction sites (the
 named modular series know their weights) and propagated additively by
-arithmetic; degree is checked against the generator degrees on
-construction.
+arithmetic.  The constructor, for values built from outside input, checks
+every monomial's degree against the declared one; arithmetic results go
+through the trusted `_new` and sums through the one-pass `_sum`, where
+the first summand nonzero within its window fixes the grading.  The term
+kernels (product, derivative, square-and-multiply) are `_poly`'s.
 
 `Invariant` is the element over the Weyl generators I2, I4, I6, I~4
 (degrees 2, 4, 6, 4).  The module provides its exponent-shift injection,
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import ring_det, substitute
+from ._poly import _grlex_key, add_terms, derivative_terms, mul_terms, power, ring_det, substitute
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from .weyl_poly import I_DEGREES, IPoly
 
@@ -95,6 +98,23 @@ class SeriesPoly:
         return value
 
     @classmethod
+    def _sum(cls, values, weight=0, degree=0):
+        """Sum of values of this type, added into one dict in one pass.  The
+        first summand nonzero within its window fixes the grading, (weight,
+        degree) if none is; a later nonzero one of another raises GradingError."""
+        terms = {}
+        grading = None
+        for value in values:
+            if not value.is_zero:
+                grading = grading or (value.weight, value.degree)
+                if grading != (value.weight, value.degree):
+                    raise GradingError(
+                        "cannot add ({},{}) and ({},{})".format(*grading, value.weight, value.degree)
+                    )
+            add_terms(terms, value.terms)
+        return cls._new(terms, *(grading or (weight, degree)))
+
+    @classmethod
     def zero(cls, weight=0, degree=0):
         return cls._new({}, weight, degree)
 
@@ -116,23 +136,23 @@ class SeriesPoly:
         """Coefficient series of a generator monomial (None if absent)."""
         return self.terms.get(tuple(exps))
 
+    def constant_series(self):
+        """The coefficient of the empty monomial; raises if others are present."""
+        extra = [e for e, s in self.terms.items() if any(e) and not s.is_zero]
+        if extra:
+            raise ValueError(f"not a constant: contains {extra}")
+        return self.terms.get(ONE_EXPS)
+
     def coefficient_weight(self, exps):
         return self.weight - sum(w * e for w, e in zip(self.WEIGHTS, exps))
 
     def __eq__(self, other):
+        """Equal on each coefficient's common window, whatever the gradings."""
         if type(other) is not type(self):
             return NotImplemented
-        zero = FracSeries.zero
-        for exps in self.terms.keys() | other.terms.keys():
-            a = self.terms.get(exps)
-            b = other.terms.get(exps)
-            if a is None:
-                a = zero(b.trunc)
-            if b is None:
-                b = zero(a.trunc)
-            if a != b:
-                return False
-        return True
+        difference = dict(self.terms)
+        add_terms(difference, (-other).terms)
+        return all(s.is_zero for s in difference.values())
 
     __hash__ = None
 
@@ -141,21 +161,7 @@ class SeriesPoly:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        # a value that is zero within its window adds only its window
-        grading = (other.weight, other.degree) if self.is_zero else (self.weight, self.degree)
-        if not other.is_zero and grading != (other.weight, other.degree):
-            raise GradingError(
-                f"cannot add ({self.weight},{self.degree}) and ({other.weight},{other.degree})"
-            )
-        terms = dict(self.terms)
-        for exps, series in other.terms.items():
-            cur = terms.get(exps)
-            terms[exps] = series if cur is None else cur + series
-        return self._new(terms, *grading)
+        return self._sum((self, other), self.weight, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -165,32 +171,24 @@ class SeriesPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._new(
-                {e: s * other for e, s in self.terms.items()}, self.weight, self.degree
-            )
+            return self.scale_series(other, 0)
         if type(other) is not type(self):
             return NotImplemented
-        terms = {}
-        for e1, s1 in self.terms.items():
-            for e2, s2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = s1 * s2
-                cur = terms.get(e)
-                terms[e] = prod if cur is None else cur + prod
-        return self._new(terms, self.weight + other.weight, self.degree + other.degree)
+        return self._new(
+            mul_terms(self.terms, other.terms), self.weight + other.weight, self.degree + other.degree
+        )
 
     __rmul__ = __mul__
 
     def change_generators(self, images, one):
         """Substitute images[i] (of weight WEIGHTS[i]) for generator i; `one`
         is the target unit, and each coefficient scales its monomial's image."""
-        result = type(one).zero(self.weight, self.degree)
-        for exps, series, value in substitute(self.terms, images, one):
-            result = result + value.scale_series(series, self.coefficient_weight(exps))
-        return result
+        parts = substitute(self.terms, images, one)
+        scaled = (value.scale_series(s, self.coefficient_weight(e)) for e, s, value in parts)
+        return type(one)._sum(scaled, self.weight, self.degree)
 
     def scale_series(self, series, series_weight):
-        """Multiply by a degree-0 modular series of known weight."""
+        """Multiply by a degree-0 modular series of known weight (or a rational)."""
         return self._new(
             {e: s * series for e, s in self.terms.items()},
             self.weight + series_weight,
@@ -208,15 +206,7 @@ class SeriesPoly:
             return self._new({ONE_EXPS: inverse}, -self.weight, 0) ** -n
         if n == 0:
             return self.one(self.common_trunc() or LATTICE)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n)
 
     def truncate(self, trunc):
         return self._new(
@@ -225,25 +215,18 @@ class SeriesPoly:
 
     def derivative(self, i):
         """Formal partial with respect to the i-th generator."""
-        terms = {}
-        for exps, series in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            add = series * e
-            cur = terms.get(key)
-            terms[key] = add if cur is None else cur + add
-        return self._new(terms, self.weight - self.WEIGHTS[i], self.degree - self.DEGREES[i])
+        return self._new(
+            derivative_terms(self.terms, i),
+            self.weight - self.WEIGHTS[i],
+            self.degree - self.DEGREES[i],
+        )
 
     # -- output ---------------------------------------------------------------
 
     def _sorted_monomials(self):
         """Monomials with a coefficient that is nonzero within its window."""
         shown = [e for e, s in self.terms.items() if not s.is_zero]
-        return sorted(shown, key=lambda e: (sum(e), e), reverse=True)
+        return sorted(shown, key=_grlex_key, reverse=True)
 
     def to_json(self):
         return {
@@ -356,13 +339,17 @@ class Invariant(SeriesPoly):
         return self._new(terms, self.weight, self.degree)
 
     def leading_ipoly(self):
-        """The q^0 coefficient of the injected form, as an IPoly."""
+        """The q^0 coefficient of the injected form, as an IPoly.
+
+        Raises UnknownCoefficientError when one of them lies at or beyond
+        its series' window.
+        """
         coeffs = {}
         for exps, series in self.terms.items():
             shift = self._shift_of(exps)
             if not series.is_zero and series.valuation < shift:
                 raise HasPoleError(f"injected coefficient of {exps} has a pole")
-            c = series.coeff(shift) if shift < series.trunc else 0
+            c = series.coeff(shift)
             if c:
                 coeffs[exps] = c
         return IPoly(coeffs)
@@ -392,12 +379,8 @@ def klmn(order):
     one = FracSeries.constant(1, trunc)
     es = [e_series(i, order) for i in (1, 2, 3)]
     K = Invariant({(1, 0, 0, 0): one}, 0, 2)
-    L = Invariant.zero(2, 4)
-    M = Invariant.zero(4, 4)
-    for e, t in zip(es, T_POLYS):
-        L = L + Invariant.from_ipoly_series(t, e, 2)
-        M = M + Invariant.from_ipoly_series(t, e * e, 4)
-    M = M * 12
+    L = Invariant._sum(Invariant.from_ipoly_series(t, e, 2) for e, t in zip(es, T_POLYS))
+    M = Invariant._sum(Invariant.from_ipoly_series(t, e * e, 4) for e, t in zip(es, T_POLYS)) * 12
     N = Invariant.from_ipoly_series(
         IPoly({(0, 0, 1, 0): Fraction(1, 4), (1, 1, 0, 0): Fraction(-1, 24), (3, 0, 0, 0): Fraction(1, 96)}),
         one,
@@ -411,14 +394,7 @@ def klmn_generator_jacobian(order):
 
     A degree-0, weight-6 invariant; equals -eta^12/16.
     """
-    gens = klmn(order)
-    rows = [[g.derivative(j) for j in range(4)] for g in gens]
-    det = ring_det(rows)
-    extra = [e for e, s in det.terms.items() if e != ONE_EXPS and not s.is_zero]
-    if extra:
-        raise AssertionError(f"generator jacobian is not degree 0: {extra}")
-    series = det.terms.get((0, 0, 0, 0))
-    return series if series is not None else FracSeries.zero(LATTICE * order)
+    return ring_det([[g.derivative(j) for j in range(4)] for g in klmn(order)]).constant_series()
 
 
 # -- polynomials in formal K, L, M, N -------------------------------------------
@@ -437,13 +413,6 @@ class KLMNPoly(SeriesPoly):
 
     # bound here too, so this class's own __dict__ holds its multiply for tracers
     __mul__ = __rmul__ = SeriesPoly.__mul__
-
-    def constant_series(self):
-        """The coefficient of the empty monomial; raises if others are present."""
-        extra = [e for e, s in self.terms.items() if any(e) and not s.is_zero]
-        if extra:
-            raise ValueError(f"not a constant: contains {extra}")
-        return self.terms.get(ONE_EXPS)
 
     def evaluate(self, order):
         """Substitute the actual K, L, M, N invariants at the given order."""

@@ -35,11 +35,10 @@ class IPoly(SparsePoly):
 def weyl_generators():
     """I2 = sum z_i^2, I4/I6 = elementary symmetric in z_i^2, I~4 = prod z_i."""
     z2 = [ZPoly.variable(i, 2) for i in range(4)]
-    i2 = sum(z2, ZPoly.zero())
-    i4 = sum((z2[i] * z2[j] for i in range(4) for j in range(i + 1, 4)), ZPoly.zero())
-    i6 = sum(
-        (z2[i] * z2[j] * z2[k] for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4)),
-        ZPoly.zero(),
+    i2 = ZPoly._sum(z2)
+    i4 = ZPoly._sum(z2[i] * z2[j] for i in range(4) for j in range(i + 1, 4))
+    i6 = ZPoly._sum(
+        z2[i] * z2[j] * z2[k] for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4)
     )
     i4t = ZPoly.monomial((1, 1, 1, 1))
     return i2, i4, i6, i4t

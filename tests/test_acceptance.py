@@ -8,6 +8,7 @@ criterion.  `pytest -s` prints one line per check.
 """
 
 from triality import sw_curve, verify
+from triality.exact_series import FracSeries
 from triality.invariant_ring import AmbiguousRepresentationError
 
 # criterion: (number of checks, prefixes of their names)
@@ -107,6 +108,29 @@ def test_broken_round_trip_fails_the_frame_change(monkeypatch):
     monkeypatch.setattr(sw_curve, "cd_to_ab", lambda p: sw_curve.CurvePolyAB.zero())
     failed = {r.name for r in verify.curve_checks(4) if not r.passed}
     assert "frame change preserves the value of a2" in failed
+
+
+def test_unknown_leading_coefficient_fails_with_the_window(monkeypatch):
+    # at order 2 the injected q^0 coefficient of these six lies at the end of the window
+    shallow = {"a2", "b2", "b3", "c2", "d2", "d3"}
+    detail = "window q^2 too shallow to read the leading coefficient"
+    for order, expected in ((2, shallow), (3, set())):
+        leading = {
+            r.name.rsplit(" ", 1)[1]: r
+            for r in verify.curve_checks(order)
+            if r.name.startswith("leading coefficient of")
+        }
+        assert len(leading) == 12
+        assert {name for name, r in leading.items() if not r.passed} == expected
+        assert {name for name, r in leading.items() if r.detail} == expected
+        assert all(leading[name].detail == detail for name in expected)
+
+    # a pole is a plain FAIL, with no window detail
+    evaluate = sw_curve.evaluate_ab
+    pole = FracSeries.t_power(-24, 24 * 8)
+    monkeypatch.setattr(sw_curve, "evaluate_ab", lambda p, n: evaluate(p, n).scale_series(pole, 0))
+    failed = [r for r in verify.curve_checks(3) if r.name.startswith("leading coefficient of")][:6]
+    assert [(r.passed, r.detail) for r in failed] == [(False, "")] * 6
 
 
 def test_failed_rewrite_fails_the_explicit_forms(monkeypatch):

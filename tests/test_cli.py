@@ -113,6 +113,15 @@ def test_membership_cli(capsys):
     assert json.loads(out)["is_triality_invariant"] is True
 
 
+def test_dense_membership_input(capsys):
+    # 1,287 terms of total degree 8; each frame change sums the monomial images in one pass
+    code, out = run_cli(capsys, "membership", "(a0+a2+b0+b1+b2+b3)^8", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["c0_valuation"] == -24
+    assert payload["is_triality_invariant"] is False
+
+
 def test_membership_parse_error(capsys):
     code = cli.main(["membership", "a0 + $"])
     assert code == 2

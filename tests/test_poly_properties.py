@@ -1,0 +1,88 @@
+"""Property tests for the polynomial layer: frame changes, the t-action, the
+binary-form shift, the trusted arithmetic constructor and the grading rule
+of the one-pass sum.
+
+A separate module, so that a missing `hypothesis` skips only these tests.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from triality._poly import bounded_monomials, taylor_shift  # noqa: E402
+from triality.exact_series import FracSeries  # noqa: E402
+from triality.invariant_ring import GradingError, Invariant  # noqa: E402
+from triality.sw_curve import CurvePolyAB, ab_to_cd, cd_to_ab, evaluate_ab  # noqa: E402
+from triality.weyl_poly import I_DEGREES  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 8]))
+nonzero = rationals.filter(bool)
+
+
+@st.composite
+def curve_polys(draw, max_terms=4):
+    """Small polynomials in (a0, a2, b0, b1, b2, b3), cancelling terms included."""
+    exps = st.tuples(*[st.integers(0, 2)] * 6)
+    terms = draw(st.lists(st.tuples(exps, rationals), max_size=max_terms))
+    return CurvePolyAB._sum(CurvePolyAB.monomial(e, c) for e, c in terms)
+
+
+@st.composite
+def half_lattice_invariants(draw):
+    """Invariants of one degree whose series sit on the q^(1/2) lattice."""
+    degree = draw(st.sampled_from([0, 2, 4, 6, 8]))
+    monomials = bounded_monomials((I_DEGREES,), (degree,))
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+    trunc = 12 * draw(st.integers(1, 8))
+    exponents = st.integers(-2, 8).map(lambda k: 12 * k)
+    terms = {
+        exps: FracSeries(draw(st.dictionaries(exponents, nonzero, max_size=4)), trunc)
+        for exps in chosen
+    }
+    return Invariant(terms, 2 * draw(st.integers(0, 3)), degree)
+
+
+@PROPERTY
+@given(curve_polys(), curve_polys(), rationals)
+def test_frame_change_is_a_ring_homomorphism(p, q, c):
+    assert ab_to_cd(p + q) == ab_to_cd(p) + ab_to_cd(q)
+    assert ab_to_cd(p * q) == ab_to_cd(p) * ab_to_cd(q)
+    assert ab_to_cd(p * c) == ab_to_cd(p) * c
+    assert cd_to_ab(ab_to_cd(p)) == p
+
+
+@PROPERTY
+@given(half_lattice_invariants(), half_lattice_invariants())
+def test_t_action_is_an_involution(x, y):
+    assert x.t_action().t_action().to_json() == x.to_json()
+    assert (x * y).t_action() == x.t_action() * y.t_action()
+
+
+@PROPERTY
+@given(st.lists(rationals, min_size=1, max_size=6), rationals, rationals)
+def test_taylor_shift_composes_by_adding_the_shifts(coeffs, s, t):
+    assert taylor_shift(taylor_shift(coeffs, s), t) == taylor_shift(coeffs, s + t)
+    assert taylor_shift(coeffs, F(0)) == tuple(coeffs)
+
+
+@PROPERTY
+@given(curve_polys(), curve_polys(), rationals, st.integers(0, 5))
+def test_arithmetic_results_store_no_zero_coefficient(p, q, c, i):
+    results = [
+        p + q, p - q, p - p, p + (-p), -p, p * q, p * c, p * 0, c - p, p / 2,
+        p ** 2, p ** 0, p.derivative(i), ab_to_cd(p), cd_to_ab(ab_to_cd(q)),
+    ]
+    for r in results:
+        assert all(isinstance(v, F) and v for v in r.terms.values())
+
+
+def test_one_pass_sum_still_rejects_mixed_weights():
+    # a0 evaluates to weight 4 and b0 to weight 6: their sum has no grading
+    with pytest.raises(GradingError):
+        evaluate_ab(CurvePolyAB.variable(0) + CurvePolyAB.variable(2), 8)
