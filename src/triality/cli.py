@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -374,7 +375,9 @@ def cmd_verify(args):
 # -- argument plumbing ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=int, default=24, help="q-series truncation order (default 24)")
     common.add_argument("--format", choices=("json", "text"), default="text")

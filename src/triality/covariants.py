@@ -343,5 +343,5 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
         for exps, c in _derivation(FormPoly.monomial(m)).terms.items():
             equations.setdefault(exps, {})[idx] = c
     n = len(monos)
-    rows = ([equations[e].get(i, Fraction(0)) for i in range(n)] for e in sorted(equations))
+    rows = ([equations[e].get(i, 0) for i in range(n)] for e in sorted(equations))
     return len(nullspace(rows, n))

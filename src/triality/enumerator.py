@@ -67,7 +67,7 @@ def triality_basis(k, m):
             if exps[0] < 0:
                 constraints.setdefault(exps, {})[idx] = coeff
     n = len(monos)
-    rows = ([constraints[e].get(i, Fraction(0)) for i in range(n)] for e in sorted(constraints))
+    rows = ([constraints[e].get(i, 0) for i in range(n)] for e in sorted(constraints))
     basis = [CurvePolyAB._new(dict(zip(monos, vec))) for vec in nullspace(rows, n)]
     return AnsatzBasis(k, m, tuple(monos), tuple(basis))
 

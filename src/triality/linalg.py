@@ -1,14 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Plain lists of Fraction, Gauss-Jordan with full back-substitution so that
-the reduced row-echelon form (and hence every kernel basis) is canonical
-and deterministic.  The incremental solver lets callers stream equation
-rows and stop as soon as the rank is full.
+Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every stored
+row is a primitive integer list, its content divided out and its pivot
+entry positive.  Such a row is the unique integer scaling of a row of the
+reduced row-echelon form, so the form (and hence every kernel basis) is
+the same canonical and deterministic one that Gauss-Jordan over Fractions
+gives.  Fractions are built only in `kernel()`.  The incremental solver
+lets callers stream equation rows and stop as soon as the rank is full.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _primitive(row, lead):
+    """row divided by the gcd of its entries, signed so that row[lead] > 0."""
+    g = gcd(*row)
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
 
 
 class LinearSolver:
@@ -16,34 +28,42 @@ class LinearSolver:
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []  # list of (pivot_col, coeffs), pivot coeff == 1
+        # (pivot_col, coeffs): primitive ints, coeffs[pivot_col] > 0, and 0 in
+        # every other row's pivot column
+        self.rows = []
 
     @property
     def rank(self):
         return len(self.rows)
 
     def add(self, row):
-        """Reduce one equation into the RREF; returns True if rank grew."""
+        """Reduce one equation (ints or Fractions) into the RREF; returns True
+        if rank grew."""
         row = list(row)
+        scale = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (scale // x.denominator) for x in row]
+        # cross-multiply, b*row - a*stored, to clear each stored pivot column
         for pivot, coeffs in self.rows:
-            factor = row[pivot]
-            if factor:
-                for j in range(pivot, self.ncols):
-                    row[j] -= factor * coeffs[j]
+            a = row[pivot]
+            if a:
+                b = coeffs[pivot]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                row = [b * x - a * y for x, y in zip(row, coeffs)]
         for pivot in range(self.ncols):
             if row[pivot]:
                 break
         else:
             return False
-        lead = row[pivot]
-        if lead != 1:
-            row = [c / lead for c in row]
+        row = _primitive(row, pivot)
         # back-substitute the new pivot into the existing rows
+        b = row[pivot]
         updated = []
         for p, coeffs in self.rows:
-            factor = coeffs[pivot]
-            if factor:
-                coeffs = [c - factor * r for c, r in zip(coeffs, row)]
+            a = coeffs[pivot]
+            if a:
+                g = gcd(a, b)
+                coeffs = _primitive([(b // g) * x - (a // g) * y for x, y in zip(coeffs, row)], p)
             updated.append((p, coeffs))
         updated.append((pivot, row))
         updated.sort(key=lambda t: t[0])
@@ -61,7 +81,7 @@ class LinearSolver:
             vec[f] = Fraction(1)
             for p, coeffs in self.rows:
                 if coeffs[f]:
-                    vec[p] = -coeffs[f]
+                    vec[p] = Fraction(-coeffs[f], coeffs[p])
             basis.append(vec)
         return basis
 

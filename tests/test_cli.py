@@ -215,11 +215,52 @@ GOLDEN = [
     ("verify curve --order 12 --format json", "0e32631073d7be26e7e6ae9736d2d455b0b391330b891a45609cb1b84bcf6978"),
     ("expand L --order 48", "7d9951837d93972714e94d95d7810d78c6df7f1f36c1106f80e119d2563386b8"),
     ("expand M --order 96 --format json", "984301bd9a066d2ea9f5e821428201901dbe4654d47d68c15e36aaadab24e2a1"),
+    ("dims --kmax 72 --mmax 24 --format json", "3067c166e58b3a1ef0ae899b394d65cc047ce55c0d2e0340175e8f9cf47f733b"),
+    ("basis --weight 48 --degree 16 --format json", "888917000673f0d3b3ea03337d46180bfab1b372001104631299ccb45fe8299b"),
 ]
 
 
-@pytest.mark.parametrize("call, digest", GOLDEN, ids=[call.split(" --")[0] for call, _ in GOLDEN])
+def golden_ids():
+    """The command of each call, with its first option added where the command repeats."""
+    ids = []
+    for call, _ in GOLDEN:
+        name = call.split(" --")[0]
+        ids.append(name if name not in ids else " ".join(call.split()[:3]))
+    return ids
+
+
+@pytest.mark.parametrize("call, digest", GOLDEN, ids=golden_ids())
 def test_cli_output_matches_golden_digest(capsys, call, digest):
     code, out = run_cli(capsys, *call.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def cli_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one call, a usage error's SystemExit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    calls = [
+        ["transvect", "--left", "f", "--right", "f", "--index", "x"],
+        ["transvect", "--left", "f", "--right", "f", "--index", "2"],
+        ["basis", "--weight", "12"],
+        ["basis", "--weight", "12", "--degree", "2", "--format", "json"],
+        ["dims", "--kmax", "8", "--mmax", "4"],
+    ]
+    separately = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        separately.append(cli_outcome(capsys, argv))
+    in_one_process = [cli_outcome(capsys, argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    assert in_one_process == separately
+    assert [code for code, _, _ in separately] == [2, 0, 2, 0, 0]
+    assert "argument --index: invalid int value: 'x'" in separately[0][2]
+    assert separately[2][2].startswith("usage: triality basis")

@@ -3,7 +3,8 @@
 Products and frame changes of `SparsePoly` are compared with sympy's
 `expand` and substitution, where the frame-change images are derived in
 sympy from their definition (completing the square of the quadratic), and
-the rank behind `LinearSolver.kernel` is compared with `Matrix.rank`.
+`LinearSolver.kernel` is compared exactly with the kernel read off sympy's
+`Matrix.rref`.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from triality.linalg import LinearSolver  # noqa: E402
+from triality.linalg import LinearSolver, nullspace  # noqa: E402
 from triality.sw_curve import CurvePolyAB, CurvePolyCD, ab_to_cd  # noqa: E402
 
 AB = sympy.symbols(CurvePolyAB.names)
@@ -66,10 +67,33 @@ def test_frame_change_matches_sympy_substitution():
         assert sympy.expand(to_sympy(ab_to_cd(p), CD) - expected) == 0
 
 
-def test_kernel_rank_matches_sympy_rank():
-    rng = random.Random(9)
-    for _ in range(40):
-        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+def sympy_kernel(rows, ncols):
+    """The kernel basis read off sympy's RREF: one vector per free column, 1 in
+    that column and minus the column's RREF entries in the pivot columns."""
+    flat = [sympy.Rational(F(x).numerator, F(x).denominator) for row in rows for x in row]
+    rref, pivots = sympy.Matrix(len(rows), ncols, flat).rref()
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[f] = F(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -F(int(rref[i, f].p), int(rref[i, f].q))
+        basis.append(vec)
+    return basis
+
+
+def solver_kernel(rows, ncols):
+    solver = LinearSolver(ncols)
+    for row in rows:
+        solver.add(row)
+    return solver.kernel()
+
+
+def random_systems(rng, count):
+    for _ in range(count):
+        nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 7)
         rows = [
             [F(rng.randrange(-3, 4), rng.choice((1, 2, 5))) for _ in range(ncols)]
             for _ in range(nrows)
@@ -77,12 +101,32 @@ def test_kernel_rank_matches_sympy_rank():
         # a dependent row now and then, so that rank drops below min(nrows, ncols)
         if nrows > 2 and rng.random() < 0.5:
             rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
-        solver = LinearSolver(ncols)
-        for row in rows:
-            solver.add(row)
-        matrix = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
-        kernel = solver.kernel()
-        assert solver.rank == matrix.rank()
-        assert len(kernel) == ncols - matrix.rank()
-        for vec in kernel:
-            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+        yield rows, ncols
+
+
+BIG = F(10**12 + 1, 3**20)
+EDGE_SYSTEMS = [
+    ([], 3),
+    ([[0, 0, 0], [F(0), 0, 0]], 3),
+    ([[1, 2, 3], [1, 2, 3], [F(2), 4, 6], [6, -4, 2]], 3),
+    ([[F(6, 4), 0, F(-9, 6), 3], [F(6, 4), 0, F(-9, 6), 3], [0, 0, 0, 0]], 4),
+    ([[BIG, 1, 0, -BIG], [3**20, BIG, F(1, 10**12 + 1), 0], [BIG * BIG, BIG, 2, 7]], 4),
+    ([[F(1, 3**20), F(-1, 2**40), 0], [F(2, 3**20), F(-2, 2**40), 0], [0, 0, F(5, 7)]], 3),
+]
+
+
+def test_kernel_matches_sympy_rref():
+    systems = EDGE_SYSTEMS + list(random_systems(random.Random(9), 60))
+    for rows, ncols in systems:
+        assert solver_kernel(rows, ncols) == sympy_kernel(rows, ncols), rows
+
+
+def test_nullspace_early_stop_matches_sympy_rref():
+    def rows_then_fail(rows):
+        yield from rows
+        raise AssertionError("a row was read after the rank was full")
+
+    full = [[1, F(1, 2), 0], [1, F(1, 2), 0], [0, F(6, 4), BIG], [BIG, 0, 1]]
+    assert nullspace(rows_then_fail(full), 3) == sympy_kernel(full, 3) == []
+    deficient = [[F(6, 4), 3, 0, BIG], [3, 6, 0, 2 * BIG], [0, 0, 0, 0]]
+    assert nullspace(iter(deficient), 4) == sympy_kernel(deficient, 4)
