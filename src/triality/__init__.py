@@ -59,7 +59,6 @@ from .enumerator import (
     dimension_table,
     monomials_of,
     rank_series,
-    rational_kernel,
     triality_basis,
 )
 from .covariants import (

@@ -7,13 +7,16 @@ Fraction; zero coefficients are never stored.  Subclasses fix the arity,
 print names and which variables may carry negative (Laurent) exponents.
 The constructor validates values built from outside input; arithmetic
 results go through the trusted `_new`, which only drops zeros, and sums
-through the one-pass `_sum`.  The polynomials with q-series coefficients
-live in `invariant_ring` and share the term kernels (`add_terms`,
-`mul_terms`, `derivative_terms`, square-and-multiply `power`), `substitute`
-and `compose`.  `taylor_shift` is the one shift u -> u + s v of a binary
-form's coefficients, from which every frame change and hat substitution of
-the package is built.  `bounded_monomials` walks exponent vectors of fixed
-weighted degrees.
+through the one-pass `_sum`.  `weighted_degree` is the one grading rule:
+every homogeneity check of the package calls it on a weight row, mostly
+one its class declares, and it raises NotHomogeneousError.  The
+polynomials with q-series coefficients live in `invariant_ring` and share
+the term kernels (`add_terms`, `mul_terms`, `derivative_terms`,
+square-and-multiply `power`), `substitute`, `compose` and `jacobian`, the
+one determinant of a matrix of partials.  `taylor_shift` is the one shift
+u -> u + s v of a binary form's coefficients, from which every frame
+change and hat substitution of the package is built.  `bounded_monomials`
+walks exponent vectors of fixed weighted degrees.
 
 The canonical term order used everywhere is graded lexicographic with the
 first variable largest; `sorted_terms` lists terms in decreasing order.
@@ -23,7 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import add
+from operator import add, mul
+
+
+class NotHomogeneousError(ValueError):
+    """Monomials disagree under a grading."""
 
 
 def _grlex_key(exps):
@@ -190,10 +197,10 @@ class SparsePoly:
         return min((e[i] for e in self.terms), default=0)
 
     def weighted_degree(self, weights):
-        """Common weighted degree of all terms; raises if inhomogeneous."""
-        degs = {sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
+        """Common degree of all terms under the weight row; 0 for zero."""
+        degs = {sum(map(mul, weights, exps)) for exps in self.terms}
         if len(degs) > 1:
-            raise ValueError(f"inhomogeneous: weighted degrees {sorted(degs)}")
+            raise NotHomogeneousError(f"not homogeneous: weighted degrees {sorted(degs)}")
         return degs.pop() if degs else 0
 
     # -- arithmetic ----------------------------------------------------
@@ -367,3 +374,8 @@ def ring_det(matrix):
         return cache[row, cols]
 
     return minor(0, tuple(range(n)))
+
+
+def jacobian(polys):
+    """Determinant of the partials of polys[i] by variable j, for i, j < len(polys)."""
+    return ring_det([[p.derivative(j) for j in range(len(polys))] for p in polys])

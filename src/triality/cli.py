@@ -14,9 +14,10 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import covariants, enumerator, sw_curve, verify
-from .exact_series import LATTICE, e_series, eisenstein, eta_delta, theta_const
+from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta, theta_const
 from .invariant_ring import klmn
 
 
@@ -44,10 +45,12 @@ def _tokenize(text):
                 j += 1
             tokens.append(("name", text[i:j]))
             i = j
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ExprError(f"integers may have at most {MAX_LITERAL_DIGITS} digits")
             tokens.append(("int", int(text[i:j])))
             i = j
         elif ch in "+-*/^()":
@@ -59,16 +62,31 @@ def _tokenize(text):
     return tokens
 
 
-def _checked_degree(degree):
+def _height(*polys):
+    """h with every coefficient of the sum of polys a ratio of integers of size
+    at most 2^h; a product's h is at most the sum of its factors'."""
+    coeffs = [c for p in polys for c in p.terms.values()]
+    if len(coeffs) == 1:  # most factors: the same h, without the lcm and the sum
+        return (max(abs(coeffs[0].numerator), coeffs[0].denominator) - 1).bit_length()
+    den = lcm(*(c.denominator for c in coeffs))
+    top = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return (max(top, den) - 1).bit_length()
+
+
+def _checked(degree, height):
     if degree > MAX_EXPR_DEGREE:
         raise ExprError(f"total degree must be at most {MAX_EXPR_DEGREE}, got {degree}")
+    if height > MAX_COEFF_BITS:
+        raise ExprError(f"coefficients must stay below 2^{MAX_COEFF_BITS}")
 
 
 def parse_poly(text, atoms, cls):
     """Parse +, -, *, /, ^ and parentheses over named atoms into cls.
 
-    A product or power whose total degree would pass MAX_EXPR_DEGREE is
-    refused before it is multiplied out.
+    Parentheses and unary minus signs nest at most MAX_NESTING deep.  A
+    sum, product or power whose total degree would pass MAX_EXPR_DEGREE, or
+    whose coefficients could pass 2^MAX_COEFF_BITS, is refused before it is
+    computed, and a quotient by a constant right after.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -83,7 +101,7 @@ def parse_poly(text, atoms, cls):
         pos[0] += 1
         return tok
 
-    def atom():
+    def atom(depth):
         kind, value = peek()
         if kind == "name":
             take()
@@ -95,56 +113,53 @@ def parse_poly(text, atoms, cls):
             return cls.constant(value)
         if kind == "(":
             take()
-            inner = expr()
+            inner = expr(depth + 1)
             take(")")
             return inner
         raise ExprError(f"unexpected token {value!r}")
 
-    def factor():
-        if peek()[0] == "-":
+    def factor(depth):
+        signs = 0
+        while peek()[0] == "-":
             take()
-            return -factor()
-        base = atom()
+            signs += 1
+        if depth + signs > MAX_NESTING:
+            raise ExprError(f"parentheses and signs may nest at most {MAX_NESTING} deep")
+        base = atom(depth + signs)
         if peek()[0] == "^":
             take()
             expo = take("int")[1]
-            _checked_degree(base.total_degree() * expo)
+            _checked(base.total_degree() * expo, _height(base) * expo)
             base = base ** expo
-        return base
+        return -base if signs % 2 else base
 
-    def term():
-        value = factor()
+    def term(depth):
+        value = factor(depth)
         while peek()[0] in ("*", "/"):
             op = take()[0]
-            rhs = factor()
+            rhs = factor(depth)
             if op == "*":
-                _checked_degree(value.total_degree() + rhs.total_degree())
+                _checked(value.total_degree() + rhs.total_degree(), _height(value) + _height(rhs))
                 value = value * rhs
             else:
                 const = rhs.terms.get((0,) * cls.nvars)
                 if len(rhs.terms) != 1 or const is None:
                     raise ExprError("division only by constants")
                 value = value * (Fraction(1) / const)
+                _checked(0, _height(value))
         return value
 
-    def expr():
-        summands = [term()]
+    def expr(depth):
+        summands = [term(depth)]
         while peek()[0] in ("+", "-"):
             op = take()[0]
-            summands.append(term() if op == "+" else -term())
+            summands.append(term(depth) if op == "+" else -term(depth))
+        _checked(0, _height(*summands))
         return cls._sum(summands)
 
-    result = expr()
+    result = expr(0)
     take("end")
     return result
-
-
-def _form_atoms():
-    f = covariants.quadratic_form()
-    g = covariants.cubic_form()
-    P = covariants.transvectant(g, g, 2)
-    Q = covariants.transvectant(g, P, 1)
-    return {"f": f, "g": g, "P": P, "Q": Q}
 
 
 def _curve_atoms():
@@ -156,76 +171,44 @@ def _curve_atoms():
 
 # -- expand ------------------------------------------------------------------------
 
-SERIES_WEIGHTS = {"E4": 4, "E6": 6, "Delta": 12, "e1": 2, "e2": 2, "e3": 2}
-
-
-def _series_by_name(name, order):
-    if name in ("E4", "E6"):
-        return eisenstein(int(name[1]), order)
-    if name == "Delta":
-        return eta_delta(order)[1]
-    if name == "eta":
-        return eta_delta(order)[0]
-    if name in ("theta2", "theta3", "theta4"):
-        return theta_const(int(name[-1]), order)
-    if name in ("e1", "e2", "e3"):
-        return e_series(int(name[-1]), order)
-    return None
-
-
-def _invariant_by_name(name, order):
-    klmn_names = {"K": 0, "L": 1, "M": 2, "N": 3}
-    if name in klmn_names:
-        return klmn(order)[klmn_names[name]]
-    ab = {n: i for i, n in enumerate(sw_curve.CurvePolyAB.names)}
-    if name in ab:
-        return sw_curve.evaluate_ab(sw_curve.CurvePolyAB.variable(ab[name]), order)
-    cd = {n: i for i, n in enumerate(sw_curve.CurvePolyCD.names)}
-    if name in cd:
-        return sw_curve.evaluate_cd(sw_curve.CurvePolyCD.variable(cd[name]), order)
-    return None
-
-
-EXPAND_NAMES = (
-    "E4", "E6", "Delta", "eta", "theta2", "theta3", "theta4", "e1", "e2", "e3",
-    "K", "L", "M", "N",
-    "a0", "a2", "b0", "b1", "b2", "b3", "c0", "c1", "c2", "d0", "d2", "d3",
-)
+# name: (weight of a modular series, or None; the value at an order).  The
+# lambdas look each function up when called, so a wrapped one is seen.
+EXPAND = {
+    "E4": (4, lambda order: eisenstein(4, order)),
+    "E6": (6, lambda order: eisenstein(6, order)),
+    "Delta": (12, lambda order: eta_delta(order)[1]),
+    "eta": (None, lambda order: eta_delta(order)[0]),
+    **{f"theta{k}": (None, lambda order, k=k: theta_const(k, order)) for k in (2, 3, 4)},
+    **{f"e{k}": (2, lambda order, k=k: e_series(k, order)) for k in (1, 2, 3)},
+    **{n: (None, lambda order, i=i: klmn(order)[i]) for i, n in enumerate("KLMN")},
+    **{n: (None, lambda order, i=i: sw_curve.evaluate_ab(sw_curve.CurvePolyAB.variable(i), order))
+       for i, n in enumerate(sw_curve.CurvePolyAB.names)},
+    **{n: (None, lambda order, i=i: sw_curve.evaluate_cd(sw_curve.CurvePolyCD.variable(i), order))
+       for i, n in enumerate(sw_curve.CurvePolyCD.names)},
+}
 
 
 def cmd_expand(args):
     name = args.name
-    series = _series_by_name(name, args.order)
-    if series is not None:
-        series = series.truncate(LATTICE * args.order)
+    if name not in EXPAND:
+        print(f"unknown name {name!r}; valid names: {', '.join(EXPAND)}", file=sys.stderr)
+        return 2
+    weight, build = EXPAND[name]
+    value = build(args.order).truncate(LATTICE * args.order)
+    if isinstance(value, FracSeries):
         if args.format == "json":
-            payload = {
-                "kind": "series",
-                "name": name,
-                "exponent_lattice": LATTICE,
-            }
-            if name in SERIES_WEIGHTS:
-                payload["grading"] = {"weight": SERIES_WEIGHTS[name]}
-            payload.update(series.to_json())
+            payload = {"kind": "series", "name": name, "exponent_lattice": LATTICE}
+            if weight is not None:
+                payload["grading"] = {"weight": weight}
+            payload.update(value.to_json())
             print(_json_dump(payload))
         else:
-            print(f"{name} = {series}")
-        return 0
-    inv = _invariant_by_name(name, args.order)
-    if inv is not None:
-        inv = inv.truncate(LATTICE * args.order)
-        if args.format == "json":
-            payload = inv.to_json()
-            payload["name"] = name
-            print(_json_dump(payload))
-        else:
-            print(f"{name} (weight {inv.weight}, degree {inv.degree}) = {inv}")
-        return 0
-    print(
-        f"unknown name {name!r}; valid names: {', '.join(EXPAND_NAMES)}",
-        file=sys.stderr,
-    )
-    return 2
+            print(f"{name} = {value}")
+    elif args.format == "json":
+        print(_json_dump(dict(value.to_json(), name=name)))
+    else:
+        print(f"{name} (weight {value.weight}, degree {value.degree}) = {value}")
+    return 0
 
 
 # -- basis / dims --------------------------------------------------------------------
@@ -296,7 +279,7 @@ def cmd_generators(args):
 
 
 def cmd_transvect(args):
-    atoms = _form_atoms()
+    atoms = dict(zip("fgPQ", covariants.named_forms()))
     try:
         left = parse_poly(args.left, atoms, covariants.FormPoly)
         right = parse_poly(args.right, atoms, covariants.FormPoly)
@@ -425,8 +408,13 @@ def build_parser():
 
 # the largest accepted values: beyond them a request runs for hours
 MAX_ORDER, MAX_WEIGHT, MAX_DEGREE = 128, 96, 32
-# total degree of a product or power in a polynomial argument
+# in a polynomial argument: the total degree of a product or power, the
+# bits of its coefficients (Python prints at most 4,300 digits), the digits
+# of an integer, and the nesting of parentheses and unary minus signs
 MAX_EXPR_DEGREE = 24
+MAX_COEFF_BITS = 4096
+MAX_LITERAL_DIGITS = 1000
+MAX_NESTING = 64
 LIMITS = {"order": MAX_ORDER, "weight": MAX_WEIGHT, "kmax": MAX_WEIGHT,
           "degree": MAX_DEGREE, "mmax": MAX_DEGREE}
 

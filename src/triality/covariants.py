@@ -13,10 +13,12 @@ the coefficients, `_poly.taylor_shift`.  Semiinvariance under the
 unipotent shift u -> u + kappa v is DP = 0 for its derivation
 D = 2 alpha0 d/dalpha1 + alpha1 d/dalpha2 + 3 beta0 d/dbeta1
 + 2 beta1 d/dbeta2 + beta2 d/dbeta3, since P(kappa) = exp(kappa D) P.
-The grading is by the diagonal scaling weights alpha_i -> 2-2i,
-beta_i -> 3-2i.  The module also carries the fifteen classical
-transvectant generators of the joint covariant ring and a brute-force
-dimension oracle for spaces of joint semiinvariants.
+The gradings are weight rows on `FormPoly` (the (u, v) order, the scaling
+weights alpha_i -> 2-2i, beta_i -> 3-2i, and the alpha and beta counts),
+each read by `SparsePoly.weighted_degree`.  The module also carries the
+named forms f, g, P = <g,g>^2 and Q = <g,P>^1, built once, the fifteen
+classical transvectant generators of the joint covariant ring and a
+brute-force dimension oracle for spaces of joint semiinvariants.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from ._poly import NotHomogeneousError  # noqa: F401  (re-exported)
 from ._poly import SparsePoly, bounded_monomials, compose, taylor_shift
 from .linalg import nullspace
 from .sw_curve import CurvePolyAB
@@ -33,10 +36,6 @@ from .sw_curve import CurvePolyAB
 
 class BadOrderError(ValueError):
     """Transvectant index exceeds the order of an argument."""
-
-
-class NotHomogeneousError(ValueError):
-    """Monomials disagree under the scaling weights."""
 
 
 class NegativeOrderError(ValueError):
@@ -51,8 +50,11 @@ class FormPoly(SparsePoly):
     nvars = 9
     names = ("alpha0", "alpha1", "alpha2", "beta0", "beta1", "beta2", "beta3", "u", "v")
     laurent = frozenset({0, 3, 7})
-    # scaling weights under (u, v) -> (lambda u, v / lambda)
+    # weight rows: the order in (u, v); the scaling weights under
+    # (u, v) -> (lambda u, v / lambda); the alpha and the beta counts
+    UV = (0, 0, 0, 0, 0, 0, 0, 1, 1)
     SCALE = (2, 0, -2, 3, 1, -1, -3, 1, -1)
+    COUNTS = ((1, 1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1, 0, 0))
 
     U = 7
     V = 8
@@ -87,26 +89,21 @@ def cubic_form():
 
 def uv_order(F):
     """Homogeneous degree in (u, v)."""
-    degs = {e[FormPoly.U] + e[FormPoly.V] for e in F.terms}
-    if len(degs) > 1:
-        raise NotHomogeneousError(f"not homogeneous in (u, v): degrees {sorted(degs)}")
-    return degs.pop() if degs else 0
+    return F.weighted_degree(FormPoly.UV)
 
 
-def transvectant(f1, f2, i, n1=None, n2=None):
-    """The i-th transvectant of two binary forms of orders n1, n2.
+def _require_uv_free(P, name):
+    if any(e[FormPoly.U] or e[FormPoly.V] for e in P.terms):
+        raise ValueError(f"{name} applies to (u, v)-free polynomials")
+
+
+def transvectant(f1, f2, i):
+    """The i-th transvectant of two binary forms of orders n1, n2 (their `uv_order`).
 
     Prefactor (n1-i)! (n2-i)! / (n1! n2!) times the alternating sum of
     products of i-th mixed partials; computed by exact differentiation.
     """
-    if n1 is None:
-        n1 = uv_order(f1)
-    elif n1 != uv_order(f1):
-        raise BadOrderError(f"first argument has order {uv_order(f1)}, not {n1}")
-    if n2 is None:
-        n2 = uv_order(f2)
-    elif n2 != uv_order(f2):
-        raise BadOrderError(f"second argument has order {uv_order(f2)}, not {n2}")
+    n1, n2 = uv_order(f1), uv_order(f2)
     if i < 0 or i > min(n1, n2):
         raise BadOrderError(f"index {i} out of range for orders ({n1}, {n2})")
 
@@ -144,30 +141,19 @@ def _derivation(P):
 
 def is_semiinvariant(P):
     """True iff P is unchanged by u -> u + kappa v for formal kappa, i.e. DP = 0."""
-    for e in P.terms:
-        if e[FormPoly.U] or e[FormPoly.V]:
-            raise ValueError("semiinvariance applies to (u, v)-free polynomials")
+    _require_uv_free(P, "semiinvariance")
     return _derivation(P).is_zero
 
 
 def order_of(P):
     """Scaling order: sum of (2-2i) per alpha_i and (3-2i) per beta_i."""
-    for e in P.terms:
-        if e[FormPoly.U] or e[FormPoly.V]:
-            raise ValueError("order_of applies to (u, v)-free polynomials")
-    degs = {sum(w * x for w, x in zip(FormPoly.SCALE, e)) for e in P.terms}
-    if len(degs) > 1:
-        raise NotHomogeneousError(f"scaling weights disagree: {sorted(degs)}")
-    return degs.pop() if degs else 0
+    _require_uv_free(P, "order_of")
+    return P.weighted_degree(FormPoly.SCALE)
 
 
 def refined_form_degrees(P):
     """(d_alpha, d_beta): homogeneous degrees in the two coefficient families."""
-    da = {e[0] + e[1] + e[2] for e in P.terms}
-    db = {e[3] + e[4] + e[5] + e[6] for e in P.terms}
-    if len(da) > 1 or len(db) > 1:
-        raise NotHomogeneousError("refined degrees are not homogeneous")
-    return (da.pop() if da else 0, db.pop() if db else 0)
+    return tuple(map(P.weighted_degree, FormPoly.COUNTS))
 
 
 # -- the Roberts correspondence -----------------------------------------------------
@@ -248,9 +234,7 @@ def psi_forward(p):
 
 def psi_inverse(Phi):
     """Substitute alpha0 -> a0, alpha1 -> 0, alpha2 -> a2, beta_j -> b_j."""
-    for e in Phi.terms:
-        if e[FormPoly.U] or e[FormPoly.V]:
-            raise ValueError("psi_inverse applies to (u, v)-free polynomials")
+    _require_uv_free(Phi, "psi_inverse")
     images = [
         CurvePolyAB.variable(0),
         CurvePolyAB.zero(),
@@ -282,6 +266,14 @@ class GordanGenerator:
         return 3 * self.degree_m + 2 * self.order_omega
 
 
+@lru_cache(maxsize=None)
+def named_forms():
+    """(f, g, P, Q): the quadratic, the cubic, P = <g,g>^2 and Q = <g,P>^1."""
+    f, g = quadratic_form(), cubic_form()
+    P = transvectant(g, g, 2)
+    return f, g, P, transvectant(g, P, 1)
+
+
 def gordan_generators():
     """The classical 15-element basis of joint covariants of the pair (f, g).
 
@@ -289,11 +281,8 @@ def gordan_generators():
     matching triality invariant, and covariant order omega; the modular
     weight is k = 3m + 2*omega.
     """
-    f = quadratic_form()
-    g = cubic_form()
+    f, g, P, Q = named_forms()
     tv = transvectant
-    P = tv(g, g, 2)
-    Q = tv(g, P, 1)
     f2 = f * f
     f3 = f2 * f
     return [

@@ -11,7 +11,6 @@ through the verification paths elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._poly import bounded_monomials
 from .linalg import nullspace
@@ -22,13 +21,6 @@ def monomials_of(k, m):
     """Exponent tuples over (a0, a2, b0, b1, b2, b3) of weight k and degree m,
     in canonical (graded lexicographic, descending) order."""
     return bounded_monomials((CurvePolyAB.WEIGHTS, CurvePolyAB.DEGREES), (k, m))
-
-
-def rational_kernel(matrix):
-    """Exact reduced-echelon basis of the null space of a rational matrix."""
-    if not matrix:
-        return []
-    return nullspace(([Fraction(x) for x in row] for row in matrix), len(matrix[0]))
 
 
 @dataclass(frozen=True)

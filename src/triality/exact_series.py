@@ -8,9 +8,13 @@ Equality is therefore only ever tested on the common window of two series.
 
 A series stores integer numerators over one positive common denominator,
 reduced by the gcd of the denominator and all numerators, so its stored
-form is canonical.  Sums scale both sides to the lcm of the denominators,
-and products are integer convolutions over the product of the
-denominators; `terms` and `coeff` read coefficients back as Fractions.
+form is canonical; no other module reads it.  Sums scale both sides to the
+lcm of the denominators, and products are integer convolutions over the
+product of the denominators.  `coeff` reads one coefficient as a Fraction,
+and `terms` builds a fresh {exponent: Fraction} dict on each read.  The
+sign flip q^(1/2) -> -q^(1/2) times (-1)^parity, `flip_half_powers`,
+negates the coefficient at t^e when e/12 + parity is odd; it needs 12 to
+divide every e.
 
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
@@ -40,6 +44,10 @@ class UnknownCoefficientError(ValueError):
     """Raised when reading a coefficient at or beyond trunc, which is unknown."""
 
 
+class UnsupportedLatticeError(ValueError):
+    """The sign involution needs all t-exponents divisible by 12."""
+
+
 def _reduced(num, den):
     """Drop zero numerators and divide out the gcd of den and the rest."""
     num = {e: n for e, n in num.items() if n}
@@ -49,31 +57,11 @@ def _reduced(num, den):
     return {e: n // g for e, n in num.items()}, den // g
 
 
-class _Terms(Mapping):
-    """Read-only {exponent: Fraction} view of numerators over one denominator."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den):
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, e):
-        return Fraction(self._num[e], self._den)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self):
-        return len(self._num)
-
-
 class FracSeries:
     """A truncated Laurent series sum_e c_e t^e, c_e rational, e < trunc.
 
     `_num` maps exponents to nonzero integer numerators over the positive
-    denominator `_den`, and gcd(_den, *_num.values()) == 1.  `terms` is a
-    read-only {exponent: Fraction} view of the same coefficients.
+    denominator `_den`, and gcd(_den, *_num.values()) == 1.
     """
 
     def __init__(self, terms, trunc):
@@ -124,7 +112,9 @@ class FracSeries:
 
     @property
     def terms(self):
-        return _Terms(self._num, self._den)
+        """A fresh {exponent: Fraction} dict of the nonzero coefficients."""
+        den = self._den
+        return {e: Fraction(n, den) for e, n in self._num.items()}
 
     @property
     def is_zero(self):
@@ -256,6 +246,15 @@ class FracSeries:
         trunc = min(self.trunc, trunc)
         return FracSeries._new({e: n for e, n in self._num.items() if e < trunc}, self._den, trunc)
 
+    def flip_half_powers(self, parity=0):
+        """The image under q^(1/2) -> -q^(1/2), times (-1)^parity: a ring involution."""
+        half = LATTICE // 2
+        off = [e for e in self._num if e % half]
+        if off:
+            raise UnsupportedLatticeError(f"t-exponent {off[0]} is not a multiple of {half}")
+        num = {e: -n if (e // half + parity) % 2 else n for e, n in self._num.items()}
+        return FracSeries._new(num, self._den, self.trunc)
+
     # -- output --------------------------------------------------------
 
     def to_json(self):
@@ -265,7 +264,7 @@ class FracSeries:
         }
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero:
             return "0"
         parts = []
         for e, c in sorted(self.terms.items()):

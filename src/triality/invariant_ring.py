@@ -28,8 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import _grlex_key, add_terms, derivative_terms, mul_terms, power, ring_det, substitute
+from ._poly import _grlex_key, add_terms, derivative_terms, jacobian, mul_terms, power, substitute
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
+from .exact_series import UnsupportedLatticeError  # noqa: F401  (raised by Invariant.t_action)
 from .weyl_poly import I_DEGREES, IPoly
 
 INVARIANT = "invariant"
@@ -44,10 +45,6 @@ KLMN_DEGREES = (2, 4, 4, 6)
 
 class GradingError(ValueError):
     """Mismatched weight/degree in invariant arithmetic."""
-
-
-class UnsupportedLatticeError(ValueError):
-    """The sign involution needs all t-exponents divisible by 12."""
 
 
 class HasPoleError(ValueError):
@@ -277,21 +274,15 @@ class Invariant(SeriesPoly):
 
     # -- the injection and classification -----------------------------------
 
-    def _shift_of(self, exps):
-        a, b, c, d = exps
-        return LATTICE * (a + b + c) + (LATTICE // 2) * d
-
     def inject(self):
         """Substitute generators by themselves over q^-1 (I~4 over q^-1/2).
 
         The coefficient of the monomial (a, b, c, d) is shifted by
         t^-(24a+24b+24c+12d); the grading is unchanged.
         """
-        return self._new(
-            {e: s.shift(-self._shift_of(e)) for e, s in self.terms.items()},
-            self.weight,
-            self.degree,
-        )
+        half = LATTICE // 2
+        terms = {e: s.shift(-LATTICE * sum(e[:3]) - half * e[3]) for e, s in self.terms.items()}
+        return self._new(terms, self.weight, self.degree)
 
     def classify(self):
         """invariant / weak_only / not_weak, relative to the truncation window.
@@ -304,19 +295,15 @@ class Invariant(SeriesPoly):
         """
         if not self.is_zero and (self.weight < 0 or self.weight % 2):
             return NOT_WEAK
-        is_invariant = True
-        is_weak = True
-        for exps, series in self.terms.items():
-            shift = self._shift_of(exps)
-            parity = (LATTICE // 2) * (exps[3] % 2)
-            for e in series.terms:
-                if e - shift < 0 or (e - shift) % LATTICE:
-                    is_invariant = False
-                if e < 0 or e % LATTICE != parity:
-                    is_weak = False
-        if is_invariant:
+        injected = self.inject().terms.values()
+        if all(e >= 0 and e % LATTICE == 0 for s in injected for e in s.terms):
             return INVARIANT
-        return WEAK_ONLY if is_weak else NOT_WEAK
+        weak = all(
+            e >= 0 and e % LATTICE == LATTICE // 2 * (exps[3] % 2)
+            for exps, s in self.terms.items()
+            for e in s.terms
+        )
+        return WEAK_ONLY if weak else NOT_WEAK
 
     def t_action(self):
         """Flip the signs of q^(1/2) and I~4 simultaneously.
@@ -324,18 +311,7 @@ class Invariant(SeriesPoly):
         Only defined on the half-integer lattice (t-exponents divisible
         by 12); a ring involution there.
         """
-        half = LATTICE // 2
-        terms = {}
-        for exps, series in self.terms.items():
-            d = exps[3]
-            flipped = {}
-            for e, n in series._num.items():
-                if e % half:
-                    raise UnsupportedLatticeError(
-                        f"t-exponent {e} is not a multiple of {half}"
-                    )
-                flipped[e] = -n if (e // half + d) % 2 else n
-            terms[exps] = FracSeries._new(flipped, series._den, series.trunc)
+        terms = {e: s.flip_half_powers(e[3]) for e, s in self.terms.items()}
         return self._new(terms, self.weight, self.degree)
 
     def leading_ipoly(self):
@@ -345,11 +321,10 @@ class Invariant(SeriesPoly):
         its series' window.
         """
         coeffs = {}
-        for exps, series in self.terms.items():
-            shift = self._shift_of(exps)
-            if not series.is_zero and series.valuation < shift:
+        for exps, series in self.inject().terms.items():
+            if not series.is_zero and series.valuation < 0:
                 raise HasPoleError(f"injected coefficient of {exps} has a pole")
-            c = series.coeff(shift)
+            c = series.coeff(0)
             if c:
                 coeffs[exps] = c
         return IPoly(coeffs)
@@ -394,7 +369,7 @@ def klmn_generator_jacobian(order):
 
     A degree-0, weight-6 invariant; equals -eta^12/16.
     """
-    return ring_det([[g.derivative(j) for j in range(4)] for g in klmn(order)]).constant_series()
+    return jacobian(klmn(order)).constant_series()
 
 
 # -- polynomials in formal K, L, M, N -------------------------------------------
@@ -478,21 +453,17 @@ def _fit_modular(series, weight, order):
     return None if LATTICE * (len(basis) - 1) >= window else fit
 
 
-def express_in_klmn(phi, order=None):
+def express_in_klmn(phi):
     """Rewrite an invariant as a polynomial in K, L, M, N over E4, E6.
 
     Substitutes `weyl_in_klmn` for the Weyl generators, fits every
     coefficient into C[E4, E6] of its weight, and checks the result by
-    evaluating it over the whole window.
+    evaluating it over the whole window phi knows.
     """
     trunc = phi.common_trunc()
-    if order is None:
-        if trunc is None:
-            return KLMNPoly.zero(phi.weight, phi.degree)
-        order = trunc // LATTICE
-    elif trunc is not None:
-        # never read coefficients beyond the window phi actually knows
-        order = min(order, trunc // LATTICE)
+    if trunc is None:
+        return KLMNPoly.zero(phi.weight, phi.degree)
+    order = trunc // LATTICE
     coeffs = phi.change_generators(weyl_in_klmn(order), KLMNPoly.one(LATTICE * order))
     fits = {
         exps: _fit_modular(series, coeffs.coefficient_weight(exps), order)

@@ -2,13 +2,15 @@
 
 The abstract rings are Q[a0, a2, b0, b1, b2, b3] and Q[c0, c1, c2, d0, d2,
 d3] (no a1, no d1), bigraded by modular weight and z-degree, with refined
-degrees counting a- resp. b-type exponents.  Each frame holds the
-coefficients of a binary quadratic and cubic, and the frame changes are
-one shift u -> u + s v of both (`_poly.taylor_shift`): s = -c1/(2 c0)
-completes the square (a1 = 0), s = -b1/(3 b0) removes d1.  They introduce
-a controlled Laurent denominator (c0 going one way, b0 the other); a
-polynomial is a triality invariant exactly when its image carries no
-negative powers, which is the membership test the enumerator is built on.
+degrees counting a- resp. b-type exponents; each frame class declares the
+four weight rows, which `SparsePoly.weighted_degree` reads.  Each frame
+holds the coefficients of a binary quadratic and cubic, and the frame
+changes are one shift u -> u + s v of both (`_poly.taylor_shift`):
+s = -c1/(2 c0) completes the square (a1 = 0), s = -b1/(3 b0) removes d1.
+They introduce a controlled Laurent denominator (c0 going one way, b0 the
+other); a polynomial is a triality invariant exactly when its image
+carries no negative powers, which is the membership test the enumerator
+is built on.
 
 Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import SparsePoly, compose, ring_det, taylor_shift
+from ._poly import SparsePoly, compose, jacobian, taylor_shift
 from .exact_series import LATTICE, eisenstein, eta_delta
 from .invariant_ring import Invariant, KLMNPoly
 
@@ -38,8 +40,8 @@ class CurvePolyAB(SparsePoly):
     laurent = frozenset({0, 2})
     WEIGHTS = (4, 8, 6, 8, 10, 12)
     DEGREES = (0, 4, 0, 2, 4, 6)
-    A_VARS = (0, 1)
-    B_VARS = (2, 3, 4, 5)
+    # the a-count and the b-count rows
+    COUNTS = ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1))
     frame = "ab"
 
 
@@ -56,8 +58,8 @@ class CurvePolyCD(SparsePoly):
     laurent = frozenset({0, 3})
     WEIGHTS = (4, 6, 8, 6, 10, 12)
     DEGREES = (0, 2, 4, 0, 4, 6)
-    A_VARS = (0, 1, 2)
-    B_VARS = (3, 4, 5)
+    # the c-count (a-type) and the d-count (b-type) rows
+    COUNTS = ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1))
     frame = "cd"
 
 
@@ -71,12 +73,7 @@ def poly_degree(p):
 
 def refined_degrees(p):
     """(d_a, d_b): homogeneous exponent counts of the two variable families."""
-    cls = type(p)
-    da = {sum(e[i] for i in cls.A_VARS) for e in p.terms}
-    db = {sum(e[i] for i in cls.B_VARS) for e in p.terms}
-    if len(da) > 1 or len(db) > 1:
-        raise ValueError("refined degrees are not homogeneous")
-    return (da.pop() if da else 0, db.pop() if db else 0)
+    return tuple(map(p.weighted_degree, type(p).COUNTS))
 
 
 def curve_poly_json(p):
@@ -284,6 +281,6 @@ def jacobian_klmn(order):
     as plain series: both are constant as K,L,M,N-polynomials.
     """
     ab, cd = _frame_forms(order)
-    det_ab = ring_det([[f.derivative(j) for j in range(4)] for f in (ab[1], ab[3], ab[4], ab[5])])
-    det_cd = ring_det([[f.derivative(j) for j in range(4)] for f in (cd[1], cd[2], cd[4], cd[5])])
+    det_ab = jacobian((ab[1], ab[3], ab[4], ab[5]))
+    det_cd = jacobian((cd[1], cd[2], cd[4], cd[5]))
     return det_ab.constant_series(), det_cd.constant_series()

@@ -9,7 +9,7 @@ leading terms, which doubles as an invariance test.
 
 from __future__ import annotations
 
-from ._poly import SparsePoly, compose, ring_det
+from ._poly import SparsePoly, compose, jacobian
 
 I_DEGREES = (2, 4, 6, 4)
 
@@ -56,7 +56,7 @@ def zpoly_to_ipoly(p):
     leading term of p names the next generator monomial to subtract.
     Raises NotInvariantError when no generator polynomial expands to p.
     """
-    p.weighted_degree((1, 1, 1, 1))  # raises ValueError if inhomogeneous
+    p.weighted_degree((1, 1, 1, 1))  # raises NotHomogeneousError if inhomogeneous
     result = {}
     while not p.is_zero:
         lead = max(p.terms)
@@ -73,8 +73,7 @@ def zpoly_to_ipoly(p):
 
 def jacobian_z(f1, f2, f3, f4):
     """Determinant of the 4x4 matrix of partials with respect to z1..z4."""
-    rows = [[f.derivative(j) for j in range(4)] for f in (f1, f2, f3, f4)]
-    return ring_det(rows)
+    return jacobian((f1, f2, f3, f4))
 
 
 def vandermonde_product():

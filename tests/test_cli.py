@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from triality import cli
+from triality import cli, covariants, sw_curve
 
 
 def run_cli(capsys, *argv):
@@ -43,7 +44,20 @@ def test_expand_unknown_name(capsys):
     code = cli.main(["expand", "nosuch"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "valid names" in err
+    assert err.endswith(
+        "valid names: E4, E6, Delta, eta, theta2, theta3, theta4, e1, e2, e3, K, L, M, N,"
+        " a0, a2, b0, b1, b2, b3, c0, c1, c2, d0, d2, d3\n"
+    )
+
+
+def test_expand_looks_its_functions_up_when_called(capsys, monkeypatch):
+    # a wrapper installed on the module after import is the one that runs
+    seen = []
+    real = sw_curve.evaluate_cd
+    monkeypatch.setattr(sw_curve, "evaluate_cd", lambda p, n: seen.append(n) or real(p, n))
+    code, out = run_cli(capsys, "expand", "d2", "--order", "3")
+    assert code == 0 and out.startswith("d2 (weight 10, degree 4) = ")
+    assert seen == [3]
 
 
 def test_basis_cli(capsys):
@@ -125,6 +139,57 @@ def test_dense_membership_input(capsys):
 def test_membership_parse_error(capsys):
     code = cli.main(["membership", "a0 + $"])
     assert code == 2
+
+
+def test_transvect_builds_the_named_forms_once(capsys, monkeypatch):
+    covariants.named_forms()
+    calls = []
+    real = covariants.transvectant
+    monkeypatch.setattr(covariants, "transvectant", lambda *args: calls.append(args) or real(*args))
+    for _ in range(3):
+        code, out = run_cli(capsys, "transvect", "--left", "P", "--right", "Q", "--index", "2")
+        assert code == 0
+    # only the requested transvectant runs; P and Q are built once per process
+    assert len(calls) == 3
+    assert covariants.named_forms() is covariants.named_forms()
+
+
+HOSTILE = [
+    ("long literal", ["membership", "1" * 5000]),
+    ("superscript digit", ["membership", "\u00b2*a0"]),
+    ("deep parentheses", ["membership", "(" * 400 + "a0" + ")" * 400]),
+    ("many signs", ["membership", "--", "-" * 1200 + "a0"]),
+    ("deep parentheses in a form", ["transvect", "--left", "(" * 400 + "f" + ")" * 400,
+                                    "--right", "f", "--index", "0"]),
+    ("many signs in a form", ["transvect", "--left=" + "-" * 1200 + "f",
+                              "--right", "f", "--index", "0"]),
+    ("huge power", ["membership", "2^30000000"]),
+    ("huge power of a sum", ["membership", "(a0 + 3*b0)^24*2^4060"]),
+    ("huge product", ["membership", "*".join(["9" * 900] * 5) + "*a0"]),
+    ("huge quotient", ["membership", "a0" + "/" + "/".join(["7" * 900] * 5)]),
+    ("huge sum", ["membership", "+".join(f"a0/{'1' * 900}{d}" for d in "1379")]),
+]
+
+
+@pytest.mark.parametrize("argv", [h[1] for h in HOSTILE], ids=[h[0] for h in HOSTILE])
+def test_hostile_expression_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = cli_outcome(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_expression_limits_admit_ordinary_input(capsys):
+    code, out = run_cli(capsys, "membership", "--", "-(-(-a0*b1))")
+    assert code == 0 and out.startswith("-a0*b1 is a triality invariant")
+    code, out = run_cli(capsys, "membership", "--", "-" * cli.MAX_NESTING + "b1")
+    assert code == 0 and out.startswith("b1 is NOT")
+    literal = "9" * cli.MAX_LITERAL_DIGITS
+    code, out = run_cli(capsys, "membership", f"{literal}*a0*b1/{literal}")
+    assert code == 0 and out.startswith("a0*b1 is a triality invariant")
+    code, out = run_cli(capsys, "membership", "(" * 20 + "a0" + ")" * 20 + "^24")
+    assert code == 0
 
 
 def test_verify_series(capsys):

@@ -61,8 +61,6 @@ def test_bad_order():
     f = quadratic_form()
     with pytest.raises(BadOrderError):
         transvectant(f, f, 3)
-    with pytest.raises(BadOrderError):
-        transvectant(f, f, 2, n1=3)
 
 
 def test_semiinvariance():

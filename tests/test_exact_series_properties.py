@@ -43,9 +43,9 @@ def units(draw):
 
 def naive_product(a, b):
     trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
-    terms = {}
+    terms, right = {}, b.terms
     for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+        for e2, c2 in right.items():
             if e1 + e2 < trunc:
                 terms[e1 + e2] = terms.get(e1 + e2, F(0)) + c1 * c2
     return {e: c for e, c in terms.items() if c}, trunc
@@ -64,7 +64,7 @@ def test_product_equals_naive_fraction_convolution(a, b):
     prod = a * b
     terms, trunc = naive_product(a, b)
     assert prod.trunc == trunc
-    assert dict(prod.terms) == terms
+    assert prod.terms == terms
     assert canonical(prod)
 
 
@@ -85,14 +85,15 @@ def test_product_window_and_valuation_rule(a, b):
 @given(series(), series(), coefficients)
 def test_sum_difference_and_scaling_match_fractions(a, b, c):
     w = min(a.trunc, b.trunc)
-    keys = a.terms.keys() | b.terms.keys()
+    at, bt = a.terms, b.terms
+    keys = at.keys() | bt.keys()
     for got, op in ((a + b, F.__add__), (a - b, F.__sub__)):
-        want = {e: op(a.terms.get(e, F(0)), b.terms.get(e, F(0))) for e in keys if e < w}
+        want = {e: op(at.get(e, F(0)), bt.get(e, F(0))) for e in keys if e < w}
         assert got.trunc == w
-        assert dict(got.terms) == {e: v for e, v in want.items() if v}
+        assert got.terms == {e: v for e, v in want.items() if v}
         assert canonical(got)
-    assert dict((a * c).terms) == {e: v * c for e, v in a.terms.items()}
-    assert dict((-a).terms) == {e: -v for e, v in a.terms.items()}
+    assert (a * c).terms == {e: v * c for e, v in at.items()}
+    assert (-a).terms == {e: -v for e, v in at.items()}
 
 
 @PROPERTY
@@ -101,8 +102,9 @@ def test_equality_compares_coefficients_on_the_common_window(a, b, w):
     cut = a.truncate(w)
     assert a == cut and cut == a
     window = min(a.trunc, b.trunc)
-    keys = a.terms.keys() | b.terms.keys()
-    assert (a == b) == all(a.terms.get(e, 0) == b.terms.get(e, 0) for e in keys if e < window)
+    at, bt = a.terms, b.terms
+    keys = at.keys() | bt.keys()
+    assert (a == b) == all(at.get(e, 0) == bt.get(e, 0) for e in keys if e < window)
 
 
 @PROPERTY

@@ -232,13 +232,13 @@ def test_express_reports_ambiguity_on_shallow_windows():
         p = psi_inverse(roberts_to_semiinvariant(g.poly))
         value = evaluate_ab(p, 2)
         with pytest.raises(AmbiguousRepresentationError):
-            express_in_klmn(value, order=2)
+            express_in_klmn(value)
     # a monomial the value leaves out must be pinned down too: Delta^2 * L
     # vanishes below q^2, so E4^5 E6 K^2 is not determined at order 2
     e4, e6 = eisenstein(4, 2), eisenstein(6, 2)
     value = KLMNPoly({(2, 0, 0, 0): e4 ** 5 * e6}, 26, 4).evaluate(2)
     with pytest.raises(AmbiguousRepresentationError):
-        express_in_klmn(value, order=2)
+        express_in_klmn(value)
 
 
 def test_shallow_table1_fails_only_on_shallow_windows():

@@ -1,0 +1,61 @@
+"""Each rule has one home: one grading check, and one module that reads the
+stored form of a q-series."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import triality
+from triality import _poly, covariants, sw_curve
+from triality.covariants import FormPoly
+from triality.invariant_ring import UnsupportedLatticeError
+from triality.weyl_poly import IPoly
+
+AL0, BE0 = FormPoly.variable(0), FormPoly.variable(3)
+A0, B0 = sw_curve.CurvePolyAB.variable(0), sw_curve.CurvePolyAB.variable(2)
+F, G = covariants.quadratic_form(), covariants.cubic_form()
+
+MIXED = [
+    ("uv_order", covariants.uv_order, F + G),
+    ("order_of", covariants.order_of, AL0 + BE0),
+    ("refined_form_degrees", covariants.refined_form_degrees, AL0 + AL0 * AL0),
+    ("refined_degrees", sw_curve.refined_degrees, A0 + A0 * A0),
+    ("refined_degrees cd", sw_curve.refined_degrees, sw_curve.ab_to_cd(A0 + A0 * A0)),
+    ("poly_weight", sw_curve.poly_weight, A0 + B0),
+    ("invariant_degree", IPoly.invariant_degree, IPoly.variable(0) + IPoly.variable(1)),
+]
+
+
+@pytest.mark.parametrize("check, value", [m[1:] for m in MIXED], ids=[m[0] for m in MIXED])
+def test_mixed_grading_raises_not_homogeneous(check, value):
+    with pytest.raises(_poly.NotHomogeneousError):
+        check(value)
+
+
+@pytest.mark.parametrize(
+    "check", [covariants.is_semiinvariant, covariants.order_of, covariants.psi_inverse]
+)
+def test_forms_in_u_and_v_are_refused_where_only_coefficients_make_sense(check):
+    with pytest.raises(ValueError, match=r"applies to \(u, v\)-free polynomials"):
+        check(F * AL0)
+
+
+def test_grading_errors_are_one_class():
+    assert covariants.NotHomogeneousError is _poly.NotHomogeneousError
+    assert triality.NotHomogeneousError is _poly.NotHomogeneousError
+    assert issubclass(_poly.NotHomogeneousError, ValueError)
+    assert UnsupportedLatticeError is triality.exact_series.UnsupportedLatticeError
+
+
+def test_no_module_but_exact_series_reads_the_stored_series_form():
+    src = Path(triality.__file__).parent
+    pattern = re.compile(r"\._num\b|\._den\b|FracSeries\._new\b")
+    readers = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "exact_series.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert readers == []
