@@ -66,8 +66,6 @@ def _height(*polys):
     """h with every coefficient of the sum of polys a ratio of integers of size
     at most 2^h; a product's h is at most the sum of its factors'."""
     coeffs = [c for p in polys for c in p.terms.values()]
-    if len(coeffs) == 1:  # most factors: the same h, without the lcm and the sum
-        return (max(abs(coeffs[0].numerator), coeffs[0].denominator) - 1).bit_length()
     den = lcm(*(c.denominator for c in coeffs))
     top = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
     return (max(top, den) - 1).bit_length()

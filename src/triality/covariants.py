@@ -235,17 +235,8 @@ def psi_forward(p):
 def psi_inverse(Phi):
     """Substitute alpha0 -> a0, alpha1 -> 0, alpha2 -> a2, beta_j -> b_j."""
     _require_uv_free(Phi, "psi_inverse")
-    images = [
-        CurvePolyAB.variable(0),
-        CurvePolyAB.zero(),
-        CurvePolyAB.variable(1),
-        CurvePolyAB.variable(2),
-        CurvePolyAB.variable(3),
-        CurvePolyAB.variable(4),
-        CurvePolyAB.variable(5),
-        CurvePolyAB.one(),
-        CurvePolyAB.one(),
-    ]
+    a0, a2, *b = (CurvePolyAB.variable(i) for i in range(6))
+    images = [a0, CurvePolyAB.zero(), a2, *b, CurvePolyAB.one(), CurvePolyAB.one()]
     return compose(Phi, images, CurvePolyAB.one())
 
 
@@ -307,9 +298,10 @@ def gordan_generators():
 # -- the brute-force dimension oracle -----------------------------------------------
 
 
-# the refined degrees, and the scaling weight (SCALE) shifted by 2 per alpha_i
-# and 3 per beta_i so that every alpha_i and beta_i weighs 0 or more
-_SEMIINVARIANT_WEIGHTS = ((1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 1), (4, 2, 0, 6, 4, 2, 0))
+# the refined degrees, and SCALE shifted by 2 per alpha_i and 3 per beta_i so
+# that every alpha_i and beta_i weighs 0 or more, on the seven coefficients
+_SHIFTED_SCALE = tuple(s + 2 * a + 3 * b for s, a, b in zip(FormPoly.SCALE, *FormPoly.COUNTS))
+_SEMIINVARIANT_WEIGHTS = tuple(row[: FormPoly.U] for row in (*FormPoly.COUNTS, _SHIFTED_SCALE))
 
 
 def _semiinvariant_monomials(d_alpha, d_beta, omega):

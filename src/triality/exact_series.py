@@ -10,11 +10,11 @@ A series stores integer numerators over one positive common denominator,
 reduced by the gcd of the denominator and all numerators, so its stored
 form is canonical; no other module reads it.  Sums scale both sides to the
 lcm of the denominators, and products are integer convolutions over the
-product of the denominators.  `coeff` reads one coefficient as a Fraction,
-and `terms` builds a fresh {exponent: Fraction} dict on each read.  The
-sign flip q^(1/2) -> -q^(1/2) times (-1)^parity, `flip_half_powers`,
-negates the coefficient at t^e when e/12 + parity is odd; it needs 12 to
-divide every e.
+product of the denominators.  `coeff` reads one coefficient as a Fraction;
+`terms` is a read-only {exponent: Fraction} view that makes a Fraction only
+when a value is read.  The sign flip q^(1/2) -> -q^(1/2) times (-1)^parity,
+`flip_half_powers`, negates the coefficient at t^e when e/12 + parity is
+odd; it needs 12 to divide every e.
 
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
@@ -46,6 +46,24 @@ class UnknownCoefficientError(ValueError):
 
 class UnsupportedLatticeError(ValueError):
     """The sign involution needs all t-exponents divisible by 12."""
+
+
+class _Terms(Mapping):
+    """Read-only {exponent: Fraction} view of numerators over one denominator."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num, self._den = num, den
+
+    def __getitem__(self, e):
+        return Fraction(self._num[e], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
 
 
 def _reduced(num, den):
@@ -112,9 +130,8 @@ class FracSeries:
 
     @property
     def terms(self):
-        """A fresh {exponent: Fraction} dict of the nonzero coefficients."""
-        den = self._den
-        return {e: Fraction(n, den) for e, n in self._num.items()}
+        """Read-only {exponent: Fraction} view of the nonzero coefficients."""
+        return _Terms(self._num, self._den)
 
     @property
     def is_zero(self):
@@ -355,10 +372,8 @@ def eta_delta(order):
         raise ValueError("order must be >= 2")
     trunc = LATTICE * order
     eta = FracSeries.t_power(1, trunc)
-    n = 1
-    while LATTICE * n < trunc:
+    for n in range(1, order):
         eta = eta * FracSeries({0: Fraction(1), LATTICE * n: Fraction(-1)}, trunc)
-        n += 1
     return eta, eta ** 24
 
 

@@ -366,10 +366,7 @@ class UnknownSuiteError(ValueError):
 def run_suite(suite, order):
     """Run one named suite (or "all"); returns the list of check results."""
     if suite == "all":
-        results = []
-        for name in SUITE_ORDER:
-            results.extend(SUITES[name](order))
-        return results
+        return [result for name in SUITE_ORDER for result in SUITES[name](order)]
     if suite not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {suite!r}; valid: {', '.join(SUITE_ORDER)}, all"

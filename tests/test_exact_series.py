@@ -333,12 +333,13 @@ def test_flip_half_powers():
         eta_delta(4)[0].flip_half_powers()
 
 
-def test_terms_is_a_fresh_dict():
+def test_terms_is_a_read_only_view():
     s = FracSeries({0: F(1, 2), 24: 3}, 48)
     terms = s.terms
     assert terms == {0: F(1, 2), 24: F(3)}
-    assert s.terms is not terms
-    terms[0] = F(7)
+    assert len(terms) == 2 and sorted(terms) == [0, 24]
+    with pytest.raises(TypeError):
+        terms[0] = F(7)
     assert s.coeff(0) == F(1, 2)
 
 
