@@ -13,10 +13,15 @@ one its class declares, and it raises NotHomogeneousError.  The
 polynomials with q-series coefficients live in `invariant_ring` and share
 the term kernels (`add_terms`, `mul_terms`, `derivative_terms`,
 square-and-multiply `power`), `substitute`, `compose` and `jacobian`, the
-one determinant of a matrix of partials.  `taylor_shift` is the one shift
-u -> u + s v of a binary form's coefficients, from which every frame
-change and hat substitution of the package is built.  `bounded_monomials`
-walks exponent vectors of fixed weighted degrees.
+one determinant of a matrix of partials.  `substitute` and `compose` read
+the powers of their images from a `PowerTable`, which builds each power
+one factor at a time and keeps it: a table held across calls, as
+`sw_curve` holds its two frame changes, grows only to the largest exponent
+asked of it, and a fresh table per call caches within that call only.
+`taylor_shift` is the one shift u -> u + s v of a binary form's
+coefficients, from which every frame change and hat substitution of the
+package is built.  `bounded_monomials` walks exponent vectors of fixed
+weighted degrees.
 
 The canonical term order used everywhere is graded lexicographic with the
 first variable largest; `sorted_terms` lists terms in decreasing order.
@@ -231,6 +236,9 @@ class SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            # like ** 1, times 1 is the value itself (arithmetic never mutates a value)
+            if other == 1:
+                return self
             c = Fraction(other)
             return self._new({e: c * v for e, v in self.terms.items()})
         if type(other) is not type(self):
@@ -297,23 +305,27 @@ class SparsePoly:
         return f"{type(self).__name__}({self!s})"
 
 
-def substitute(terms, images, one):
-    """Yield (exps, coeff, image of the monomial) for every {exps: coeff} item.
+class PowerTable:
+    """Powers of fixed images in a target ring, built on demand and kept.
 
-    The monomial image is `one` times images[i] ** exps[i] over all i, where
-    `one` is the unit of the target ring.  Powers of each image are cached
-    across terms; a negative exponent builds on images[i] ** -1, which the
-    target ring defines only for its units.
+    `one` is the unit of the target ring.  Powers of images[i] are built one
+    factor at a time, up (or down) from the nearest power already stored,
+    so a table grows only to the largest exponent asked of it.  A negative
+    exponent builds on images[i] ** -1, which the target ring defines only
+    for its units; when that raises, the table keeps what it had.
     """
-    powers = [{0: one, 1: image} for image in images]
 
-    def cached_power(i, e):
-        # one more factor at a time, up (or down) from the nearest cached power
-        cache = powers[i]
+    def __init__(self, images, one):
+        self.images = tuple(images)
+        self.one = one
+        self.powers = [{0: one, 1: image} for image in self.images]
+
+    def power(self, i, e):
+        cache = self.powers[i]
         if e not in cache:
             if e < 0 and -1 not in cache:
-                cache[-1] = images[i] ** -1
-            step, factor = (1, images[i]) if e > 0 else (-1, cache[-1])
+                cache[-1] = self.images[i] ** -1
+            step, factor = (1, self.images[i]) if e > 0 else (-1, cache[-1])
             k = e
             while k not in cache:
                 k -= step
@@ -322,17 +334,25 @@ def substitute(terms, images, one):
                 cache[k] = cache[k - step] * factor
         return cache[e]
 
+
+def substitute(terms, table):
+    """Yield (exps, coeff, image of the monomial) for every {exps: coeff} item.
+
+    The monomial image is table.one times table.power(i, exps[i]) over all i;
+    starting from `one` keeps the target's truncation window on series.
+    """
+    power, one = table.power, table.one
     for exps, coeff in terms.items():
         value = one
         for i, e in enumerate(exps):
             if e:
-                value = value * cached_power(i, e)
+                value = value * power(i, e)
         yield exps, coeff, value
 
 
-def compose(poly, images, one):
-    """Substitute images[i] for variable i of poly; `one` is the target unit."""
-    return type(one)._sum(value * coeff for _, coeff, value in substitute(poly.terms, images, one))
+def compose(poly, table):
+    """Substitute table.images[i] for variable i of poly, in the table's ring."""
+    return type(table.one)._sum(value * coeff for _, coeff, value in substitute(poly.terms, table))
 
 
 def taylor_shift(coeffs, s):

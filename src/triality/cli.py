@@ -95,7 +95,8 @@ def parse_poly(text, atoms, cls):
     def take(kind=None):
         tok = tokens[pos[0]]
         if kind and tok[0] != kind:
-            raise ExprError(f"expected {kind}, found {tok[1]!r}")
+            found = "the end of the input" if tok[0] == "end" else repr(tok[1])
+            raise ExprError(f"expected {kind}, found {found}")
         pos[0] += 1
         return tok
 
@@ -114,7 +115,7 @@ def parse_poly(text, atoms, cls):
             inner = expr(depth + 1)
             take(")")
             return inner
-        raise ExprError(f"unexpected token {value!r}")
+        raise ExprError("input ended early" if kind == "end" else f"unexpected token {value!r}")
 
     def factor(depth):
         signs = 0
@@ -140,6 +141,8 @@ def parse_poly(text, atoms, cls):
                 _checked(value.total_degree() + rhs.total_degree(), _height(value) + _height(rhs))
                 value = value * rhs
             else:
+                if not rhs:
+                    raise ExprError("division by zero")
                 const = rhs.terms.get((0,) * cls.nvars)
                 if len(rhs.terms) != 1 or const is None:
                     raise ExprError("division only by constants")
@@ -413,18 +416,20 @@ MAX_EXPR_DEGREE = 24
 MAX_COEFF_BITS = 4096
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 64
-LIMITS = {"order": MAX_ORDER, "weight": MAX_WEIGHT, "kmax": MAX_WEIGHT,
-          "degree": MAX_DEGREE, "mmax": MAX_DEGREE}
+# (least, largest) accepted value of each numeric option; None sets no floor
+LIMITS = {"order": (2, MAX_ORDER), "weight": (None, MAX_WEIGHT), "kmax": (0, MAX_WEIGHT),
+          "degree": (None, MAX_DEGREE), "mmax": (0, MAX_DEGREE)}
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.order < 2:
-        print("error: --order must be at least 2", file=sys.stderr)
-        return 2
-    for name, limit in LIMITS.items():
-        if getattr(args, name, 0) > limit:
+    for name, (least, limit) in LIMITS.items():
+        value = getattr(args, name, 0)
+        if least is not None and value < least:
+            print(f"error: --{name} must be at least {least}", file=sys.stderr)
+            return 2
+        if value > limit:
             print(f"error: --{name} must be at most {limit}", file=sys.stderr)
             return 2
     return args.func(args)

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from ._poly import NotHomogeneousError  # noqa: F401  (re-exported)
-from ._poly import SparsePoly, bounded_monomials, compose, taylor_shift
+from ._poly import PowerTable, SparsePoly, bounded_monomials, compose, taylor_shift
 from .linalg import nullspace
 from .sw_curve import CurvePolyAB
 
@@ -184,7 +184,7 @@ def roberts_to_covariant(Phi):
     alpha_hat = taylor_shift([_fvar(i) for i in (2, 1, 0)], v_over_u)[::-1]
     beta_hat = taylor_shift([_fvar(i) for i in (6, 5, 4, 3)], v_over_u)[::-1]
     images = alpha_hat + beta_hat + (_fvar(FormPoly.U), _fvar(FormPoly.V))
-    result = compose(Phi, images, FormPoly.one()) * FormPoly.variable(FormPoly.U, omega)
+    result = compose(Phi, PowerTable(images, FormPoly.one())) * FormPoly.variable(FormPoly.U, omega)
     if result.min_degree_in(FormPoly.U) < 0:
         raise NotPolynomialError("negative powers of u survived; input was not a semiinvariant")
     return result
@@ -226,7 +226,7 @@ def psi_forward(p):
     """
     h = hat_coefficients()
     images = [h.a[0], h.a[2], h.b[0], h.b[1], h.b[2], h.b[3]]
-    result = compose(p, images, FormPoly.one())
+    result = compose(p, PowerTable(images, FormPoly.one()))
     if result.min_degree_in(0) < 0:
         raise NotPolynomialError("alpha0 denominators survived; not in both frames")
     return result
@@ -237,7 +237,7 @@ def psi_inverse(Phi):
     _require_uv_free(Phi, "psi_inverse")
     a0, a2, *b = (CurvePolyAB.variable(i) for i in range(6))
     images = [a0, CurvePolyAB.zero(), a2, *b, CurvePolyAB.one(), CurvePolyAB.one()]
-    return compose(Phi, images, CurvePolyAB.one())
+    return compose(Phi, PowerTable(images, CurvePolyAB.one()))
 
 
 # -- the fifteen generators --------------------------------------------------------

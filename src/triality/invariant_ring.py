@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import _grlex_key, add_terms, derivative_terms, jacobian, mul_terms, power, substitute
+from ._poly import PowerTable, _grlex_key, add_terms, derivative_terms, jacobian, mul_terms, power, substitute
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from .exact_series import UnsupportedLatticeError  # noqa: F401  (raised by Invariant.t_action)
 from .weyl_poly import I_DEGREES, IPoly
@@ -180,7 +180,7 @@ class SeriesPoly:
     def change_generators(self, images, one):
         """Substitute images[i] (of weight WEIGHTS[i]) for generator i; `one`
         is the target unit, and each coefficient scales its monomial's image."""
-        parts = substitute(self.terms, images, one)
+        parts = substitute(self.terms, PowerTable(images, one))
         scaled = (value.scale_series(s, self.coefficient_weight(e)) for e, s, value in parts)
         return type(one)._sum(scaled, self.weight, self.degree)
 
@@ -429,7 +429,7 @@ def _modular_basis(weight, order):
             exps[((rest - 6 * b) // 4, b, j)] = None
     gens = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
     one = FracSeries.constant(1, LATTICE * order)
-    return tuple(v.truncate(one.trunc) for _, _, v in substitute(exps, gens, one))
+    return tuple(v.truncate(one.trunc) for _, _, v in substitute(exps, PowerTable(gens, one)))
 
 
 def _fit_modular(series, weight, order):

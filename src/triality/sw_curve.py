@@ -10,7 +10,12 @@ s = -c1/(2 c0) completes the square (a1 = 0), s = -b1/(3 b0) removes d1.
 They introduce a controlled Laurent denominator (c0 going one way, b0 the
 other); a polynomial is a triality invariant exactly when its image
 carries no negative powers, which is the membership test the enumerator
-is built on.
+is built on.  Each direction keeps one `_poly.PowerTable` of its six
+images for the whole process, so the image of a monomial is a product of
+powers built once, whichever call or enumerator cell asked first.  A table
+grows only to the largest exponent the process has asked for; through the
+CLI that is at most 24 (parsed input is capped at total degree 24, and a
+monomial of weight at most 96 has total degree at most 24).
 
 Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
@@ -22,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import SparsePoly, compose, jacobian, taylor_shift
+from ._poly import PowerTable, SparsePoly, compose, jacobian, taylor_shift
 from .exact_series import LATTICE, eisenstein, eta_delta
 from .invariant_ring import Invariant, KLMNPoly
 
@@ -88,8 +93,9 @@ def curve_poly_json(p):
 
 
 @lru_cache(maxsize=None)
-def _frame_change_images():
-    """Images of the ab variables in the cd frame, and of the cd variables in ab.
+def _frame_changes():
+    """Power tables of the ab variables in the cd frame, and of the cd
+    variables in ab, kept for the whole process.
 
     Each frame's quadratic and cubic are the other's shifted by
     u -> u + s v: s = -c1/(2 c0) kills a1, and s = -b1/(3 b0) kills d1.
@@ -103,12 +109,12 @@ def _frame_change_images():
     s = CurvePolyAB.monomial((0, 0, -1, 1, 0, 0), Fraction(-1, 3))
     d0, _, d2, d3 = taylor_shift((b0, b1, b2, b3), s)
     cd_in_ab = taylor_shift((a0, CurvePolyAB.zero(), a2), s) + (d0, d2, d3)
-    return ab_in_cd, cd_in_ab
+    return PowerTable(ab_in_cd, CurvePolyCD.one()), PowerTable(cd_in_ab, CurvePolyAB.one())
 
 
 def ab_to_cd(p):
     """Express an ab-frame polynomial in the cd frame (Laurent in c0)."""
-    return compose(p, _frame_change_images()[0], CurvePolyCD.one())
+    return compose(p, _frame_changes()[0])
 
 
 def cd_to_ab(p):
@@ -117,7 +123,7 @@ def cd_to_ab(p):
     Negative c0 powers are allowed and land on a0, so the two frame
     changes are mutually inverse on everything either of them produces.
     """
-    return compose(p, _frame_change_images()[1], CurvePolyAB.one())
+    return compose(p, _frame_changes()[1])
 
 
 def is_triality_invariant(p):
@@ -184,13 +190,13 @@ def evaluate_ab(p, order):
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    return compose(p, _frame_values(order)[0], Invariant.one(LATTICE * order))
+    return compose(p, PowerTable(_frame_values(order)[0], Invariant.one(LATTICE * order)))
 
 
 def evaluate_cd(p, order):
     if order < 2:
         raise ValueError("order must be >= 2")
-    return compose(p, _frame_values(order)[1], Invariant.one(LATTICE * order))
+    return compose(p, PowerTable(_frame_values(order)[1], Invariant.one(LATTICE * order)))
 
 
 # -- recovery of the fundamental invariants ---------------------------------------

@@ -9,7 +9,7 @@ leading terms, which doubles as an invariance test.
 
 from __future__ import annotations
 
-from ._poly import SparsePoly, compose, jacobian
+from ._poly import PowerTable, SparsePoly, compose, jacobian
 
 I_DEGREES = (2, 4, 6, 4)
 
@@ -45,7 +45,7 @@ def weyl_generators():
 
 
 def ipoly_to_zpoly(p):
-    return compose(p, weyl_generators(), ZPoly.one())
+    return compose(p, PowerTable(weyl_generators(), ZPoly.one()))
 
 
 def zpoly_to_ipoly(p):

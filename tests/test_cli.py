@@ -228,6 +228,36 @@ def test_oversized_request_is_a_usage_error(capsys, flag, argv):
     assert f"{flag} must be at most" in err
 
 
+@pytest.mark.parametrize(
+    "flag, least, argv",
+    [
+        ("--order", 2, ["expand", "Delta", "--order", "1"]),
+        ("--kmax", 0, ["dims", "--kmax", "-2", "--mmax", "4"]),
+        ("--mmax", 0, ["dims", "--kmax", "4", "--mmax", "-2"]),
+    ],
+)
+def test_request_below_its_floor_is_a_usage_error(capsys, flag, least, argv):
+    # a negative dims bound used to print a bare header row and exit 0
+    code, out, err = cli_outcome(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {flag} must be at least {least}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a0*", "input ended early"),
+        ("(a0 + b1", "expected ), found the end of the input"),
+        ("a0^", "expected int, found the end of the input"),
+        ("a0/0", "division by zero"),
+        ("a0/(b1 - b1)", "division by zero"),
+        ("a0/b1", "division only by constants"),
+    ],
+)
+def test_parse_error_names_the_fault(capsys, text, message):
+    code, out, err = cli_outcome(capsys, ["membership", text])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_limits_admit_the_benchmark_requests():
     # verify at order 96, dims --kmax 72 --mmax 24, expand up to order 48
     # and basis cells up to weight 48, degree 16

@@ -1,6 +1,6 @@
-"""Property tests for the polynomial layer: frame changes, the t-action, the
-binary-form shift, the trusted arithmetic constructor and the grading rule
-of the one-pass sum.
+"""Property tests for the polynomial layer: frame changes (and the power
+tables they keep for the process), the t-action, the binary-form shift, the
+trusted arithmetic constructor and the grading rule of the one-pass sum.
 
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
@@ -13,10 +13,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality._poly import bounded_monomials, taylor_shift  # noqa: E402
+from triality._poly import PowerTable, bounded_monomials, compose, taylor_shift  # noqa: E402
 from triality.exact_series import FracSeries  # noqa: E402
 from triality.invariant_ring import GradingError, Invariant  # noqa: E402
-from triality.sw_curve import CurvePolyAB, ab_to_cd, cd_to_ab, evaluate_ab  # noqa: E402
+from triality.sw_curve import (  # noqa: E402
+    CurvePolyAB, CurvePolyCD, _frame_changes, ab_to_cd, cd_to_ab, evaluate_ab,
+)
 from triality.weyl_poly import I_DEGREES  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -31,6 +33,14 @@ def curve_polys(draw, max_terms=4):
     exps = st.tuples(*[st.integers(0, 2)] * 6)
     terms = draw(st.lists(st.tuples(exps, rationals), max_size=max_terms))
     return CurvePolyAB._sum(CurvePolyAB.monomial(e, c) for e, c in terms)
+
+
+@st.composite
+def laurent_cd_polys(draw, max_terms=4):
+    """Small polynomials in (c0, c1, c2, d0, d2, d3) with c0 exponents down to -4."""
+    exps = st.tuples(st.integers(-4, 3), *[st.integers(0, 3)] * 5)
+    terms = draw(st.lists(st.tuples(exps, rationals), max_size=max_terms))
+    return CurvePolyCD._sum(CurvePolyCD.monomial(e, c) for e, c in terms)
 
 
 @st.composite
@@ -55,6 +65,34 @@ def test_frame_change_is_a_ring_homomorphism(p, q, c):
     assert ab_to_cd(p * q) == ab_to_cd(p) * ab_to_cd(q)
     assert ab_to_cd(p * c) == ab_to_cd(p) * c
     assert cd_to_ab(ab_to_cd(p)) == p
+
+
+def fresh_compose(p, direction):
+    """The frame change of p through a new table over the same images."""
+    kept = _frame_changes()[direction]
+    return compose(p, PowerTable(kept.images, kept.one))
+
+
+@PROPERTY
+@given(st.lists(st.one_of(curve_polys(), laurent_cd_polys()), max_size=6))
+def test_kept_frame_change_tables_match_fresh_ones(polys):
+    # the kept tables grow in whatever order calls arrive
+    for p in polys:
+        if isinstance(p, CurvePolyAB):
+            assert ab_to_cd(p) == fresh_compose(p, 0)
+        else:
+            assert cd_to_ab(p) == fresh_compose(p, 1)
+
+
+@PROPERTY
+@given(curve_polys(), laurent_cd_polys())
+def test_round_trips_hold_after_the_tables_grew_past_the_input(p, q):
+    for i in range(6):
+        ab_to_cd(CurvePolyAB.variable(i, 7))
+        cd_to_ab(CurvePolyCD.variable(i, 7))
+    cd_to_ab(CurvePolyCD.monomial((-7, 0, 0, -7, 0, 0)))
+    assert cd_to_ab(ab_to_cd(p)) == p
+    assert ab_to_cd(cd_to_ab(q)) == q
 
 
 @PROPERTY

@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import SparsePoly, taylor_shift
+from triality._poly import PowerTable, SparsePoly, compose, taylor_shift
 from triality.invariant_ring import Invariant
 from triality.sw_curve import (
     CurvePolyAB,
     CurvePolyCD,
+    _frame_changes,
     ab_to_cd,
     cd_to_ab,
     evaluate_ab,
@@ -161,3 +162,39 @@ def test_negative_exponent_guards():
     assert CurvePolyAB.variable(0) ** -1 == CurvePolyAB({(-1, 0, 0, 0, 0, 0): 1})
     with pytest.raises(ValueError):
         (CurvePolyAB.variable(0) + CurvePolyAB.variable(2)) ** -1
+
+
+def test_times_one_is_the_value_itself():
+    p = A2 * B1 + B3
+    assert p * 1 is p and 1 * p is p and p * F(1) is p
+    assert (p * 2).terms is not p.terms
+
+
+def test_frame_change_results_own_their_terms():
+    ab_table, cd_table = _frame_changes()
+    for change, table, generators in (
+        (ab_to_cd, ab_table, (A0, A2, B0, B1, B2, B3)),
+        (cd_to_ab, cd_table, (C0, C1, C2, D0, D2, D3)),
+    ):
+        for p in (x ** e for x in generators for e in (1, 3)):
+            result = change(p)
+            stored = [power.terms for cache in table.powers for power in cache.values()]
+            assert all(result.terms is not terms for terms in stored)
+            result.terms.clear()
+            result.terms[(0,) * 6] = F(7)
+            assert change(p) == compose(p, PowerTable(table.images, table.one))
+
+
+def test_failed_negative_power_leaves_the_kept_table_usable():
+    # c2 maps to a2 + a0 b1^2 / (9 b0^2) and a2 to c2 - c1^2 / (4 c0): neither is a unit
+    ab_table, cd_table = _frame_changes()
+    with pytest.raises(ValueError, match="not a monomial"):
+        cd_to_ab(CurvePolyCD._new({(0, 0, -1, 0, 0, 0): F(1)}))
+    with pytest.raises(ValueError, match="not a monomial"):
+        ab_to_cd(CurvePolyAB._new({(0, 0, 1, 0, 0, 0): F(1), (1, -2, 0, 0, 0, 0): F(3)}))
+    assert -1 not in cd_table.powers[2] and -1 not in ab_table.powers[1]
+    for change, table, p in (
+        (cd_to_ab, cd_table, C0 ** -2 * C2 ** 3 + D3 ** 2 * C1),
+        (ab_to_cd, ab_table, A2 ** 4 * B3 - B2 ** 2 * A0),
+    ):
+        assert change(p) == compose(p, PowerTable(table.images, table.one))
