@@ -7,17 +7,19 @@ Fraction; zero coefficients are never stored.  Subclasses fix the arity,
 print names and which variables may carry negative (Laurent) exponents.
 The constructor validates values built from outside input; arithmetic
 results go through the trusted `_new`, which only drops zeros, and sums
-through the one-pass `_sum`.  `weighted_degree` is the one grading rule:
-every homogeneity check of the package calls it on a weight row, mostly
-one its class declares, and it raises NotHomogeneousError.  The
-polynomials with q-series coefficients live in `invariant_ring` and share
-the term kernels (`add_terms`, `mul_terms`, `derivative_terms`,
-square-and-multiply `power`), `substitute`, `compose` and `jacobian`, the
+through the one-pass `_sum`.  `monomial_degree` is the one grading rule
+for a monomial under a weight row; `weighted_degree` applies it to every
+term, is the one homogeneity check of the package (mostly on a weight row
+its class declares), and raises NotHomogeneousError.  The polynomials with
+q-series coefficients live in `invariant_ring` and share the term kernels
+(`add_terms`, `mul_terms`, `derivative_terms`, square-and-multiply
+`power`), `monomial_degree`, `substitute`, `compose` and `jacobian`, the
 one determinant of a matrix of partials.  `substitute` and `compose` read
 the powers of their images from a `PowerTable`, which builds each power
 one factor at a time and keeps it: a table held across calls, as
-`sw_curve` holds its two frame changes, grows only to the largest exponent
-asked of it, and a fresh table per call caches within that call only.
+`sw_curve` holds its frame changes and frame values and `invariant_ring`
+its series generators, grows only to the largest exponent asked of it, and
+a fresh table per call caches within that call only.
 `taylor_shift` is the one shift u -> u + s v of a binary form's
 coefficients, from which every frame change and hat substitution of the
 package is built.  `bounded_monomials` walks exponent vectors of fixed
@@ -40,6 +42,11 @@ class NotHomogeneousError(ValueError):
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def monomial_degree(weights, exps):
+    """Degree of the monomial with these exponents under a weight row."""
+    return sum(map(mul, weights, exps))
 
 
 def add_terms(acc, terms):
@@ -203,7 +210,7 @@ class SparsePoly:
 
     def weighted_degree(self, weights):
         """Common degree of all terms under the weight row; 0 for zero."""
-        degs = {sum(map(mul, weights, exps)) for exps in self.terms}
+        degs = {monomial_degree(weights, exps) for exps in self.terms}
         if len(degs) > 1:
             raise NotHomogeneousError(f"not homogeneous: weighted degrees {sorted(degs)}")
         return degs.pop() if degs else 0

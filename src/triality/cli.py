@@ -416,9 +416,9 @@ MAX_EXPR_DEGREE = 24
 MAX_COEFF_BITS = 4096
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 64
-# (least, largest) accepted value of each numeric option; None sets no floor
-LIMITS = {"order": (2, MAX_ORDER), "weight": (None, MAX_WEIGHT), "kmax": (0, MAX_WEIGHT),
-          "degree": (None, MAX_DEGREE), "mmax": (0, MAX_DEGREE)}
+# (least, largest) accepted value of each numeric option
+LIMITS = {"order": (2, MAX_ORDER), "weight": (0, MAX_WEIGHT), "kmax": (0, MAX_WEIGHT),
+          "degree": (0, MAX_DEGREE), "mmax": (0, MAX_DEGREE)}
 
 
 def main(argv=None):
@@ -426,7 +426,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     for name, (least, limit) in LIMITS.items():
         value = getattr(args, name, 0)
-        if least is not None and value < least:
+        if value < least:
             print(f"error: --{name} must be at least {least}", file=sys.stderr)
             return 2
         if value > limit:

@@ -19,7 +19,10 @@ odd; it needs 12 to divide every e.
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
 the weight-2 level-2 forms e1, e2, e3) take an `order` argument in q-units:
-the result is exact for all exponents below q^order.
+the result is exact for all exponents below q^order.  A series is never
+changed once built, so the Bernoulli numbers, Eisenstein series, eta,
+Delta and e1, e2, e3 are each computed once per argument and kept for the
+process.
 """
 
 from __future__ import annotations
@@ -320,6 +323,7 @@ def bernoulli(k):
     return coeffs[k] * math.factorial(k)
 
 
+@lru_cache(maxsize=None)
 def eisenstein(two_n, order):
     """Weight-2n Eisenstein series 1 - (4n/B_2n) sum k^(2n-1) q^k/(1-q^k)."""
     if two_n < 2 or two_n % 2:
@@ -366,6 +370,7 @@ def theta_const(k, order):
     return FracSeries(terms, trunc)
 
 
+@lru_cache(maxsize=None)
 def eta_delta(order):
     """The eta product q^(1/24) prod (1 - q^n) and the discriminant eta^24."""
     if order < 2:
@@ -377,6 +382,7 @@ def eta_delta(order):
     return eta, eta ** 24
 
 
+@lru_cache(maxsize=None)
 def e_series(i, order):
     """The weight-2 forms e1, e2, e3 built from fourth powers of thetas."""
     if i not in (1, 2, 3):

@@ -21,6 +21,14 @@ lattice.  `KLMNPoly` is the element over the four fundamental weak
 invariants K, L, M, N, which generate freely over the level-1 forms E4, E6
 (Wirthmueller), so `express_in_klmn` rewrites an invariant in them by a
 change of generators and a fit of each coefficient into C[E4, E6].
+
+`change_generators` reads the powers of its images from a `_poly.PowerTable`.
+Each order keeps three tables for the whole process, so every series power
+is built once per order: K, L, M, N in the invariant ring (read by
+`KLMNPoly.evaluate`), `weyl_in_klmn` over `KLMNPoly.one` (read by
+`express_in_klmn`), and E4, E6, Delta over the unit series (read by
+`_modular_basis` for every weight).  A table at one order never serves
+another, whose window differs.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import PowerTable, _grlex_key, add_terms, derivative_terms, jacobian, mul_terms, power, substitute
+from ._poly import (
+    PowerTable, _grlex_key, add_terms, derivative_terms, jacobian, monomial_degree, mul_terms, power,
+    substitute,
+)
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from .exact_series import UnsupportedLatticeError  # noqa: F401  (raised by Invariant.t_action)
 from .weyl_poly import I_DEGREES, IPoly
@@ -79,7 +90,7 @@ class SeriesPoly:
         self.degree = int(degree)
         self.terms = {tuple(int(e) for e in exps): s for exps, s in terms.items()}
         for exps in self.terms:
-            mono_degree = sum(d * e for d, e in zip(self.DEGREES, exps))
+            mono_degree = monomial_degree(self.DEGREES, exps)
             if mono_degree != self.degree:
                 raise GradingError(
                     f"monomial {exps} has degree {mono_degree}, declared {self.degree}"
@@ -141,7 +152,7 @@ class SeriesPoly:
         return self.terms.get(ONE_EXPS)
 
     def coefficient_weight(self, exps):
-        return self.weight - sum(w * e for w, e in zip(self.WEIGHTS, exps))
+        return self.weight - monomial_degree(self.WEIGHTS, exps)
 
     def __eq__(self, other):
         """Equal on each coefficient's common window, whatever the gradings."""
@@ -177,12 +188,12 @@ class SeriesPoly:
 
     __rmul__ = __mul__
 
-    def change_generators(self, images, one):
-        """Substitute images[i] (of weight WEIGHTS[i]) for generator i; `one`
-        is the target unit, and each coefficient scales its monomial's image."""
-        parts = substitute(self.terms, PowerTable(images, one))
+    def change_generators(self, table):
+        """Substitute table.images[i] (of weight WEIGHTS[i]) for generator i, in
+        the table's ring; each coefficient scales its monomial's image."""
+        parts = substitute(self.terms, table)
         scaled = (value.scale_series(s, self.coefficient_weight(e)) for e, s, value in parts)
-        return type(one)._sum(scaled, self.weight, self.degree)
+        return type(table.one)._sum(scaled, self.weight, self.degree)
 
     def scale_series(self, series, series_weight):
         """Multiply by a degree-0 modular series of known weight (or a rational)."""
@@ -391,7 +402,13 @@ class KLMNPoly(SeriesPoly):
 
     def evaluate(self, order):
         """Substitute the actual K, L, M, N invariants at the given order."""
-        return self.change_generators(klmn(order), Invariant.one(LATTICE * order))
+        return self.change_generators(_klmn_powers(order))
+
+
+@lru_cache(maxsize=None)
+def _klmn_powers(order):
+    """The powers of K, L, M, N at this order, kept for the process."""
+    return PowerTable(klmn(order), Invariant.one(LATTICE * order))
 
 
 @lru_cache(maxsize=None)
@@ -418,6 +435,19 @@ def weyl_in_klmn(order):
 
 
 @lru_cache(maxsize=None)
+def _weyl_powers(order):
+    """The powers of `weyl_in_klmn(order)`, kept for the process."""
+    return PowerTable(weyl_in_klmn(order), KLMNPoly.one(LATTICE * order))
+
+
+@lru_cache(maxsize=None)
+def _modular_powers(order):
+    """The powers of E4, E6 and Delta at this order, kept for the process."""
+    gens = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
+    return PowerTable(gens, FracSeries.constant(1, LATTICE * order))
+
+
+@lru_cache(maxsize=None)
 def _modular_basis(weight, order):
     """E4^a E6^b Delta^j with 4a + 6b = weight - 12j != 2, b in {0, 1}, one per
     j: a basis of C[E4, E6]_weight whose j-th element is q^j + O(q^(j+1))."""
@@ -427,9 +457,7 @@ def _modular_basis(weight, order):
         if rest % 2 == 0 and rest != 2:
             b = rest % 4 // 2
             exps[((rest - 6 * b) // 4, b, j)] = None
-    gens = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
-    one = FracSeries.constant(1, LATTICE * order)
-    return tuple(v.truncate(one.trunc) for _, _, v in substitute(exps, PowerTable(gens, one)))
+    return tuple(v.truncate(LATTICE * order) for _, _, v in substitute(exps, _modular_powers(order)))
 
 
 def _fit_modular(series, weight, order):
@@ -464,7 +492,7 @@ def express_in_klmn(phi):
     if trunc is None:
         return KLMNPoly.zero(phi.weight, phi.degree)
     order = trunc // LATTICE
-    coeffs = phi.change_generators(weyl_in_klmn(order), KLMNPoly.one(LATTICE * order))
+    coeffs = phi.change_generators(_weyl_powers(order))
     fits = {
         exps: _fit_modular(series, coeffs.coefficient_weight(exps), order)
         for exps, series in coeffs.terms.items()

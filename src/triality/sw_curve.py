@@ -19,7 +19,11 @@ monomial of weight at most 96 has total degree at most 24).
 
 Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
-series coefficients are ratios of E4, E6 and the discriminant.
+series coefficients are ratios of E4, E6 and the discriminant.  Each order
+keeps one `PowerTable` of the six values per frame for the whole process,
+so every series power of a coefficient value is built once per order,
+whichever evaluation asked first; the tables at one order never serve
+another, whose window differs.
 """
 
 from __future__ import annotations
@@ -178,8 +182,10 @@ def _frame_forms(order):
 
 @lru_cache(maxsize=None)
 def _frame_values(order):
-    ab, cd = _frame_forms(order)
-    return tuple(f.evaluate(order) for f in ab), tuple(f.evaluate(order) for f in cd)
+    """Power tables of the twelve coefficient values at this order, the ab
+    frame's and the cd frame's, kept for the process."""
+    one = Invariant.one(LATTICE * order)
+    return tuple(PowerTable((f.evaluate(order) for f in forms), one) for forms in _frame_forms(order))
 
 
 def evaluate_ab(p, order):
@@ -190,13 +196,13 @@ def evaluate_ab(p, order):
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    return compose(p, PowerTable(_frame_values(order)[0], Invariant.one(LATTICE * order)))
+    return compose(p, _frame_values(order)[0])
 
 
 def evaluate_cd(p, order):
     if order < 2:
         raise ValueError("order must be >= 2")
-    return compose(p, PowerTable(_frame_values(order)[1], Invariant.one(LATTICE * order)))
+    return compose(p, _frame_values(order)[1])
 
 
 # -- recovery of the fundamental invariants ---------------------------------------

@@ -234,10 +234,12 @@ def test_oversized_request_is_a_usage_error(capsys, flag, argv):
         ("--order", 2, ["expand", "Delta", "--order", "1"]),
         ("--kmax", 0, ["dims", "--kmax", "-2", "--mmax", "4"]),
         ("--mmax", 0, ["dims", "--kmax", "4", "--mmax", "-2"]),
+        ("--weight", 0, ["basis", "--weight", "-2", "--degree", "0"]),
+        ("--degree", 0, ["basis", "--weight", "4", "--degree", "-1", "--format", "json"]),
     ],
 )
 def test_request_below_its_floor_is_a_usage_error(capsys, flag, least, argv):
-    # a negative dims bound used to print a bare header row and exit 0
+    # a negative dims or basis bound used to print an empty answer and exit 0
     code, out, err = cli_outcome(capsys, argv)
     assert (code, out, err) == (2, "", f"error: {flag} must be at least {least}\n")
 

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality.exact_series import FracSeries, e_series, eisenstein, eta_delta
+from triality._poly import PowerTable, bounded_monomials, substitute
+from triality.exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from triality.invariant_ring import (
     INVARIANT,
+    KLMN_DEGREES,
     NOT_WEAK,
     AmbiguousRepresentationError,
     GradingError,
@@ -14,6 +16,9 @@ from triality.invariant_ring import (
     KLMNPoly,
     NoRepresentationError,
     UnsupportedLatticeError,
+    _klmn_powers,
+    _modular_powers,
+    _weyl_powers,
     express_in_klmn,
     klmn,
     weyl_in_klmn,
@@ -301,3 +306,102 @@ def test_express_round_trips_random_klmn_polys(weight, degree):
     rep = KLMNPoly(terms, weight, degree)
     assert any(e[2] for e in rep.terms) and any(e[3] for e in rep.terms)
     assert express_in_klmn(rep.evaluate(order)).to_json() == rep.to_json()
+
+
+def klmn_polys(st):
+    """Strategy: (order, a KLMNPoly known to q^(order + 4)) of one small grading,
+    every coefficient a rational combination of E4^a E6^b of its weight."""
+    gradings = [(4, 2), (8, 4), (12, 4), (12, 6), (16, 6), (20, 8)]
+
+    @st.composite
+    def draw(draw):
+        order = draw(st.sampled_from([6, 24]))
+        weight, degree = draw(st.sampled_from(gradings))
+        e4, e6 = eisenstein(4, order + 4), eisenstein(6, order + 4)
+        terms = {}
+        for exps in bounded_monomials((KLMN_DEGREES,), (degree,)):
+            w = weight - 2 * exps[1] - 4 * exps[2]
+            forms = [e4 ** ((w - 6 * b) // 4) * e6 ** b for b in range(w // 6 + 1) if (w - 6 * b) % 4 == 0]
+            if not forms:
+                continue
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(forms), max_size=len(forms)))
+            if not terms:
+                coeffs[0] = coeffs[0] or 1
+            if any(coeffs):
+                zero = FracSeries.zero(LATTICE * (order + 4))
+                terms[exps] = sum((form * c for c, form in zip(coeffs, forms)), zero)
+        return order, KLMNPoly(terms, weight, degree)
+
+    return draw()
+
+
+def test_kept_series_tables_match_fresh_ones():
+    # evaluations and rewrites at two orders arrive in a random order; each
+    # result equals the same substitution through a new table over the same
+    # images, and the order alone sets its window, since rep knows more
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), klmn_polys(st)), min_size=1, max_size=4))
+    def check(calls):
+        for rewrite, (order, rep) in calls:
+            trunc = LATTICE * order
+            value = rep.evaluate(order)
+            fresh = rep.change_generators(PowerTable(klmn(order), Invariant.one(trunc)))
+            assert value.to_json() == fresh.to_json()
+            assert trunc <= value.common_trunc() < rep.common_trunc()
+            if rewrite:
+                result = express_in_klmn(value)
+                assert result == value.change_generators(PowerTable(weyl_in_klmn(order), KLMNPoly.one(trunc)))
+                assert result == rep and result.common_trunc() >= trunc
+            # each order's kept tables serve that order alone
+            assert _klmn_powers(order).one.common_trunc() == trunc
+            assert _weyl_powers(order).one.common_trunc() == trunc
+            assert _modular_powers(order).one.trunc == trunc
+
+    check()
+
+
+def test_kept_series_results_own_their_terms(order, delta):
+    # mutating a result must not reach the kept tables behind the next call
+    rep = KLMNPoly({(1, 0, 0, 0): delta / 12}, 12, 2)
+    before = rep.evaluate(order).to_json()
+    value = rep.evaluate(order)
+    stored = [power.terms for cache in _klmn_powers(order).powers for power in cache.values()]
+    assert all(value.terms is not terms for terms in stored)
+    value.terms.clear()
+    assert rep.evaluate(order).to_json() == before
+    phi = rep.evaluate(order)
+    before = express_in_klmn(phi).to_json()
+    result = express_in_klmn(phi)
+    result.terms[(1, 0, 0, 0)] = result.terms[(1, 0, 0, 0)] * 7
+    assert express_in_klmn(phi).to_json() == before
+    assert express_in_klmn(phi) == rep
+
+
+def test_substitute_builds_each_image_from_one():
+    # one carries the window, and a caller gets a product, never a kept power
+    table = _weyl_powers(6)
+    (_, _, image), = substitute({(2, 0, 1, 0): 1}, table)
+    assert image == table.power(0, 2) * table.power(2, 1)
+    assert image is not table.power(0, 2) and image.terms is not table.power(0, 2).terms
+    wide = FracSeries({0: 1, 24: 2}, 96)
+    (_, _, image), = substitute({(3,): 1}, PowerTable((wide,), FracSeries.constant(1, 48)))
+    assert image.trunc == 48 and image == wide ** 3
+
+
+def test_kept_special_series_survive_arithmetic():
+    # each is built once per argument and shared, so no arithmetic may change it
+    calls = [(eisenstein, (4, 24)), (eta_delta, (24,)), (e_series, (1, 24))]
+    for fn, args in calls:
+        first = fn(*args)
+        series = first if isinstance(first, FracSeries) else first[1]
+        before = series.to_json()
+        for other in (series * series, series + series, -series, series ** 3, series.shift(5),
+                      series.truncate(100), series * F(2, 3), series - series, series.inverse()):
+            assert other is not series
+        assert fn(*args) is first
+        assert series.to_json() == before
+        assert fn(*args) == fn.__wrapped__(*args)

@@ -3,12 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import PowerTable, SparsePoly, compose, taylor_shift
+from triality._poly import PowerTable, SparsePoly, bounded_monomials, compose, taylor_shift
+from triality.exact_series import LATTICE
 from triality.invariant_ring import Invariant
 from triality.sw_curve import (
     CurvePolyAB,
     CurvePolyCD,
     _frame_changes,
+    _frame_forms,
+    _frame_values,
     ab_to_cd,
     cd_to_ab,
     evaluate_ab,
@@ -198,3 +201,69 @@ def test_failed_negative_power_leaves_the_kept_table_usable():
         (ab_to_cd, ab_table, A2 ** 4 * B3 - B2 ** 2 * A0),
     ):
         assert change(p) == compose(p, PowerTable(table.images, table.one))
+
+
+def graded_polys(st, cls):
+    """Strategy: sums over the monomials of one small (weight, degree) cell of
+    cls, times a Laurent monomial in its two unit variables."""
+    cells = [(w, d) for w in (4, 8, 12, 16, 20, 24) for d in (0, 2, 4, 6)]
+    cells = [c for c in cells if bounded_monomials((cls.WEIGHTS, cls.DEGREES), c)]
+    units = sorted(cls.laurent)
+
+    @st.composite
+    def draw(draw):
+        monomials = bounded_monomials((cls.WEIGHTS, cls.DEGREES), draw(st.sampled_from(cells)))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
+        unit = [0] * cls.nvars
+        for i in units:
+            unit[i] = -draw(st.integers(0, 2))
+        p = cls._sum(cls.monomial(m, c) for m, c in zip(monomials, coeffs))
+        return p * cls.monomial(unit)
+
+    return draw()
+
+
+def fresh_frame_table(frame, order):
+    """A new table over the frame's coefficient values, evaluated afresh."""
+    images = [f.evaluate(order) for f in _frame_forms(order)[frame]]
+    return PowerTable(images, Invariant.one(LATTICE * order))
+
+
+def test_kept_frame_value_tables_match_fresh_ones():
+    # the kept tables of both frames grow in whatever order calls arrive, at
+    # two orders in one process; each result keeps its own order's window
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    call = st.one_of(
+        st.tuples(st.just(0), st.sampled_from([6, 24]), graded_polys(st, CurvePolyAB)),
+        st.tuples(st.just(1), st.sampled_from([6, 24]), graded_polys(st, CurvePolyCD)),
+    )
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.lists(call, min_size=1, max_size=6))
+    def check(calls):
+        for frame, order, p in calls:
+            result = (evaluate_ab, evaluate_cd)[frame](p, order)
+            assert result.to_json() == compose(p, fresh_frame_table(frame, order)).to_json()
+            assert p.is_zero or result.common_trunc() >= LATTICE * order
+
+    check()
+
+
+def test_kept_frame_value_results_own_their_terms():
+    # mutating a result must not reach the kept table behind the next call
+    p = A0 ** 2 * B1 + A0 ** -1 * B0 ** 2 * B1
+    before = evaluate_ab(p, 6).to_json()
+    result = evaluate_ab(p, 6)
+    stored = [power.terms for cache in _frame_values(6)[0].powers for power in cache.values()]
+    assert all(result.terms is not terms for terms in stored)
+    result.terms.clear()
+    assert evaluate_ab(p, 6).to_json() == before
+    q = C0 ** -1 * C1 ** 2 * D0 + C2 * D0
+    before = evaluate_cd(q, 6).to_json()
+    result = evaluate_cd(q, 6)
+    for exps in list(result.terms):
+        result.terms[exps] = result.terms[exps] * 5
+    assert evaluate_cd(q, 6).to_json() == before
