@@ -13,13 +13,14 @@ term, is the one homogeneity check of the package (mostly on a weight row
 its class declares), and raises NotHomogeneousError.  The polynomials with
 q-series coefficients live in `invariant_ring` and share the term kernels
 (`add_terms`, `mul_terms`, `derivative_terms`, square-and-multiply
-`power`), `monomial_degree`, `substitute`, `compose` and `jacobian`, the
-one determinant of a matrix of partials.  `substitute` and `compose` read
-the powers of their images from a `PowerTable`, which builds each power
-one factor at a time and keeps it: a table held across calls, as
-`sw_curve` holds its frame changes and frame values and `invariant_ring`
-its series generators, grows only to the largest exponent asked of it, and
-a fresh table per call caches within that call only.
+`power`), `monomial_degree`, `compose` and `jacobian`, the one determinant
+of a matrix of partials.  `PowerTable` is the one home of monomial images:
+it windows each image once by the target's `one` and keeps each power it
+builds; its `monomial` may return a kept power or `one`, which every
+caller copies into a new value.  A table held across calls (`sw_curve`'s
+frame changes and frame values, `invariant_ring`'s series generators)
+grows only to the largest exponent asked of it; a fresh one caches within
+its call only.
 `taylor_shift` is the one shift u -> u + s v of a binary form's
 coefficients, from which every frame change and hat substitution of the
 package is built.  `bounded_monomials` walks exponent vectors of fixed
@@ -32,6 +33,7 @@ first variable largest; `sorted_terms` lists terms in decreasing order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from operator import add, mul
 
@@ -315,16 +317,19 @@ class SparsePoly:
 class PowerTable:
     """Powers of fixed images in a target ring, built on demand and kept.
 
-    `one` is the unit of the target ring.  Powers of images[i] are built one
-    factor at a time, up (or down) from the nearest power already stored,
-    so a table grows only to the largest exponent asked of it.  A negative
-    exponent builds on images[i] ** -1, which the target ring defines only
-    for its units; when that raises, the table keeps what it had.
+    `one` is the unit of the target ring.  Each image is multiplied by it
+    once, which cuts a series image to one's window; a product of nonzero
+    series is as wide as its narrowest factor, so no monomial image is
+    wider than `one`.  Powers are built one factor at a time, up (or down)
+    from the nearest power already stored, so a table grows only to the
+    largest exponent asked of it.  A negative exponent builds on
+    images[i] ** -1, which the target ring defines only for its units; when
+    that raises, the table keeps what it had.
     """
 
     def __init__(self, images, one):
-        self.images = tuple(images)
         self.one = one
+        self.images = tuple(one * image for image in images)
         self.powers = [{0: one, 1: image} for image in self.images]
 
     def power(self, i, e):
@@ -341,25 +346,17 @@ class PowerTable:
                 cache[k] = cache[k - step] * factor
         return cache[e]
 
-
-def substitute(terms, table):
-    """Yield (exps, coeff, image of the monomial) for every {exps: coeff} item.
-
-    The monomial image is table.one times table.power(i, exps[i]) over all i;
-    starting from `one` keeps the target's truncation window on series.
-    """
-    power, one = table.power, table.one
-    for exps, coeff in terms.items():
-        value = one
-        for i, e in enumerate(exps):
-            if e:
-                value = value * power(i, e)
-        yield exps, coeff, value
+    def monomial(self, exps):
+        """The image of the monomial with these exponents: the product of its
+        kept powers, or `one` for the constant monomial.  It may be a kept
+        value, so a caller builds a new value from it and never changes it."""
+        factors = [self.power(i, e) for i, e in enumerate(exps) if e]
+        return reduce(mul, factors) if factors else self.one
 
 
 def compose(poly, table):
     """Substitute table.images[i] for variable i of poly, in the table's ring."""
-    return type(table.one)._sum(value * coeff for _, coeff, value in substitute(poly.terms, table))
+    return type(table.one)._sum(table.monomial(exps) * c for exps, c in poly.terms.items())
 
 
 def taylor_shift(coeffs, s):

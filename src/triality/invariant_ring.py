@@ -22,13 +22,15 @@ invariants K, L, M, N, which generate freely over the level-1 forms E4, E6
 (Wirthmueller), so `express_in_klmn` rewrites an invariant in them by a
 change of generators and a fit of each coefficient into C[E4, E6].
 
-`change_generators` reads the powers of its images from a `_poly.PowerTable`.
-Each order keeps three tables for the whole process, so every series power
-is built once per order: K, L, M, N in the invariant ring (read by
-`KLMNPoly.evaluate`), `weyl_in_klmn` over `KLMNPoly.one` (read by
-`express_in_klmn`), and E4, E6, Delta over the unit series (read by
-`_modular_basis` for every weight).  A table at one order never serves
-another, whose window differs.
+`change_generators` reads each monomial's image from a `_poly.PowerTable`,
+which windows each image once by its `one`; the image may be a kept power,
+and its coefficient scales it into a new value.  Each order keeps three
+tables for the whole process, so every series power is built once per
+order: K, L, M, N in the invariant ring (read by `KLMNPoly.evaluate`),
+`weyl_in_klmn` over `KLMNPoly.one` (read by `express_in_klmn`), and E4,
+E6, Delta over the unit series (read by `_modular_basis` for every weight,
+which truncates each image into a new value).  A table at one order never
+serves another, whose window differs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from functools import lru_cache
 
 from ._poly import (
     PowerTable, _grlex_key, add_terms, derivative_terms, jacobian, monomial_degree, mul_terms, power,
-    substitute,
 )
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from .exact_series import UnsupportedLatticeError  # noqa: F401  (raised by Invariant.t_action)
@@ -191,8 +192,7 @@ class SeriesPoly:
     def change_generators(self, table):
         """Substitute table.images[i] (of weight WEIGHTS[i]) for generator i, in
         the table's ring; each coefficient scales its monomial's image."""
-        parts = substitute(self.terms, table)
-        scaled = (value.scale_series(s, self.coefficient_weight(e)) for e, s, value in parts)
+        scaled = (table.monomial(e).scale_series(s, self.coefficient_weight(e)) for e, s in self.terms.items())
         return type(table.one)._sum(scaled, self.weight, self.degree)
 
     def scale_series(self, series, series_weight):
@@ -213,7 +213,7 @@ class SeriesPoly:
             inverse = self.terms[ONE_EXPS].inverse()
             return self._new({ONE_EXPS: inverse}, -self.weight, 0) ** -n
         if n == 0:
-            return self.one(self.common_trunc() or LATTICE)
+            return self.one(LATTICE if (trunc := self.common_trunc()) is None else trunc)
         return power(self, n)
 
     def truncate(self, trunc):
@@ -411,7 +411,6 @@ def _klmn_powers(order):
     return PowerTable(klmn(order), Invariant.one(LATTICE * order))
 
 
-@lru_cache(maxsize=None)
 def weyl_in_klmn(order):
     """I2, I4, I6, I~4 as polynomials in formal K, L, M, N at the given order.
 
@@ -451,13 +450,14 @@ def _modular_powers(order):
 def _modular_basis(weight, order):
     """E4^a E6^b Delta^j with 4a + 6b = weight - 12j != 2, b in {0, 1}, one per
     j: a basis of C[E4, E6]_weight whose j-th element is q^j + O(q^(j+1))."""
-    exps = {}
+    table = _modular_powers(order)
+    basis = []
     for j in range(weight // 12 + 1):
         rest = weight - 12 * j
         if rest % 2 == 0 and rest != 2:
             b = rest % 4 // 2
-            exps[((rest - 6 * b) // 4, b, j)] = None
-    return tuple(v.truncate(LATTICE * order) for _, _, v in substitute(exps, _modular_powers(order)))
+            basis.append(table.monomial(((rest - 6 * b) // 4, b, j)).truncate(LATTICE * order))
+    return tuple(basis)
 
 
 def _fit_modular(series, weight, order):
@@ -472,8 +472,8 @@ def _fit_modular(series, weight, order):
             break
         c = rest.coeff(LATTICE * j)
         if c:
-            rest = rest - element * c
-            fit = fit + element * c
+            scaled = element * c
+            rest, fit = rest - scaled, fit + scaled
     if not rest.truncate(window).is_zero:
         raise NoRepresentationError(
             f"a weight-{weight} coefficient is not in C[E4, E6] within t^{window}"

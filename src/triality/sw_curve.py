@@ -12,7 +12,8 @@ other); a polynomial is a triality invariant exactly when its image
 carries no negative powers, which is the membership test the enumerator
 is built on.  Each direction keeps one `_poly.PowerTable` of its six
 images for the whole process, so the image of a monomial is a product of
-powers built once, whichever call or enumerator cell asked first.  A table
+powers built once, whichever call or enumerator cell asked first; that
+image may be a kept power, and `compose` adds it into a new value.  A table
 grows only to the largest exponent the process has asked for; through the
 CLI that is at most 24 (parsed input is capped at total degree 24, and a
 monomial of weight at most 96 has total degree at most 24).
@@ -21,9 +22,10 @@ Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
 series coefficients are ratios of E4, E6 and the discriminant.  Each order
 keeps one `PowerTable` of the six values per frame for the whole process,
-so every series power of a coefficient value is built once per order,
-whichever evaluation asked first; the tables at one order never serve
-another, whose window differs.
+which windows each value once by the unit series of that order, so every
+series power of a coefficient value is built once per order, whichever
+evaluation asked first; the tables at one order never serve another, whose
+window differs.
 """
 
 from __future__ import annotations

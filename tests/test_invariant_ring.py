@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import PowerTable, bounded_monomials, substitute
+from triality._poly import PowerTable, bounded_monomials
 from triality.exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from triality.invariant_ring import (
     INVARIANT,
@@ -381,15 +381,24 @@ def test_kept_series_results_own_their_terms(order, delta):
     assert express_in_klmn(phi) == rep
 
 
-def test_substitute_builds_each_image_from_one():
-    # one carries the window, and a caller gets a product, never a kept power
+def test_monomial_is_a_product_of_windowed_powers():
+    # the table windows each image once by one, and the image of a monomial
+    # of two variables is a new product, never a kept power
     table = _weyl_powers(6)
-    (_, _, image), = substitute({(2, 0, 1, 0): 1}, table)
+    image = table.monomial((2, 0, 1, 0))
     assert image == table.power(0, 2) * table.power(2, 1)
     assert image is not table.power(0, 2) and image.terms is not table.power(0, 2).terms
+    assert table.monomial((0, 0, 0, 0)) is table.one
     wide = FracSeries({0: 1, 24: 2}, 96)
-    (_, _, image), = substitute({(3,): 1}, PowerTable((wide,), FracSeries.constant(1, 48)))
+    image = PowerTable((wide,), FracSeries.constant(1, 48)).monomial((3,))
     assert image.trunc == 48 and image == wide ** 3
+
+
+def test_zeroth_power_keeps_a_window_that_ends_at_t0():
+    value = Invariant({(1, 0, 0, 0): FracSeries.constant(1, 24)}, 0, 2).inject()
+    assert value.common_trunc() == 0
+    assert (value ** 0).common_trunc() == 0
+    assert (Invariant.zero() ** 0).common_trunc() == LATTICE
 
 
 def test_kept_special_series_survive_arithmetic():

@@ -1,11 +1,14 @@
 """Property tests for the polynomial layer: frame changes (and the power
-tables they keep for the process), the t-action, the binary-form shift, the
-trusted arithmetic constructor and the grading rule of the one-pass sum.
+tables they keep for the process), the monomial images of every kept power
+table, the t-action, the binary-form shift, the trusted arithmetic
+constructor and the grading rule of the one-pass sum.
 
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
 
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -14,10 +17,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from triality._poly import PowerTable, bounded_monomials, compose, taylor_shift  # noqa: E402
-from triality.exact_series import FracSeries  # noqa: E402
-from triality.invariant_ring import GradingError, Invariant  # noqa: E402
+from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta  # noqa: E402
+from triality.invariant_ring import (  # noqa: E402
+    GradingError, Invariant, _klmn_powers, _modular_powers, _weyl_powers, klmn, weyl_in_klmn,
+)
 from triality.sw_curve import (  # noqa: E402
-    CurvePolyAB, CurvePolyCD, _frame_changes, ab_to_cd, cd_to_ab, evaluate_ab,
+    CurvePolyAB, CurvePolyCD, _frame_changes, _frame_forms, _frame_values, ab_to_cd, cd_to_ab,
+    evaluate_ab,
 )
 from triality.weyl_poly import I_DEGREES  # noqa: E402
 
@@ -93,6 +99,66 @@ def test_round_trips_hold_after_the_tables_grew_past_the_input(p, q):
     cd_to_ab(CurvePolyCD.monomial((-7, 0, 0, -7, 0, 0)))
     assert cd_to_ab(ab_to_cd(p)) == p
     assert ab_to_cd(cd_to_ab(q)) == q
+
+
+def series_tables(order):
+    """(kept table, its images before windowing, its unit variables) for
+    every series table the package keeps."""
+    values = [[f.evaluate(order) for f in forms] for forms in _frame_forms(order)]
+    modular = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
+    return {
+        "klmn": (_klmn_powers(order), klmn(order), ()),
+        "weyl": (_weyl_powers(order), weyl_in_klmn(order), ()),
+        "modular": (_modular_powers(order), modular, (0, 1, 2)),
+        "ab values": (_frame_values(order)[0], values[0], (0, 2)),
+        "cd values": (_frame_values(order)[1], values[1], (0, 3)),
+    }
+
+
+def windowed_by_one(one, images, exps):
+    """one times the product of images[i] ** exps[i]: the image of a monomial
+    as it was built before the tables windowed their images."""
+    return reduce(mul, (image ** e for image, e in zip(images, exps) if e), one)
+
+
+@st.composite
+def table_monomials(draw):
+    """A kept table, its images before windowing and a monomial: exponents 0
+    to 2, and down to -2 on unit variables."""
+    name = draw(st.sampled_from(["ab frame", "cd frame", "klmn", "weyl", "modular", "ab values", "cd values"]))
+    if name.endswith("frame"):
+        # a polynomial's one windows nothing: its kept images are its images
+        source = CurvePolyCD if name == "cd frame" else CurvePolyAB
+        table = _frame_changes()[source is CurvePolyCD]
+        images, units = table.images, source.laurent
+    else:
+        table, images, units = series_tables(draw(st.sampled_from([6, 24])))[name]
+    exps = tuple(draw(st.integers(-2 if i in units else 0, 2)) for i in range(len(images)))
+    return table, images, exps
+
+
+@PROPERTY
+@given(table_monomials())
+def test_monomial_images_equal_products_started_from_one(case):
+    table, images, exps = case
+    assert table.monomial(exps).to_json() == windowed_by_one(table.one, images, exps).to_json()
+
+
+@PROPERTY
+@given(st.sampled_from(["klmn", "weyl", "modular", "ab values", "cd values"]), st.data())
+def test_images_wider_than_one_get_no_wider_window(name, data):
+    # images at order 24 under the unit of order 6: windowing each image once
+    # may cut a monomial's window below one times its product, never above
+    kept, images, units = series_tables(24)[name]
+    table = PowerTable(images, kept.one.truncate(LATTICE * 6))
+    exps = tuple(data.draw(st.integers(-2 if i in units else 0, 2)) for i in range(len(images)))
+    new, old = table.monomial(exps), windowed_by_one(table.one, images, exps)
+    assert new == old
+    if isinstance(new, FracSeries):
+        assert new.trunc <= old.trunc
+    else:
+        assert set(new.terms) == set(old.terms)
+        assert all(new.terms[e].trunc <= s.trunc for e, s in old.terms.items())
 
 
 @PROPERTY

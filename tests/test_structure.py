@@ -1,5 +1,5 @@
-"""Each rule has one home: one grading check, and one module that reads the
-stored form of a q-series."""
+"""Each rule has one home: one grading check, one module that reads the
+stored form of a q-series, and one builder of monomial images."""
 
 import re
 from pathlib import Path
@@ -55,6 +55,21 @@ def test_no_module_but_exact_series_reads_the_stored_series_form():
         f"{path.name}:{n}"
         for path in sorted(src.glob("*.py"))
         if path.name != "exact_series.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert readers == []
+
+
+def test_only_power_tables_build_monomial_images():
+    # every substitution asks PowerTable.monomial; no other module multiplies kept powers
+    assert not hasattr(_poly, "substitute")
+    src = Path(triality.__file__).parent
+    pattern = re.compile(r"\.power\(|\.powers\b")
+    readers = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "_poly.py"
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
