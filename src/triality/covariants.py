@@ -17,8 +17,9 @@ The gradings are weight rows on `FormPoly` (the (u, v) order, the scaling
 weights alpha_i -> 2-2i, beta_i -> 3-2i, and the alpha and beta counts),
 each read by `SparsePoly.weighted_degree`.  The module also carries the
 named forms f, g, P = <g,g>^2 and Q = <g,P>^1, built once, the fifteen
-classical transvectant generators of the joint covariant ring and a
-brute-force dimension oracle for spaces of joint semiinvariants.
+classical transvectant generators of the joint covariant ring with their
+curve images (`gordan_images`, built once) and a brute-force dimension
+oracle for spaces of joint semiinvariants.
 """
 
 from __future__ import annotations
@@ -293,6 +294,15 @@ def gordan_generators():
         GordanGenerator("<f^2,Q>^3", tv(f2, Q, 3), 2, 3, 12, 1),
         GordanGenerator("<f^3,g*Q>^6", tv(f3, g * Q, 6), 3, 4, 18, 0),
     ]
+
+
+@lru_cache(maxsize=None)
+def gordan_images():
+    """(label, curve polynomial) per generator, built once: the image under
+    `psi_inverse` of its leading coefficient, a triality invariant."""
+    return tuple(
+        (g.label, psi_inverse(roberts_to_semiinvariant(g.poly))) for g in gordan_generators()
+    )
 
 
 # -- the brute-force dimension oracle -----------------------------------------------

@@ -20,7 +20,11 @@ involution realizing the tau -> tau + 1 action on the half-integer
 lattice.  `KLMNPoly` is the element over the four fundamental weak
 invariants K, L, M, N, which generate freely over the level-1 forms E4, E6
 (Wirthmueller), so `express_in_klmn` rewrites an invariant in them by a
-change of generators and a fit of each coefficient into C[E4, E6].
+change of generators and a fit of each coefficient into C[E4, E6].  That
+fit, with its test that the window pins every coefficient down, is
+`fit_coefficients`, shared with the direct rewrite of curve polynomials
+over the frame forms (`sw_curve.klmn_form_ab`), which needs no change of
+generators.
 
 `change_generators` reads each monomial's image from a `_poly.PowerTable`,
 which windows each image once by its `one`; the image may be a kept power,
@@ -481,30 +485,39 @@ def _fit_modular(series, weight, order):
     return None if LATTICE * (len(basis) - 1) >= window else fit
 
 
-def express_in_klmn(phi):
-    """Rewrite an invariant as a polynomial in K, L, M, N over E4, E6.
+def fit_coefficients(coeffs, order):
+    """coeffs with every coefficient fitted into C[E4, E6] of its weight.
 
-    Substitutes `weyl_in_klmn` for the Weyl generators, fits every
-    coefficient into C[E4, E6] of its weight, and checks the result by
-    evaluating it over the whole window phi knows.
+    Raises NoRepresentationError when a coefficient is no form within its
+    window, and AmbiguousRepresentationError when the window q^order is too
+    short to pin every coefficient of the grading down.
     """
-    trunc = phi.common_trunc()
-    if trunc is None:
-        return KLMNPoly.zero(phi.weight, phi.degree)
-    order = trunc // LATTICE
-    coeffs = phi.change_generators(_weyl_powers(order))
     fits = {
         exps: _fit_modular(series, coeffs.coefficient_weight(exps), order)
         for exps, series in coeffs.terms.items()
     }
     # the window must also pin down the zero coefficients of the monomials
     # left out; a grading's widest spaces are at its weight and, next to L, 2 below
-    widest = max(len(_modular_basis(phi.weight - b, order)) for b in (0, 2 * (phi.degree >= 4)))
+    widest = max(len(_modular_basis(coeffs.weight - b, order)) for b in (0, 2 * (coeffs.degree >= 4)))
     if widest > order or any(fit is None for fit in fits.values()):
         raise AmbiguousRepresentationError(
             f"window q^{order} is too short to pin every coefficient down"
         )
-    rep = KLMNPoly({e: s for e, s in fits.items() if not s.is_zero}, phi.weight, phi.degree)
+    return KLMNPoly({e: s for e, s in fits.items() if not s.is_zero}, coeffs.weight, coeffs.degree)
+
+
+def express_in_klmn(phi):
+    """Rewrite an invariant as a polynomial in K, L, M, N over E4, E6.
+
+    Substitutes `weyl_in_klmn` for the Weyl generators at the order of
+    phi's window, fits every coefficient into C[E4, E6] of its weight, and
+    checks the result by evaluating it over the whole window phi knows.
+    """
+    trunc = phi.common_trunc()
+    if trunc is None:
+        return KLMNPoly.zero(phi.weight, phi.degree)
+    order = trunc // LATTICE
+    rep = fit_coefficients(phi.change_generators(_weyl_powers(order)), order)
     if not rep.evaluate(order) == phi:
         raise NoRepresentationError("no representation matches the full window")
     return rep

@@ -25,7 +25,10 @@ keeps one `PowerTable` of the six values per frame for the whole process,
 which windows each value once by the unit series of that order, so every
 series power of a coefficient value is built once per order, whichever
 evaluation asked first; the tables at one order never serve another, whose
-window differs.
+window differs.  Each order also keeps one table of the ab frame's six
+K,L,M,N forms over `KLMNPoly.one`, so `klmn_form_ab` composes a
+polynomial straight into K,L,M,N with series coefficients, ready for
+`invariant_ring.fit_coefficients`.
 """
 
 from __future__ import annotations
@@ -188,6 +191,22 @@ def _frame_values(order):
     frame's and the cd frame's, kept for the process."""
     one = Invariant.one(LATTICE * order)
     return tuple(PowerTable((f.evaluate(order) for f in forms), one) for forms in _frame_forms(order))
+
+
+@lru_cache(maxsize=None)
+def _frame_form_powers(order):
+    """Power table of the ab frame's six K,L,M,N forms at this order, kept
+    for the process."""
+    return PowerTable(_frame_forms(order)[0], KLMNPoly.one(LATTICE * order))
+
+
+def klmn_form_ab(p, order):
+    """Substitute the K,L,M,N forms of the coefficients into an ab-frame
+    polynomial: its value as a K,L,M,N polynomial with series coefficients,
+    not yet fitted into C[E4, E6] (`invariant_ring.fit_coefficients` does that)."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    return compose(p, _frame_form_powers(order))
 
 
 def evaluate_ab(p, order):

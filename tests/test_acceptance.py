@@ -133,26 +133,36 @@ def test_unknown_leading_coefficient_fails_with_the_window(monkeypatch):
     assert [(r.passed, r.detail) for r in failed] == [(False, "")] * 6
 
 
+# each explicit form is read from the direct route (the composition over the
+# frame forms, then its fit) and checked again through the Weyl route
+FAULTS = ((sw_curve, "klmn_form_ab"), (verify, "fit_coefficients"), (verify, "express_in_klmn"))
+
+
 def test_failed_rewrite_fails_the_explicit_forms(monkeypatch):
-    def shallow(value):
+    def shallow(*args):
         raise AmbiguousRepresentationError("window too short")
 
-    monkeypatch.setattr(verify, "express_in_klmn", shallow)
-    results = verify.table1_checks(2)
-    explicit = [r for r in results if r.name.startswith("explicit forms of")]
-    assert len(explicit) == 6
-    for r in explicit:
-        assert not r.passed and "too shallow" in r.detail, r.name
+    for owner, name in FAULTS:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, shallow)
+            results = verify.table1_checks(2)
+        explicit = [r for r in results if r.name.startswith("explicit forms of")]
+        assert len(explicit) == 6
+        for r in explicit:
+            assert not r.passed and "too shallow" in r.detail, (name, r.name)
 
 
 def test_rewrite_one_power_short_fails_the_explicit_forms(monkeypatch):
+    # a composition one power short must not be fitted as if it reached q^order
     order = 4
-    rewrite = verify.express_in_klmn
+    for owner, name in FAULTS:
+        rewrite = getattr(owner, name)
 
-    def short(value):
-        return rewrite(value).truncate(24 * order - 24)
+        def short(*args):
+            return rewrite(*args).truncate(24 * order - 24)
 
-    monkeypatch.setattr(verify, "express_in_klmn", short)
-    explicit = [r for r in verify.table1_checks(order) if r.name.startswith("explicit forms of")]
-    assert len(explicit) == 6
-    assert [r.name for r in explicit if r.passed] == []
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, short)
+            explicit = [r for r in verify.table1_checks(order) if r.name.startswith("explicit forms of")]
+        assert len(explicit) == 6
+        assert [r.name for r in explicit if r.passed] == [], name

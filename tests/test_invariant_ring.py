@@ -20,6 +20,7 @@ from triality.invariant_ring import (
     _modular_powers,
     _weyl_powers,
     express_in_klmn,
+    fit_coefficients,
     klmn,
     weyl_in_klmn,
 )
@@ -248,14 +249,68 @@ def test_express_reports_ambiguity_on_shallow_windows():
 
 def test_shallow_table1_fails_only_on_shallow_windows():
     # every generator lies in the ring, so a rewrite may fail at a low order
-    # only because its window is too short, never as "no representation"
+    # only because its window is too short, never as "no representation";
+    # where the direct route's window is too short the wider Weyl route
+    # decides, so only these fail
     from triality.verify import run_suite
 
-    for order in (2, 3):
+    expected = {
+        2: ["<g,P>^1", "<f,P>^2", "<f^3,g^2>^6", "<P,P>^2", "<f^2,Q>^3", "<f^3,g*Q>^6"],
+        3: ["<f^3,g*Q>^6"],
+        4: [],
+    }
+    for order, labels in expected.items():
         failed = [r for r in run_suite("table1", order) if not r.passed]
-        assert failed
+        assert [r.name for r in failed] == [
+            f"{label} lies in the K,L,M,N polynomial ring over E4, E6" for label in labels
+        ]
         for r in failed:
             assert "too shallow" in r.detail, r.name
+
+
+@pytest.mark.parametrize("order", [6, 12, 24])
+def test_direct_rewrite_matches_the_weyl_route(order):
+    # the composition over the frame forms, fitted at this order, and the
+    # route through evaluate_ab and express_in_klmn agree on all 15 images
+    from triality.covariants import gordan_images
+    from triality.sw_curve import evaluate_ab, klmn_form_ab
+
+    for label, p in gordan_images():
+        direct = fit_coefficients(klmn_form_ab(p, order), order)
+        weyl = express_in_klmn(evaluate_ab(p, order))
+        assert set(direct.terms) == set(weyl.terms), label
+        assert all(s == weyl.terms[exps] for exps, s in direct.terms.items()), label
+        assert min(direct.common_trunc(), weyl.common_trunc()) >= LATTICE * order, label
+
+
+def test_table1_builds_tables_at_its_own_order_alone(monkeypatch):
+    # no kept table or klmn at an order wider than the one asked for
+    from triality import invariant_ring, sw_curve
+    from triality.invariant_ring import SeriesPoly
+    from triality.verify import table1_checks
+
+    order = 24
+    caches = (
+        klmn, _klmn_powers, _weyl_powers, _modular_powers, invariant_ring._modular_basis,
+        sw_curve._frame_forms, sw_curve._frame_values, sw_curve._frame_form_powers,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    windows = []
+    init = PowerTable.__init__
+
+    def record(self, images, one):
+        init(self, images, one)
+        if isinstance(one, (FracSeries, SeriesPoly)):
+            windows.append(one.trunc if isinstance(one, FracSeries) else one.common_trunc())
+
+    monkeypatch.setattr(PowerTable, "__init__", record)
+    assert all(r.passed for r in table1_checks(order))
+    assert windows and set(windows) == {LATTICE * order}
+    assert klmn.cache_info().currsize == 1
+    hits = klmn.cache_info().hits
+    klmn(order)
+    assert klmn.cache_info().hits == hits + 1
 
 
 def test_weyl_generators_in_klmn_evaluate_back(order, eta):

@@ -1,5 +1,6 @@
 """Each rule has one home: one grading check, one module that reads the
-stored form of a q-series, and one builder of monomial images."""
+stored form of a q-series, one builder of monomial images and one fit into
+C[E4, E6]."""
 
 import re
 from pathlib import Path
@@ -74,3 +75,17 @@ def test_only_power_tables_build_monomial_images():
         if pattern.search(line)
     ]
     assert readers == []
+
+
+def test_the_modular_fit_has_one_home():
+    # invariant_ring alone fits series into C[E4, E6]; verify only asks it to
+    src = Path(triality.__file__).parent
+    callers = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b_fit_modular\(", line) and not line.lstrip().startswith("def ")
+    ]
+    assert callers and {c.split(":")[0] for c in callers} == {"invariant_ring.py"}
+    fitting = re.compile(r"_fit_modular|_modular_basis|_modular_powers|\.coeff\(")
+    assert not fitting.search((src / "verify.py").read_text())
