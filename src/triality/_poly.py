@@ -21,6 +21,7 @@ caller copies into a new value.  A table held across calls (`sw_curve`'s
 frame changes and frame values, `invariant_ring`'s series generators)
 grows only to the largest exponent asked of it; a fresh one caches within
 its call only.
+`format_terms` is the one term printer of `SparsePoly` and `FracSeries`.
 `taylor_shift` is the one shift u -> u + s v of a binary form's
 coefficients, from which every frame change and hat substitution of the
 package is built.  `bounded_monomials` walks exponent vectors of fixed
@@ -119,6 +120,18 @@ def bounded_monomials(weights, targets):
 
     walk(0, tuple(targets), ())
     return sorted(found, key=_grlex_key, reverse=True)
+
+
+def format_terms(terms):
+    """Text of a sum of (coefficient, monomial text) pairs, "" for the unit
+    monomial: a coefficient of +-1 shows only its sign, and "0" for no terms."""
+    parts = []
+    for c, mono in terms:
+        if mono and abs(c) == 1:
+            parts.append(("-" if c < 0 else "") + mono)
+        else:
+            parts.append(str(c) + ("*" + mono if mono else ""))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 class SparsePoly:
@@ -294,21 +307,10 @@ class SparsePoly:
         return [[list(e), f"{c.numerator}/{c.denominator}"] for e, c in self.sorted_terms()]
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = [
-                self.names[i] + (f"^{e}" if e != 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            ]
-            mono = "*".join(factors)
-            if mono and abs(c) == 1:
-                parts.append(("-" if c < 0 else "") + mono)
-            else:
-                parts.append(str(c) + ("*" + mono if mono else ""))
-        return " + ".join(parts).replace("+ -", "- ")
+        def mono(exps):
+            return "*".join(n + (f"^{e}" if e != 1 else "") for n, e in zip(self.names, exps) if e)
+
+        return format_terms((c, mono(exps)) for exps, c in self.sorted_terms())
 
     def __repr__(self):
         return f"{type(self).__name__}({self!s})"

@@ -3,23 +3,28 @@
 The quadratic f = sum alpha_i u^(2-i) v^i and cubic g = sum beta_i
 u^(3-i) v^i are handled through one polynomial flavor over the nine
 variables (alpha0..alpha2, beta0..beta3, u, v).  Negative powers of
-alpha0, beta0 and u appear only inside the completion-of-the-square
-substitutions and the inverse Roberts map; every public result is
-validated polynomial.
+alpha0 and beta0 appear only inside the completion-of-the-square
+substitutions (each a shift u -> u + s v of the coefficients,
+`_poly.taylor_shift`); u and v are never Laurent, and every public result
+is validated polynomial.
 
-Every coefficient substitution here (the hats of the substitution
-isomorphism and of the inverse Roberts map) is one shift u -> u + s v of
-the coefficients, `_poly.taylor_shift`.  Semiinvariance under the
-unipotent shift u -> u + kappa v is DP = 0 for its derivation
-D = 2 alpha0 d/dalpha1 + alpha1 d/dalpha2 + 3 beta0 d/dbeta1
-+ 2 beta1 d/dbeta2 + beta2 d/dbeta3, since P(kappa) = exp(kappa D) P.
+The unipotent action is read through two derivations of the coefficients,
+each a table of (i, j, w) triples meaning w x_j d/dx_i and applied by the
+one helper `_derivation`: the raising D = 2 alpha0 d/dalpha1 + alpha1
+d/dalpha2 + 3 beta0 d/dbeta1 + 2 beta1 d/dbeta2 + beta2 d/dbeta3, which
+generates u -> u + kappa v (P(kappa) = exp(kappa D) P, so P is a
+semiinvariant iff DP = 0), and the lowering Delta alpha_i = (i+1)
+alpha_(i+1), Delta beta_i = (i+1) beta_(i+1).  With the scaling order they
+form an sl2 triple, so a polynomial Phi of order omega >= 0 is a
+semiinvariant iff Delta^(omega+1) Phi = 0, and then its covariant is
+sum_k Delta^k Phi / k! u^(omega-k) v^k (the Roberts correspondence).
 The gradings are weight rows on `FormPoly` (the (u, v) order, the scaling
 weights alpha_i -> 2-2i, beta_i -> 3-2i, and the alpha and beta counts),
 each read by `SparsePoly.weighted_degree`.  The module also carries the
-named forms f, g, P = <g,g>^2 and Q = <g,P>^1, built once, the fifteen
-classical transvectant generators of the joint covariant ring with their
-curve images (`gordan_images`, built once) and a brute-force dimension
-oracle for spaces of joint semiinvariants.
+named forms f, g, P = <g,g>^2 and Q = <g,P>^1 and the fifteen classical
+transvectant generators of the joint covariant ring, each built once, with
+their curve images (`gordan_images`, built once) and a brute-force
+dimension oracle for spaces of joint semiinvariants.
 """
 
 from __future__ import annotations
@@ -44,13 +49,13 @@ class NegativeOrderError(ValueError):
 
 
 class NotPolynomialError(ValueError):
-    """Laurent denominators survived a substitution that should cancel them."""
+    """Alpha0 denominators survived psi_forward, or Roberts was given a non-semiinvariant."""
 
 
 class FormPoly(SparsePoly):
     nvars = 9
     names = ("alpha0", "alpha1", "alpha2", "beta0", "beta1", "beta2", "beta3", "u", "v")
-    laurent = frozenset({0, 3, 7})
+    laurent = frozenset({0, 3})
     # weight rows: the order in (u, v); the scaling weights under
     # (u, v) -> (lambda u, v / lambda); the alpha and the beta counts
     UV = (0, 0, 0, 0, 0, 0, 0, 1, 1)
@@ -131,19 +136,21 @@ def transvectant(f1, f2, i):
 # -- semiinvariance --------------------------------------------------------------
 
 
-# the terms w x_(i-1) d/dx_i of D (see the module docstring) as pairs (i, w)
-_DERIVATION = ((1, 2), (2, 1), (4, 3), (5, 2), (6, 1))
+# the raising D and the lowering Delta (see the module docstring): their
+# terms w x_j d/dx_i as triples (i, j, w)
+_DERIVATION = ((1, 0, 2), (2, 1, 1), (4, 3, 3), (5, 4, 2), (6, 5, 1))
+_LOWERING = ((0, 1, 1), (1, 2, 2), (3, 4, 1), (4, 5, 2), (5, 6, 3))
 
 
-def _derivation(P):
-    """DP.  Since P(kappa) = exp(kappa D) P, P is unchanged by the shift iff DP = 0."""
-    return FormPoly._sum(P.derivative(i) * _fvar(i - 1) * weight for i, weight in _DERIVATION)
+def _derivation(P, table):
+    """The derivation sum of w x_j d/dx_i over the (i, j, w) of table, applied to P."""
+    return FormPoly._sum(P.derivative(i) * _fvar(j) * w for i, j, w in table)
 
 
 def is_semiinvariant(P):
     """True iff P is unchanged by u -> u + kappa v for formal kappa, i.e. DP = 0."""
     _require_uv_free(P, "semiinvariance")
-    return _derivation(P).is_zero
+    return _derivation(P, _DERIVATION).is_zero
 
 
 def order_of(P):
@@ -172,23 +179,26 @@ def roberts_to_semiinvariant(Psi):
 
 
 def roberts_to_covariant(Phi):
-    """Rebuild the covariant u^omega Phi(hatted coefficients).
+    """The covariant sum_k Delta^k Phi / k! u^(omega-k) v^k of leading coefficient Phi.
 
-    The hatted coefficient alpha_(k,i) is sum_(j>=i) alpha_(k,j) C(j, i)
-    (v/u)^(j-i): the coefficients read in reverse, shifted by v/u.  All
-    negative powers of u cancel for a semiinvariant of nonnegative order.
+    omega is the order of Phi.  This is u^omega Phi(exp((v/u) Delta)
+    alpha, beta), which has no negative power of u iff Delta^(omega+1)
+    Phi = 0; for a polynomial Phi that holds iff Phi is a semiinvariant.
+    NotPolynomialError otherwise.
     """
     omega = order_of(Phi)
     if omega < 0:
         raise NegativeOrderError(f"order {omega} is negative")
-    v_over_u = FormPoly({(0,) * 7 + (-1, 1): 1})
-    alpha_hat = taylor_shift([_fvar(i) for i in (2, 1, 0)], v_over_u)[::-1]
-    beta_hat = taylor_shift([_fvar(i) for i in (6, 5, 4, 3)], v_over_u)[::-1]
-    images = alpha_hat + beta_hat + (_fvar(FormPoly.U), _fvar(FormPoly.V))
-    result = compose(Phi, PowerTable(images, FormPoly.one())) * FormPoly.variable(FormPoly.U, omega)
-    if result.min_degree_in(FormPoly.U) < 0:
-        raise NotPolynomialError("negative powers of u survived; input was not a semiinvariant")
-    return result
+    terms = {}
+    lowered = Phi
+    for k in range(omega + 1):
+        uv = (omega - k, k)
+        scale = Fraction(1, factorial(k))
+        terms.update((e[: FormPoly.U] + uv, c * scale) for e, c in lowered.terms.items())
+        lowered = _derivation(lowered, _LOWERING)
+    if not lowered.is_zero:
+        raise NotPolynomialError("Delta^(omega+1) of the input is not 0: it leads no covariant")
+    return FormPoly._new(terms)
 
 
 # -- the curve-coefficient substitution ----------------------------------------------
@@ -266,8 +276,9 @@ def named_forms():
     return f, g, P, transvectant(g, P, 1)
 
 
+@lru_cache(maxsize=None)
 def gordan_generators():
-    """The classical 15-element basis of joint covariants of the pair (f, g).
+    """The classical 15-element basis of joint covariants of the pair (f, g), built once.
 
     Metadata per generator: refined degrees (d_a, d_b), z-degree m of the
     matching triality invariant, and covariant order omega; the modular
@@ -277,7 +288,7 @@ def gordan_generators():
     tv = transvectant
     f2 = f * f
     f3 = f2 * f
-    return [
+    return (
         GordanGenerator("f", f, 1, 0, 0, 2),
         GordanGenerator("g", g, 0, 1, 0, 3),
         GordanGenerator("<f,g>^1", tv(f, g, 1), 1, 1, 2, 3),
@@ -293,7 +304,7 @@ def gordan_generators():
         GordanGenerator("<P,P>^2", tv(P, P, 2), 0, 4, 12, 0),
         GordanGenerator("<f^2,Q>^3", tv(f2, Q, 3), 2, 3, 12, 1),
         GordanGenerator("<f^3,g*Q>^6", tv(f3, g * Q, 6), 3, 4, 18, 0),
-    ]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +342,7 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
     monos = _semiinvariant_monomials(d_alpha, d_beta, omega)
     equations = {}
     for idx, m in enumerate(monos):
-        for exps, c in _derivation(FormPoly.monomial(m)).terms.items():
+        for exps, c in _derivation(FormPoly.monomial(m), _DERIVATION).terms.items():
             equations.setdefault(exps, {})[idx] = c
     n = len(monos)
     rows = ([equations[e].get(i, 0) for i in range(n)] for e in sorted(equations))

@@ -32,7 +32,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import power
+from ._poly import format_terms, power
 
 # t-units per power of q: the lattice (1/24)Z houses eta (1/24), theta2
 # (1/8) and q^(1/2) simultaneously.
@@ -78,6 +78,14 @@ def _reduced(num, den):
     return {e: n // g for e, n in num.items()}, den // g
 
 
+def _q_power_text(q):
+    if q == 0:
+        return ""
+    if q == 1:
+        return "q"
+    return f"q^{q}" if q.denominator == 1 else f"q^({q})"
+
+
 class FracSeries:
     """A truncated Laurent series sum_e c_e t^e, c_e rational, e < trunc.
 
@@ -119,15 +127,6 @@ class FracSeries:
     @classmethod
     def t_power(cls, exponent, trunc, coeff=1):
         return cls({exponent: Fraction(coeff)}, trunc)
-
-    @classmethod
-    def from_q_coeffs(cls, coeffs, order):
-        """Series with integer q-exponents from {n: c} or [c0, c1, ...]."""
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        return cls({LATTICE * n: c for n, c in items}, LATTICE * order)
 
     # -- basic queries -----------------------------------------------
 
@@ -284,22 +283,8 @@ class FracSeries:
         }
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            q = Fraction(e, LATTICE)
-            if q == 0:
-                mono = ""
-            elif q == 1:
-                mono = "q"
-            else:
-                mono = f"q^{q}" if q.denominator == 1 else f"q^({q})"
-            if mono and abs(c) == 1:
-                parts.append(("-" if c < 0 else "") + mono)
-            else:
-                parts.append(str(c) + ("*" + mono if mono else ""))
-        return " + ".join(parts).replace("+ -", "- ")
+        terms = sorted(self.terms.items())
+        return format_terms((c, _q_power_text(Fraction(e, LATTICE))) for e, c in terms)
 
     def __repr__(self):
         return f"FracSeries({self!s}, trunc={self.trunc})"
@@ -335,9 +320,9 @@ def eisenstein(two_n, order):
     coeffs = {0: Fraction(1)}
     for k in range(1, order):
         kp = Fraction(k ** (two_n - 1))
-        for m in range(k, order, k):
-            coeffs[m] = coeffs.get(m, Fraction(0)) + factor * kp
-    return FracSeries.from_q_coeffs(coeffs, order)
+        for e in range(LATTICE * k, LATTICE * order, LATTICE * k):
+            coeffs[e] = coeffs.get(e, Fraction(0)) + factor * kp
+    return FracSeries(coeffs, LATTICE * order)
 
 
 def theta_const(k, order):

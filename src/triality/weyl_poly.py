@@ -53,10 +53,12 @@ def zpoly_to_ipoly(p):
 
     The lex-leading z-monomial of I2^a I4^b I6^c I~4^d is
     z1^(2a+2b+2c+d) z2^(2b+2c+d) z3^(2c+d) z4^d with coefficient 1, so the
-    leading term of p names the next generator monomial to subtract.
+    leading term of p names the next generator monomial to subtract; one
+    `PowerTable` of the generators builds the images of all of them.
     Raises NotInvariantError when no generator polynomial expands to p.
     """
     p.weighted_degree((1, 1, 1, 1))  # raises NotHomogeneousError if inhomogeneous
+    table = PowerTable(weyl_generators(), ZPoly.one())
     result = {}
     while not p.is_zero:
         lead = max(p.terms)
@@ -67,7 +69,7 @@ def zpoly_to_ipoly(p):
         exps = (steps[0] // 2, steps[1] // 2, steps[2] // 2, p4)
         coeff = p.terms[lead]
         result[exps] = coeff
-        p = p - ipoly_to_zpoly(IPoly.monomial(exps, coeff))
+        p = p - table.monomial(exps) * coeff
     return IPoly(result)
 
 

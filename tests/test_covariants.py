@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from triality._poly import PowerTable, compose, taylor_shift
 from triality.covariants import (
     BadOrderError,
     FormPoly,
@@ -21,6 +22,7 @@ from triality.covariants import (
     refined_form_degrees,
     roberts_to_covariant,
     roberts_to_semiinvariant,
+    _semiinvariant_monomials,
     semiinvariant_dimension,
     transvectant,
     uv_order,
@@ -110,6 +112,84 @@ def test_roberts_round_trips_random_semiinvariants():
         assert roberts_to_semiinvariant(cov) == semi
         assert uv_order(cov) == order_of(semi)
         assert refined_form_degrees(cov) == refined_form_degrees(semi)
+
+
+class _LaurentUFormPoly(FormPoly):
+    """FormPoly with u Laurent as well, for the reference substitution only."""
+
+    laurent = frozenset({0, 3, FormPoly.U})
+
+
+def _reference_roberts_to_covariant(Phi):
+    """The covariant as the substitution u^omega Phi(hatted coefficients): the
+    hatted alpha_i is sum_(j>=i) alpha_j C(j, i) (v/u)^(j-i), and every
+    negative power of u cancels iff Phi is a semiinvariant of order omega >= 0."""
+    omega = order_of(Phi)
+    if omega < 0:
+        raise NegativeOrderError(f"order {omega} is negative")
+    x = [_LaurentUFormPoly.variable(i) for i in range(FormPoly.nvars)]
+    v_over_u = x[FormPoly.V] * _LaurentUFormPoly.variable(FormPoly.U, -1)
+    alpha_hat = taylor_shift(x[2::-1], v_over_u)[::-1]
+    beta_hat = taylor_shift(x[6:2:-1], v_over_u)[::-1]
+    images = alpha_hat + beta_hat + (x[FormPoly.U], x[FormPoly.V])
+    result = compose(_LaurentUFormPoly(Phi.terms), PowerTable(images, _LaurentUFormPoly.one()))
+    result = result * _LaurentUFormPoly.variable(FormPoly.U, omega)
+    if result.min_degree_in(FormPoly.U) < 0:
+        raise NotPolynomialError("negative powers of u survived")
+    return FormPoly(result.terms)
+
+
+def test_roberts_agrees_with_the_laurent_substitution_on_semiinvariants():
+    # the 15 leading coefficients and their pairwise products, except the 15
+    # products with the largest one, <f^3,g*Q>^6: on those the reference
+    # substitution takes about 7 s of the 10 s it takes on all 120
+    leads = [roberts_to_semiinvariant(g.poly) for g in gordan_generators()]
+    products = [a * b for a, b in combinations_with_replacement(leads[:-1], 2)]
+    for semi in leads + products:
+        assert roberts_to_covariant(semi) == _reference_roberts_to_covariant(semi)
+
+
+def test_roberts_agrees_with_the_laurent_substitution_on_non_semiinvariants():
+    rng = random.Random(14)
+    refused = 0
+    for d_a, d_b, omega in ((1, 0, 0), (2, 0, 0), (1, 1, 1), (0, 2, 2), (2, 1, 3), (1, 2, 4)):
+        monos = _semiinvariant_monomials(d_a, d_b, omega)
+        for _ in range(4):
+            poly = FormPoly({m: rng.randint(-3, 3) for m in monos})
+            if poly.is_zero or is_semiinvariant(poly):
+                continue
+            for covariant in (roberts_to_covariant, _reference_roberts_to_covariant):
+                with pytest.raises(NotPolynomialError):
+                    covariant(poly)
+            refused += 1
+    assert refused >= 20
+    for covariant in (roberts_to_covariant, _reference_roberts_to_covariant):
+        with pytest.raises(NegativeOrderError):
+            covariant(AL2 * BE1 + AL1 * BE2)
+
+
+def test_form_coefficients_may_be_laurent_but_u_and_v_may_not():
+    assert FormPoly.variable(0, -1) * AL0 == FormPoly.one()
+    assert FormPoly.variable(3, -2).min_degree_in(3) == -2
+    for i in (FormPoly.U, FormPoly.V):
+        with pytest.raises(ValueError, match="negative exponent"):
+            FormPoly.variable(i, -1)
+
+
+def test_roberts_builds_no_power_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("roberts_to_covariant built a PowerTable")
+
+    monkeypatch.setattr("triality.covariants.PowerTable", refuse)
+    for g in gordan_generators():
+        assert roberts_to_covariant(roberts_to_semiinvariant(g.poly)) == g.poly
+
+
+def test_gordan_generators_are_built_once(monkeypatch):
+    gens = gordan_generators()
+    monkeypatch.setattr("triality.covariants.transvectant", None)
+    assert gordan_generators() is gens
+    assert isinstance(gens, tuple)
 
 
 def test_hat_coefficients():

@@ -3,6 +3,7 @@ stored form of a q-series, one builder of monomial images and one fit into
 C[E4, E6]."""
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import triality
 from triality import _poly, covariants, sw_curve
 from triality.covariants import FormPoly
+from triality.exact_series import FracSeries
 from triality.invariant_ring import UnsupportedLatticeError
 from triality.weyl_poly import IPoly
 
@@ -89,3 +91,12 @@ def test_the_modular_fit_has_one_home():
     assert callers and {c.split(":")[0] for c in callers} == {"invariant_ring.py"}
     fitting = re.compile(r"_fit_modular|_modular_basis|_modular_powers|\.coeff\(")
     assert not fitting.search((src / "verify.py").read_text())
+
+
+def test_series_and_polynomials_print_their_terms_alike():
+    # one printer: a unit coefficient shows only its sign, "+ -" reads "- "
+    series = FracSeries({0: 3, 12: Fraction(1, 2), 24: -1, 48: 1, 60: -2}, 96)
+    assert str(series) == "3 + 1/2*q^(1/2) - q + q^2 - 2*q^(5/2)"
+    poly = AL0 * AL0 - FormPoly.variable(1) / 2 - FormPoly.variable(FormPoly.V, 3) - 1
+    assert str(poly) == "-v^3 + alpha0^2 - 1/2*alpha1 - 1"
+    assert str(FracSeries.zero(24)) == str(FormPoly.zero()) == "0"

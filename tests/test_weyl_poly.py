@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import _grlex_key
+from triality._poly import PowerTable, _grlex_key, compose
 from triality.invariant_ring import T_POLYS
 from triality.weyl_poly import (
     IPoly,
@@ -35,6 +35,22 @@ def test_expand_generators():
 def test_power_sum_in_generators():
     s4 = sum((ZPoly.variable(i, 4) for i in range(4)), ZPoly.zero())
     assert zpoly_to_ipoly(s4) == IPoly({(2, 0, 0, 0): 1, (0, 1, 0, 0): -2})
+
+
+def test_conversion_builds_one_power_table(monkeypatch):
+    from triality import weyl_poly
+
+    tables = []
+
+    def counted(*args):
+        tables.append(args)
+        return PowerTable(*args)
+
+    monkeypatch.setattr(weyl_poly, "PowerTable", counted)
+    p = IPoly({(3, 0, 0, 0): 1, (1, 1, 0, 0): -2, (0, 0, 1, 0): 5, (1, 0, 0, 1): 7})
+    z = compose(p, PowerTable(weyl_generators(), ZPoly.one()))
+    assert zpoly_to_ipoly(z) == p
+    assert len(tables) == 1
 
 
 def test_product_monomial_is_generator():
