@@ -21,7 +21,8 @@ caller copies into a new value.  A table held across calls (`sw_curve`'s
 frame changes and frame values, `invariant_ring`'s series generators)
 grows only to the largest exponent asked of it; a fresh one caches within
 its call only.
-`format_terms` is the one term printer of `SparsePoly` and `FracSeries`.
+`format_terms` is the one term printer of `SparsePoly` and `FracSeries`,
+and `format_monomial` the one monomial text of both polynomial types.
 `taylor_shift` is the one shift u -> u + s v of a binary form's
 coefficients, from which every frame change and hat substitution of the
 package is built.  `bounded_monomials` walks exponent vectors of fixed
@@ -132,6 +133,11 @@ def format_terms(terms):
         else:
             parts.append(str(c) + ("*" + mono if mono else ""))
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def format_monomial(names, exps):
+    """Text of a monomial, "" for the unit: name^e per variable, no "^1"."""
+    return "*".join(n + (f"^{e}" if e != 1 else "") for n, e in zip(names, exps) if e)
 
 
 class SparsePoly:
@@ -307,10 +313,7 @@ class SparsePoly:
         return [[list(e), f"{c.numerator}/{c.denominator}"] for e, c in self.sorted_terms()]
 
     def __str__(self):
-        def mono(exps):
-            return "*".join(n + (f"^{e}" if e != 1 else "") for n, e in zip(self.names, exps) if e)
-
-        return format_terms((c, mono(exps)) for exps, c in self.sorted_terms())
+        return format_terms((c, format_monomial(self.names, e)) for e, c in self.sorted_terms())
 
     def __repr__(self):
         return f"{type(self).__name__}({self!s})"

@@ -309,19 +309,19 @@ def cmd_membership(args):
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    image = sw_curve.ab_to_cd(poly)
-    member = image.min_degree_in(0) >= 0
+    valuation = sw_curve.c0_valuation(poly)
+    member = valuation >= 0
     if args.format == "json":
         payload = {
             "kind": "membership",
             "input": str(poly),
             "is_triality_invariant": member,
-            "c0_valuation": image.min_degree_in(0),
+            "c0_valuation": valuation,
         }
         print(_json_dump(payload))
     else:
         verdict = "a triality invariant" if member else "NOT a triality invariant"
-        print(f"{poly} is {verdict} (c0 valuation of the image: {image.min_degree_in(0)})")
+        print(f"{poly} is {verdict} (c0 valuation of the image: {valuation})")
     return 0
 
 

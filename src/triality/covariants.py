@@ -340,10 +340,4 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
     if d_alpha < 0 or d_beta < 0:
         raise ValueError("refined degrees must be nonnegative")
     monos = _semiinvariant_monomials(d_alpha, d_beta, omega)
-    equations = {}
-    for idx, m in enumerate(monos):
-        for exps, c in _derivation(FormPoly.monomial(m), _DERIVATION).terms.items():
-            equations.setdefault(exps, {})[idx] = c
-    n = len(monos)
-    rows = ([equations[e].get(i, 0) for i in range(n)] for e in sorted(equations))
-    return len(nullspace(rows, n))
+    return len(nullspace(_derivation(FormPoly.monomial(m), _DERIVATION).terms for m in monos))

@@ -47,20 +47,16 @@ class AnsatzBasis:
 def triality_basis(k, m):
     """All triality invariants of weight k and degree m, reduced echelon.
 
-    Maps each ansatz monomial through the frame change, collects the
-    coefficient of every image monomial carrying a negative power of c0
-    into an exact linear system, and back-substitutes its kernel.
+    The columns of the linear map are the parts of the ansatz monomials'
+    frame-change images that carry a negative power of c0; its kernel,
+    back-substituted, is the invariant space.
     """
     monos = monomials_of(k, m)
-    images = [ab_to_cd(CurvePolyAB.monomial(e)) for e in monos]
-    constraints = {}
-    for idx, img in enumerate(images):
-        for exps, coeff in img.terms.items():
-            if exps[0] < 0:
-                constraints.setdefault(exps, {})[idx] = coeff
-    n = len(monos)
-    rows = ([constraints[e].get(i, 0) for i in range(n)] for e in sorted(constraints))
-    basis = [CurvePolyAB._new(dict(zip(monos, vec))) for vec in nullspace(rows, n)]
+    columns = (
+        {e: c for e, c in ab_to_cd(CurvePolyAB.monomial(mono)).terms.items() if e[0] < 0}
+        for mono in monos
+    )
+    basis = [CurvePolyAB._new(dict(zip(monos, vec))) for vec in nullspace(columns)]
     return AnsatzBasis(k, m, tuple(monos), tuple(basis))
 
 

@@ -330,28 +330,21 @@ def theta_const(k, order):
 
     theta2 = sum over half-integers n of q^(n^2/2): leading term 2 q^(1/8);
     theta3/theta4 sum over integers, with alternating signs for theta4.
-    The lattice sum is truncated by solving the exponent bound exactly.
+    With m = 2n the term of n sits at t^(3 m^2), m odd for theta2 and even
+    for theta3/theta4; n and -n share it, so its coefficient is 2 unless
+    m = 0, and theta4 takes the sign (-1)^n.  The sum stops at the window.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if k not in (2, 3, 4):
+        raise ValueError("theta constant index must be 2, 3 or 4")
     trunc = LATTICE * order
     terms = {}
-    if k == 2:
-        # exponent of the n-th term: (n - 1/2)^2 / 2 = 3 (2n-1)^2 t-units;
-        # n and 1-n coincide, giving coefficient 2.
-        n = 1
-        while 3 * (2 * n - 1) ** 2 < trunc:
-            terms[3 * (2 * n - 1) ** 2] = Fraction(2)
-            n += 1
-    elif k in (3, 4):
-        terms[0] = Fraction(1)
-        n = 1
-        while 12 * n * n < trunc:
-            sign = -1 if (k == 4 and n % 2) else 1
-            terms[12 * n * n] = Fraction(2 * sign)
-            n += 1
-    else:
-        raise ValueError("theta constant index must be 2, 3 or 4")
+    m = 1 if k == 2 else 0
+    while 3 * m * m < trunc:
+        sign = -1 if k == 4 and m % 4 == 2 else 1
+        terms[3 * m * m] = Fraction(sign * (2 if m else 1))
+        m += 2
     return FracSeries(terms, trunc)
 
 

@@ -43,7 +43,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._poly import (
-    PowerTable, _grlex_key, add_terms, derivative_terms, jacobian, monomial_degree, mul_terms, power,
+    PowerTable, _grlex_key, add_terms, derivative_terms, format_monomial, jacobian, monomial_degree,
+    mul_terms, power,
 )
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from .exact_series import UnsupportedLatticeError  # noqa: F401  (raised by Invariant.t_action)
@@ -257,9 +258,7 @@ class SeriesPoly:
             return "0"
         parts = []
         for exps in self._sorted_monomials():
-            mono = "*".join(
-                n + (f"^{e}" if e > 1 else "") for n, e in zip(self.NAMES, exps) if e
-            )
+            mono = format_monomial(self.NAMES, exps)
             parts.append(f"({self.terms[exps]})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
 

@@ -7,6 +7,11 @@ reduced row-echelon form, so the form (and hence every kernel basis) is
 the same canonical and deterministic one that Gauss-Jordan over Fractions
 gives.  Fractions are built only in `kernel()`.  The incremental solver
 lets callers stream equation rows and stop as soon as the rank is full.
+
+`nullspace` is the one place that turns coefficients into solver rows.  It
+takes a linear map by its sparse columns, the image {equation key:
+coefficient} of each unknown, builds one dense row per equation key in
+sorted key order, and stops adding rows once the rank is full.
 """
 
 from __future__ import annotations
@@ -86,15 +91,18 @@ class LinearSolver:
         return basis
 
 
-def nullspace(rows, ncols):
-    """Exact reduced-echelon kernel basis of the matrix given as an iterable of rows.
+def nullspace(columns):
+    """Exact reduced-echelon kernel basis of the linear map with the given columns.
 
-    Rows are read only until the rank is full, so a generator of rows is
-    never built past that point.
+    columns[i] is the sparse image {equation key: coefficient} of unknown i;
+    an empty column is a free unknown.  Rows are built in sorted key order
+    only until the rank is full, so the keys past that point are never read.
     """
+    columns = list(columns)
+    ncols = len(columns)
     solver = LinearSolver(ncols)
-    for row in rows:
-        solver.add(row)
+    for key in sorted({key for column in columns for key in column}):
+        solver.add([column.get(key, 0) for column in columns])
         if solver.rank == ncols:
             break
     return solver.kernel()

@@ -135,9 +135,14 @@ def cd_to_ab(p):
     return compose(p, _frame_changes()[1])
 
 
+def c0_valuation(p):
+    """The least power of c0 in the cd-frame image of an ab-frame polynomial."""
+    return ab_to_cd(p).min_degree_in(0)
+
+
 def is_triality_invariant(p):
     """Membership test: the cd-frame image has no negative powers of c0."""
-    return ab_to_cd(p).min_degree_in(0) >= 0
+    return c0_valuation(p) >= 0
 
 
 # -- evaluation into the invariant ring ------------------------------------------

@@ -387,7 +387,7 @@ SUITES = {
     "table1": table1_checks,
 }
 
-SUITE_ORDER = ("series", "jacobians", "curve", "isomorphism", "table1")
+SUITE_ORDER = tuple(SUITES)
 
 
 class UnknownSuiteError(ValueError):

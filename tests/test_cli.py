@@ -136,6 +136,19 @@ def test_dense_membership_input(capsys):
     assert payload["is_triality_invariant"] is False
 
 
+def test_c0_valuation_is_the_least_c0_power_of_the_image():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [line.split('"')[1] for line in readme.splitlines() if "triality membership" in line]
+    assert examples
+    valuations = []
+    for text in examples + ["a0*b1", "b1", "(a0+a2+b0+b1+b2+b3)^8"]:
+        poly = cli.parse_poly(text, cli._curve_atoms(), sw_curve.CurvePolyAB)
+        valuations.append(sw_curve.c0_valuation(poly))
+        assert valuations[-1] == sw_curve.ab_to_cd(poly).min_degree_in(0)
+        assert sw_curve.is_triality_invariant(poly) is (valuations[-1] >= 0)
+    assert valuations[-3:] == [0, -1, -24]
+
+
 def test_membership_parse_error(capsys):
     code = cli.main(["membership", "a0 + $"])
     assert code == 2

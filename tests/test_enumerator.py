@@ -23,15 +23,22 @@ def test_monomials_of():
 
 
 def test_rational_kernel():
-    assert nullspace([[0, 0], [0, 0]], 2) == [[1, 0], [0, 1]]
-    assert nullspace([[1, 0], [0, 1]], 2) == []
-    assert nullspace([[1, -1]], 2) == [[1, 1]]
+    # columns[i] is the image {equation: coefficient} of unknown i
+    assert nullspace([{}, {0: 0, 1: 0}]) == [[1, 0], [0, 1]]
+    assert nullspace([{0: 1}, {1: 1}]) == []
+    assert nullspace([{0: 1}, {0: -1}]) == [[1, 1]]
     # rank 2 in 4 unknowns: one vector per free column (2 and 3), with a 1
-    # there and the pivot entries read off the reduced row-echelon form
-    matrix = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, F(1, 2)], [1, 3, 4, F(9, 2)]]
-    assert nullspace(matrix, 4) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
-    # rows past full rank are never read
-    assert nullspace([[1, 0], [0, 1], ["not a number"]], 2) == []
+    # there and the pivot entries read off the reduced row-echelon form of
+    # the rows [1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1/2], [1, 3, 4, 9/2]
+    columns = [
+        {0: 1, 1: 2, 3: 1},
+        {0: 2, 1: 4, 2: 1, 3: 3},
+        {0: 3, 1: 6, 2: 1, 3: 4},
+        {0: 4, 1: 8, 2: F(1, 2), 3: F(9, 2)},
+    ]
+    assert nullspace(columns) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
+    # equations past full rank are never read: the last-sorted key is not a number
+    assert nullspace([{0: 1, 2: "not a number"}, {1: 1}]) == []
 
 
 def test_basis_weight12():

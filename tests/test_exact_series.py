@@ -205,6 +205,35 @@ def test_theta_against_bruteforce():
         assert theta_const(k, 8) == theta_oracle(k, 8)
 
 
+def theta_two_loops(k, order):
+    """The two lattice loops theta_const once had, kept as its reference:
+    one over the half-integers for theta2, one over the integers for theta3/theta4."""
+    trunc = LATTICE * order
+    terms = {}
+    if k == 2:
+        n = 1
+        while 3 * (2 * n - 1) ** 2 < trunc:
+            terms[3 * (2 * n - 1) ** 2] = F(2)
+            n += 1
+    else:
+        terms[0] = F(1)
+        n = 1
+        while 12 * n * n < trunc:
+            terms[12 * n * n] = F(-2 if k == 4 and n % 2 else 2)
+            n += 1
+    return terms, trunc
+
+
+def test_theta_one_lattice_sum_matches_the_two_loops():
+    for k in (2, 3, 4):
+        for order in range(1, 49):
+            theta = theta_const(k, order)
+            assert (dict(theta.terms), theta.trunc) == theta_two_loops(k, order), (k, order)
+    for k, order in ((3, 0), (5, 4), (1, 4)):
+        with pytest.raises(ValueError):
+            theta_const(k, order)
+
+
 def test_theta1_vanishes_at_origin():
     # the n and 1-n summands of the odd theta cancel pairwise; the range
     # [-49, 50] is closed under that pairing

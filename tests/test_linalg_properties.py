@@ -1,6 +1,7 @@
 """Property tests for the fraction-free solver: its kernel is the canonical
 reduced-echelon one, whatever the order and scaling of the input rows, and
-every stored row is a primitive integer row with a positive pivot.
+every stored row is a primitive integer row with a positive pivot.  The
+kernel of a map given by sparse columns is that of its dense matrix.
 
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
@@ -14,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality.linalg import LinearSolver  # noqa: E402
+from triality.linalg import LinearSolver, nullspace  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -33,6 +34,17 @@ def systems(draw):
         weights = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
         rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(ncols)])
     return rows, ncols
+
+
+@st.composite
+def sparse_columns(draw):
+    """Columns {equation key: entry} over a few exponent-tuple keys: some
+    columns empty (free unknowns), some entries zero."""
+    keys = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)), max_size=6, unique=True))
+    ncols = draw(st.integers(0, 6))
+    if not keys:
+        return [{}] * ncols
+    return [draw(st.dictionaries(st.sampled_from(keys), entries)) for _ in range(ncols)]
 
 
 def solve(rows, ncols):
@@ -69,3 +81,13 @@ def test_stored_rows_are_primitive_and_kernel_entries_fractions(system):
     for vec in kernel:
         assert all(type(x) is F for x in vec)
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+
+
+@PROPERTY
+@given(sparse_columns())
+def test_nullspace_of_columns_is_the_kernel_of_the_dense_matrix(columns):
+    # the dense rows in first-seen key order: the kernel does not depend on it
+    keys = list(dict.fromkeys(key for column in columns for key in column))
+    rows = [[column.get(key, 0) for column in columns] for key in keys]
+    assert nullspace(columns) == solve(rows, len(columns)).kernel()
+    assert nullspace(iter(columns)) == nullspace(columns)

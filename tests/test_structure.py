@@ -1,6 +1,6 @@
 """Each rule has one home: one grading check, one module that reads the
-stored form of a q-series, one builder of monomial images and one fit into
-C[E4, E6]."""
+stored form of a q-series, one builder of monomial images, one fit into
+C[E4, E6] and one assembler of equation rows."""
 
 import re
 from fractions import Fraction
@@ -12,7 +12,7 @@ import triality
 from triality import _poly, covariants, sw_curve
 from triality.covariants import FormPoly
 from triality.exact_series import FracSeries
-from triality.invariant_ring import UnsupportedLatticeError
+from triality.invariant_ring import Invariant, UnsupportedLatticeError
 from triality.weyl_poly import IPoly
 
 AL0, BE0 = FormPoly.variable(0), FormPoly.variable(3)
@@ -93,6 +93,21 @@ def test_the_modular_fit_has_one_home():
     assert not fitting.search((src / "verify.py").read_text())
 
 
+def test_only_linalg_assembles_equation_rows():
+    # callers hand nullspace the sparse columns of a map; none builds an
+    # {equation: {unknown: coefficient}} dict of its own
+    src = Path(triality.__file__).parent
+    pattern = re.compile(r"\.setdefault\([^)]*\)\s*\[")
+    builders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "linalg.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert builders == []
+
+
 def test_series_and_polynomials_print_their_terms_alike():
     # one printer: a unit coefficient shows only its sign, "+ -" reads "- "
     series = FracSeries({0: 3, 12: Fraction(1, 2), 24: -1, 48: 1, 60: -2}, 96)
@@ -100,3 +115,9 @@ def test_series_and_polynomials_print_their_terms_alike():
     poly = AL0 * AL0 - FormPoly.variable(1) / 2 - FormPoly.variable(FormPoly.V, 3) - 1
     assert str(poly) == "-v^3 + alpha0^2 - 1/2*alpha1 - 1"
     assert str(FracSeries.zero(24)) == str(FormPoly.zero()) == "0"
+
+    # one monomial text: no "^1", and the unit monomial prints as nothing
+    assert _poly.format_monomial(("x", "y", "z"), (1, 0, 3)) == "x*z^3"
+    assert _poly.format_monomial(("x", "y"), (0, 0)) == ""
+    invariant = Invariant({(2, 0, 1, 1): FracSeries.constant(1, 24)}, 0, 14)
+    assert str(invariant) == "(1)*I2^2*I6*I~4"

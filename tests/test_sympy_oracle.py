@@ -121,12 +121,16 @@ def test_kernel_matches_sympy_rref():
         assert solver_kernel(rows, ncols) == sympy_kernel(rows, ncols), rows
 
 
-def test_nullspace_early_stop_matches_sympy_rref():
-    def rows_then_fail(rows):
-        yield from rows
-        raise AssertionError("a row was read after the rank was full")
+def columns_of(rows, ncols):
+    """The sparse columns {row index: entry} of a matrix given by its rows."""
+    return [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
 
+
+def test_nullspace_early_stop_matches_sympy_rref():
     full = [[1, F(1, 2), 0], [1, F(1, 2), 0], [0, F(6, 4), BIG], [BIG, 0, 1]]
-    assert nullspace(rows_then_fail(full), 3) == sympy_kernel(full, 3) == []
+    columns = columns_of(full, 3)
+    # an equation after the rank is full would fail in LinearSolver.add
+    columns[-1][len(full)] = "not a number"
+    assert nullspace(columns) == sympy_kernel(full, 3) == []
     deficient = [[F(6, 4), 3, 0, BIG], [3, 6, 0, 2 * BIG], [0, 0, 0, 0]]
-    assert nullspace(iter(deficient), 4) == sympy_kernel(deficient, 4)
+    assert nullspace(iter(columns_of(deficient, 4))) == sympy_kernel(deficient, 4)
