@@ -24,7 +24,6 @@ from .weyl_poly import (
     NotInvariantError,
     ZPoly,
     ipoly_to_zpoly,
-    jacobian_z,
     weyl_generators,
     zpoly_to_ipoly,
 )

@@ -296,17 +296,6 @@ class SparsePoly:
     def derivative(self, i):
         return self._new(derivative_terms(self.terms, i))
 
-    def evaluate(self, point):
-        """Exact value at a tuple of rationals (Laurent exponents divide)."""
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            val = c
-            for x, e in zip(point, exps):
-                if e:
-                    val *= Fraction(x) ** e
-            total += val
-        return total
-
     # -- output ----------------------------------------------------------
 
     def to_json(self):

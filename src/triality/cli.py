@@ -3,8 +3,8 @@
 All output is deterministic: identical invocations produce identical
 bytes.  Rationals are printed as num/den strings, q-exponents as integers
 on the t = q^(1/24) lattice with the lattice denominator stated in the
-JSON header.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.
+JSON header.  Exit codes: 0 success, 1 verification failure or a stdout
+closed by its reader (the run ends quietly), 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from math import lcm
@@ -249,7 +250,7 @@ def cmd_dims(args):
 
 def cmd_generators(args):
     gens = covariants.gordan_generators()
-    fmt = "json" if getattr(args, "json", False) else args.format
+    fmt = "json" if args.json else args.format
     if fmt == "json":
         payload = {
             "kind": "generators",
@@ -432,7 +433,17 @@ def main(argv=None):
         if value > limit:
             print(f"error: --{name} must be at most {limit}", file=sys.stderr)
             return 2
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, and point the descriptor at
+        # devnull so that the interpreter's exit flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 The quadratic f = sum alpha_i u^(2-i) v^i and cubic g = sum beta_i
 u^(3-i) v^i are handled through one polynomial flavor over the nine
-variables (alpha0..alpha2, beta0..beta3, u, v).  Negative powers of
-alpha0 and beta0 appear only inside the completion-of-the-square
-substitutions (each a shift u -> u + s v of the coefficients,
-`_poly.taylor_shift`); u and v are never Laurent, and every public result
-is validated polynomial.
+variables (alpha0..alpha2, beta0..beta3, u, v).  Alpha0 and beta0 may
+carry negative powers, as the two completions of the square need; the
+module builds only the one by -alpha1/(2 alpha0), the shift u -> u + s v
+of the coefficients (`hat_coefficients`, through `_poly.taylor_shift`)
+that psi_forward substitutes.  u and v are never Laurent, and every
+public result is validated polynomial.
 
 The unipotent action is read through two derivations of the coefficients,
 each a table of (i, j, w) triples meaning w x_j d/dx_i and applied by the
@@ -64,10 +65,6 @@ class FormPoly(SparsePoly):
 
     U = 7
     V = 8
-
-
-def _fvar(i, power=1):
-    return FormPoly.variable(i, power)
 
 
 def quadratic_form():
@@ -144,7 +141,7 @@ _LOWERING = ((0, 1, 1), (1, 2, 2), (3, 4, 1), (4, 5, 2), (5, 6, 3))
 
 def _derivation(P, table):
     """The derivation sum of w x_j d/dx_i over the (i, j, w) of table, applied to P."""
-    return FormPoly._sum(P.derivative(i) * _fvar(j) * w for i, j, w in table)
+    return FormPoly._sum(P.derivative(i) * FormPoly.variable(j) * w for i, j, w in table)
 
 
 def is_semiinvariant(P):
@@ -204,29 +201,16 @@ def roberts_to_covariant(Phi):
 # -- the curve-coefficient substitution ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class HatCoefficients:
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
-
-
 @lru_cache(maxsize=None)
 def hat_coefficients():
-    """The completion-of-the-square images of the form coefficients.
+    """(a-hat, b-hat): the form coefficients with u shifted by -alpha1/(2 alpha0).
 
-    a-hat / b-hat shift u by -alpha1/(2 alpha0) (Laurent in alpha0);
-    c-hat / d-hat shift by -beta1/(3 beta0) (Laurent in beta0).
-    a-hat_1 and d-hat_1 vanish identically.
+    Both are Laurent in alpha0, and a-hat_1 vanishes identically.
     """
-    al = [_fvar(i) for i in range(3)]
-    be = [_fvar(3 + i) for i in range(4)]
-    s_a = FormPoly.monomial((-1, 1, 0, 0, 0, 0, 0, 0, 0), Fraction(-1, 2))
-    s_c = FormPoly.monomial((0, 0, 0, -1, 1, 0, 0, 0, 0), Fraction(-1, 3))
-    a_hat, b_hat = taylor_shift(al, s_a), taylor_shift(be, s_a)
-    c_hat, d_hat = taylor_shift(al, s_c), taylor_shift(be, s_c)
-    return HatCoefficients(a_hat, b_hat, c_hat, d_hat)
+    alphas = [FormPoly.variable(i) for i in range(3)]
+    betas = [FormPoly.variable(i) for i in range(3, 7)]
+    shift = FormPoly.monomial((-1, 1, 0, 0, 0, 0, 0, 0, 0), Fraction(-1, 2))
+    return taylor_shift(alphas, shift), taylor_shift(betas, shift)
 
 
 def psi_forward(p):
@@ -235,8 +219,8 @@ def psi_forward(p):
     For genuine triality invariants all alpha0 denominators cancel and the
     result is a joint semiinvariant; NotPolynomialError otherwise.
     """
-    h = hat_coefficients()
-    images = [h.a[0], h.a[2], h.b[0], h.b[1], h.b[2], h.b[3]]
+    a_hat, b_hat = hat_coefficients()
+    images = [a_hat[0], a_hat[2], *b_hat]
     result = compose(p, PowerTable(images, FormPoly.one()))
     if result.min_degree_in(0) < 0:
         raise NotPolynomialError("alpha0 denominators survived; not in both frames")

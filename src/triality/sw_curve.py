@@ -77,19 +77,6 @@ class CurvePolyCD(SparsePoly):
     frame = "cd"
 
 
-def poly_weight(p):
-    return p.weighted_degree(type(p).WEIGHTS)
-
-
-def poly_degree(p):
-    return p.weighted_degree(type(p).DEGREES)
-
-
-def refined_degrees(p):
-    """(d_a, d_b): homogeneous exponent counts of the two variable families."""
-    return tuple(map(p.weighted_degree, type(p).COUNTS))
-
-
 def curve_poly_json(p):
     return {
         "kind": "curve_poly",

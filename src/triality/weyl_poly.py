@@ -73,11 +73,6 @@ def zpoly_to_ipoly(p):
     return IPoly(result)
 
 
-def jacobian_z(f1, f2, f3, f4):
-    """Determinant of the 4x4 matrix of partials with respect to z1..z4."""
-    return jacobian((f1, f2, f3, f4))
-
-
 def vandermonde_product():
     """The product of (z_i^2 - z_j^2) over i < j, as a ZPoly."""
     prod = ZPoly.one()

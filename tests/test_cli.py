@@ -293,6 +293,12 @@ def test_verify_all_in_process(verify_report):
     assert len(names) == len(set(names)) == 100
 
 
+def child_env():
+    """The environment of a child that runs the package under test, also from an uninstalled checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_output_is_deterministic():
     cmd = [
         sys.executable,
@@ -306,13 +312,20 @@ def test_cli_output_is_deterministic():
         "--format",
         "json",
     ]
-    # the child runs the package under test, also from an uninstalled checkout
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     first = subprocess.run(cmd, capture_output=True, check=True, env=env)
     second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    cmd = [sys.executable, "-m", "triality.cli", "verify", "series", "--format", "json"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as child:
+        child.stdout.close()  # the reader goes away before the child has imported the package
+        _, err = child.communicate(timeout=120)
+    assert child.returncode == 1
+    assert err == b""  # no BrokenPipeError traceback
 
 
 # sha256 of the stdout of each call, pinned so that refactors keep every byte

@@ -33,6 +33,12 @@ AL0, AL1, AL2 = (FormPoly.variable(i) for i in range(3))
 BE0, BE1, BE2, BE3 = (FormPoly.variable(3 + i) for i in range(4))
 
 
+def beta_hats():
+    """(c-hat, d-hat): the form coefficients with u shifted by -beta1/(3 beta0)."""
+    shift = FormPoly.monomial((0, 0, 0, -1, 1, 0, 0, 0, 0), F(-1, 3))
+    return taylor_shift((AL0, AL1, AL2), shift), taylor_shift((BE0, BE1, BE2, BE3), shift)
+
+
 def test_zeroth_transvectant_is_product():
     f, g = quadratic_form(), cubic_form()
     assert transvectant(f, g, 0) == f * g
@@ -193,34 +199,37 @@ def test_gordan_generators_are_built_once(monkeypatch):
 
 
 def test_hat_coefficients():
-    h = hat_coefficients()
-    assert h.a[1].is_zero
-    assert h.d[1].is_zero
-    assert h.a[0] == AL0
-    assert h.a[2] == AL2 - FormPoly({(-1, 2, 0, 0, 0, 0, 0, 0, 0): F(1, 4)})
-    assert h.b[1] == BE1 - FormPoly({(-1, 1, 0, 1, 0, 0, 0, 0, 0): F(3, 2)})
-    assert h.d[2] == BE2 - FormPoly({(0, 0, 0, -1, 2, 0, 0, 0, 0): F(1, 3)})
+    a_hat, b_hat = hat_coefficients()
+    c_hat, d_hat = beta_hats()
+    assert a_hat[1].is_zero
+    assert d_hat[1].is_zero
+    assert a_hat[0] == AL0
+    assert a_hat[2] == AL2 - FormPoly({(-1, 2, 0, 0, 0, 0, 0, 0, 0): F(1, 4)})
+    assert b_hat[1] == BE1 - FormPoly({(-1, 1, 0, 1, 0, 0, 0, 0, 0): F(3, 2)})
+    assert d_hat[2] == BE2 - FormPoly({(0, 0, 0, -1, 2, 0, 0, 0, 0): F(1, 3)})
 
 
 def test_hat_coefficients_give_semiinvariants():
-    h = hat_coefficients()
+    a_hat, b_hat = hat_coefficients()
+    c_hat, d_hat = beta_hats()
     for i in (1, 2):
-        assert is_semiinvariant(FormPoly.variable(0, i - 1) * h.a[i])
+        assert is_semiinvariant(FormPoly.variable(0, i - 1) * a_hat[i])
     for i in range(4):
-        assert is_semiinvariant(FormPoly.variable(0, i) * h.b[i])
+        assert is_semiinvariant(FormPoly.variable(0, i) * b_hat[i])
     for i in range(3):
-        assert is_semiinvariant(FormPoly.variable(3, i) * h.c[i])
+        assert is_semiinvariant(FormPoly.variable(3, i) * c_hat[i])
     for i in (2, 3):
-        assert is_semiinvariant(FormPoly.variable(3, i - 1) * h.d[i])
+        assert is_semiinvariant(FormPoly.variable(3, i - 1) * d_hat[i])
 
 
 def test_hat_coefficients_satisfy_frame_relations():
     # c-hats expressed through a-hats repeat the curve-frame substitution:
     # spot-check c1_hat = a1_hat - 2 a0_hat b1_hat / (3 b0_hat) after
     # clearing denominators
-    h = hat_coefficients()
-    lhs = h.c[1] * 3 * h.b[0]
-    rhs = 3 * h.a[1] * h.b[0] - 2 * h.a[0] * h.b[1]
+    a_hat, b_hat = hat_coefficients()
+    c_hat, _ = beta_hats()
+    lhs = c_hat[1] * 3 * b_hat[0]
+    rhs = 3 * a_hat[1] * b_hat[0] - 2 * a_hat[0] * b_hat[1]
     assert lhs == rhs
 
 
@@ -263,15 +272,14 @@ def test_psi_image_order_relation():
 
 def test_psi_round_trips_on_enumerated_bases():
     from triality.enumerator import triality_basis
-    from triality.sw_curve import poly_degree, refined_degrees
 
     for k, m in ((12, 2), (14, 4), (16, 4), (20, 6), (24, 6)):
         for p in triality_basis(k, m).basis:
             image = psi_forward(p)
             assert psi_inverse(image) == p
             assert is_semiinvariant(image)
-            d_a, d_b = refined_degrees(p)
-            assert order_of(image) == 2 * d_a + 3 * d_b - poly_degree(p)
+            d_a, d_b = (p.weighted_degree(row) for row in CurvePolyAB.COUNTS)
+            assert order_of(image) == 2 * d_a + 3 * d_b - p.weighted_degree(CurvePolyAB.DEGREES)
             assert refined_form_degrees(image) == (d_a, d_b)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import PowerTable, SparsePoly, bounded_monomials, compose, taylor_shift
+from triality._poly import PowerTable, SparsePoly, bounded_monomials, compose, jacobian, taylor_shift
 from triality.exact_series import LATTICE
 from triality.invariant_ring import Invariant
 from triality.sw_curve import (
@@ -17,12 +17,9 @@ from triality.sw_curve import (
     evaluate_ab,
     evaluate_cd,
     is_triality_invariant,
-    poly_degree,
-    poly_weight,
     recover_klmn,
-    refined_degrees,
 )
-from triality.weyl_poly import ipoly_to_zpoly, jacobian_z, vandermonde_product
+from triality.weyl_poly import ipoly_to_zpoly, vandermonde_product
 
 A0, A2, B0, B1, B2, B3 = (CurvePolyAB.variable(i) for i in range(6))
 C0, C1, C2, D0, D2, D3 = (CurvePolyCD.variable(i) for i in range(6))
@@ -97,14 +94,15 @@ def test_membership():
 
 
 def test_gradings():
-    assert poly_weight(A0 * B1) == 12
-    assert poly_degree(A0 * B1) == 2
-    assert refined_degrees(A0 * B1) == (1, 1)
-    assert refined_degrees(ab_to_cd(A0 * B1)) == (1, 1)
+    assert (A0 * B1).weighted_degree(CurvePolyAB.WEIGHTS) == 12
+    assert (A0 * B1).weighted_degree(CurvePolyAB.DEGREES) == 2
+    assert [(A0 * B1).weighted_degree(row) for row in CurvePolyAB.COUNTS] == [1, 1]
+    assert [ab_to_cd(A0 * B1).weighted_degree(row) for row in CurvePolyCD.COUNTS] == [1, 1]
     # each generator is homogeneous of the declared weight/degree
     for i, (w, d) in enumerate(zip(CurvePolyAB.WEIGHTS, CurvePolyAB.DEGREES)):
         p = CurvePolyAB.variable(i)
-        assert poly_weight(p) == w and poly_degree(p) == d
+        assert p.weighted_degree(CurvePolyAB.WEIGHTS) == w
+        assert p.weighted_degree(CurvePolyAB.DEGREES) == d
 
 
 def test_evaluate_generators(order, E4, E6, delta, KLMN):
@@ -125,8 +123,8 @@ def test_evaluate_is_graded_homomorphism(order):
         left = evaluate_ab(p * q, order)
         right = evaluate_ab(p, order) * evaluate_ab(q, order)
         assert left == right
-        assert left.weight == poly_weight(p) + poly_weight(q)
-        assert left.degree == poly_degree(p) + poly_degree(q)
+        assert left.weight == p.weighted_degree(p.WEIGHTS) + q.weighted_degree(q.WEIGHTS)
+        assert left.degree == p.weighted_degree(p.DEGREES) + q.weighted_degree(q.DEGREES)
 
 
 def test_leading_coefficient_jacobians(order):
@@ -135,12 +133,12 @@ def test_leading_coefficient_jacobians(order):
         ipoly_to_zpoly(evaluate_ab(CurvePolyAB.variable(i), order).leading_ipoly())
         for i in (1, 3, 4, 5)
     ]
-    assert jacobian_z(*ab) == vandermonde_product() * F(1, 32)
+    assert jacobian(ab) == vandermonde_product() * F(1, 32)
     cd = [
         ipoly_to_zpoly(evaluate_cd(CurvePolyCD.variable(i), order).leading_ipoly())
         for i in (1, 2, 4, 5)
     ]
-    assert jacobian_z(*cd) == vandermonde_product() * F(3, 8)
+    assert jacobian(cd) == vandermonde_product() * F(3, 8)
 
 
 def test_recovery_polynomials():
