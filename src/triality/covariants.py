@@ -166,13 +166,7 @@ def refined_form_degrees(P):
 
 def roberts_to_semiinvariant(Psi):
     """Leading coefficient: evaluate the covariant at (u, v) = (1, 0)."""
-    terms = {}
-    for e, c in Psi.terms.items():
-        if e[FormPoly.V]:
-            continue
-        key = e[: FormPoly.U] + (0, 0)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return FormPoly(terms)
+    return FormPoly((e[: FormPoly.U] + (0, 0), c) for e, c in Psi.terms.items() if not e[FormPoly.V])
 
 
 def roberts_to_covariant(Phi):

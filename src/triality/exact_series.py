@@ -124,10 +124,6 @@ class FracSeries:
     def constant(cls, value, trunc):
         return cls({0: Fraction(value)}, trunc)
 
-    @classmethod
-    def t_power(cls, exponent, trunc, coeff=1):
-        return cls({exponent: Fraction(coeff)}, trunc)
-
     # -- basic queries -----------------------------------------------
 
     @property
@@ -354,7 +350,7 @@ def eta_delta(order):
     if order < 2:
         raise ValueError("order must be >= 2")
     trunc = LATTICE * order
-    eta = FracSeries.t_power(1, trunc)
+    eta = FracSeries({1: 1}, trunc)
     for n in range(1, order):
         eta = eta * FracSeries({0: Fraction(1), LATTICE * n: Fraction(-1)}, trunc)
     return eta, eta ** 24

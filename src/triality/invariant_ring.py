@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._poly import (
-    PowerTable, _grlex_key, add_terms, derivative_terms, format_monomial, jacobian, monomial_degree,
+    PowerTable, _grlex_key, add_terms, derivative_terms, format_monomial, monomial_degree,
     mul_terms, power,
 )
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
@@ -283,7 +283,7 @@ class Invariant(SeriesPoly):
     @classmethod
     def from_ipoly_series(cls, ipoly, series, weight):
         """ipoly (homogeneous) times a single series of the given weight."""
-        degree = ipoly.invariant_degree()
+        degree = ipoly.weighted_degree(I_DEGREES)
         return cls({e: series * c for e, c in ipoly.terms.items()}, weight, degree)
 
     # -- the injection and classification -----------------------------------
@@ -376,14 +376,6 @@ def klmn(order):
         0,
     )
     return K, L, M, N
-
-
-def klmn_generator_jacobian(order):
-    """det of the partials of (K, L, M, N) by (I2, I4, I6, I~4), as a series.
-
-    A degree-0, weight-6 invariant; equals -eta^12/16.
-    """
-    return jacobian(klmn(order)).constant_series()
 
 
 # -- polynomials in formal K, L, M, N -------------------------------------------

@@ -138,6 +138,8 @@ def is_triality_invariant(p):
 @lru_cache(maxsize=None)
 def _frame_forms(order):
     """The twelve coefficient values as K,L,M,N-polynomials at this order."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
     e4 = eisenstein(4, order)
     e6 = eisenstein(6, order)
     _, delta = eta_delta(order)
@@ -196,8 +198,6 @@ def klmn_form_ab(p, order):
     """Substitute the K,L,M,N forms of the coefficients into an ab-frame
     polynomial: its value as a K,L,M,N polynomial with series coefficients,
     not yet fitted into C[E4, E6] (`invariant_ring.fit_coefficients` does that)."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
     return compose(p, _frame_form_powers(order))
 
 
@@ -207,14 +207,10 @@ def evaluate_ab(p, order):
     Only the unit coefficients a0, b0, c0, d0 (pure series of valuation 0)
     are ever inverted, where a frame change left them a negative power.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
     return compose(p, _frame_values(order)[0])
 
 
 def evaluate_cd(p, order):
-    if order < 2:
-        raise ValueError("order must be >= 2")
     return compose(p, _frame_values(order)[1])
 
 

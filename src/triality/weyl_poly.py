@@ -9,7 +9,7 @@ leading terms, which doubles as an invariance test.
 
 from __future__ import annotations
 
-from ._poly import PowerTable, SparsePoly, compose, jacobian
+from ._poly import PowerTable, SparsePoly, compose
 
 I_DEGREES = (2, 4, 6, 4)
 
@@ -26,10 +26,6 @@ class ZPoly(SparsePoly):
 class IPoly(SparsePoly):
     nvars = 4
     names = ("I2", "I4", "I6", "I~4")
-
-    def invariant_degree(self):
-        """Degree in z of the expansion: 2a + 4b + 6c + 4d per monomial."""
-        return self.weighted_degree(I_DEGREES)
 
 
 def weyl_generators():

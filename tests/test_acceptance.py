@@ -9,7 +9,7 @@ criterion.  `pytest -s` prints one line per check.
 
 from triality import sw_curve, verify
 from triality.exact_series import FracSeries
-from triality.invariant_ring import AmbiguousRepresentationError
+from triality.invariant_ring import AmbiguousRepresentationError, Invariant
 
 # criterion: (number of checks, prefixes of their names)
 CRITERIA = {
@@ -104,6 +104,31 @@ def test_window_one_power_short_fails_the_discriminant(monkeypatch):
     assert not result.passed
 
 
+def test_same_needs_equal_gradings_and_a_window_that_reaches_the_order():
+    series = FracSeries({0: 1, 24: -24}, 24 * 3)
+    assert verify._same(series, series, 3)
+    # equal series, different weight: SeriesPoly equality alone ignores gradings
+    e4_like, e6_like = Invariant.from_series(series, 4), Invariant.from_series(series, 6)
+    assert e4_like == e6_like
+    assert verify._same(e4_like, e4_like, 3) and not verify._same(e4_like, e6_like, 3)
+    # a window that ends before q^order
+    assert not verify._same(series, series, 4)
+    assert not verify._same(e4_like, e4_like, 4)
+
+
+def test_classify_verdicts_need_a_window_that_reaches_the_order(monkeypatch):
+    # E4 and E6 one power short still classify as invariants; the verdict must fail
+    order = 4
+    eisenstein = verify.eisenstein
+    monkeypatch.setattr(verify, "eisenstein", lambda k, n: eisenstein(k, n).truncate(24 * n - 24))
+    short = [r for r in verify.series_checks(order) if r.name.startswith("classify E")]
+    assert [(r.name, r.passed) for r in short] == [
+        ("classify E4 = invariant", False),
+        ("classify E6 = invariant", False),
+    ]
+    assert Invariant.from_series(verify.eisenstein(4, order), 4).classify() == verify.INVARIANT
+
+
 def test_broken_round_trip_fails_the_frame_change(monkeypatch):
     monkeypatch.setattr(sw_curve, "cd_to_ab", lambda p: sw_curve.CurvePolyAB.zero())
     failed = {r.name for r in verify.curve_checks(4) if not r.passed}
@@ -127,7 +152,7 @@ def test_unknown_leading_coefficient_fails_with_the_window(monkeypatch):
 
     # a pole is a plain FAIL, with no window detail
     evaluate = sw_curve.evaluate_ab
-    pole = FracSeries.t_power(-24, 24 * 8)
+    pole = FracSeries({-24: 1}, 24 * 8)
     monkeypatch.setattr(sw_curve, "evaluate_ab", lambda p, n: evaluate(p, n).scale_series(pole, 0))
     failed = [r for r in verify.curve_checks(3) if r.name.startswith("leading coefficient of")][:6]
     assert [(r.passed, r.detail) for r in failed] == [(False, "")] * 6

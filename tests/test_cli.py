@@ -105,15 +105,21 @@ def test_transvect_bad_index(capsys):
 
 def test_transvect_json_without_refined_grading_is_a_usage_error(capsys):
     # homogeneous in (u, v), so the text format prints it; the JSON grading
-    # needs refined degrees, which f^4 + f*g^2 does not have
-    argv = ["transvect", "--left", "f^3+g^2", "--right", "f", "--index", "0"]
-    code, out = run_cli(capsys, *argv)
-    assert code == 0 and out.startswith("alpha0^4*u^8 + ")
-    code = cli.main(argv + ["--format", "json"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    # needs refined degrees, which f^4 + f*g^2 and <f^3 + g^2, f>^2 do not have
+    # (the README's CLI section names the second call)
+    calls = (
+        ("f^3+g^2", "0", "alpha0^4*u^8 + "),
+        ("f^3 + g^2", "2", "6/5*alpha0^3*alpha2*u^4 - "),
+    )
+    for left, index, text in calls:
+        argv = ["transvect", "--left", left, "--right", "f", "--index", index]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith(text)
+        code = cli.main(argv + ["--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: not homogeneous: weighted degrees [1, 4]\n"
 
 
 def test_membership_cli(capsys):

@@ -157,7 +157,7 @@ def test_t_action(KLMN):
     assert L.t_action() == L
     assert M.t_action() == M
     assert N.t_action() == N
-    one_half = FracSeries.t_power(12, 600)
+    one_half = FracSeries({12: 1}, 600)
     phi = Invariant({(0, 0, 0, 1): one_half}, 0, 4)
     assert phi.t_action() == phi  # two sign flips
     single = Invariant({(0, 0, 0, 1): FracSeries.constant(1, 600)}, 0, 4)
@@ -193,6 +193,18 @@ def test_express_constant(delta):
     rep = express_in_klmn(phi)
     assert list(rep.terms) == [(0, 0, 0, 0)]
     assert rep.coefficient((0, 0, 0, 0)) == delta
+
+
+def test_express_zero_keeps_the_grading():
+    rep = express_in_klmn(Invariant.zero(12, 4))
+    assert isinstance(rep, KLMNPoly) and rep.is_zero
+    assert (rep.weight, rep.degree) == (12, 4)
+
+
+@pytest.mark.parametrize("build", [klmn, weyl_in_klmn])
+def test_generators_refuse_orders_below_two(build):
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        build(1)
 
 
 def test_express_delta_k(KLMN, delta):

@@ -3,17 +3,18 @@ stored form of a q-series, one builder of monomial images, one fit into
 C[E4, E6] and one assembler of equation rows."""
 
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import triality
-from triality import _poly, covariants, sw_curve, weyl_poly
+from triality import _poly, covariants, invariant_ring, sw_curve, weyl_poly
 from triality.covariants import FormPoly
 from triality.exact_series import FracSeries
 from triality.invariant_ring import Invariant, UnsupportedLatticeError
-from triality.weyl_poly import IPoly
+from triality.weyl_poly import I_DEGREES, IPoly
 
 AL0, BE0 = FormPoly.variable(0), FormPoly.variable(3)
 A0, B0 = sw_curve.CurvePolyAB.variable(0), sw_curve.CurvePolyAB.variable(2)
@@ -32,7 +33,7 @@ MIXED = [
     ("refined_degrees", count_degrees, A0 + A0 * A0),
     ("refined_degrees cd", count_degrees, sw_curve.ab_to_cd(A0 + A0 * A0)),
     ("poly_weight", lambda p: p.weighted_degree(p.WEIGHTS), A0 + B0),
-    ("invariant_degree", IPoly.invariant_degree, IPoly.variable(0) + IPoly.variable(1)),
+    ("invariant_degree", lambda p: p.weighted_degree(I_DEGREES), IPoly.variable(0) + IPoly.variable(1)),
 ]
 
 
@@ -57,13 +58,29 @@ def test_wrappers_stay_gone():
     assert not hasattr(weyl_poly, "jacobian_z")
     assert not hasattr(_poly.SparsePoly, "evaluate")
     assert not hasattr(covariants, "HatCoefficients")
+    assert not hasattr(IPoly, "invariant_degree")
+    assert not hasattr(invariant_ring, "klmn_generator_jacobian")
+    assert not hasattr(FracSeries, "t_power")
     hats = covariants.hat_coefficients()
     assert isinstance(hats, tuple) and len(hats) == 2
 
 
+def test_package_root_exports_the_documented_names():
+    # the README's library example is the one list of names the root exports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    block = re.search(r"from triality import \(([^)]*)\)", example).group(1)
+    documented = {name.strip() for name in block.split(",") if name.strip()}
+    exported = {
+        name
+        for name, value in vars(triality).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert documented and exported == documented
+
+
 def test_grading_errors_are_one_class():
     assert covariants.NotHomogeneousError is _poly.NotHomogeneousError
-    assert triality.NotHomogeneousError is _poly.NotHomogeneousError
     assert issubclass(_poly.NotHomogeneousError, ValueError)
     assert UnsupportedLatticeError is triality.exact_series.UnsupportedLatticeError
 

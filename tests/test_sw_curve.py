@@ -17,6 +17,8 @@ from triality.sw_curve import (
     evaluate_ab,
     evaluate_cd,
     is_triality_invariant,
+    jacobian_klmn,
+    klmn_form_ab,
     recover_klmn,
 )
 from triality.weyl_poly import ipoly_to_zpoly, vandermonde_product
@@ -163,6 +165,19 @@ def test_negative_exponent_guards():
     assert CurvePolyAB.variable(0) ** -1 == CurvePolyAB({(-1, 0, 0, 0, 0, 0): 1})
     with pytest.raises(ValueError):
         (CurvePolyAB.variable(0) + CurvePolyAB.variable(2)) ** -1
+
+
+@pytest.mark.parametrize("order", [1, 0, -1])
+def test_frame_evaluation_refuses_orders_below_two(order):
+    calls = (
+        lambda: klmn_form_ab(A0, order),
+        lambda: evaluate_ab(A0, order),
+        lambda: evaluate_cd(C0, order),
+        lambda: jacobian_klmn(order),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^order must be >= 2$"):
+            call()
 
 
 def test_times_one_is_the_value_itself():

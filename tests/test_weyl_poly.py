@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import PowerTable, _grlex_key, compose, jacobian
+from triality._poly import PowerTable, _grlex_key, compose, jacobian, ring_det
 from triality.invariant_ring import T_POLYS
 from triality.weyl_poly import (
     IPoly,
@@ -116,6 +116,11 @@ def test_jacobian_alternating_and_multilinear():
     assert doubled == 3 * jacobian((i2, i4, i6, i4t))
     split = jacobian((i2 + i4, i4, i6, i4t))
     assert split == jacobian((i2, i4, i6, i4t))  # the i4 summand is degenerate
+
+
+def test_determinant_of_no_rows_is_refused():
+    with pytest.raises(ValueError, match="empty matrix"):
+        ring_det([])
 
 
 def test_json_term_order_is_canonical():
