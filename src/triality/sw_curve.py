@@ -12,8 +12,9 @@ other); a polynomial is a triality invariant exactly when its image
 carries no negative powers, which is the membership test the enumerator
 is built on.  Each direction keeps one `_poly.PowerTable` of its six
 images for the whole process, so the image of a monomial is a product of
-powers built once, whichever call or enumerator cell asked first; that
-image may be a kept power, and `compose` adds it into a new value.  A table
+powers built once, whichever call asked first (the enumerator asks only
+for a0/b0-free cores, since a0 maps to c0 and b0 to d0); that image may
+be a kept power, and `compose` adds it into a new value.  A table
 grows only to the largest exponent the process has asked for; through the
 CLI that is at most 24 (parsed input is capped at total degree 24, and a
 monomial of weight at most 96 has total degree at most 24).

@@ -1,6 +1,10 @@
 from fractions import Fraction as F
 
+from triality import enumerator
+from triality.cli import MAX_DEGREE, MAX_WEIGHT
 from triality.enumerator import (
+    _column,
+    _core_image,
     dimension_table,
     monomials_of,
     rank_series,
@@ -8,7 +12,7 @@ from triality.enumerator import (
 )
 from triality.invariant_ring import INVARIANT, express_in_klmn
 from triality.linalg import nullspace
-from triality.sw_curve import CurvePolyAB, evaluate_ab, is_triality_invariant
+from triality.sw_curve import CurvePolyAB, ab_to_cd, evaluate_ab, is_triality_invariant
 from triality.verify import oracle_dimension
 
 
@@ -39,6 +43,42 @@ def test_rational_kernel():
     assert nullspace(columns) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
     # equations past full rank are never read: the last-sorted key is not a number
     assert nullspace([{0: 1, 2: "not a number"}, {1: 1}]) == []
+
+
+def test_columns_match_the_full_frame_change_images():
+    # the core shortcut against the monomial's own image, on every cell of
+    # k <= 48, m <= 16
+    for k in range(0, 49, 2):
+        for m in range(0, 17, 2):
+            for mono in monomials_of(k, m):
+                image = ab_to_cd(CurvePolyAB.monomial(mono)).terms
+                assert _column(mono) == {e: c for e, c in image.items() if e[0] < 0}, mono
+
+
+def test_only_cores_are_sent_through_the_frame_change(monkeypatch):
+    seen = []
+
+    def recording(p):
+        seen.extend(p.terms)
+        return ab_to_cd(p)
+
+    monkeypatch.setattr(enumerator, "ab_to_cd", recording)
+    _core_image.cache_clear()
+    dimension_table(48, 16)
+    assert _core_image.cache_info().currsize == 72
+    assert len(seen) == len(set(seen)) == 72
+    assert all(e[0] == e[2] == 0 for e in seen)
+
+
+def test_cli_caps_bound_the_kept_cores():
+    # every cell the CLI can ask for lies in weight <= 96, degree <= 32
+    cores = {
+        (0, e[1], 0) + e[3:]
+        for k in range(MAX_WEIGHT + 1)
+        for m in range(MAX_DEGREE + 1)
+        for e in monomials_of(k, m)
+    }
+    assert len(cores) == 556
 
 
 def test_basis_weight12():

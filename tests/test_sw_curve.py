@@ -55,6 +55,15 @@ def test_inverse_images():
     ]
 
 
+def test_frame_changes_fix_the_leading_coefficients():
+    # the shift u -> u + s v keeps a binary form's leading coefficient, so
+    # each frame's two leading coefficients map to single monomials
+    assert ab_to_cd(A0).terms == {(1, 0, 0, 0, 0, 0): 1}
+    assert ab_to_cd(B0).terms == {(0, 0, 0, 1, 0, 0): 1}
+    assert cd_to_ab(C0).terms == {(1, 0, 0, 0, 0, 0): 1}
+    assert cd_to_ab(D0).terms == {(0, 0, 1, 0, 0, 0): 1}
+
+
 class _Symbols(SparsePoly):
     nvars = 6
     names = ("x0", "x1", "x2", "x3", "s", "t")
