@@ -209,16 +209,11 @@ class SparsePoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = type(self).constant(other)
-        if not isinstance(other, SparsePoly) or type(other) is not type(self):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
     __hash__ = None
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -238,26 +233,13 @@ class SparsePoly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return type(self).constant(other)
-        if type(other) is type(self):
-            return other
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is not type(self):
             return NotImplemented
         return self._sum((self, other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __neg__(self):
         return self._new({e: -c for e, c in self.terms.items()})

@@ -15,9 +15,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from . import covariants, enumerator, sw_curve, verify
+from . import _poly, covariants, enumerator, sw_curve, verify
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta, theta_const
 from .invariant_ring import klmn
 
@@ -72,20 +72,24 @@ def _height(*polys):
     return (max(top, den) - 1).bit_length()
 
 
-def _checked(degree, height):
+def _checked(degree, height, terms=1):
     if degree > MAX_EXPR_DEGREE:
         raise ExprError(f"total degree must be at most {MAX_EXPR_DEGREE}, got {degree}")
     if height > MAX_COEFF_BITS:
         raise ExprError(f"coefficients must stay below 2^{MAX_COEFF_BITS}")
+    if terms > MAX_EXPR_TERMS:
+        raise ExprError(f"the number of terms must be at most {MAX_EXPR_TERMS}")
 
 
 def parse_poly(text, atoms, cls):
     """Parse +, -, *, /, ^ and parentheses over named atoms into cls.
 
     Parentheses and unary minus signs nest at most MAX_NESTING deep.  A
-    sum, product or power whose total degree would pass MAX_EXPR_DEGREE, or
-    whose coefficients could pass 2^MAX_COEFF_BITS, is refused before it is
-    computed, and a quotient by a constant right after.
+    sum, product or power whose total degree would pass MAX_EXPR_DEGREE,
+    whose coefficients could pass 2^MAX_COEFF_BITS, or whose terms could
+    number more than MAX_EXPR_TERMS, is refused before it is computed, and
+    a quotient by a constant right after.  A power of t terms to the n has
+    at most C(t + n - 1, n) terms, one per multiset of n of them.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -130,6 +134,8 @@ def parse_poly(text, atoms, cls):
             take()
             expo = take("int")[1]
             _checked(base.total_degree() * expo, _height(base) * expo)
+            # past the degree check, expo <= 24 unless base is a constant
+            _checked(0, 0, comb(len(base.terms) + expo - 1, expo) if base else 1)
             base = base ** expo
         return -base if signs % 2 else base
 
@@ -139,7 +145,11 @@ def parse_poly(text, atoms, cls):
             op = take()[0]
             rhs = factor(depth)
             if op == "*":
-                _checked(value.total_degree() + rhs.total_degree(), _height(value) + _height(rhs))
+                _checked(
+                    value.total_degree() + rhs.total_degree(),
+                    _height(value) + _height(rhs),
+                    len(value.terms) * len(rhs.terms),
+                )
                 value = value * rhs
             else:
                 if not rhs:
@@ -156,7 +166,7 @@ def parse_poly(text, atoms, cls):
         while peek()[0] in ("+", "-"):
             op = take()[0]
             summands.append(term(depth) if op == "+" else -term(depth))
-        _checked(0, _height(*summands))
+        _checked(0, _height(*summands), sum(len(s.terms) for s in summands))
         return cls._sum(summands)
 
     result = expr(0)
@@ -285,10 +295,14 @@ def cmd_transvect(args):
     try:
         left = parse_poly(args.left, atoms, covariants.FormPoly)
         right = parse_poly(args.right, atoms, covariants.FormPoly)
+        if (args.index + 1) * len(left.terms) * len(right.terms) > MAX_TRANSVECT_PAIRS:
+            raise ExprError(
+                f"(index + 1) * left terms * right terms must be at most {MAX_TRANSVECT_PAIRS}"
+            )
         result = covariants.transvectant(left, right, args.index)
         if args.format == "json":
             d_a, d_b = covariants.refined_form_degrees(result)
-    except (ExprError, covariants.BadOrderError, covariants.NotHomogeneousError) as exc:
+    except (ExprError, covariants.BadOrderError, _poly.NotHomogeneousError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
@@ -411,9 +425,13 @@ def build_parser():
 # the largest accepted values: beyond them a request runs for hours
 MAX_ORDER, MAX_WEIGHT, MAX_DEGREE = 128, 96, 32
 # in a polynomial argument: the total degree of a product or power, the
-# bits of its coefficients (Python prints at most 4,300 digits), the digits
-# of an integer, and the nesting of parentheses and unary minus signs
+# terms of a sum, product or power, the bits of its coefficients (Python
+# prints at most 4,300 digits), the digits of an integer, and the nesting
+# of parentheses and unary minus signs; and the term products of a
+# transvectant, (index + 1) * |left| * |right|
 MAX_EXPR_DEGREE = 24
+MAX_EXPR_TERMS = 1500
+MAX_TRANSVECT_PAIRS = 250_000
 MAX_COEFF_BITS = 4096
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 64

@@ -35,7 +35,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from ._poly import NotHomogeneousError  # noqa: F401  (re-exported)
 from ._poly import PowerTable, SparsePoly, bounded_monomials, compose, taylor_shift
 from .linalg import nullspace
 from .sw_curve import CurvePolyAB

@@ -5,24 +5,17 @@ monomials of the requested bigrading; mapping it to the other frame and
 demanding that every negative power of c0 cancels is an exact rational
 linear system whose kernel, back-substituted, is the invariant space.
 Everything is symbolic in the six curve variables; q-series only enter
-through the verification paths elsewhere.
-
-The frame change keeps the leading coefficients: the shift u -> u + s v
-fixes the leading coefficient of a binary form, so a0 maps to c0 and b0 to
-d0.  The image of a0^j b0^l r, where the core r has no a0 and no b0, is
-therefore c0^j d0^l times the image of r, and only the cores are sent
-through `ab_to_cd` (each once per process).  Through the CLI, input is
-capped at weight <= 96 and degree <= 32, so at most 556 cores are kept.
+through the verification paths elsewhere.  The map's columns, and the
+frame layout they depend on, come from `sw_curve.negative_c0_part`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._poly import bounded_monomials
 from .linalg import nullspace
-from .sw_curve import CurvePolyAB, ab_to_cd, curve_poly_json
+from .sw_curve import CurvePolyAB, curve_poly_json, negative_c0_part
 
 
 def monomials_of(k, m):
@@ -52,35 +45,16 @@ class AnsatzBasis:
         }
 
 
-@lru_cache(maxsize=None)
-def _core_image(core):
-    """The cd-frame terms of a monomial with no a0 and no b0, kept for the
-    process; a caller never changes them."""
-    return ab_to_cd(CurvePolyAB.monomial(core)).terms
-
-
-def _column(mono):
-    """The negative-c0 terms of a monomial's cd-frame image: its core's
-    image times c0^j d0^l, where j and l are its a0 and b0 exponents."""
-    j, l = mono[0], mono[2]
-    return {
-        (e[0] + j,) + e[1:3] + (e[3] + l,) + e[4:]: c
-        for e, c in _core_image((0, mono[1], 0) + mono[3:]).items()
-        if e[0] + j < 0
-    }
-
-
 def triality_basis(k, m):
     """All triality invariants of weight k and degree m, reduced echelon.
 
     The columns of the linear map are the parts of the ansatz monomials'
-    frame-change images that carry a negative power of c0; its kernel,
-    back-substituted, is the invariant space.  The frame change sends a0
-    to c0 and b0 to d0 (the shift fixes leading coefficients), so each
-    column is read off the image of the monomial's a0/b0-free core.
+    frame-change images that carry a negative power of c0
+    (`sw_curve.negative_c0_part`); its kernel, back-substituted, is the
+    invariant space.
     """
     monos = monomials_of(k, m)
-    columns = (_column(mono) for mono in monos)
+    columns = (negative_c0_part(mono) for mono in monos)
     basis = [CurvePolyAB._new(dict(zip(monos, vec))) for vec in nullspace(columns)]
     return AnsatzBasis(k, m, tuple(monos), tuple(basis))
 

@@ -145,13 +145,6 @@ class FracSeries:
             raise UnknownCoefficientError(f"exponent {e} is at or beyond trunc {self.trunc}")
         return Fraction(self._num.get(e, 0), self._den)
 
-    def q_coeff(self, n):
-        """Coefficient of q^n (n may be a Fraction on the (1/24)Z lattice)."""
-        e = Fraction(n) * LATTICE
-        if e.denominator != 1:
-            raise ValueError(f"q-exponent {n} is off the (1/{LATTICE})Z lattice")
-        return self.coeff(int(e))
-
     def __eq__(self, other):
         if not isinstance(other, FracSeries):
             return NotImplemented
@@ -294,14 +287,9 @@ def bernoulli(k):
     """Exact Bernoulli number B_k in the x/(e^x - 1) convention (B_1 = -1/2)."""
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if k == 0:
-        return Fraction(1)
-    # x/(e^x - 1) = 1 / sum_{j>=0} x^j/(j+1)!; invert the series to order k.
-    denom = [Fraction(1, math.factorial(j + 1)) for j in range(k + 1)]
-    coeffs = [Fraction(1)]
-    for n in range(1, k + 1):
-        coeffs.append(-sum(denom[j] * coeffs[n - j] for j in range(1, n + 1)))
-    return coeffs[k] * math.factorial(k)
+    # x/(e^x - 1) = 1 / sum_{j>=0} x^j/(j+1)!, a power series in x up to x^k
+    series = FracSeries({j: Fraction(1, math.factorial(j + 1)) for j in range(k + 1)}, k + 1)
+    return series.inverse().coeff(k) * math.factorial(k)
 
 
 @lru_cache(maxsize=None)

@@ -47,7 +47,6 @@ from ._poly import (
     mul_terms, power,
 )
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
-from .exact_series import UnsupportedLatticeError  # noqa: F401  (raised by Invariant.t_action)
 from .weyl_poly import I_DEGREES, IPoly
 
 INVARIANT = "invariant"

@@ -9,15 +9,24 @@ changes are one shift u -> u + s v of both (`_poly.taylor_shift`):
 s = -c1/(2 c0) completes the square (a1 = 0), s = -b1/(3 b0) removes d1.
 They introduce a controlled Laurent denominator (c0 going one way, b0 the
 other); a polynomial is a triality invariant exactly when its image
-carries no negative powers, which is the membership test the enumerator
-is built on.  Each direction keeps one `_poly.PowerTable` of its six
-images for the whole process, so the image of a monomial is a product of
-powers built once, whichever call asked first (the enumerator asks only
-for a0/b0-free cores, since a0 maps to c0 and b0 to d0); that image may
-be a kept power, and `compose` adds it into a new value.  A table
-grows only to the largest exponent the process has asked for; through the
-CLI that is at most 24 (parsed input is capped at total degree 24, and a
-monomial of weight at most 96 has total degree at most 24).
+carries no negative powers of c0 (`c0_valuation`), which is the
+membership test the enumerator is built on.  Each direction keeps one
+`_poly.PowerTable` of its six images for the whole process, so the image
+of a monomial is a product of powers built once, whichever call asked
+first; that image may be a kept power, and `compose` adds it into a new
+value.  A table grows only to the largest exponent the process has asked
+for; through the CLI that is at most 24 (parsed input is capped at total
+degree 24, and a monomial of weight at most 96 has total degree at most
+24).
+
+The frame change keeps the leading coefficients: the shift u -> u + s v
+fixes the leading coefficient of a binary form, so a0 maps to c0 and b0
+to d0.  The image of a0^j b0^l r, where the core r has no a0 and no b0,
+is therefore c0^j d0^l times the image of r.  `negative_c0_part`, the
+enumerator's column of a monomial, reads the negative-c0 terms off the
+image of the core, which goes through `ab_to_cd` once per process.
+Through the CLI, input is capped at weight <= 96 and degree <= 32, so at
+most 556 cores are kept.
 
 Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
@@ -131,6 +140,24 @@ def c0_valuation(p):
 def is_triality_invariant(p):
     """Membership test: the cd-frame image has no negative powers of c0."""
     return c0_valuation(p) >= 0
+
+
+@lru_cache(maxsize=None)
+def _core_image(core):
+    """The cd-frame terms of an ab monomial with no a0 and no b0, kept for the
+    process; a caller never changes them."""
+    return ab_to_cd(CurvePolyAB.monomial(core)).terms
+
+
+def negative_c0_part(mono):
+    """The negative-c0 terms of the cd-frame image of the ab monomial with
+    these exponents, read off the kept image of its a0/b0-free core."""
+    j, l = mono[0], mono[2]
+    return {
+        (e[0] + j,) + e[1:3] + (e[3] + l,) + e[4:]: c
+        for e, c in _core_image((0, mono[1], 0) + mono[3:]).items()
+        if e[0] + j < 0
+    }
 
 
 # -- evaluation into the invariant ring ------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -199,6 +200,39 @@ def test_hostile_expression_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+COSTLY = [
+    ("power of six", ["membership", "(a0+a2+b0+b1+b2+b3)^24"]),
+    ("smaller power of six", ["membership", "(a0+a2+b0+b1+b2+b3)^16"]),
+    ("power of four", ["membership", "(a2+b1+b2+b3)^24"]),
+    ("transvectant of powers", ["transvect", "--left", "(f+P)^6", "--right", "(f+P)^6",
+                                "--index", "6", "--format", "json"]),
+    ("product of powers", ["transvect", "--left", "(f+P)^6", "--right", "(f+P)^6",
+                           "--index", "0"]),
+    ("product past the bound", ["membership", "(a0+a2+b0+b1+b2+b3)^4*(a0+a2+b0+b1+b2+b3)^4"]),
+    ("sum past the bound", ["membership", "(a0+a2+b0+b1+b2+b3)^8 + (a0+a2+b0+b1+b2+b3)^7"]),
+]
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in COSTLY], ids=[c[0] for c in COSTLY])
+def test_costly_polynomial_argument_is_refused_before_the_work(capsys, argv):
+    # the first five ran for 15 s to over 5 minutes before term counts were bounded
+    start = time.perf_counter()
+    code, out, err = cli_outcome(capsys, argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == f"error: the number of terms must be at most {cli.MAX_EXPR_TERMS}\n"
+
+
+def test_transvectant_term_products_are_bounded(capsys):
+    # (f+P)^4 has 387 terms: each argument passes, but not 2 * 387^2 products
+    argv = ["transvect", "--left", "(f+P)^4", "--right", "(f+P)^4", "--index", "1"]
+    code, out, err = cli_outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: (index + 1) * left terms * right terms must be at most {cli.MAX_TRANSVECT_PAIRS}\n"
+    )
+
+
 def test_expression_limits_admit_ordinary_input(capsys):
     code, out = run_cli(capsys, "membership", "--", "-(-(-a0*b1))")
     assert code == 0 and out.startswith("-a0*b1 is a triality invariant")
@@ -285,9 +319,12 @@ def test_limits_admit_the_benchmark_requests():
     assert cli.MAX_ORDER >= 96
     assert cli.MAX_WEIGHT >= 72
     assert cli.MAX_DEGREE >= 24
-    # membership inputs of total degree 12, and form expressions such as f^3
-    # and g*Q of total degree 9 and 10
+    # membership inputs of total degree 12 and at most 26 terms, and form
+    # expressions such as f^3 and g*Q of total degree 9 and 10
     assert cli.MAX_EXPR_DEGREE >= 12
+    assert cli.MAX_EXPR_TERMS >= 26
+    # the largest session transvectant, <f^3, f^3>^6, and the golden <f^3, g*Q>^6
+    assert cli.MAX_TRANSVECT_PAIRS >= 7 * 10 * 22
 
 
 def test_verify_all_in_process(verify_report):
@@ -334,34 +371,49 @@ def test_closed_stdout_ends_the_run_quietly():
     assert err == b""  # no BrokenPipeError traceback
 
 
-# sha256 of the stdout of each call, pinned so that refactors keep every byte
+# sha256 of the stdout of each call and its exit code, pinned so that
+# refactors keep every byte; at orders 2 to 4 only the Weyl fallback decides
+# the table1 verdicts
 GOLDEN = [
-    ("expand K --order 6 --format json", "c43a084b18c0e2e74f975c5dd5cf537e30111e2f5d6875f2a0cc676b8c425916"),
-    ("expand b3 --order 5 --format json", "5e09fece9d137e16808b13dda0725762d87e90d7a6cc60831b79c73c688f939f"),
-    ("expand c1 --order 4", "535a32b8bef88e6610d74804dedc067dd1f163fefb62d63188167132f51702c7"),
-    ("basis --weight 36 --degree 12 --format json", "62a9bdfe6cb445370b16fc75a44b0534b869e7b656fdaec70c57f19d45102877"),
-    ("transvect --left f^3 --right g*Q --index 6 --format json", "1a8820ffe9a70e17bd168bdaa883b166186cbcb680c277f3fa7686eed96e53e4"),
-    ("verify curve --order 12 --format json", "0e32631073d7be26e7e6ae9736d2d455b0b391330b891a45609cb1b84bcf6978"),
-    ("expand L --order 48", "7d9951837d93972714e94d95d7810d78c6df7f1f36c1106f80e119d2563386b8"),
-    ("expand M --order 96 --format json", "984301bd9a066d2ea9f5e821428201901dbe4654d47d68c15e36aaadab24e2a1"),
-    ("dims --kmax 72 --mmax 24 --format json", "3067c166e58b3a1ef0ae899b394d65cc047ce55c0d2e0340175e8f9cf47f733b"),
-    ("basis --weight 48 --degree 16 --format json", "888917000673f0d3b3ea03337d46180bfab1b372001104631299ccb45fe8299b"),
+    ("expand K --order 6 --format json", 0, "c43a084b18c0e2e74f975c5dd5cf537e30111e2f5d6875f2a0cc676b8c425916"),
+    ("expand b3 --order 5 --format json", 0, "5e09fece9d137e16808b13dda0725762d87e90d7a6cc60831b79c73c688f939f"),
+    ("expand c1 --order 4", 0, "535a32b8bef88e6610d74804dedc067dd1f163fefb62d63188167132f51702c7"),
+    ("basis --weight 36 --degree 12 --format json", 0, "62a9bdfe6cb445370b16fc75a44b0534b869e7b656fdaec70c57f19d45102877"),
+    ("transvect --left f^3 --right g*Q --index 6 --format json", 0, "1a8820ffe9a70e17bd168bdaa883b166186cbcb680c277f3fa7686eed96e53e4"),
+    ("verify curve --order 12 --format json", 0, "0e32631073d7be26e7e6ae9736d2d455b0b391330b891a45609cb1b84bcf6978"),
+    ("expand L --order 48", 0, "7d9951837d93972714e94d95d7810d78c6df7f1f36c1106f80e119d2563386b8"),
+    ("expand M --order 96 --format json", 0, "984301bd9a066d2ea9f5e821428201901dbe4654d47d68c15e36aaadab24e2a1"),
+    ("dims --kmax 72 --mmax 24 --format json", 0, "3067c166e58b3a1ef0ae899b394d65cc047ce55c0d2e0340175e8f9cf47f733b"),
+    ("basis --weight 48 --degree 16 --format json", 0, "888917000673f0d3b3ea03337d46180bfab1b372001104631299ccb45fe8299b"),
+    ("verify all --order 2", 1, "1597edf43b6f5bedb43b3ac3dbdf90e55bcb91a8f0598ea8c0427aa230c04794"),
+    ("verify all --order 3", 1, "10d0d01f63a000c3637f38c7efc39a73000203afab719695de1e60727978665f"),
+    ("verify all --order 4", 0, "97eff19608a0d2cf98b291a0b323835e13ac00fccedb401b7531599b1dc29db6"),
+    ("verify all --order 5 --format json", 0, "af68b94cf1c1ff1ea70eaf6f2bbd76b4e983abe373e13f9d6f53e2f4a7ca6116"),
+    ("generators", 0, "114f0ed1fb2043c960add192a2b4dbb97c5598ddbb0d17b5c59981d36e1b97df"),
+    ("generators --json", 0, "a969bf345a74f25e84d5be8a3356e4938d5c2f6906a4876d54f4e34bf5c2f404"),
+    ("dims --format text", 0, "fcb99e3ecc6e97815d181a28f3a40934ceb8fe12e42b2eeaa1022c12a58a52ef"),
+    ("basis --weight 24 --degree 6", 0, "e3dd9c44b15d2fc538b1c1399b86805a544b2eadcf229de0afc468e89af75c1a"),
+    ('membership "a0^3 - 27*b0^2"', 0, "a95662c5a4130eb1e799237f083fe853d6eda54ce1950dcbe97f6b26a2888aae"),
+    ('membership "a0^3 - 27*b0^2" --format json', 0, "e41d102cd1fb812c2cc45a0d0c649255f4ea5e22f8475ca7792e87b95e6ef7da"),
+    ("transvect --left f^2 --right g --index 3", 0, "7e5e7b5b8e7642ffdfa8a827b5ccb1e7c645c6b92d92fd226cfb938fca6008f4"),
 ]
 
 
 def golden_ids():
     """The command of each call, with its first option added where the command repeats."""
     ids = []
-    for call, _ in GOLDEN:
-        name = call.split(" --")[0]
-        ids.append(name if name not in ids else " ".join(call.split()[:3]))
+    for call, _, _ in GOLDEN:
+        words = shlex.split(call)
+        at = next((i for i, w in enumerate(words) if w.startswith("--")), len(words))
+        name = " ".join(words[:at])
+        ids.append(name if name not in ids else " ".join(words[: at + 2]))
     return ids
 
 
-@pytest.mark.parametrize("call, digest", GOLDEN, ids=golden_ids())
-def test_cli_output_matches_golden_digest(capsys, call, digest):
-    code, out = run_cli(capsys, *call.split())
-    assert code == 0
+@pytest.mark.parametrize("call, code, digest", GOLDEN, ids=golden_ids())
+def test_cli_output_matches_golden_digest(capsys, call, code, digest):
+    exit_code, out = run_cli(capsys, *shlex.split(call))
+    assert exit_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -4,12 +4,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from triality._poly import PowerTable, compose, taylor_shift
+from triality._poly import NotHomogeneousError, PowerTable, compose, taylor_shift
 from triality.covariants import (
     BadOrderError,
     FormPoly,
     NegativeOrderError,
-    NotHomogeneousError,
     NotPolynomialError,
     cubic_form,
     gordan_generators,
@@ -52,8 +51,8 @@ def test_second_transvectant_of_quadratic():
 def test_first_transvectant_coefficients():
     f, g = quadratic_form(), cubic_form()
     fg1 = transvectant(f, g, 1)
-    assert fg1.coefficient((1, 0, 0, 0, 1, 0, 0, 3, 0)) == F(1, 3)
-    assert fg1.coefficient((0, 1, 0, 1, 0, 0, 0, 3, 0)) == F(-1, 2)
+    assert fg1.terms.get((1, 0, 0, 0, 1, 0, 0, 3, 0), 0) == F(1, 3)
+    assert fg1.terms.get((0, 1, 0, 1, 0, 0, 0, 3, 0), 0) == F(-1, 2)
     assert uv_order(fg1) == 3
 
 

@@ -161,6 +161,15 @@ def test_recovery_polynomials():
         assert is_triality_invariant(poly)
 
 
+def test_recovery_polynomials_are_one_another_in_the_other_frame():
+    # the second frame's four are the frame change of the first frame's, exactly
+    ab_polys, cd_polys = recover_klmn()
+    assert len(ab_polys) == len(cd_polys) == 4
+    for ab, cd in zip(ab_polys, cd_polys):
+        assert ab_to_cd(ab) == cd
+        assert cd_to_ab(cd) == ab
+
+
 def test_negative_exponent_guards():
     with pytest.raises(ValueError):
         CurvePolyAB({(0, -1, 0, 0, 0, 0): 1})  # a2 never goes Laurent
