@@ -25,8 +25,8 @@ its call only.
 and `format_monomial` the one monomial text of both polynomial types.
 `taylor_shift` is the one shift u -> u + s v of a binary form's
 coefficients, from which every frame change and hat substitution of the
-package is built.  `bounded_monomials` walks exponent vectors of fixed
-weighted degrees.
+package is built.  `bounded_monomials` lists the exponent vectors of fixed
+weighted degrees by a recursion on the targets, kept per cell for the process.
 
 The canonical term order used everywhere is graded lexicographic with the
 first variable largest; `sorted_terms` lists terms in decreasing order.
@@ -35,9 +35,9 @@ first variable largest; `sorted_terms` lists terms in decreasing order.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 
 
 class NotHomogeneousError(ValueError):
@@ -91,36 +91,24 @@ def power(base, n):
         base = base * base
 
 
+@lru_cache(maxsize=None)
 def bounded_monomials(weights, targets):
     """Exponent tuples e >= 0 with sum_i row[i] * e[i] == target for every
-    (row, target) in zip(weights, targets), in decreasing grlex order.
+    (row, target) in zip(weights, targets), as a tuple in decreasing grlex
+    order, kept for the process; both arguments are tuples.
 
-    Every variable needs a positive weight in some row.  The walk visits
-    first the variables of the row that the fewest variables weigh, and the
-    last variable each row weighs takes the one exponent that meets that
-    row's target, so rows are met early and few dead branches are walked.
+    Every weight is nonnegative and every variable weighs something in some
+    row, so the recursion ends, one level per unit of total degree: a cell's
+    monomials are e + unit_i over each cell targets - column_i >= 0.
     """
-    n = len(weights[0])
-    order = []
-    for row in sorted(weights, key=lambda row: sum(map(bool, row))):
-        order += [i for i in range(n) if row[i] and i not in order]
-    columns = [tuple(row[i] for row in weights) for i in order]
-    fixed_by = {max(p for p, c in enumerate(columns) if c[r]): r for r in range(len(weights))}
-    found = []
-
-    def walk(p, left, prefix):
-        if p == n:
-            if not any(left):
-                found.append(tuple(prefix[order.index(i)] for i in range(n)))
-            return
-        column, r = columns[p], fixed_by.get(p)
-        top = min(rest // w for rest, w in zip(left, column) if w)
-        for e in range(0 if r is None else max(top, 0), top + 1):
-            if r is None or column[r] * e == left[r]:
-                walk(p + 1, tuple(rest - w * e for rest, w in zip(left, column)), prefix + (e,))
-
-    walk(0, tuple(targets), ())
-    return sorted(found, key=_grlex_key, reverse=True)
+    if not any(targets):
+        return ((0,) * len(weights[0]),)
+    found = set()
+    for i, column in enumerate(zip(*weights)):
+        rest = tuple(map(sub, targets, column))
+        if min(rest) >= 0:
+            found.update(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in bounded_monomials(weights, rest))
+    return tuple(sorted(found, key=_grlex_key, reverse=True))
 
 
 def format_terms(terms):

@@ -321,6 +321,8 @@ def cmd_transvect(args):
 def cmd_membership(args):
     try:
         poly = parse_poly(args.poly, _curve_atoms(), sw_curve.CurvePolyAB)
+        if (bound := sw_curve.image_terms_bound(poly)) > MAX_IMAGE_TERMS:
+            raise ExprError(f"the cd-frame image's terms must be at most {MAX_IMAGE_TERMS}, got {bound}")
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -427,10 +429,12 @@ MAX_ORDER, MAX_WEIGHT, MAX_DEGREE = 128, 96, 32
 # in a polynomial argument: the total degree of a product or power, the
 # terms of a sum, product or power, the bits of its coefficients (Python
 # prints at most 4,300 digits), the digits of an integer, and the nesting
-# of parentheses and unary minus signs; and the term products of a
-# transvectant, (index + 1) * |left| * |right|
+# of parentheses and unary minus signs; the term products of a
+# transvectant, (index + 1) * |left| * |right|; and the terms a
+# `membership` input's frame change builds before they merge
 MAX_EXPR_DEGREE = 24
 MAX_EXPR_TERMS = 1500
+MAX_IMAGE_TERMS = 100_000
 MAX_TRANSVECT_PAIRS = 250_000
 MAX_COEFF_BITS = 4096
 MAX_LITERAL_DIGITS = 1000

@@ -296,8 +296,8 @@ def gordan_images():
 # -- the brute-force dimension oracle -----------------------------------------------
 
 
-# the refined degrees, and SCALE shifted by 2 per alpha_i and 3 per beta_i so
-# that every alpha_i and beta_i weighs 0 or more, on the seven coefficients
+# the refined degrees, and SCALE shifted by 2 per alpha_i and 3 per beta_i, on the
+# seven coefficients: `bounded_monomials` recurses to an end only on weights >= 0
 _SHIFTED_SCALE = tuple(s + 2 * a + 3 * b for s, a, b in zip(FormPoly.SCALE, *FormPoly.COUNTS))
 _SEMIINVARIANT_WEIGHTS = tuple(row[: FormPoly.U] for row in (*FormPoly.COUNTS, _SHIFTED_SCALE))
 

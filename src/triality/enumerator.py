@@ -21,7 +21,7 @@ from .sw_curve import CurvePolyAB, curve_poly_json, negative_c0_part
 def monomials_of(k, m):
     """Exponent tuples over (a0, a2, b0, b1, b2, b3) of weight k and degree m,
     in canonical (graded lexicographic, descending) order."""
-    return bounded_monomials((CurvePolyAB.WEIGHTS, CurvePolyAB.DEGREES), (k, m))
+    return list(bounded_monomials((CurvePolyAB.WEIGHTS, CurvePolyAB.DEGREES), (k, m)))
 
 
 @dataclass(frozen=True)

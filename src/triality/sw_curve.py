@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, prod
 
 from ._poly import PowerTable, SparsePoly, compose, jacobian, taylor_shift
 from .exact_series import LATTICE, eisenstein, eta_delta
@@ -135,6 +136,13 @@ def cd_to_ab(p):
 def c0_valuation(p):
     """The least power of c0 in the cd-frame image of an ab-frame polynomial."""
     return ab_to_cd(p).min_degree_in(0)
+
+
+def image_terms_bound(p):
+    """At most how many terms `ab_to_cd(p)` builds before they merge, for p with
+    no negative exponent: the e-th power of an n-term image has C(e + n - 1, e)."""
+    counts = [len(image.terms) for image in _frame_changes()[0].images]
+    return sum(prod(comb(e + n - 1, e) for e, n in zip(exps, counts)) for exps in p.terms)
 
 
 def is_triality_invariant(p):

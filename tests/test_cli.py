@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,9 @@ def test_dense_membership_input(capsys):
     payload = json.loads(out)
     assert payload["c0_valuation"] == -24
     assert payload["is_triality_invariant"] is False
+    # its frame change builds 24,310 terms before they merge, under the bound
+    poly = cli.parse_poly(payload["input"], cli._curve_atoms(), sw_curve.CurvePolyAB)
+    assert len(sw_curve.ab_to_cd(poly).terms) <= sw_curve.image_terms_bound(poly) == 24310
 
 
 def test_c0_valuation_is_the_least_c0_power_of_the_image():
@@ -233,6 +237,23 @@ def test_transvectant_term_products_are_bounded(capsys):
     )
 
 
+def test_frame_change_terms_of_a_membership_input_are_bounded(capsys):
+    # the 1,500 degree-24 monomials over a2, b1, b2, b3 whose cd images are
+    # largest pass every parse cap; their images build 2,336,929 terms before
+    # they merge, and the frame change ran for 15 s before they were bounded
+    def image_terms(e):  # the images of a2, b1, b2, b3 have 2, 1, 2 and 3 terms
+        return (e[0] + 1) * (e[2] + 1) * comb(e[3] + 2, 2)
+
+    monos = [(a, b, c, 24 - a - b - c) for a in range(25) for b in range(25 - a) for c in range(25 - a - b)]
+    monos = sorted(monos, key=lambda e: (-image_terms(e), e))[: cli.MAX_EXPR_TERMS]
+    text = " + ".join("*".join(f"{n}^{x}" for n, x in zip(("a2", "b1", "b2", "b3"), e) if x) for e in monos)
+    start = time.perf_counter()
+    code, out, err = cli_outcome(capsys, ["membership", text])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == f"error: the cd-frame image's terms must be at most {cli.MAX_IMAGE_TERMS}, got 2336929\n"
+
+
 def test_expression_limits_admit_ordinary_input(capsys):
     code, out = run_cli(capsys, "membership", "--", "-(-(-a0*b1))")
     assert code == 0 and out.startswith("-a0*b1 is a triality invariant")
@@ -323,6 +344,9 @@ def test_limits_admit_the_benchmark_requests():
     # expressions such as f^3 and g*Q of total degree 9 and 10
     assert cli.MAX_EXPR_DEGREE >= 12
     assert cli.MAX_EXPR_TERMS >= 26
+    # the frame change of a membership input builds at most 155 terms, and of
+    # the sum of a whole basis cell under the caps at most 4,839
+    assert cli.MAX_IMAGE_TERMS >= 4839
     # the largest session transvectant, <f^3, f^3>^6, and the golden <f^3, g*Q>^6
     assert cli.MAX_TRANSVECT_PAIRS >= 7 * 10 * 22
 

@@ -1,14 +1,18 @@
 from fractions import Fraction as F
+from itertools import product
+from operator import mul
 
-from triality import sw_curve
+from triality import covariants, sw_curve
+from triality._poly import bounded_monomials
 from triality.cli import MAX_DEGREE, MAX_WEIGHT
 from triality.enumerator import dimension_table, monomials_of, rank_series, triality_basis
-from triality.invariant_ring import INVARIANT, express_in_klmn
+from triality.invariant_ring import INVARIANT, KLMN_DEGREES, express_in_klmn
 from triality.linalg import nullspace
 from triality.sw_curve import (
     CurvePolyAB, ab_to_cd, evaluate_ab, is_triality_invariant, negative_c0_part,
 )
 from triality.verify import oracle_dimension
+from triality.weyl_poly import I_DEGREES
 
 
 def test_monomials_of():
@@ -19,6 +23,59 @@ def test_monomials_of():
     for exps in monomials_of(24, 8):
         assert sum(w * e for w, e in zip(CurvePolyAB.WEIGHTS, exps)) == 24
         assert sum(d * e for d, e in zip(CurvePolyAB.DEGREES, exps)) == 8
+
+
+def _brute_force_cells(weights, top):
+    """Every exponent tuple of degrees at most top under the weight rows, from
+    itertools.product over a box, by its degrees and in decreasing grlex order."""
+    box = [min(t // w for t, w in zip(top, column) if w) for column in zip(*weights)]
+    cells = {}
+    for e in product(*(range(b + 1) for b in box)):
+        cells.setdefault(tuple(sum(map(mul, row, e)) for row in weights), []).append(e)
+    return {t: tuple(sorted(es, key=lambda e: (sum(e), e), reverse=True)) for t, es in cells.items()}
+
+
+def test_bounded_monomials_match_a_brute_force_enumeration(monkeypatch):
+    # every curve cell with k <= 48 and m <= 16, odd and negative targets too
+    curve = (CurvePolyAB.WEIGHTS, CurvePolyAB.DEGREES)
+    expected = _brute_force_cells(curve, (48, 16))
+    for k in range(-3, 49):
+        for m in range(-3, 17):
+            assert bounded_monomials(curve, (k, m)) == expected.get((k, m), ()), (k, m)
+    # the semiinvariant cells the dimension oracle reads at k <= 24, m <= 8
+    cells = []
+    real = covariants.bounded_monomials
+    monkeypatch.setattr(covariants, "bounded_monomials", lambda w, t: cells.append(t) or real(w, t))
+    for k in range(0, 25, 2):
+        for m in range(0, 9, 2):
+            oracle_dimension(k, m)
+    assert len(set(cells)) == 71 and min(t[2] for t in cells) < 0
+    weights = covariants._SEMIINVARIANT_WEIGHTS
+    expected = _brute_force_cells(weights, tuple(map(max, zip(*cells))))
+    for t in cells:
+        assert bounded_monomials(weights, t) == expected.get(t, ()), t
+    # single weight rows
+    for row in (I_DEGREES, KLMN_DEGREES):
+        expected = _brute_force_cells((row,), (40,))
+        for d in range(-3, 41):
+            assert bounded_monomials((row,), (d,)) == expected.get((d,), ()), (row, d)
+
+
+def test_kept_cells_cannot_change_and_stay_bounded():
+    """Each cell of `bounded_monomials` is kept for the process, and only
+    cells with no negative target are built on the way down.  The dimension
+    table under the CLI caps keeps 833 curve cells, every even k <= 96 and
+    m <= 32; `test_cli_caps_bound_the_kept_cores` shows that every cell the
+    CLI accepts, odd ones too, keeps 97 * 33, so a process that serves the
+    CLI keeps at most that many curve cells."""
+    cell = monomials_of(24, 8)
+    original = list(cell)
+    cell.reverse()
+    cell.append((1,) * 6)
+    assert monomials_of(24, 8) == original
+    bounded_monomials.cache_clear()
+    dimension_table(MAX_WEIGHT, MAX_DEGREE)
+    assert bounded_monomials.cache_info().currsize == 833
 
 
 def test_rational_kernel():
@@ -67,6 +124,7 @@ def test_only_cores_are_sent_through_the_frame_change(monkeypatch):
 
 def test_cli_caps_bound_the_kept_cores():
     # every cell the CLI can ask for lies in weight <= 96, degree <= 32
+    bounded_monomials.cache_clear()
     cores = {
         (0, e[1], 0) + e[3:]
         for k in range(MAX_WEIGHT + 1)
@@ -74,6 +132,8 @@ def test_cli_caps_bound_the_kept_cores():
         for e in monomials_of(k, m)
     }
     assert len(cores) == 556
+    # and each of them keeps one cell of monomials, built from cells below it
+    assert bounded_monomials.cache_info().currsize == (MAX_WEIGHT + 1) * (MAX_DEGREE + 1)
 
 
 def test_basis_weight12():
