@@ -26,7 +26,8 @@ and `format_monomial` the one monomial text of both polynomial types.
 `taylor_shift` is the one shift u -> u + s v of a binary form's
 coefficients, from which every frame change and hat substitution of the
 package is built.  `bounded_monomials` lists the exponent vectors of fixed
-weighted degrees by a recursion on the targets, kept per cell for the process.
+weighted degrees, building the cells below a target in a loop from the
+bottom up, and keeps every cell for the process.
 
 The canonical term order used everywhere is graded lexicographic with the
 first variable largest; `sorted_terms` lists terms in decreasing order.
@@ -35,7 +36,7 @@ first variable largest; `sorted_terms` lists terms in decreasing order.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb
 from operator import add, mul, sub
 
@@ -91,24 +92,35 @@ def power(base, n):
         base = base * base
 
 
-@lru_cache(maxsize=None)
+# every cell `bounded_monomials` has built, kept for the process: (weights, targets) -> monomials
+_cells = {}
+
+
 def bounded_monomials(weights, targets):
     """Exponent tuples e >= 0 with sum_i row[i] * e[i] == target for every
     (row, target) in zip(weights, targets), as a tuple in decreasing grlex
     order, kept for the process; both arguments are tuples.
 
     Every weight is nonnegative and every variable weighs something in some
-    row, so the recursion ends, one level per unit of total degree: a cell's
-    monomials are e + unit_i over each cell targets - column_i >= 0.
+    row, so each column lowers sum(targets): a cell's monomials are
+    e + unit_i over each cell targets - column_i >= 0, and the cells below
+    are built first, in a loop by increasing sum(targets).
     """
-    if not any(targets):
-        return ((0,) * len(weights[0]),)
-    found = set()
-    for i, column in enumerate(zip(*weights)):
-        rest = tuple(map(sub, targets, column))
-        if min(rest) >= 0:
-            found.update(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in bounded_monomials(weights, rest))
-    return tuple(sorted(found, key=_grlex_key, reverse=True))
+    columns = tuple(zip(*weights))
+    below, todo = {}, [targets]  # cell -> its (i, targets - column_i >= 0)
+    while todo:
+        t = todo.pop()
+        if t in below or (weights, t) in _cells:
+            continue
+        rests = [tuple(map(sub, t, column)) for column in columns]
+        below[t] = [(i, rest) for i, rest in enumerate(rests) if min(rest) >= 0]
+        todo.extend(rest for _, rest in below[t])
+    for t in sorted(below, key=sum):
+        found = set() if any(t) else {(0,) * len(columns)}
+        for i, rest in below[t]:
+            found.update(e[:i] + (e[i] + 1,) + e[i + 1 :] for e in _cells[weights, rest])
+        _cells[weights, t] = tuple(sorted(found, key=_grlex_key, reverse=True))
+    return _cells[weights, targets]
 
 
 def format_terms(terms):

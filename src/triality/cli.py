@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from math import comb, lcm
 
 from . import _poly, covariants, enumerator, sw_curve, verify
@@ -157,7 +156,7 @@ def parse_poly(text, atoms, cls):
                 const = rhs.terms.get((0,) * cls.nvars)
                 if len(rhs.terms) != 1 or const is None:
                     raise ExprError("division only by constants")
-                value = value * (Fraction(1) / const)
+                value = value / const
                 _checked(0, _height(value))
         return value
 
@@ -260,8 +259,7 @@ def cmd_dims(args):
 
 def cmd_generators(args):
     gens = covariants.gordan_generators()
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "kind": "generators",
             "count": len(gens),
@@ -404,7 +402,6 @@ def build_parser():
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("generators", parents=[common], help="the 15 classical generators")
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
     p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("transvect", parents=[common], help="transvectant of two form expressions")

@@ -297,7 +297,7 @@ def gordan_images():
 
 
 # the refined degrees, and SCALE shifted by 2 per alpha_i and 3 per beta_i, on the
-# seven coefficients: `bounded_monomials` recurses to an end only on weights >= 0
+# seven coefficients: `bounded_monomials` reaches its bottom cell only on weights >= 0
 _SHIFTED_SCALE = tuple(s + 2 * a + 3 * b for s, a, b in zip(FormPoly.SCALE, *FormPoly.COUNTS))
 _SEMIINVARIANT_WEIGHTS = tuple(row[: FormPoly.U] for row in (*FormPoly.COUNTS, _SHIFTED_SCALE))
 

@@ -12,9 +12,7 @@ form is canonical; no other module reads it.  Sums scale both sides to the
 lcm of the denominators, and products are integer convolutions over the
 product of the denominators.  `coeff` reads one coefficient as a Fraction;
 `terms` is a read-only {exponent: Fraction} view that makes a Fraction only
-when a value is read.  The sign flip q^(1/2) -> -q^(1/2) times (-1)^parity,
-`flip_half_powers`, negates the coefficient at t^e when e/12 + parity is
-odd; it needs 12 to divide every e.
+when a value is read.
 
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
@@ -45,10 +43,6 @@ class ZeroSeriesError(ZeroDivisionError):
 
 class UnknownCoefficientError(ValueError):
     """Raised when reading a coefficient at or beyond trunc, which is unknown."""
-
-
-class UnsupportedLatticeError(ValueError):
-    """The sign involution needs all t-exponents divisible by 12."""
 
 
 class _Terms(Mapping):
@@ -253,15 +247,6 @@ class FracSeries:
     def truncate(self, trunc):
         trunc = min(self.trunc, trunc)
         return FracSeries._new({e: n for e, n in self._num.items() if e < trunc}, self._den, trunc)
-
-    def flip_half_powers(self, parity=0):
-        """The image under q^(1/2) -> -q^(1/2), times (-1)^parity: a ring involution."""
-        half = LATTICE // 2
-        off = [e for e in self._num if e % half]
-        if off:
-            raise UnsupportedLatticeError(f"t-exponent {off[0]} is not a multiple of {half}")
-        num = {e: -n if (e // half + parity) % 2 else n for e, n in self._num.items()}
-        return FracSeries._new(num, self._den, self.trunc)
 
     # -- output --------------------------------------------------------
 

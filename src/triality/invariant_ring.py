@@ -14,11 +14,10 @@ kernels (product, derivative, square-and-multiply) are `_poly`'s.
 
 `Invariant` is the element over the Weyl generators I2, I4, I6, I~4
 (degrees 2, 4, 6, 4).  The module provides its exponent-shift injection,
-which converts the cusp condition into plain q-regularity, the resulting
-three-way classification (invariant / weak only / neither), and the sign
-involution realizing the tau -> tau + 1 action on the half-integer
-lattice.  `KLMNPoly` is the element over the four fundamental weak
-invariants K, L, M, N, which generate freely over the level-1 forms E4, E6
+which converts the cusp condition into plain q-regularity, and the
+resulting three-way classification (invariant / weak only / neither).
+`KLMNPoly` is the element over the four fundamental weak invariants
+K, L, M, N, which generate freely over the level-1 forms E4, E6
 (Wirthmueller), so `express_in_klmn` rewrites an invariant in them by a
 change of generators and a fit of each coefficient into C[E4, E6].  That
 fit, with its test that the window pins every coefficient down, is
@@ -145,10 +144,6 @@ class SeriesPoly:
     def common_trunc(self):
         return min((s.trunc for s in self.terms.values()), default=None)
 
-    def coefficient(self, exps):
-        """Coefficient series of a generator monomial (None if absent)."""
-        return self.terms.get(tuple(exps))
-
     def constant_series(self):
         """The coefficient of the empty monomial; raises if others are present."""
         extra = [e for e, s in self.terms.items() if any(e) and not s.is_zero]
@@ -156,7 +151,7 @@ class SeriesPoly:
             raise ValueError(f"not a constant: contains {extra}")
         return self.terms.get(ONE_EXPS)
 
-    def coefficient_weight(self, exps):
+    def series_weight(self, exps):
         return self.weight - monomial_degree(self.WEIGHTS, exps)
 
     def __eq__(self, other):
@@ -196,7 +191,7 @@ class SeriesPoly:
     def change_generators(self, table):
         """Substitute table.images[i] (of weight WEIGHTS[i]) for generator i, in
         the table's ring; each coefficient scales its monomial's image."""
-        scaled = (table.monomial(e).scale_series(s, self.coefficient_weight(e)) for e, s in self.terms.items())
+        scaled = (table.monomial(e).scale_series(s, self.series_weight(e)) for e, s in self.terms.items())
         return type(table.one)._sum(scaled, self.weight, self.degree)
 
     def scale_series(self, series, series_weight):
@@ -317,15 +312,6 @@ class Invariant(SeriesPoly):
             for e in s.terms
         )
         return WEAK_ONLY if weak else NOT_WEAK
-
-    def t_action(self):
-        """Flip the signs of q^(1/2) and I~4 simultaneously.
-
-        Only defined on the half-integer lattice (t-exponents divisible
-        by 12); a ring involution there.
-        """
-        terms = {e: s.flip_half_powers(e[3]) for e, s in self.terms.items()}
-        return self._new(terms, self.weight, self.degree)
 
     def leading_ipoly(self):
         """The q^0 coefficient of the injected form, as an IPoly.
@@ -483,7 +469,7 @@ def fit_coefficients(coeffs, order):
     short to pin every coefficient of the grading down.
     """
     fits = {
-        exps: _fit_modular(series, coeffs.coefficient_weight(exps), order)
+        exps: _fit_modular(series, coeffs.series_weight(exps), order)
         for exps, series in coeffs.terms.items()
     }
     # the window must also pin down the zero coefficients of the monomials

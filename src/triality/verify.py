@@ -375,7 +375,7 @@ def table1_checks(order):
         ok = images[label] == poly_expected and all(rep is not None for rep in reps)
         ok = ok and all(
             set(rep.terms) == set(klmn_expected)
-            and all(_same(rep.coefficient(key), series, order) for key, series in klmn_expected.items())
+            and all(_same(rep.terms.get(key), series, order) for key, series in klmn_expected.items())
             for rep in reps
         )
         out.append(_check(f"explicit forms of {label} (curve and K,L,M,N)", ok, details[0] or details[1]))

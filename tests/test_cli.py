@@ -87,9 +87,12 @@ def test_generators_cli(capsys):
     code, out = run_cli(capsys, "generators")
     assert code == 0
     assert len(out.strip().splitlines()) == 15
-    code, out = run_cli(capsys, "generators", "--json")
+    code, out = run_cli(capsys, "generators", "--format", "json")
     payload = json.loads(out)
     assert payload["count"] == 15
+    # --format json is the one spelling of a json answer
+    code, out, err = cli_outcome(capsys, ["generators", "--json"])
+    assert (code, out) == (2, "") and "unrecognized arguments: --json" in err
 
 
 def test_transvect_cli(capsys):
@@ -414,7 +417,7 @@ GOLDEN = [
     ("verify all --order 4", 0, "97eff19608a0d2cf98b291a0b323835e13ac00fccedb401b7531599b1dc29db6"),
     ("verify all --order 5 --format json", 0, "af68b94cf1c1ff1ea70eaf6f2bbd76b4e983abe373e13f9d6f53e2f4a7ca6116"),
     ("generators", 0, "114f0ed1fb2043c960add192a2b4dbb97c5598ddbb0d17b5c59981d36e1b97df"),
-    ("generators --json", 0, "a969bf345a74f25e84d5be8a3356e4938d5c2f6906a4876d54f4e34bf5c2f404"),
+    ("generators --format json", 0, "a969bf345a74f25e84d5be8a3356e4938d5c2f6906a4876d54f4e34bf5c2f404"),
     ("dims --format text", 0, "fcb99e3ecc6e97815d181a28f3a40934ceb8fe12e42b2eeaa1022c12a58a52ef"),
     ("basis --weight 24 --degree 6", 0, "e3dd9c44b15d2fc538b1c1399b86805a544b2eadcf229de0afc468e89af75c1a"),
     ('membership "a0^3 - 27*b0^2"', 0, "a95662c5a4130eb1e799237f083fe853d6eda54ce1950dcbe97f6b26a2888aae"),

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from itertools import product
 from operator import mul
 
-from triality import covariants, sw_curve
+from triality import _poly, covariants, sw_curve
 from triality._poly import bounded_monomials
 from triality.cli import MAX_DEGREE, MAX_WEIGHT
 from triality.enumerator import dimension_table, monomials_of, rank_series, triality_basis
@@ -61,6 +61,12 @@ def test_bounded_monomials_match_a_brute_force_enumeration(monkeypatch):
             assert bounded_monomials((row,), (d,)) == expected.get((d,), ()), (row, d)
 
 
+def test_deep_cells_are_built_without_recursion():
+    # 750 units of total degree, deeper than the interpreter lets a recursion go
+    assert len(monomials_of(3000, 0)) == 251
+    assert bounded_monomials(((1,),), (500,)) == ((500,),)
+
+
 def test_kept_cells_cannot_change_and_stay_bounded():
     """Each cell of `bounded_monomials` is kept for the process, and only
     cells with no negative target are built on the way down.  The dimension
@@ -73,9 +79,9 @@ def test_kept_cells_cannot_change_and_stay_bounded():
     cell.reverse()
     cell.append((1,) * 6)
     assert monomials_of(24, 8) == original
-    bounded_monomials.cache_clear()
+    _poly._cells.clear()
     dimension_table(MAX_WEIGHT, MAX_DEGREE)
-    assert bounded_monomials.cache_info().currsize == 833
+    assert len(_poly._cells) == 833
 
 
 def test_rational_kernel():
@@ -124,7 +130,7 @@ def test_only_cores_are_sent_through_the_frame_change(monkeypatch):
 
 def test_cli_caps_bound_the_kept_cores():
     # every cell the CLI can ask for lies in weight <= 96, degree <= 32
-    bounded_monomials.cache_clear()
+    _poly._cells.clear()
     cores = {
         (0, e[1], 0) + e[3:]
         for k in range(MAX_WEIGHT + 1)
@@ -133,7 +139,7 @@ def test_cli_caps_bound_the_kept_cores():
     }
     assert len(cores) == 556
     # and each of them keeps one cell of monomials, built from cells below it
-    assert bounded_monomials.cache_info().currsize == (MAX_WEIGHT + 1) * (MAX_DEGREE + 1)
+    assert len(_poly._cells) == (MAX_WEIGHT + 1) * (MAX_DEGREE + 1)
 
 
 def test_basis_weight12():

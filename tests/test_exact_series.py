@@ -7,7 +7,6 @@ import pytest
 from triality.exact_series import (
     LATTICE,
     FracSeries,
-    UnsupportedLatticeError,
     ZeroSeriesError,
     bernoulli,
     e_series,
@@ -355,15 +354,6 @@ def test_half_q_flip_swaps_e2_e3():
         {e: -c if (e // 12) % 2 else c for e, c in e2.terms.items()}, e2.trunc
     )
     assert flipped == e3
-
-
-def test_flip_half_powers():
-    e2, e3 = e_series(2, 10), e_series(3, 10)
-    assert e2.flip_half_powers() == e3
-    assert e2.flip_half_powers(1) == -e3
-    assert e3.flip_half_powers().flip_half_powers() == e3
-    with pytest.raises(UnsupportedLatticeError):
-        eta_delta(4)[0].flip_half_powers()
 
 
 def test_terms_is_a_read_only_view():

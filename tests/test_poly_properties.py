@@ -1,7 +1,7 @@
 """Property tests for the polynomial layer: frame changes (and the power
 tables they keep for the process), the monomial images of every kept power
-table, the t-action, the binary-form shift, the trusted arithmetic
-constructor and the grading rule of the one-pass sum.
+table, the binary-form shift, the trusted arithmetic constructor and the
+grading rule of the one-pass sum.
 
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
@@ -16,21 +16,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality._poly import PowerTable, bounded_monomials, compose, taylor_shift  # noqa: E402
+from triality._poly import PowerTable, compose, taylor_shift  # noqa: E402
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta  # noqa: E402
 from triality.invariant_ring import (  # noqa: E402
-    GradingError, Invariant, _klmn_powers, _modular_powers, _weyl_powers, klmn, weyl_in_klmn,
+    GradingError, _klmn_powers, _modular_powers, _weyl_powers, klmn, weyl_in_klmn,
 )
 from triality.sw_curve import (  # noqa: E402
     CurvePolyAB, CurvePolyCD, _frame_changes, _frame_forms, _frame_values, ab_to_cd, cd_to_ab,
     evaluate_ab,
 )
-from triality.weyl_poly import I_DEGREES  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
 rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 8]))
-nonzero = rationals.filter(bool)
 
 
 @st.composite
@@ -47,21 +45,6 @@ def laurent_cd_polys(draw, max_terms=4):
     exps = st.tuples(st.integers(-4, 3), *[st.integers(0, 3)] * 5)
     terms = draw(st.lists(st.tuples(exps, rationals), max_size=max_terms))
     return CurvePolyCD._sum(CurvePolyCD.monomial(e, c) for e, c in terms)
-
-
-@st.composite
-def half_lattice_invariants(draw):
-    """Invariants of one degree whose series sit on the q^(1/2) lattice."""
-    degree = draw(st.sampled_from([0, 2, 4, 6, 8]))
-    monomials = bounded_monomials((I_DEGREES,), (degree,))
-    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
-    trunc = 12 * draw(st.integers(1, 8))
-    exponents = st.integers(-2, 8).map(lambda k: 12 * k)
-    terms = {
-        exps: FracSeries(draw(st.dictionaries(exponents, nonzero, max_size=4)), trunc)
-        for exps in chosen
-    }
-    return Invariant(terms, 2 * draw(st.integers(0, 3)), degree)
 
 
 @PROPERTY
@@ -159,13 +142,6 @@ def test_images_wider_than_one_get_no_wider_window(name, data):
     else:
         assert set(new.terms) == set(old.terms)
         assert all(new.terms[e].trunc <= s.trunc for e, s in old.terms.items())
-
-
-@PROPERTY
-@given(half_lattice_invariants(), half_lattice_invariants())
-def test_t_action_is_an_involution(x, y):
-    assert x.t_action().t_action().to_json() == x.to_json()
-    assert (x * y).t_action() == x.t_action() * y.t_action()
 
 
 @PROPERTY

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import triality
-from triality import _poly, covariants, invariant_ring, sw_curve, weyl_poly
+from triality import _poly, covariants, exact_series, invariant_ring, sw_curve, weyl_poly
 from triality.covariants import FormPoly
 from triality.exact_series import FracSeries
 from triality.invariant_ring import Invariant
@@ -66,6 +66,11 @@ def test_wrappers_stay_gone():
     # read only by tests: a term is terms.get(exps, 0), a q-coefficient coeff(LATTICE * n)
     assert not hasattr(_poly.SparsePoly, "coefficient")
     assert not hasattr(FracSeries, "q_coeff")
+    assert not hasattr(Invariant, "coefficient")  # a coefficient series is terms.get(exps)
+    # the sign involution tau -> tau + 1 was reached by no command and no check
+    assert not hasattr(Invariant, "t_action")
+    assert not hasattr(FracSeries, "flip_half_powers")
+    assert not hasattr(exact_series, "UnsupportedLatticeError")
     # a polynomial meets an int only in scaling (* and /): sums, differences
     # and comparisons with one go through Cls.constant(n)
     for name in ("_coerce", "__radd__", "__rsub__"):
