@@ -2,19 +2,23 @@
 
 `SparsePoly` backs the rational polynomial flavors in the package
 (z-variables, the Weyl generators, the two curve-coefficient frames,
-binary-form coefficients).  Terms are a dict from exponent tuples to
-Fraction; zero coefficients are never stored.  Subclasses fix the arity,
-print names and which variables may carry negative (Laurent) exponents.
-The constructor validates values built from outside input; arithmetic
-results go through the trusted `_new`, which only drops zeros, and sums
-through the one-pass `_sum`.  `monomial_degree` is the one grading rule
-for a monomial under a weight row; `weighted_degree` applies it to every
-term, is the one homogeneity check of the package (mostly on a weight row
-its class declares), and raises NotHomogeneousError.  The polynomials with
-q-series coefficients live in `invariant_ring` and share the term kernels
-(`add_terms`, `mul_terms`, `derivative_terms`, square-and-multiply
-`power`), `monomial_degree`, `compose` and `jacobian`, the one determinant
-of a matrix of partials.  `PowerTable` is the one home of monomial images:
+binary-form coefficients).  Like a `FracSeries`, it stores integer
+numerators over one positive denominator in the canonical form of
+`_reduced`, and `terms` is the read-only Fraction view `_Terms`, whose
+`len` and iteration build no Fraction; both types share the two, and
+other modules read the store only through `stored`.  Subclasses fix the
+arity, print names and which variables may carry negative (Laurent)
+exponents.  The constructor validates values built from outside input;
+arithmetic results go through the trusted `_new`, which only reduces, and
+sums through the one-pass `_sum` over the lcm of the denominators; a
+product is `mul_terms` on the numerators.  `monomial_degree` is the one
+grading rule for a monomial under a weight row; `weighted_degree` applies
+it to every term, is the one homogeneity check of the package (mostly on a
+weight row its class declares), and raises NotHomogeneousError.  The
+polynomials with q-series coefficients live in `invariant_ring` and share
+the term kernels (`add_terms`, `mul_terms`, `derivative_terms`,
+square-and-multiply `power`), `monomial_degree`, `compose` and `jacobian`,
+the one determinant of a matrix of partials.  `PowerTable` is the one home of monomial images:
 it windows each image once by the target's `one` and keeps each power it
 builds; its `monomial` may return a kept power or `one`, which every
 caller copies into a new value.  A table held across calls (`sw_curve`'s
@@ -35,14 +39,54 @@ first variable largest; `sorted_terms` lists terms in decreasing order.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, mul, sub
 
 
 class NotHomogeneousError(ValueError):
     """Monomials disagree under a grading."""
+
+
+class _Terms(Mapping):
+    """Read-only {key: Fraction} view of numerators over one denominator."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num, self._den = num, den
+
+    def __getitem__(self, key):
+        return Fraction(self._num[key], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def get(self, key, default=None):
+        n = self._num.get(key)
+        return default if n is None else Fraction(n, self._den)
+
+
+def _reduced(num, den):
+    """Drop zero numerators and divide out the gcd of den and the rest; num is
+    a new dict, which the result may keep."""
+    if 0 in num.values():
+        num = {e: n for e, n in num.items() if n}
+    g = gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {e: n // g for e, n in num.items()}, den // g
+
+
+def _over_lcm(fractions):
+    """The reduced stored form of a {key: Fraction} dict."""
+    den = lcm(*(c.denominator for c in fractions.values()))
+    return _reduced({e: c.numerator * (den // c.denominator) for e, c in fractions.items()}, den)
 
 
 def _grlex_key(exps):
@@ -141,13 +185,16 @@ def format_monomial(names, exps):
 
 
 class SparsePoly:
+    """`_num` maps exponent tuples to nonzero integer numerators over the
+    positive denominator `_den`, and gcd(_den, *_num.values()) == 1."""
+
     nvars = 0
     names = ()
     laurent = frozenset()
 
     def __init__(self, terms=()):
         clean = {}
-        for exps, coeff in (terms.items() if isinstance(terms, dict) else terms):
+        for exps, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
             coeff = Fraction(coeff)
             if not coeff:
                 continue
@@ -157,23 +204,29 @@ class SparsePoly:
             for i, e in enumerate(exps):
                 if e < 0 and i not in self.laurent:
                     raise ValueError(f"negative exponent on {self.names[i]}")
-            clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in clean.items() if c}
+            clean[exps] = clean.get(exps, 0) + coeff
+        self._num, self._den = _over_lcm(clean)
 
     @classmethod
-    def _new(cls, terms):
-        """Arithmetic results: only drop zero coefficients."""
+    def _new(cls, num, den=1):
+        """Arithmetic results: integer numerators over den > 0, reduced here."""
         value = cls.__new__(cls)
-        value.terms = {e: c for e, c in terms.items() if c}
+        value._num, value._den = _reduced(num, den)
         return value
 
     @classmethod
     def _sum(cls, values):
-        """Sum of values of this type, added into one dict in one pass."""
-        terms = {}
+        """Sum of values of this type, added into one dict in one pass over
+        the lcm of their denominators."""
+        num, den = {}, 1
         for value in values:
-            add_terms(terms, value.terms)
-        return cls._new(terms)
+            if den % value._den:
+                grown = lcm(den, value._den)
+                num = {e: n * (grown // den) for e, n in num.items()}
+                den = grown
+            scale = den // value._den
+            add_terms(num, value._num if scale == 1 else {e: n * scale for e, n in value._num.items()})
+        return cls._new(num, den)
 
     # -- constructors -------------------------------------------------
 
@@ -187,13 +240,15 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, value):
-        return cls({(0,) * cls.nvars: Fraction(value)})
+        """The constant value, an int or a Fraction."""
+        return cls._new({(0,) * cls.nvars: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, i, power=1):
         exps = [0] * cls.nvars
         exps[i] = power
-        return cls({tuple(exps): Fraction(1)})
+        # a negative power goes through the constructor's Laurent check
+        return cls._new({tuple(exps): 1}) if power >= 0 else cls.monomial(exps)
 
     @classmethod
     def monomial(cls, exps, coeff=1):
@@ -202,16 +257,21 @@ class SparsePoly:
     # -- queries -------------------------------------------------------
 
     @property
+    def terms(self):
+        """Read-only {exponents: Fraction} view of the nonzero coefficients."""
+        return _Terms(self._num, self._den)
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     __hash__ = None
 
@@ -219,14 +279,14 @@ class SparsePoly:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def min_degree_in(self, i):
-        return min((e[i] for e in self.terms), default=0)
+        return min((e[i] for e in self._num), default=0)
 
     def weighted_degree(self, weights):
         """Common degree of all terms under the weight row; 0 for zero."""
-        degs = {monomial_degree(weights, exps) for exps in self.terms}
+        degs = {monomial_degree(weights, exps) for exps in self._num}
         if len(degs) > 1:
             raise NotHomogeneousError(f"not homogeneous: weighted degrees {sorted(degs)}")
         return degs.pop() if degs else 0
@@ -242,18 +302,18 @@ class SparsePoly:
         return self + (-other)
 
     def __neg__(self):
-        return self._new({e: -c for e, c in self.terms.items()})
+        return self._new({e: -n for e, n in self._num.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # like ** 1, times 1 is the value itself (arithmetic never mutates a value)
             if other == 1:
                 return self
-            c = Fraction(other)
-            return self._new({e: c * v for e, v in self.terms.items()})
+            c = other.numerator
+            return self._new({e: c * n for e, n in self._num.items()}, self._den * other.denominator)
         if type(other) is not type(self):
             return NotImplemented
-        return self._new(mul_terms(self.terms, other.terms))
+        return self._new(mul_terms(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -267,7 +327,7 @@ class SparsePoly:
             raise ValueError("polynomial powers must be integers")
         if n < 0:
             # only a Laurent monomial is a unit
-            if len(self.terms) != 1:
+            if len(self._num) != 1:
                 raise ValueError("negative power of a polynomial that is not a monomial")
             (exps, coeff), = self.terms.items()
             return type(self).monomial(tuple(-e for e in exps), 1 / coeff) ** -n
@@ -276,7 +336,7 @@ class SparsePoly:
         return power(self, n)
 
     def derivative(self, i):
-        return self._new(derivative_terms(self.terms, i))
+        return self._new(derivative_terms(self._num, i), self._den)
 
     # -- output ----------------------------------------------------------
 
@@ -288,6 +348,12 @@ class SparsePoly:
 
     def __repr__(self):
         return f"{type(self).__name__}({self!s})"
+
+
+def stored(poly):
+    """(numerators, denominator): the stored form of a `SparsePoly`, for a
+    reader that needs its integers; never changed."""
+    return poly._num, poly._den
 
 
 class PowerTable:
@@ -331,8 +397,11 @@ class PowerTable:
 
 
 def compose(poly, table):
-    """Substitute table.images[i] for variable i of poly, in the table's ring."""
-    return type(table.one)._sum(table.monomial(exps) * c for exps, c in poly.terms.items())
+    """Substitute table.images[i] for variable i of poly, in the table's ring:
+    the images of the monomials times their numerators, summed, over the
+    denominator once."""
+    total = type(table.one)._sum(table.monomial(exps) * n for exps, n in poly._num.items())
+    return total if poly._den == 1 else total * Fraction(1, poly._den)
 
 
 def taylor_shift(coeffs, s):

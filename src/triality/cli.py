@@ -65,9 +65,10 @@ def _tokenize(text):
 def _height(*polys):
     """h with every coefficient of the sum of polys a ratio of integers of size
     at most 2^h; a product's h is at most the sum of its factors'."""
-    coeffs = [c for p in polys for c in p.terms.values()]
-    den = lcm(*(c.denominator for c in coeffs))
-    top = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    stores = [_poly.stored(p) for p in polys]
+    # each stored denominator is the lcm of its reduced coefficients' denominators
+    den = lcm(*(d for _, d in stores))
+    top = sum(abs(n) * (den // d) for num, d in stores for n in num.values())
     return (max(top, den) - 1).bit_length()
 
 
@@ -173,7 +174,9 @@ def parse_poly(text, atoms, cls):
     return result
 
 
+@functools.cache
 def _curve_atoms():
+    """The six curve variables by name, built once: no value is ever changed."""
     return {
         name: sw_curve.CurvePolyAB.variable(i)
         for i, name in enumerate(sw_curve.CurvePolyAB.names)

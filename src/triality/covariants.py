@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from ._poly import PowerTable, SparsePoly, bounded_monomials, compose, taylor_shift
-from .linalg import nullspace
+from .linalg import integer_nullspace
 from .sw_curve import CurvePolyAB
 
 
@@ -188,7 +188,7 @@ def roberts_to_covariant(Phi):
         lowered = _derivation(lowered, _LOWERING)
     if not lowered.is_zero:
         raise NotPolynomialError("Delta^(omega+1) of the input is not 0: it leads no covariant")
-    return FormPoly._new(terms)
+    return FormPoly(terms)
 
 
 # -- the curve-coefficient substitution ----------------------------------------------
@@ -317,4 +317,4 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
     if d_alpha < 0 or d_beta < 0:
         raise ValueError("refined degrees must be nonnegative")
     monos = _semiinvariant_monomials(d_alpha, d_beta, omega)
-    return len(nullspace(_derivation(FormPoly.monomial(m), _DERIVATION).terms for m in monos))
+    return len(integer_nullspace(_derivation(FormPoly.monomial(m), _DERIVATION).terms for m in monos))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._poly import bounded_monomials
-from .linalg import nullspace
+from .linalg import integer_nullspace
 from .sw_curve import CurvePolyAB, curve_poly_json, negative_c0_part
 
 
@@ -55,7 +55,7 @@ def triality_basis(k, m):
     """
     monos = monomials_of(k, m)
     columns = (negative_c0_part(mono) for mono in monos)
-    basis = [CurvePolyAB._new(dict(zip(monos, vec))) for vec in nullspace(columns)]
+    basis = [CurvePolyAB._new(dict(zip(monos, vec)), den) for vec, den in integer_nullspace(columns)]
     return AnsatzBasis(k, m, tuple(monos), tuple(basis))
 
 

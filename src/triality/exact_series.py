@@ -8,11 +8,12 @@ Equality is therefore only ever tested on the common window of two series.
 
 A series stores integer numerators over one positive common denominator,
 reduced by the gcd of the denominator and all numerators, so its stored
-form is canonical; no other module reads it.  Sums scale both sides to the
-lcm of the denominators, and products are integer convolutions over the
-product of the denominators.  `coeff` reads one coefficient as a Fraction;
-`terms` is a read-only {exponent: Fraction} view that makes a Fraction only
-when a value is read.
+form is canonical; `_poly`'s `SparsePoly` is stored the same way, through
+the same reduction and view, and no other module reads either.  Sums scale
+both sides to the lcm of the denominators, and products are integer
+convolutions over the product of the denominators.  `coeff` reads one
+coefficient as a Fraction; `terms` is a read-only {exponent: Fraction}
+view that makes a Fraction only when a value is read.
 
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
@@ -30,7 +31,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import format_terms, power
+from ._poly import _over_lcm, _reduced, _Terms, format_terms, power
 
 # t-units per power of q: the lattice (1/24)Z houses eta (1/24), theta2
 # (1/8) and q^(1/2) simultaneously.
@@ -43,33 +44,6 @@ class ZeroSeriesError(ZeroDivisionError):
 
 class UnknownCoefficientError(ValueError):
     """Raised when reading a coefficient at or beyond trunc, which is unknown."""
-
-
-class _Terms(Mapping):
-    """Read-only {exponent: Fraction} view of numerators over one denominator."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den):
-        self._num, self._den = num, den
-
-    def __getitem__(self, e):
-        return Fraction(self._num[e], self._den)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self):
-        return len(self._num)
-
-
-def _reduced(num, den):
-    """Drop zero numerators and divide out the gcd of den and the rest."""
-    num = {e: n for e, n in num.items() if n}
-    g = math.gcd(den, *num.values())
-    if g == 1:
-        return num, den
-    return {e: n // g for e, n in num.items()}, den // g
 
 
 def _q_power_text(q):
@@ -94,11 +68,8 @@ class FracSeries:
             if e < trunc:
                 e = int(e)
                 clean[e] = clean.get(e, 0) + Fraction(c)
-        den = math.lcm(*(c.denominator for c in clean.values()))
         self.trunc = trunc
-        self._num, self._den = _reduced(
-            {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den
-        )
+        self._num, self._den = _over_lcm(clean)
 
     @classmethod
     def _new(cls, num, den, trunc):

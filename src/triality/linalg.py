@@ -5,13 +5,17 @@ row is a primitive integer list, its content divided out and its pivot
 entry positive.  Such a row is the unique integer scaling of a row of the
 reduced row-echelon form, so the form (and hence every kernel basis) is
 the same canonical and deterministic one that Gauss-Jordan over Fractions
-gives.  Fractions are built only in `kernel()`.  The incremental solver
-lets callers stream equation rows and stop as soon as the rank is full.
+gives.  `integer_kernel()` hands out each kernel vector as integer
+numerators over one positive denominator, and `kernel()` divides them
+out; a row of Fractions is scaled to integers on entry.  The incremental
+solver lets callers stream equation rows and stop as soon as the rank is
+full.
 
-`nullspace` is the one place that turns coefficients into solver rows.  It
-takes a linear map by its sparse columns, the image {equation key:
-coefficient} of each unknown, builds one dense row per equation key in
-sorted key order, and stops adding rows once the rank is full.
+`integer_nullspace` is the one place that turns coefficients into solver
+rows.  It takes a linear map by its sparse columns, the image {equation
+key: coefficient} of each unknown, builds one dense row per equation key
+in sorted key order, and stops adding rows once the rank is full;
+`nullspace` gives the same kernel with Fraction entries.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ def _primitive(row, lead):
     if row[lead] < 0:
         g = -g
     return row if g == 1 else [x // g for x in row]
+
+
+def _divided(vectors):
+    """Fraction vectors of (integer numerators, denominator) pairs."""
+    return [[Fraction(n, den) for n in vec] for vec, den in vectors]
 
 
 class LinearSolver:
@@ -75,24 +84,31 @@ class LinearSolver:
         self.rows = updated
         return True
 
-    def kernel(self):
-        """Reduced-echelon basis of the kernel, one vector per free column."""
+    def integer_kernel(self):
+        """`kernel()` with each vector as (integer numerators, denominator > 0)."""
         pivots = {p for p, _ in self.rows}
         basis = []
         for f in range(self.ncols):
             if f in pivots:
                 continue
-            vec = [Fraction(0)] * self.ncols
-            vec[f] = Fraction(1)
+            # entry p is -coeffs[f] / coeffs[p], the 1 at f is den / den
+            den = lcm(*(coeffs[p] for p, coeffs in self.rows if coeffs[f]))
+            vec = [0] * self.ncols
+            vec[f] = den
             for p, coeffs in self.rows:
                 if coeffs[f]:
-                    vec[p] = Fraction(-coeffs[f], coeffs[p])
-            basis.append(vec)
+                    vec[p] = -coeffs[f] * (den // coeffs[p])
+            basis.append((vec, den))
         return basis
 
+    def kernel(self):
+        """Reduced-echelon basis of the kernel, one vector per free column."""
+        return _divided(self.integer_kernel())
 
-def nullspace(columns):
-    """Exact reduced-echelon kernel basis of the linear map with the given columns.
+
+def integer_nullspace(columns):
+    """Exact reduced-echelon kernel basis of the linear map with the given
+    columns, each vector as (integer numerators, denominator > 0).
 
     columns[i] is the sparse image {equation key: coefficient} of unknown i;
     an empty column is a free unknown.  Rows are built in sorted key order
@@ -105,4 +121,9 @@ def nullspace(columns):
         solver.add([column.get(key, 0) for column in columns])
         if solver.rank == ncols:
             break
-    return solver.kernel()
+    return solver.integer_kernel()
+
+
+def nullspace(columns):
+    """`integer_nullspace` with each vector's entries as Fractions."""
+    return _divided(integer_nullspace(columns))

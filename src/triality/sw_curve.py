@@ -152,9 +152,9 @@ def is_triality_invariant(p):
 
 @lru_cache(maxsize=None)
 def _core_image(core):
-    """The cd-frame terms of an ab monomial with no a0 and no b0, kept for the
-    process; a caller never changes them."""
-    return ab_to_cd(CurvePolyAB.monomial(core)).terms
+    """The cd-frame terms of an ab monomial with no a0 and no b0, as one
+    {exponents: Fraction} dict kept for the process; a caller never changes them."""
+    return dict(ab_to_cd(CurvePolyAB.monomial(core)).terms)
 
 
 def negative_c0_part(mono):

@@ -423,6 +423,14 @@ GOLDEN = [
     ('membership "a0^3 - 27*b0^2"', 0, "a95662c5a4130eb1e799237f083fe853d6eda54ce1950dcbe97f6b26a2888aae"),
     ('membership "a0^3 - 27*b0^2" --format json', 0, "e41d102cd1fb812c2cc45a0d0c649255f4ea5e22f8475ca7792e87b95e6ef7da"),
     ("transvect --left f^2 --right g --index 3", 0, "7e5e7b5b8e7642ffdfa8a827b5ccb1e7c645c6b92d92fd226cfb938fca6008f4"),
+    # rational input: a quotient by a constant, and fractional coefficients in the output
+    ('membership "3/7*a0^2*a2 - 5/2*a0*b1^2 + (a0 - 2*b0/9)^3"', 0,
+     "1eafe4b8f9a902a464affb1ec85c3564522316deadea6256b0524a593fbbf81a"),
+    ('membership "3/7*a0^2*a2 - 5/2*a0*b1^2 + (a0 - 2*b0/9)^3" --format json', 0,
+     "fd075f10cda0ee2614755da33aa30367740bd39a3dd571b57c317104351f5bcf"),
+    ('transvect --left "f^3/3 - g^2/5" --right "g*P/7" --index 3', 0,
+     "2791f2cfc8b47ee2c8a838942d0930a9d96926a03c53c3ba480e245d09b65ebf"),
+    ("basis --weight 30 --degree 6", 0, "bce00357d6090a25ce25827f8a91f4e1fdd0cab20624a8e75e763f96eb0b965e"),
 ]
 
 

@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality.linalg import LinearSolver, nullspace  # noqa: E402
+from triality.linalg import LinearSolver, integer_nullspace, nullspace  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -91,3 +91,21 @@ def test_nullspace_of_columns_is_the_kernel_of_the_dense_matrix(columns):
     rows = [[column.get(key, 0) for column in columns] for key in keys]
     assert nullspace(columns) == solve(rows, len(columns)).kernel()
     assert nullspace(iter(columns)) == nullspace(columns)
+
+
+@PROPERTY
+@given(systems())
+def test_integer_kernel_divided_out_is_the_kernel(system):
+    rows, ncols = system
+    solver = solve(rows, ncols)
+    vectors = solver.integer_kernel()
+    assert all(den > 0 and all(type(n) is int for n in vec) for vec, den in vectors)
+    assert all(sum(x * n for x, n in zip(row, vec)) == 0 for row in rows for vec, _ in vectors)
+    assert [[F(n, den) for n in vec] for vec, den in vectors] == solver.kernel()
+
+
+@PROPERTY
+@given(sparse_columns())
+def test_integer_nullspace_divided_out_is_the_nullspace(columns):
+    divided = [[F(n, den) for n in vec] for vec, den in integer_nullspace(columns)]
+    assert divided == nullspace(columns)

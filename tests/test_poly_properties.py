@@ -1,14 +1,16 @@
 """Property tests for the polynomial layer: frame changes (and the power
 tables they keep for the process), the monomial images of every kept power
-table, the binary-form shift, the trusted arithmetic constructor and the
-grading rule of the one-pass sum.
+table, the binary-form shift, the trusted arithmetic constructor, the
+grading rule of the one-pass sum, and the integer-numerator store against
+a reference on {exponents: Fraction} dicts.
 
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
 
 from fractions import Fraction as F
 from functools import reduce
-from operator import mul
+from math import gcd
+from operator import add, mul
 
 import pytest
 
@@ -16,7 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality._poly import PowerTable, compose, taylor_shift  # noqa: E402
+from triality._poly import PowerTable, compose, stored, taylor_shift  # noqa: E402
+from triality.covariants import FormPoly  # noqa: E402
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta  # noqa: E402
 from triality.invariant_ring import (  # noqa: E402
     GradingError, _klmn_powers, _modular_powers, _weyl_powers, klmn, weyl_in_klmn,
@@ -166,3 +169,64 @@ def test_one_pass_sum_still_rejects_mixed_weights():
     # a0 evaluates to weight 4 and b0 to weight 6: their sum has no grading
     with pytest.raises(GradingError):
         evaluate_ab(CurvePolyAB.variable(0) + CurvePolyAB.variable(2), 8)
+
+
+# -- the integer-numerator store, against {exponents: Fraction} dicts --------------
+
+
+@st.composite
+def sparse_polys(draw, cls, max_terms=3):
+    """Small CurvePolyAB or FormPoly values with exponents 0 to 2."""
+    exps = st.tuples(*[st.integers(0, 2)] * cls.nvars)
+    return cls(draw(st.dictionaries(exps, rationals, max_size=max_terms)))
+
+
+def ref_sum(*dicts):
+    out = {}
+    for d in dicts:
+        for e, c in d.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    return ref_sum(*({tuple(map(add, e1, e2)): c1 * c2} for e1, c1 in a.items() for e2, c2 in b.items()))
+
+
+def ref_pow(a, n, nvars):
+    return reduce(ref_mul, [a] * n, {(0,) * nvars: F(1)})
+
+
+def ref_compose(a, images, nvars):
+    return ref_sum(*(
+        ref_mul({(0,) * nvars: c}, reduce(ref_mul, (ref_pow(im, k, nvars) for im, k in zip(images, e))))
+        for e, c in a.items()
+    ))
+
+
+def is_canonical(p):
+    num, den = stored(p)
+    return den > 0 and gcd(den, *num.values()) == 1 and all(type(n) is int and n for n in num.values())
+
+
+@PROPERTY
+@given(st.sampled_from([CurvePolyAB, FormPoly]), st.data())
+def test_integer_store_matches_a_fraction_dict_reference(cls, data):
+    p, q = data.draw(sparse_polys(cls)), data.draw(sparse_polys(cls))
+    c = data.draw(rationals.filter(bool))
+    i, n = data.draw(st.integers(0, cls.nvars - 1)), data.draw(st.integers(0, 3))
+    images = [data.draw(sparse_polys(cls, 2)) for _ in range(cls.nvars)]
+    a, b, ims = dict(p.terms), dict(q.terms), [dict(im.terms) for im in images]
+    cases = [
+        (p + q, ref_sum(a, b)),
+        (p - q, ref_sum(a, {e: -v for e, v in b.items()})),
+        (p * q, ref_mul(a, b)),
+        (p * c, {e: v * c for e, v in a.items()}),
+        (p / c, {e: v / c for e, v in a.items()}),
+        (p.derivative(i), {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i] for e, v in a.items() if e[i]}),
+        (p ** n, ref_pow(a, n, cls.nvars)),
+        (compose(p, PowerTable(images, cls.one())), ref_compose(a, ims, cls.nvars)),
+    ]
+    for result, want in cases:
+        assert dict(result.terms) == want
+        assert is_canonical(result)

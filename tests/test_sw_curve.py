@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import PowerTable, SparsePoly, bounded_monomials, compose, jacobian, taylor_shift
+from triality._poly import (
+    PowerTable, SparsePoly, bounded_monomials, compose, jacobian, stored, taylor_shift,
+)
 from triality.exact_series import LATTICE
 from triality.invariant_ring import Invariant
 from triality.sw_curve import (
@@ -212,20 +214,33 @@ def test_frame_change_results_own_their_terms():
     ):
         for p in (x ** e for x in generators for e in (1, 3)):
             result = change(p)
-            stored = [power.terms for cache in table.powers for power in cache.values()]
-            assert all(result.terms is not terms for terms in stored)
-            result.terms.clear()
-            result.terms[(0,) * 6] = F(7)
-            assert change(p) == compose(p, PowerTable(table.images, table.one))
+            kept = [stored(power)[0] for cache in table.powers for power in cache.values()]
+            assert all(stored(result)[0] is not num for num in kept)
+            with pytest.raises(AttributeError):
+                result.terms.clear()
+            with pytest.raises(TypeError):
+                result.terms[(0,) * 6] = F(7)
+            assert change(p) == result == compose(p, PowerTable(table.images, table.one))
+
+
+class _LaurentAB(CurvePolyAB):
+    laurent = frozenset(range(6))
+
+
+class _LaurentCD(CurvePolyCD):
+    laurent = frozenset(range(6))
 
 
 def test_failed_negative_power_leaves_the_kept_table_usable():
-    # c2 maps to a2 + a0 b1^2 / (9 b0^2) and a2 to c2 - c1^2 / (4 c0): neither is a unit
+    # c2 maps to a2 + a0 b1^2 / (9 b0^2) and a2 to c2 - c1^2 / (4 c0): neither is a unit;
+    # the inputs are Laurent in every variable, which no frame value is
     ab_table, cd_table = _frame_changes()
     with pytest.raises(ValueError, match="not a monomial"):
-        cd_to_ab(CurvePolyCD._new({(0, 0, -1, 0, 0, 0): F(1)}))
+        cd_to_ab(_LaurentCD._sum([_LaurentCD.monomial((0, 0, -1, 0, 0, 0))]))
     with pytest.raises(ValueError, match="not a monomial"):
-        ab_to_cd(CurvePolyAB._new({(0, 0, 1, 0, 0, 0): F(1), (1, -2, 0, 0, 0, 0): F(3)}))
+        ab_to_cd(_LaurentAB._sum(
+            _LaurentAB.monomial(e, c) for e, c in (((0, 0, 1, 0, 0, 0), 1), ((1, -2, 0, 0, 0, 0), 3))
+        ))
     assert -1 not in cd_table.powers[2] and -1 not in ab_table.powers[1]
     for change, table, p in (
         (cd_to_ab, cd_table, C0 ** -2 * C2 ** 3 + D3 ** 2 * C1),
