@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from ._poly import PowerTable, SparsePoly, bounded_monomials, compose, taylor_shift
+from ._poly import PowerTable, SparsePoly, bounded_monomials, compose, stored, taylor_shift
 from .linalg import integer_nullspace
 from .sw_curve import CurvePolyAB
 
@@ -317,4 +317,4 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
     if d_alpha < 0 or d_beta < 0:
         raise ValueError("refined degrees must be nonnegative")
     monos = _semiinvariant_monomials(d_alpha, d_beta, omega)
-    return len(integer_nullspace(_derivation(FormPoly.monomial(m), _DERIVATION).terms for m in monos))
+    return len(integer_nullspace(stored(_derivation(FormPoly.monomial(m), _DERIVATION)) for m in monos))

@@ -6,7 +6,10 @@ demanding that every negative power of c0 cancels is an exact rational
 linear system whose kernel, back-substituted, is the invariant space.
 Everything is symbolic in the six curve variables; q-series only enter
 through the verification paths elsewhere.  The map's columns, and the
-frame layout they depend on, come from `sw_curve.negative_c0_part`.
+frame layout they depend on, come from `sw_curve.negative_c0_part` as
+integer numerators over a denominator, the form `linalg.integer_nullspace`
+takes, and its integer kernel vectors become the basis polynomials as
+they are.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integers only.
 
 Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every stored
 row is a primitive integer list, its content divided out and its pivot
@@ -6,21 +6,21 @@ entry positive.  Such a row is the unique integer scaling of a row of the
 reduced row-echelon form, so the form (and hence every kernel basis) is
 the same canonical and deterministic one that Gauss-Jordan over Fractions
 gives.  `integer_kernel()` hands out each kernel vector as integer
-numerators over one positive denominator, and `kernel()` divides them
-out; a row of Fractions is scaled to integers on entry.  The incremental
-solver lets callers stream equation rows and stop as soon as the rank is
-full.
+numerators over one positive denominator.  The incremental solver lets
+callers stream integer equation rows and stop as soon as the rank is full.
 
 `integer_nullspace` is the one place that turns coefficients into solver
-rows.  It takes a linear map by its sparse columns, the image {equation
-key: coefficient} of each unknown, builds one dense row per equation key
-in sorted key order, and stops adding rows once the rank is full;
-`nullspace` gives the same kernel with Fraction entries.
+rows.  It takes a linear map by its sparse columns, each in the package's
+stored form (`_poly.stored`): the image {equation key: integer numerator}
+of one unknown over its positive denominator.  It scales every column to
+the lcm of the denominators, a common positive scale of the whole map that
+leaves its reduced-echelon kernel unchanged, builds one dense row per
+equation key in sorted key order, and stops adding rows once the rank is
+full.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -30,11 +30,6 @@ def _primitive(row, lead):
     if row[lead] < 0:
         g = -g
     return row if g == 1 else [x // g for x in row]
-
-
-def _divided(vectors):
-    """Fraction vectors of (integer numerators, denominator) pairs."""
-    return [[Fraction(n, den) for n in vec] for vec, den in vectors]
 
 
 class LinearSolver:
@@ -51,11 +46,8 @@ class LinearSolver:
         return len(self.rows)
 
     def add(self, row):
-        """Reduce one equation (ints or Fractions) into the RREF; returns True
-        if rank grew."""
+        """Reduce one equation of integers into the RREF; returns True if rank grew."""
         row = list(row)
-        scale = lcm(*(x.denominator for x in row))
-        row = [x.numerator * (scale // x.denominator) for x in row]
         # cross-multiply, b*row - a*stored, to clear each stored pivot column
         for pivot, coeffs in self.rows:
             a = row[pivot]
@@ -85,7 +77,8 @@ class LinearSolver:
         return True
 
     def integer_kernel(self):
-        """`kernel()` with each vector as (integer numerators, denominator > 0)."""
+        """Reduced-echelon basis of the kernel, one vector per free column, each
+        as (integer numerators, denominator > 0)."""
         pivots = {p for p, _ in self.rows}
         basis = []
         for f in range(self.ncols):
@@ -101,29 +94,22 @@ class LinearSolver:
             basis.append((vec, den))
         return basis
 
-    def kernel(self):
-        """Reduced-echelon basis of the kernel, one vector per free column."""
-        return _divided(self.integer_kernel())
-
 
 def integer_nullspace(columns):
     """Exact reduced-echelon kernel basis of the linear map with the given
     columns, each vector as (integer numerators, denominator > 0).
 
-    columns[i] is the sparse image {equation key: coefficient} of unknown i;
-    an empty column is a free unknown.  Rows are built in sorted key order
-    only until the rank is full, so the keys past that point are never read.
+    columns[i] is (numerators, denominator), the sparse image {equation key:
+    integer} of unknown i over a positive denominator; an empty column is a
+    free unknown.  Rows are built in sorted key order only until the rank is
+    full, so the entries past that point are never read.
     """
     columns = list(columns)
-    ncols = len(columns)
-    solver = LinearSolver(ncols)
-    for key in sorted({key for column in columns for key in column}):
-        solver.add([column.get(key, 0) for column in columns])
-        if solver.rank == ncols:
+    scale = lcm(*(den for _, den in columns))
+    columns = [(num, scale // den) for num, den in columns]
+    solver = LinearSolver(len(columns))
+    for key in sorted({key for num, _ in columns for key in num}):
+        solver.add([num.get(key, 0) * factor for num, factor in columns])
+        if solver.rank == solver.ncols:
             break
     return solver.integer_kernel()
-
-
-def nullspace(columns):
-    """`integer_nullspace` with each vector's entries as Fractions."""
-    return _divided(integer_nullspace(columns))

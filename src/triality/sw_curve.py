@@ -23,8 +23,9 @@ The frame change keeps the leading coefficients: the shift u -> u + s v
 fixes the leading coefficient of a binary form, so a0 maps to c0 and b0
 to d0.  The image of a0^j b0^l r, where the core r has no a0 and no b0,
 is therefore c0^j d0^l times the image of r.  `negative_c0_part`, the
-enumerator's column of a monomial, reads the negative-c0 terms off the
-image of the core, which goes through `ab_to_cd` once per process.
+enumerator's column of a monomial, reads the negative-c0 numerators off the
+stored image of the core, which goes through `ab_to_cd` once per process,
+and hands them out over that image's denominator.
 Through the CLI, input is capped at weight <= 96 and degree <= 32, so at
 most 556 cores are kept.
 
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
-from ._poly import PowerTable, SparsePoly, compose, jacobian, taylor_shift
+from ._poly import PowerTable, SparsePoly, compose, jacobian, stored, taylor_shift
 from .exact_series import LATTICE, eisenstein, eta_delta
 from .invariant_ring import Invariant, KLMNPoly
 
@@ -152,20 +153,19 @@ def is_triality_invariant(p):
 
 @lru_cache(maxsize=None)
 def _core_image(core):
-    """The cd-frame terms of an ab monomial with no a0 and no b0, as one
-    {exponents: Fraction} dict kept for the process; a caller never changes them."""
-    return dict(ab_to_cd(CurvePolyAB.monomial(core)).terms)
+    """The cd-frame image of an ab monomial with no a0 and no b0, kept for the process."""
+    return ab_to_cd(CurvePolyAB.monomial(core))
 
 
 def negative_c0_part(mono):
     """The negative-c0 terms of the cd-frame image of the ab monomial with
-    these exponents, read off the kept image of its a0/b0-free core."""
+    these exponents, read off the kept image of its a0/b0-free core, as
+    (integer numerators, the image's denominator)."""
     j, l = mono[0], mono[2]
+    num, den = stored(_core_image((0, mono[1], 0) + mono[3:]))
     return {
-        (e[0] + j,) + e[1:3] + (e[3] + l,) + e[4:]: c
-        for e, c in _core_image((0, mono[1], 0) + mono[3:]).items()
-        if e[0] + j < 0
-    }
+        (e[0] + j,) + e[1:3] + (e[3] + l,) + e[4:]: n for e, n in num.items() if e[0] + j < 0
+    }, den
 
 
 # -- evaluation into the invariant ring ------------------------------------------

@@ -7,7 +7,7 @@ from triality._poly import bounded_monomials
 from triality.cli import MAX_DEGREE, MAX_WEIGHT
 from triality.enumerator import dimension_table, monomials_of, rank_series, triality_basis
 from triality.invariant_ring import INVARIANT, KLMN_DEGREES, express_in_klmn
-from triality.linalg import nullspace
+from triality.linalg import integer_nullspace
 from triality.sw_curve import (
     CurvePolyAB, ab_to_cd, evaluate_ab, is_triality_invariant, negative_c0_part,
 )
@@ -84,23 +84,28 @@ def test_kept_cells_cannot_change_and_stay_bounded():
     assert len(_poly._cells) == 833
 
 
+def divided(vectors):
+    """(integer numerators, denominator) vectors as Fraction vectors."""
+    return [[F(n, den) for n in vec] for vec, den in vectors]
+
+
 def test_rational_kernel():
-    # columns[i] is the image {equation: coefficient} of unknown i
-    assert nullspace([{}, {0: 0, 1: 0}]) == [[1, 0], [0, 1]]
-    assert nullspace([{0: 1}, {1: 1}]) == []
-    assert nullspace([{0: 1}, {0: -1}]) == [[1, 1]]
+    # columns[i] is the image (numerators {equation: integer}, denominator) of unknown i
+    assert integer_nullspace([({}, 1), ({0: 0, 1: 0}, 1)]) == [([1, 0], 1), ([0, 1], 1)]
+    assert integer_nullspace([({0: 1}, 1), ({1: 1}, 1)]) == []
+    assert integer_nullspace([({0: 1}, 1), ({0: -1}, 1)]) == [([1, 1], 1)]
     # rank 2 in 4 unknowns: one vector per free column (2 and 3), with a 1
     # there and the pivot entries read off the reduced row-echelon form of
     # the rows [1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1/2], [1, 3, 4, 9/2]
     columns = [
-        {0: 1, 1: 2, 3: 1},
-        {0: 2, 1: 4, 2: 1, 3: 3},
-        {0: 3, 1: 6, 2: 1, 3: 4},
-        {0: 4, 1: 8, 2: F(1, 2), 3: F(9, 2)},
+        ({0: 1, 1: 2, 3: 1}, 1),
+        ({0: 2, 1: 4, 2: 1, 3: 3}, 1),
+        ({0: 3, 1: 6, 2: 1, 3: 4}, 1),
+        ({0: 8, 1: 16, 2: 1, 3: 9}, 2),
     ]
-    assert nullspace(columns) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
+    assert divided(integer_nullspace(columns)) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
     # equations past full rank are never read: the last-sorted key is not a number
-    assert nullspace([{0: 1, 2: "not a number"}, {1: 1}]) == []
+    assert integer_nullspace([({0: 1, 2: "not a number"}, 1), ({1: 1}, 1)]) == []
 
 
 def test_columns_match_the_full_frame_change_images():
@@ -110,7 +115,10 @@ def test_columns_match_the_full_frame_change_images():
         for m in range(0, 17, 2):
             for mono in monomials_of(k, m):
                 image = ab_to_cd(CurvePolyAB.monomial(mono)).terms
-                assert negative_c0_part(mono) == {e: c for e, c in image.items() if e[0] < 0}, mono
+                num, den = negative_c0_part(mono)
+                assert den > 0 and all(type(n) is int for n in num.values())
+                part = {e: F(n, den) for e, n in num.items()}
+                assert part == {e: c for e, c in image.items() if e[0] < 0}, mono
 
 
 def test_only_cores_are_sent_through_the_frame_change(monkeypatch):

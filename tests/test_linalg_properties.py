@@ -1,13 +1,15 @@
 """Property tests for the fraction-free solver: its kernel is the canonical
 reduced-echelon one, whatever the order and scaling of the input rows, and
 every stored row is a primitive integer row with a positive pivot.  The
-kernel of a map given by sparse columns is that of its dense matrix.
+kernel of a map given by sparse columns in the stored form is that of its
+dense matrix, and depends only on each column's rational value.  The
+reference is a test-local Gauss-Jordan over Fractions.
 
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -15,17 +17,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality.linalg import LinearSolver, integer_nullspace, nullspace  # noqa: E402
+from triality.linalg import LinearSolver, integer_nullspace  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
 rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 8]))
-nonzero = rationals.filter(bool)
+nonzero = st.integers(-6, 6).filter(bool)
 entries = st.one_of(st.integers(-3, 3), rationals)
 
 
 @st.composite
-def systems(draw):
+def rational_systems(draw):
     """(rows, ncols): a few rows of int and Fraction entries, then rows that
     are rational combinations of the first ones, so that the rank drops."""
     ncols = draw(st.integers(1, 6))
@@ -36,15 +38,36 @@ def systems(draw):
     return rows, ncols
 
 
+def integer_row(row):
+    """A rational row times the lcm of its denominators: the same equation."""
+    scale = lcm(*(F(x).denominator for x in row))
+    return [int(x * scale) for x in row]
+
+
+systems = rational_systems().map(lambda s: ([integer_row(row) for row in s[0]], s[1]))
+
+
 @st.composite
-def sparse_columns(draw):
+def sparse_columns(draw, values=entries):
     """Columns {equation key: entry} over a few exponent-tuple keys: some
     columns empty (free unknowns), some entries zero."""
     keys = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)), max_size=6, unique=True))
     ncols = draw(st.integers(0, 6))
     if not keys:
         return [{}] * ncols
-    return [draw(st.dictionaries(st.sampled_from(keys), entries)) for _ in range(ncols)]
+    return [draw(st.dictionaries(st.sampled_from(keys), values)) for _ in range(ncols)]
+
+
+def stored_column(column):
+    """A {key: rational} column as (integer numerators, lcm of the denominators)."""
+    den = lcm(*(F(x).denominator for x in column.values()))
+    return {key: int(x * den) for key, x in column.items()}, den
+
+
+def dense_rows(columns):
+    # in first-seen key order: the kernel does not depend on it
+    keys = list(dict.fromkeys(key for column in columns for key in column))
+    return [[column.get(key, 0) for column in columns] for key in keys]
 
 
 def solve(rows, ncols):
@@ -54,20 +77,49 @@ def solve(rows, ncols):
     return solver
 
 
+def divided(vectors):
+    return [[F(n, den) for n in vec] for vec, den in vectors]
+
+
+def fraction_kernel(rows, ncols):
+    """Reduced-echelon kernel basis by Gauss-Jordan over Fractions: one vector
+    per free column, 1 there and minus the column's entries at the pivots."""
+    reduced = []  # (pivot, row): row[pivot] == 1, 0 in every other pivot column
+    for row in rows:
+        row = [F(x) for x in row]
+        for p, r in reduced:
+            row = [x - row[p] * y for x, y in zip(row, r)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        row = [x / row[lead] for x in row]
+        reduced = [(p, [x - r[lead] * y for x, y in zip(r, row)]) for p, r in reduced]
+        reduced.append((lead, row))
+    pivots = {p for p, _ in reduced}
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [F(int(j == f)) for j in range(ncols)]
+            for p, r in reduced:
+                vec[p] = -r[f]
+            basis.append(vec)
+    return basis
+
+
 @PROPERTY
-@given(systems(), st.data())
+@given(systems, st.data())
 def test_kernel_ignores_row_order_and_row_scaling(system, data):
     rows, ncols = system
-    kernel = solve(rows, ncols).kernel()
+    kernel = solve(rows, ncols).integer_kernel()
     permuted = data.draw(st.permutations(rows))
-    assert solve(permuted, ncols).kernel() == kernel
+    assert solve(permuted, ncols).integer_kernel() == kernel
     scales = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
-    assert solve([[c * x for x in row] for c, row in zip(scales, rows)], ncols).kernel() == kernel
+    assert solve([[c * x for x in row] for c, row in zip(scales, rows)], ncols).integer_kernel() == kernel
 
 
 @PROPERTY
-@given(systems())
-def test_stored_rows_are_primitive_and_kernel_entries_fractions(system):
+@given(systems)
+def test_stored_rows_are_primitive_and_kernel_vectors_integers(system):
     rows, ncols = system
     solver = solve(rows, ncols)
     pivots = [p for p, _ in solver.rows]
@@ -76,36 +128,43 @@ def test_stored_rows_are_primitive_and_kernel_entries_fractions(system):
         assert all(type(x) is int for x in coeffs)
         assert gcd(*coeffs) == 1 and coeffs[p] > 0
         assert not any(coeffs[:p]) and not any(coeffs[q] for q in pivots if q != p)
-    kernel = solver.kernel()
-    assert len(kernel) == ncols - solver.rank
-    for vec in kernel:
-        assert all(type(x) is F for x in vec)
-        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
-
-
-@PROPERTY
-@given(sparse_columns())
-def test_nullspace_of_columns_is_the_kernel_of_the_dense_matrix(columns):
-    # the dense rows in first-seen key order: the kernel does not depend on it
-    keys = list(dict.fromkeys(key for column in columns for key in column))
-    rows = [[column.get(key, 0) for column in columns] for key in keys]
-    assert nullspace(columns) == solve(rows, len(columns)).kernel()
-    assert nullspace(iter(columns)) == nullspace(columns)
-
-
-@PROPERTY
-@given(systems())
-def test_integer_kernel_divided_out_is_the_kernel(system):
-    rows, ncols = system
-    solver = solve(rows, ncols)
     vectors = solver.integer_kernel()
-    assert all(den > 0 and all(type(n) is int for n in vec) for vec, den in vectors)
-    assert all(sum(x * n for x, n in zip(row, vec)) == 0 for row in rows for vec, _ in vectors)
-    assert [[F(n, den) for n in vec] for vec, den in vectors] == solver.kernel()
+    assert len(vectors) == ncols - solver.rank
+    for vec, den in vectors:
+        assert type(den) is int and den > 0 and all(type(n) is int for n in vec)
+        assert all(sum(a * n for a, n in zip(row, vec)) == 0 for row in rows)
+
+
+@PROPERTY
+@given(rational_systems())
+def test_integer_kernel_divided_out_is_the_kernel(system):
+    # each rational row scaled to integers states the same equation
+    rows, ncols = system
+    solver = solve([integer_row(row) for row in rows], ncols)
+    assert divided(solver.integer_kernel()) == fraction_kernel(rows, ncols)
+
+
+@PROPERTY
+@given(sparse_columns(values=st.integers(-3, 3)))
+def test_nullspace_of_columns_is_the_kernel_of_the_dense_matrix(columns):
+    kernel = solve(dense_rows(columns), len(columns)).integer_kernel()
+    assert integer_nullspace((column, 1) for column in columns) == kernel
+    assert integer_nullspace([(column, 1) for column in columns]) == kernel
 
 
 @PROPERTY
 @given(sparse_columns())
 def test_integer_nullspace_divided_out_is_the_nullspace(columns):
-    divided = [[F(n, den) for n in vec] for vec, den in integer_nullspace(columns)]
-    assert divided == nullspace(columns)
+    # columns over different denominators: the kernel of the rational matrix
+    vectors = integer_nullspace(stored_column(column) for column in columns)
+    assert divided(vectors) == fraction_kernel(dense_rows(columns), len(columns))
+
+
+@PROPERTY
+@given(sparse_columns(), st.data())
+def test_integer_nullspace_reads_only_each_columns_rational_value(columns, data):
+    # (num, d) and (c*num, c*d) are the same column, whatever c > 0 each column takes
+    stored = [stored_column(column) for column in columns]
+    scales = data.draw(st.lists(st.integers(1, 9), min_size=len(stored), max_size=len(stored)))
+    rescaled = [({key: c * n for key, n in num.items()}, c * den) for c, (num, den) in zip(scales, stored)]
+    assert integer_nullspace(rescaled) == integer_nullspace(stored)

@@ -3,6 +3,7 @@ form of q-series and polynomials, read only by the two modules that own
 it, one builder of monomial images, one fit into
 C[E4, E6] and one assembler of equation rows."""
 
+import ast
 import re
 import types
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import triality
-from triality import _poly, covariants, exact_series, invariant_ring, sw_curve, weyl_poly
+from triality import _poly, covariants, exact_series, invariant_ring, linalg, sw_curve, weyl_poly
 from triality.covariants import FormPoly
 from triality.exact_series import FracSeries
 from triality.invariant_ring import Invariant
@@ -149,8 +150,8 @@ def test_the_modular_fit_has_one_home():
 
 
 def test_only_linalg_assembles_equation_rows():
-    # callers hand nullspace the sparse columns of a map; none builds an
-    # {equation: {unknown: coefficient}} dict of its own
+    # callers hand integer_nullspace the sparse stored-form columns of a map;
+    # none builds an {equation: {unknown: coefficient}} dict of its own
     src = Path(triality.__file__).parent
     pattern = re.compile(r"\.setdefault\([^)]*\)\s*\[")
     builders = [
@@ -161,6 +162,19 @@ def test_only_linalg_assembles_equation_rows():
         if pattern.search(line)
     ]
     assert builders == []
+
+
+def test_the_solver_works_in_integers_only():
+    # linalg takes and gives integer numerators over denominators: no Fraction
+    # is imported there or built, and none of the old Fraction entry points is left
+    tree = ast.parse((Path(triality.__file__).parent / "linalg.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {alias.name for node in imports for alias in node.names}
+    imported |= {getattr(node, "module", None) for node in imports}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "fractions" not in imported and "Fraction" not in imported | used
+    assert not hasattr(linalg, "nullspace") and not hasattr(linalg, "_divided")
+    assert not hasattr(linalg.LinearSolver, "kernel")
 
 
 def test_series_and_polynomials_print_their_terms_alike():

@@ -3,18 +3,19 @@
 Products and frame changes of `SparsePoly` are compared with sympy's
 `expand` and substitution, where the frame-change images are derived in
 sympy from their definition (completing the square of the quadratic), and
-`LinearSolver.kernel` is compared exactly with the kernel read off sympy's
-`Matrix.rref`.
+the kernels of `LinearSolver` and `integer_nullspace`, divided out, are
+compared exactly with the kernel read off sympy's `Matrix.rref`.
 """
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from triality.linalg import LinearSolver, nullspace  # noqa: E402
+from triality.linalg import LinearSolver, integer_nullspace  # noqa: E402
 from triality.sw_curve import CurvePolyAB, CurvePolyCD, ab_to_cd  # noqa: E402
 
 AB = sympy.symbols(CurvePolyAB.names)
@@ -84,11 +85,18 @@ def sympy_kernel(rows, ncols):
     return basis
 
 
+def divided(vectors):
+    return [[F(n, den) for n in vec] for vec, den in vectors]
+
+
 def solver_kernel(rows, ncols):
+    """The solver's kernel of rational rows, each row scaled to integers by the
+    lcm of its denominators, with its vectors divided out."""
     solver = LinearSolver(ncols)
     for row in rows:
-        solver.add(row)
-    return solver.kernel()
+        scale = lcm(*(F(x).denominator for x in row))
+        solver.add([int(x * scale) for x in row])
+    return divided(solver.integer_kernel())
 
 
 def random_systems(rng, count):
@@ -122,15 +130,21 @@ def test_kernel_matches_sympy_rref():
 
 
 def columns_of(rows, ncols):
-    """The sparse columns {row index: entry} of a matrix given by its rows."""
-    return [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)]
+    """The sparse columns of a matrix given by its rows, each in the stored
+    form: ({row index: integer numerator}, lcm of the column's denominators)."""
+    columns = []
+    for j in range(ncols):
+        den = lcm(*(F(row[j]).denominator for row in rows))
+        columns.append(({i: int(row[j] * den) for i, row in enumerate(rows)}, den))
+    return columns
 
 
 def test_nullspace_early_stop_matches_sympy_rref():
     full = [[1, F(1, 2), 0], [1, F(1, 2), 0], [0, F(6, 4), BIG], [BIG, 0, 1]]
     columns = columns_of(full, 3)
     # an equation after the rank is full would fail in LinearSolver.add
-    columns[-1][len(full)] = "not a number"
-    assert nullspace(columns) == sympy_kernel(full, 3) == []
+    columns[-1][0][len(full)] = "not a number"
+    assert integer_nullspace(columns) == sympy_kernel(full, 3) == []
     deficient = [[F(6, 4), 3, 0, BIG], [3, 6, 0, 2 * BIG], [0, 0, 0, 0]]
-    assert nullspace(iter(columns_of(deficient, 4))) == sympy_kernel(deficient, 4)
+    vectors = integer_nullspace(iter(columns_of(deficient, 4)))
+    assert divided(vectors) == sympy_kernel(deficient, 4)
