@@ -67,10 +67,6 @@ class _Terms(Mapping):
     def __len__(self):
         return len(self._num)
 
-    def get(self, key, default=None):
-        n = self._num.get(key)
-        return default if n is None else Fraction(n, self._den)
-
 
 def _reduced(num, den):
     """Drop zero numerators and divide out the gcd of den and the rest; num is

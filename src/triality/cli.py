@@ -4,7 +4,10 @@ All output is deterministic: identical invocations produce identical
 bytes.  Rationals are printed as num/den strings, q-exponents as integers
 on the t = q^(1/24) lattice with the lattice denominator stated in the
 JSON header.  Exit codes: 0 success, 1 verification failure or a stdout
-closed by its reader (the run ends quietly), 2 usage error.
+closed by its reader (the run ends quietly), 2 usage error.  A command
+refuses a request by raising one of `REFUSED`; `main` alone prints it as
+one `error: ` line on stderr.  `--order` exists only on `expand` and
+`verify`, the two commands that read it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from math import comb, lcm
 
@@ -29,35 +33,28 @@ def _json_dump(obj):
 
 
 class ExprError(ValueError):
-    pass
+    """A refused argument: a faulty or oversized expression, an unknown name,
+    or an option outside its limits."""
+
+
+# whitespace, a name, a decimal integer, an operator, or any other character
+_TOKEN = re.compile(r"\s+|(?P<name>[^\W\d_]\w*)|(?P<int>[0-9]+)|(?P<op>[-+*/^()])|(?P<other>.)")
 
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > MAX_LITERAL_DIGITS:
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match[0]
+        if kind == "name":
+            tokens.append(("name", value))
+        elif kind == "int":
+            if len(value) > MAX_LITERAL_DIGITS:
                 raise ExprError(f"integers may have at most {MAX_LITERAL_DIGITS} digits")
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ExprError(f"unexpected character {ch!r}")
+            tokens.append(("int", int(value)))
+        elif kind == "op":
+            tokens.append((value, value))
+        elif kind == "other":
+            raise ExprError(f"unexpected character {value!r}")
     tokens.append(("end", None))
     return tokens
 
@@ -205,8 +202,7 @@ EXPAND = {
 def cmd_expand(args):
     name = args.name
     if name not in EXPAND:
-        print(f"unknown name {name!r}; valid names: {', '.join(EXPAND)}", file=sys.stderr)
-        return 2
+        raise ExprError(f"unknown name {name!r}; valid names: {', '.join(EXPAND)}")
     weight, build = EXPAND[name]
     value = build(args.order).truncate(LATTICE * args.order)
     if isinstance(value, FracSeries):
@@ -293,20 +289,13 @@ def cmd_generators(args):
 
 def cmd_transvect(args):
     atoms = dict(zip("fgPQ", covariants.named_forms()))
-    try:
-        left = parse_poly(args.left, atoms, covariants.FormPoly)
-        right = parse_poly(args.right, atoms, covariants.FormPoly)
-        if (args.index + 1) * len(left.terms) * len(right.terms) > MAX_TRANSVECT_PAIRS:
-            raise ExprError(
-                f"(index + 1) * left terms * right terms must be at most {MAX_TRANSVECT_PAIRS}"
-            )
-        result = covariants.transvectant(left, right, args.index)
-        if args.format == "json":
-            d_a, d_b = covariants.refined_form_degrees(result)
-    except (ExprError, covariants.BadOrderError, _poly.NotHomogeneousError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    left = parse_poly(args.left, atoms, covariants.FormPoly)
+    right = parse_poly(args.right, atoms, covariants.FormPoly)
+    if (args.index + 1) * len(left.terms) * len(right.terms) > MAX_TRANSVECT_PAIRS:
+        raise ExprError(f"(index + 1) * left terms * right terms must be at most {MAX_TRANSVECT_PAIRS}")
+    result = covariants.transvectant(left, right, args.index)
     if args.format == "json":
+        d_a, d_b = covariants.refined_form_degrees(result)
         payload = {
             "kind": "form",
             "grading": {"d_a": d_a, "d_b": d_b, "order_omega": covariants.uv_order(result)},
@@ -320,13 +309,9 @@ def cmd_transvect(args):
 
 
 def cmd_membership(args):
-    try:
-        poly = parse_poly(args.poly, _curve_atoms(), sw_curve.CurvePolyAB)
-        if (bound := sw_curve.image_terms_bound(poly)) > MAX_IMAGE_TERMS:
-            raise ExprError(f"the cd-frame image's terms must be at most {MAX_IMAGE_TERMS}, got {bound}")
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    poly = parse_poly(args.poly, _curve_atoms(), sw_curve.CurvePolyAB)
+    if (bound := sw_curve.image_terms_bound(poly)) > MAX_IMAGE_TERMS:
+        raise ExprError(f"the cd-frame image's terms must be at most {MAX_IMAGE_TERMS}, got {bound}")
     valuation = sw_curve.c0_valuation(poly)
     member = valuation >= 0
     if args.format == "json":
@@ -347,11 +332,7 @@ def cmd_membership(args):
 
 
 def cmd_verify(args):
-    try:
-        results = verify.run_suite(args.suite, args.order)
-    except verify.UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = verify.run_suite(args.suite, args.order)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         payload = {
@@ -380,8 +361,9 @@ def cmd_verify(args):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process; parsing leaves no state in it."""
+    ordered = argparse.ArgumentParser(add_help=False)
+    ordered.add_argument("--order", type=int, default=24, help="q-series truncation order (default 24)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=24, help="q-series truncation order (default 24)")
     common.add_argument("--format", choices=("json", "text"), default="text")
 
     parser = argparse.ArgumentParser(
@@ -390,7 +372,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="q-expansion of a named series or invariant")
+    p = sub.add_parser("expand", parents=[ordered, common], help="q-expansion of a named series or invariant")
     p.add_argument("name")
     p.set_defaults(func=cmd_expand)
 
@@ -417,7 +399,7 @@ def build_parser():
     p.add_argument("poly")
     p.set_defaults(func=cmd_membership)
 
-    p = sub.add_parser("verify", parents=[common], help="run an identity suite")
+    p = sub.add_parser("verify", parents=[ordered, common], help="run an identity suite")
     p.add_argument("suite", help=f"one of: {', '.join(verify.SUITE_ORDER)}, all")
     p.set_defaults(func=cmd_verify)
 
@@ -442,22 +424,24 @@ MAX_NESTING = 64
 # (least, largest) accepted value of each numeric option
 LIMITS = {"order": (2, MAX_ORDER), "weight": (0, MAX_WEIGHT), "kmax": (0, MAX_WEIGHT),
           "degree": (0, MAX_DEGREE), "mmax": (0, MAX_DEGREE)}
+# what a command raises to refuse a request: `main` prints it and exits 2
+REFUSED = (ExprError, covariants.BadOrderError, _poly.NotHomogeneousError, verify.UnknownSuiteError)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name, (least, limit) in LIMITS.items():
-        value = getattr(args, name, 0)
-        if value < least:
-            print(f"error: --{name} must be at least {least}", file=sys.stderr)
-            return 2
-        if value > limit:
-            print(f"error: --{name} must be at most {limit}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
+        for name, (least, limit) in LIMITS.items():
+            value = getattr(args, name, least)  # an option the command lacks passes
+            if value < least:
+                raise ExprError(f"--{name} must be at least {least}")
+            if value > limit:
+                raise ExprError(f"--{name} must be at most {limit}")
         code = args.func(args)
         sys.stdout.flush()
+    except REFUSED as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed stdout: end quietly, and point the descriptor at
         # devnull so that the interpreter's exit flush does not raise again

@@ -191,28 +191,26 @@ def _frame_forms(order):
     KL = (1, 1, 0, 0)
     ONE = (0, 0, 0, 0)
     ab = (
-        KLMNPoly({ONE: e4 / 12}, 4, 0),
-        KLMNPoly({K2: delta * e4i / 4, L1: -e6 / 24, M1: e4 / 24}, 8, 4),
-        KLMNPoly({ONE: e6 / 216}, 6, 0),
-        KLMNPoly({K1: delta * e4i}, 8, 2),
-        KLMNPoly({K2: -(e6 * delta) * (e4i ** 2) / 24, L1: -(e4 ** 2) / 288, M1: e6 / 288}, 10, 4),
-        KLMNPoly(
-            {K3: -(delta ** 2) * (e4i ** 3), KM: delta * e4i / 4, N1: delta / 4}, 12, 6
-        ),
+        {ONE: e4 / 12},
+        {K2: delta * e4i / 4, L1: -e6 / 24, M1: e4 / 24},
+        {ONE: e6 / 216},
+        {K1: delta * e4i},
+        {K2: -(e6 * delta) * (e4i ** 2) / 24, L1: -(e4 ** 2) / 288, M1: e6 / 288},
+        {K3: -(delta ** 2) * (e4i ** 3), KM: delta * e4i / 4, N1: delta / 4},
     )
     cd = (
-        KLMNPoly({ONE: e4 / 12}, 4, 0),
-        KLMNPoly({K1: delta * e6i * -12}, 6, 2),
-        KLMNPoly({K2: (e4 ** 2) * delta * (e6i ** 2) / 4, L1: -e6 / 24, M1: e4 / 24}, 8, 4),
-        KLMNPoly({ONE: e6 / 216}, 6, 0),
-        KLMNPoly({K2: -(e4 * delta) * e6i / 24, L1: -(e4 ** 2) / 288, M1: e6 / 288}, 10, 4),
-        KLMNPoly(
-            {K3: 2 * (delta ** 2) * (e6i ** 2), KL: e4 * delta * e6i / 4, N1: delta / 4},
-            12,
-            6,
-        ),
+        {ONE: e4 / 12},
+        {K1: delta * e6i * -12},
+        {K2: (e4 ** 2) * delta * (e6i ** 2) / 4, L1: -e6 / 24, M1: e4 / 24},
+        {ONE: e6 / 216},
+        {K2: -(e4 * delta) * e6i / 24, L1: -(e4 ** 2) / 288, M1: e6 / 288},
+        {K3: 2 * (delta ** 2) * (e6i ** 2), KL: e4 * delta * e6i / 4, N1: delta / 4},
     )
-    return ab, cd
+    # each form is graded like the coefficient it stands for
+    return tuple(
+        tuple(map(KLMNPoly, forms, frame.WEIGHTS, frame.DEGREES))
+        for forms, frame in ((ab, CurvePolyAB), (cd, CurvePolyCD))
+    )
 
 
 @lru_cache(maxsize=None)

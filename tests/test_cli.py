@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shlex
+import string
 import subprocess
 import sys
 import time
@@ -43,12 +44,11 @@ def test_expand_json_schema(capsys):
 
 
 def test_expand_unknown_name(capsys):
-    code = cli.main(["expand", "nosuch"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.endswith(
-        "valid names: E4, E6, Delta, eta, theta2, theta3, theta4, e1, e2, e3, K, L, M, N,"
-        " a0, a2, b0, b1, b2, b3, c0, c1, c2, d0, d2, d3\n"
+    code, out, err = cli_outcome(capsys, ["expand", "nosuch"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown name 'nosuch'; valid names: E4, E6, Delta, eta, theta2, theta3, theta4,"
+        " e1, e2, e3, K, L, M, N, a0, a2, b0, b1, b2, b3, c0, c1, c2, d0, d2, d3\n"
     )
 
 
@@ -104,8 +104,8 @@ def test_transvect_cli(capsys):
 
 
 def test_transvect_bad_index(capsys):
-    code = cli.main(["transvect", "--left", "f", "--right", "f", "--index", "3"])
-    assert code == 2
+    code, out, err = cli_outcome(capsys, ["transvect", "--left", "f", "--right", "f", "--index", "3"])
+    assert (code, out, err) == (2, "", "error: index 3 out of range for orders (2, 2)\n")
 
 
 def test_transvect_json_without_refined_grading_is_a_usage_error(capsys):
@@ -164,8 +164,8 @@ def test_c0_valuation_is_the_least_c0_power_of_the_image():
 
 
 def test_membership_parse_error(capsys):
-    code = cli.main(["membership", "a0 + $"])
-    assert code == 2
+    code, out, err = cli_outcome(capsys, ["membership", "a0 + $"])
+    assert (code, out, err) == (2, "", "error: unexpected character '$'\n")
 
 
 def test_transvect_builds_the_named_forms_once(capsys, monkeypatch):
@@ -276,8 +276,9 @@ def test_verify_series(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code = cli.main(["verify", "nosuch"])
-    assert code == 2
+    code, out, err = cli_outcome(capsys, ["verify", "nosuch", "--format", "json"])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown suite 'nosuch'; valid: series, jacobians, curve, isomorphism, table1, all\n"
 
 
 def test_order_below_two_is_a_usage_error(capsys):
@@ -299,10 +300,9 @@ def test_order_below_two_is_a_usage_error(capsys):
     ],
 )
 def test_oversized_request_is_a_usage_error(capsys, flag, argv):
-    code = cli.main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"{flag} must be at most" in err
+    code, out, err = cli_outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} must be at most ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -319,6 +319,111 @@ def test_request_below_its_floor_is_a_usage_error(capsys, flag, least, argv):
     # a negative dims or basis bound used to print an empty answer and exit 0
     code, out, err = cli_outcome(capsys, argv)
     assert (code, out, err) == (2, "", f"error: {flag} must be at least {least}\n")
+
+
+# refusals that the tests above and below do not pin to the byte
+REFUSALS = [
+    ("long literal", ["membership", "1" * (cli.MAX_LITERAL_DIGITS + 1)],
+     f"integers may have at most {cli.MAX_LITERAL_DIGITS} digits"),
+    ("unknown curve name", ["membership", "a1*b0"], "unknown name 'a1'; valid: a0, a2, b0, b1, b2, b3"),
+    ("unknown form name", ["transvect", "--left", "h", "--right", "f", "--index", "0"],
+     "unknown name 'h'; valid: P, Q, f, g"),
+    ("unclosed parenthesis in a form", ["transvect", "--left", "(f", "--right", "f", "--index", "0"],
+     "expected ), found the end of the input"),
+    ("trailing token", ["membership", "a0 b1"], "expected end, found 'b1'"),
+    ("unexpected token", ["membership", "a0 + )"], "unexpected token ')'"),
+    ("nesting", ["membership", "(" * (cli.MAX_NESTING + 1) + "a0" + ")" * (cli.MAX_NESTING + 1)],
+     f"parentheses and signs may nest at most {cli.MAX_NESTING} deep"),
+    ("coefficient bits", ["membership", f"2^{cli.MAX_COEFF_BITS + 1}"],
+     f"coefficients must stay below 2^{cli.MAX_COEFF_BITS}"),
+    ("total degree", ["membership", "a2^25"], f"total degree must be at most {cli.MAX_EXPR_DEGREE}, got 25"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_every_refusal_is_one_error_line(capsys, argv, message):
+    # main alone prints a refusal: nothing on stdout, one line on stderr, exit 2
+    assert cli_outcome(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+UNORDERED = [
+    ["basis", "--weight", "4", "--degree", "0"],
+    ["dims"],
+    ["generators"],
+    ["transvect", "--left", "f", "--right", "f", "--index", "0"],
+    ["membership", "a0"],
+]
+
+
+@pytest.mark.parametrize("argv", UNORDERED, ids=[argv[0] for argv in UNORDERED])
+def test_order_is_refused_where_no_command_reads_it(capsys, argv):
+    code, out, err = cli_outcome(capsys, argv + ["--order", "8"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --order 8\n")
+    code, out, _ = cli_outcome(capsys, [argv[0], "--help"])
+    assert code == 0 and "--format" in out and "--order" not in out
+
+
+def test_expand_and_verify_read_order(capsys):
+    for argv in (["expand", "E4"], ["verify", "series"]):
+        assert cli.build_parser().parse_args(argv + ["--order", "8"]).order == 8
+        code, out, _ = cli_outcome(capsys, [argv[0], "--help"])
+        assert code == 0 and "--order ORDER" in out
+
+
+def character_loop(text):
+    """The tokenizer's former one-character-at-a-time loop, kept as its oracle."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+        elif "0" <= ch <= "9":
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+            if j - i > cli.MAX_LITERAL_DIGITS:
+                raise cli.ExprError(f"integers may have at most {cli.MAX_LITERAL_DIGITS} digits")
+            tokens.append(("int", int(text[i:j])))
+            i = j
+        elif ch in "+-*/^()":
+            tokens.append((ch, ch))
+            i += 1
+        else:
+            raise cli.ExprError(f"unexpected character {ch!r}")
+    tokens.append(("end", None))
+    return tokens
+
+
+def test_tokenizer_agrees_with_the_character_loop(monkeypatch):
+    # same tokens or the same message; a digit of another script (U+0663) is
+    # an unexpected character, and a literal past the cap (3 here) is refused
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def outcome(tokenize, text):
+        try:
+            return tokenize(text)
+        except cli.ExprError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(cli, "MAX_LITERAL_DIGITS", 3)
+    alphabet = string.ascii_letters + string.digits + "_+-*/^() $.!\u0663"
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.text(alphabet, max_size=16))
+    def check(text):
+        assert outcome(cli._tokenize, text) == outcome(character_loop, text)
+
+    check()
 
 
 @pytest.mark.parametrize(

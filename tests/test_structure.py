@@ -177,6 +177,25 @@ def test_the_solver_works_in_integers_only():
     assert not hasattr(linalg.LinearSolver, "kernel")
 
 
+def test_the_cli_refuses_in_one_place():
+    # commands raise; main alone writes the one error line to stderr
+    tree = ast.parse((Path(triality.__file__).parent / "cli.py").read_text())
+    stderr = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+    ]
+    assert len(stderr) == 1
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert main.lineno <= stderr[0] <= main.end_lineno
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 7
+    statements = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    tries = [c.name for c in commands if any(isinstance(n, statements) for n in ast.walk(c))]
+    assert tries == []
+
+
 def test_series_and_polynomials_print_their_terms_alike():
     # one printer: a unit coefficient shows only its sign, "+ -" reads "- "
     series = FracSeries({0: 3, 12: Fraction(1, 2), 24: -1, 48: 1, 60: -2}, 96)
