@@ -7,7 +7,8 @@ JSON header.  Exit codes: 0 success, 1 verification failure or a stdout
 closed by its reader (the run ends quietly), 2 usage error.  A command
 refuses a request by raising one of `REFUSED`; `main` alone prints it as
 one `error: ` line on stderr.  `--order` exists only on `expand` and
-`verify`, the two commands that read it.
+`verify`, the two commands that read it; any other command reports it,
+like every option it does not know, under its own usage line.
 """
 
 from __future__ import annotations
@@ -374,34 +375,34 @@ def build_parser():
 
     p = sub.add_parser("expand", parents=[ordered, common], help="q-expansion of a named series or invariant")
     p.add_argument("name")
-    p.set_defaults(func=cmd_expand)
+    p.set_defaults(func=cmd_expand, parser=p)
 
     p = sub.add_parser("basis", parents=[common], help="basis of invariants of given weight and degree")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=cmd_basis)
+    p.set_defaults(func=cmd_basis, parser=p)
 
     p = sub.add_parser("dims", parents=[common], help="dimension table")
     p.add_argument("--kmax", type=int, default=24)
     p.add_argument("--mmax", type=int, default=8)
-    p.set_defaults(func=cmd_dims)
+    p.set_defaults(func=cmd_dims, parser=p)
 
     p = sub.add_parser("generators", parents=[common], help="the 15 classical generators")
-    p.set_defaults(func=cmd_generators)
+    p.set_defaults(func=cmd_generators, parser=p)
 
     p = sub.add_parser("transvect", parents=[common], help="transvectant of two form expressions")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--index", type=int, required=True)
-    p.set_defaults(func=cmd_transvect)
+    p.set_defaults(func=cmd_transvect, parser=p)
 
     p = sub.add_parser("membership", parents=[common], help="triality-invariance test of a curve polynomial")
     p.add_argument("poly")
-    p.set_defaults(func=cmd_membership)
+    p.set_defaults(func=cmd_membership, parser=p)
 
     p = sub.add_parser("verify", parents=[ordered, common], help="run an identity suite")
     p.add_argument("suite", help=f"one of: {', '.join(verify.SUITE_ORDER)}, all")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     return parser
 
@@ -429,7 +430,9 @@ REFUSED = (ExprError, covariants.BadOrderError, _poly.NotHomogeneousError, verif
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported by the command's own parser, with its usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         for name, (least, limit) in LIMITS.items():
             value = getattr(args, name, least)  # an option the command lacks passes

@@ -23,14 +23,15 @@ The gradings are weight rows on `FormPoly` (the (u, v) order, the scaling
 weights alpha_i -> 2-2i, beta_i -> 3-2i, and the alpha and beta counts),
 each read by `SparsePoly.weighted_degree`.  The module also carries the
 named forms f, g, P = <g,g>^2 and Q = <g,P>^1 and the fifteen classical
-transvectant generators of the joint covariant ring, each built once, with
-their curve images (`gordan_images`, built once) and a brute-force
-dimension oracle for spaces of joint semiinvariants.
+transvectant generators of the joint covariant ring, each built once and
+graded by these rows, with their curve images (`gordan_images`, built
+once) and a brute-force dimension oracle for spaces of joint
+semiinvariants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -233,12 +234,22 @@ def psi_inverse(Phi):
 
 @dataclass(frozen=True)
 class GordanGenerator:
+    """A generator's label and covariant, with the gradings read off the
+    covariant: refined degrees (d_a, d_b), order omega, the z-degree
+    m = 2 d_a + 3 d_b - omega of the matching triality invariant, and the
+    modular weight k = 3m + 2 omega."""
+
     label: str
     poly: FormPoly
-    d_a: int
-    d_b: int
-    degree_m: int
-    order_omega: int
+    d_a: int = field(init=False)
+    d_b: int = field(init=False)
+    degree_m: int = field(init=False)
+    order_omega: int = field(init=False)
+
+    def __post_init__(self):
+        (d_a, d_b), omega = refined_form_degrees(self.poly), uv_order(self.poly)
+        # the instance is frozen, so the derived fields go straight into its dict
+        vars(self).update(d_a=d_a, d_b=d_b, degree_m=2 * d_a + 3 * d_b - omega, order_omega=omega)
 
     @property
     def weight(self):
@@ -255,32 +266,32 @@ def named_forms():
 
 @lru_cache(maxsize=None)
 def gordan_generators():
-    """The classical 15-element basis of joint covariants of the pair (f, g), built once.
-
-    Metadata per generator: refined degrees (d_a, d_b), z-degree m of the
-    matching triality invariant, and covariant order omega; the modular
-    weight is k = 3m + 2*omega.
-    """
+    """The classical 15-element basis of joint covariants of the pair (f, g)
+    (Grace and Young), built once; each `GordanGenerator` reads its
+    gradings off its covariant."""
     f, g, P, Q = named_forms()
     tv = transvectant
     f2 = f * f
     f3 = f2 * f
-    return (
-        GordanGenerator("f", f, 1, 0, 0, 2),
-        GordanGenerator("g", g, 0, 1, 0, 3),
-        GordanGenerator("<f,g>^1", tv(f, g, 1), 1, 1, 2, 3),
-        GordanGenerator("<f,f>^2", tv(f, f, 2), 2, 0, 4, 0),
-        GordanGenerator("<f,g>^2", tv(f, g, 2), 1, 1, 4, 1),
-        GordanGenerator("<g,g>^2", P, 0, 2, 4, 2),
-        GordanGenerator("<f^2,g>^3", tv(f2, g, 3), 2, 1, 6, 1),
-        GordanGenerator("<f,P>^1", tv(f, P, 1), 1, 2, 6, 2),
-        GordanGenerator("<g,P>^1", Q, 0, 3, 6, 3),
-        GordanGenerator("<f,P>^2", tv(f, P, 2), 1, 2, 8, 0),
-        GordanGenerator("<f,Q>^2", tv(f, Q, 2), 1, 3, 10, 1),
-        GordanGenerator("<f^3,g^2>^6", tv(f3, g * g, 6), 3, 2, 12, 0),
-        GordanGenerator("<P,P>^2", tv(P, P, 2), 0, 4, 12, 0),
-        GordanGenerator("<f^2,Q>^3", tv(f2, Q, 3), 2, 3, 12, 1),
-        GordanGenerator("<f^3,g*Q>^6", tv(f3, g * Q, 6), 3, 4, 18, 0),
+    return tuple(
+        GordanGenerator(label, poly)
+        for label, poly in (
+            ("f", f),
+            ("g", g),
+            ("<f,g>^1", tv(f, g, 1)),
+            ("<f,f>^2", tv(f, f, 2)),
+            ("<f,g>^2", tv(f, g, 2)),
+            ("<g,g>^2", P),
+            ("<f^2,g>^3", tv(f2, g, 3)),
+            ("<f,P>^1", tv(f, P, 1)),
+            ("<g,P>^1", Q),
+            ("<f,P>^2", tv(f, P, 2)),
+            ("<f,Q>^2", tv(f, Q, 2)),
+            ("<f^3,g^2>^6", tv(f3, g * g, 6)),
+            ("<P,P>^2", tv(P, P, 2)),
+            ("<f^2,Q>^3", tv(f2, Q, 3)),
+            ("<f^3,g*Q>^6", tv(f3, g * Q, 6)),
+        )
     )
 
 

@@ -1,12 +1,12 @@
 """The two curve-coefficient frames and the invariant-ring evaluation map.
 
 The abstract rings are Q[a0, a2, b0, b1, b2, b3] and Q[c0, c1, c2, d0, d2,
-d3] (no a1, no d1), bigraded by modular weight and z-degree, with refined
-degrees counting a- resp. b-type exponents; each frame class declares the
-four weight rows, which `SparsePoly.weighted_degree` reads.  Each frame
-holds the coefficients of a binary quadratic and cubic, and the frame
-changes are one shift u -> u + s v of both (`_poly.taylor_shift`):
-s = -c1/(2 c0) completes the square (a1 = 0), s = -b1/(3 b0) removes d1.
+d3] (no a1, no d1), bigraded by modular weight and z-degree; each frame
+class declares the two weight rows, which `SparsePoly.weighted_degree`
+reads.  Each frame holds the coefficients of a binary quadratic and
+cubic, and the frame changes are one shift u -> u + s v of both
+(`_poly.taylor_shift`): s = -c1/(2 c0) completes the square (a1 = 0),
+s = -b1/(3 b0) removes d1.
 They introduce a controlled Laurent denominator (c0 going one way, b0 the
 other); a polynomial is a triality invariant exactly when its image
 carries no negative powers of c0 (`c0_valuation`), which is the
@@ -40,6 +40,11 @@ window differs.  Each order also keeps one table of the ab frame's six
 K,L,M,N forms over `KLMNPoly.one`, so `klmn_form_ab` composes a
 polynomial straight into K,L,M,N with series coefficients, ready for
 `invariant_ring.fit_coefficients`.
+
+The polynomials that recover Delta K, Delta^2 L, Delta^2 M and Delta^3 N
+(`recover_klmn`) are written once, in the ab frame; the cd frame's four
+are their images under `ab_to_cd`, so evaluating both checks the frame
+change as well as the recovery.
 """
 
 from __future__ import annotations
@@ -66,8 +71,6 @@ class CurvePolyAB(SparsePoly):
     laurent = frozenset({0, 2})
     WEIGHTS = (4, 8, 6, 8, 10, 12)
     DEGREES = (0, 4, 0, 2, 4, 6)
-    # the a-count and the b-count rows
-    COUNTS = ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1))
     frame = "ab"
 
 
@@ -84,8 +87,6 @@ class CurvePolyCD(SparsePoly):
     laurent = frozenset({0, 3})
     WEIGHTS = (4, 6, 8, 6, 10, 12)
     DEGREES = (0, 2, 4, 0, 4, 6)
-    # the c-count (a-type) and the d-count (b-type) rows
-    COUNTS = ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1))
     frame = "cd"
 
 
@@ -254,7 +255,8 @@ def evaluate_cd(p, order):
 def recover_klmn():
     """Eight polynomials evaluating to Delta K, Delta^2 L, Delta^2 M, Delta^3 N.
 
-    First the ab frame, then the cd frame, in that order.
+    First the four of the ab frame, then their images under `ab_to_cd`,
+    the four of the cd frame.
     """
     ab = (
         CurvePolyAB({(1, 0, 0, 1, 0, 0): 12}),
@@ -291,42 +293,7 @@ def recover_klmn():
             }
         ),
     )
-    cd = (
-        CurvePolyCD({(0, 1, 0, 1, 0, 0): -18}),
-        CurvePolyCD(
-            {
-                (4, 0, 0, 0, 1, 0): -2,
-                (3, 0, 1, 1, 0, 0): 3,
-                (2, 2, 0, 1, 0, 0): Fraction(-9, 4),
-                (1, 0, 0, 2, 1, 0): 54,
-                (0, 0, 1, 3, 0, 0): -81,
-            }
-        ),
-        CurvePolyCD(
-            {
-                (5, 0, 1, 0, 0, 0): 2,
-                (4, 2, 0, 0, 0, 0): Fraction(-1, 2),
-                (3, 0, 0, 1, 1, 0): -36,
-                (2, 0, 1, 2, 0, 0): -54,
-                (1, 2, 0, 2, 0, 0): -27,
-                (0, 0, 0, 3, 1, 0): 972,
-            }
-        ),
-        CurvePolyCD(
-            {
-                (6, 0, 0, 0, 0, 1): 4,
-                (5, 1, 0, 0, 1, 0): -2,
-                (4, 1, 1, 1, 0, 0): 3,
-                (3, 3, 0, 1, 0, 0): Fraction(-5, 4),
-                (3, 0, 0, 2, 0, 1): -216,
-                (2, 1, 0, 2, 1, 0): 54,
-                (1, 1, 1, 3, 0, 0): -81,
-                (0, 3, 0, 3, 0, 0): -27,
-                (0, 0, 0, 4, 0, 1): 2916,
-            }
-        ),
-    )
-    return ab, cd
+    return ab, tuple(map(ab_to_cd, ab))
 
 
 def jacobian_klmn(order):

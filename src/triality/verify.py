@@ -9,19 +9,21 @@ fails when its compared window ends before q^order, or when the two sides
 of a polynomial equality differ in (weight, degree); a classification
 verdict fails when its value's window ends before q^order.
 
-The table1 suite rewrites each generator's curve image directly: it
-composes the image over the K,L,M,N forms of the frame coefficients
-(`sw_curve.klmn_form_ab`) and fits every coefficient into C[E4, E6] at
-the requested order (`invariant_ring.fit_coefficients`); a composition
-whose window ends before q^order is too shallow.  Where that window cannot
-pin the rewrite down (only at orders 2 to 4), the wider window of the
-route through `evaluate_ab` and `express_in_klmn` decides whether the
-image lies in the ring.  The six explicit forms read the direct rewrite
-alone and compare the Weyl route's too, a second oracle.
+The table1 suite compares the gradings each generator reads off its
+covariant with the paper's Table 1.  It rewrites each generator's curve
+image directly: it composes the image over the K,L,M,N forms of the frame
+coefficients (`sw_curve.klmn_form_ab`) and fits every coefficient into
+C[E4, E6] at the requested order (`invariant_ring.fit_coefficients`); a
+composition whose window ends before q^order is too shallow.  Where that
+window cannot pin the rewrite down (only at orders 2 to 4), the wider
+window of the route through `evaluate_ab` and `express_in_klmn` decides
+whether the image lies in the ring.  The six explicit forms read the
+direct rewrite alone and compare the Weyl route's too, a second oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -319,9 +321,7 @@ def table1_checks(order):
     out = []
     gens = covariants.gordan_generators()
     out.append(_check("exactly 15 generators", len(gens) == 15))
-    cells = {}
-    for g in gens:
-        cells[(g.degree_m, g.order_omega)] = cells.get((g.degree_m, g.order_omega), 0) + 1
+    cells = Counter((g.degree_m, g.order_omega) for g in gens)
     expected_cells = {
         (0, 2): 1, (0, 3): 1, (2, 3): 1,
         (4, 0): 1, (4, 1): 1, (4, 2): 1,
@@ -330,10 +330,8 @@ def table1_checks(order):
         (12, 0): 2, (12, 1): 1, (18, 0): 1,
     }
     out.append(_check("per-(degree, order) cell counts", cells == expected_cells))
-    by_order = [0, 0, 0, 0]
-    for g in gens:
-        by_order[g.order_omega] += 1
-    out.append(_check("order totals (5, 4, 3, 3)", by_order == [5, 4, 3, 3]))
+    by_order = Counter(g.order_omega for g in gens)
+    out.append(_check("order totals (5, 4, 3, 3)", by_order == {0: 5, 1: 4, 2: 3, 3: 3}))
 
     semis = {g.label: covariants.roberts_to_semiinvariant(g.poly) for g in gens}
     images = dict(covariants.gordan_images())

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import pytest
 
+from triality import covariants, verify
 from triality._poly import NotHomogeneousError, PowerTable, compose, taylor_shift
 from triality.covariants import (
     BadOrderError,
@@ -12,8 +14,10 @@ from triality.covariants import (
     NotPolynomialError,
     cubic_form,
     gordan_generators,
+    gordan_images,
     hat_coefficients,
     is_semiinvariant,
+    named_forms,
     order_of,
     psi_forward,
     psi_inverse,
@@ -28,6 +32,8 @@ from triality.covariants import (
 )
 from triality.sw_curve import CurvePolyAB, is_triality_invariant
 
+# the a-count and the b-count rows of the ab frame
+AB_COUNTS = ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1))
 AL0, AL1, AL2 = (FormPoly.variable(i) for i in range(3))
 BE0, BE1, BE2, BE3 = (FormPoly.variable(3 + i) for i in range(4))
 
@@ -277,20 +283,64 @@ def test_psi_round_trips_on_enumerated_bases():
             image = psi_forward(p)
             assert psi_inverse(image) == p
             assert is_semiinvariant(image)
-            d_a, d_b = (p.weighted_degree(row) for row in CurvePolyAB.COUNTS)
+            d_a, d_b = (p.weighted_degree(row) for row in AB_COUNTS)
             assert order_of(image) == 2 * d_a + 3 * d_b - p.weighted_degree(CurvePolyAB.DEGREES)
             assert refined_form_degrees(image) == (d_a, d_b)
 
 
+# the paper's Table 1: (d_a, d_b, m, omega) of each generator
+TABLE1 = {
+    "f": (1, 0, 0, 2),
+    "g": (0, 1, 0, 3),
+    "<f,g>^1": (1, 1, 2, 3),
+    "<f,f>^2": (2, 0, 4, 0),
+    "<f,g>^2": (1, 1, 4, 1),
+    "<g,g>^2": (0, 2, 4, 2),
+    "<f^2,g>^3": (2, 1, 6, 1),
+    "<f,P>^1": (1, 2, 6, 2),
+    "<g,P>^1": (0, 3, 6, 3),
+    "<f,P>^2": (1, 2, 8, 0),
+    "<f,Q>^2": (1, 3, 10, 1),
+    "<f^3,g^2>^6": (3, 2, 12, 0),
+    "<P,P>^2": (0, 4, 12, 0),
+    "<f^2,Q>^3": (2, 3, 12, 1),
+    "<f^3,g*Q>^6": (3, 4, 18, 0),
+}
+
+
 def test_gordan_generator_metadata():
+    # the gradings read off the covariants are Table 1's, and those of the curve images
     gens = gordan_generators()
     assert len(gens) == 15
-    labels = [g.label for g in gens]
-    assert labels[:3] == ["f", "g", "<f,g>^1"]
-    for g in gens:
-        assert uv_order(g.poly) == g.order_omega
-        assert refined_form_degrees(g.poly) == (g.d_a, g.d_b)
-        assert g.weight == 3 * g.degree_m + 2 * g.order_omega
+    assert [g.label for g in gens][:3] == ["f", "g", "<f,g>^1"]
+    assert {g.label: (g.d_a, g.d_b, g.degree_m, g.order_omega) for g in gens} == TABLE1
+    for g, (label, image) in zip(gens, gordan_images()):
+        assert label == g.label
+        assert image.weighted_degree(CurvePolyAB.DEGREES) == g.degree_m
+        assert image.weighted_degree(CurvePolyAB.WEIGHTS) == g.weight
+        assert [image.weighted_degree(row) for row in AB_COUNTS] == [g.d_a, g.d_b]
+
+
+def test_table1_checks_read_the_gradings_off_the_generators(monkeypatch):
+    # a wrong generator, <f,P>^1 * f in place of <f,P>^2, has degrees (2, 2)
+    # and order 4: the gradings it reads off fail both counts, and nothing raises
+    f, _, P, _ = named_forms()
+    wrong = transvectant(f, P, 1) * f
+    gens = tuple(
+        replace(g, poly=wrong) if g.label == "<f,P>^2" else g for g in gordan_generators()
+    )
+    monkeypatch.setattr(covariants, "gordan_generators", lambda: gens)
+    # the kept images follow the patched generators during the run only
+    gordan_images.cache_clear()
+    try:
+        passed = {r.name: r.passed for r in verify.table1_checks(6)}
+    finally:
+        gordan_images.cache_clear()
+    assert passed["exactly 15 generators"]
+    assert not passed["per-(degree, order) cell counts"]
+    assert not passed["order totals (5, 4, 3, 3)"]
+    g = next(g for g in gens if g.poly is wrong)
+    assert (g.d_a, g.d_b, g.degree_m, g.order_omega) == (2, 2, 6, 4)
 
 
 def test_semiinvariant_dimension_basics():

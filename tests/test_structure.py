@@ -23,9 +23,16 @@ A0, B0 = sw_curve.CurvePolyAB.variable(0), sw_curve.CurvePolyAB.variable(2)
 F, G = covariants.quadratic_form(), covariants.cubic_form()
 
 
+# the a-count and the b-count rows of each curve frame
+COUNT_ROWS = {
+    "ab": ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1)),
+    "cd": ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)),
+}
+
+
 def count_degrees(p):
-    """(d_a, d_b) of a curve polynomial, read off its class's count rows."""
-    return [p.weighted_degree(row) for row in p.COUNTS]
+    """(d_a, d_b) of a curve polynomial, read off its frame's count rows."""
+    return [p.weighted_degree(row) for row in COUNT_ROWS[type(p).frame]]
 
 
 MIXED = [

@@ -109,8 +109,11 @@ def test_membership():
 def test_gradings():
     assert (A0 * B1).weighted_degree(CurvePolyAB.WEIGHTS) == 12
     assert (A0 * B1).weighted_degree(CurvePolyAB.DEGREES) == 2
-    assert [(A0 * B1).weighted_degree(row) for row in CurvePolyAB.COUNTS] == [1, 1]
-    assert [ab_to_cd(A0 * B1).weighted_degree(row) for row in CurvePolyCD.COUNTS] == [1, 1]
+    # the a-count and b-count rows: a-type are a0, a2 resp. c0, c1, c2
+    ab_counts = ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1))
+    cd_counts = ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1))
+    assert [(A0 * B1).weighted_degree(row) for row in ab_counts] == [1, 1]
+    assert [ab_to_cd(A0 * B1).weighted_degree(row) for row in cd_counts] == [1, 1]
     # each generator is homogeneous of the declared weight/degree
     for i, (w, d) in enumerate(zip(CurvePolyAB.WEIGHTS, CurvePolyAB.DEGREES)):
         p = CurvePolyAB.variable(i)
@@ -163,13 +166,51 @@ def test_recovery_polynomials():
         assert is_triality_invariant(poly)
 
 
+# the paper's second-frame recovery polynomials of Delta K, Delta^2 L,
+# Delta^2 M and Delta^3 N
+CD_RECOVERY = (
+    CurvePolyCD({(0, 1, 0, 1, 0, 0): -18}),
+    CurvePolyCD(
+        {
+            (4, 0, 0, 0, 1, 0): -2,
+            (3, 0, 1, 1, 0, 0): 3,
+            (2, 2, 0, 1, 0, 0): F(-9, 4),
+            (1, 0, 0, 2, 1, 0): 54,
+            (0, 0, 1, 3, 0, 0): -81,
+        }
+    ),
+    CurvePolyCD(
+        {
+            (5, 0, 1, 0, 0, 0): 2,
+            (4, 2, 0, 0, 0, 0): F(-1, 2),
+            (3, 0, 0, 1, 1, 0): -36,
+            (2, 0, 1, 2, 0, 0): -54,
+            (1, 2, 0, 2, 0, 0): -27,
+            (0, 0, 0, 3, 1, 0): 972,
+        }
+    ),
+    CurvePolyCD(
+        {
+            (6, 0, 0, 0, 0, 1): 4,
+            (5, 1, 0, 0, 1, 0): -2,
+            (4, 1, 1, 1, 0, 0): 3,
+            (3, 3, 0, 1, 0, 0): F(-5, 4),
+            (3, 0, 0, 2, 0, 1): -216,
+            (2, 1, 0, 2, 1, 0): 54,
+            (1, 1, 1, 3, 0, 0): -81,
+            (0, 3, 0, 3, 0, 0): -27,
+            (0, 0, 0, 4, 0, 1): 2916,
+        }
+    ),
+)
+
+
 def test_recovery_polynomials_are_one_another_in_the_other_frame():
-    # the second frame's four are the frame change of the first frame's, exactly
+    # the second frame's four, derived by the frame change, are the paper's,
+    # and the inverse change takes the paper's back to the first frame's
     ab_polys, cd_polys = recover_klmn()
-    assert len(ab_polys) == len(cd_polys) == 4
-    for ab, cd in zip(ab_polys, cd_polys):
-        assert ab_to_cd(ab) == cd
-        assert cd_to_ab(cd) == ab
+    assert cd_polys == CD_RECOVERY
+    assert tuple(map(cd_to_ab, CD_RECOVERY)) == ab_polys
 
 
 def test_negative_exponent_guards():
