@@ -8,7 +8,11 @@ closed by its reader (the run ends quietly), 2 usage error.  A command
 refuses a request by raising one of `REFUSED`; `main` alone prints it as
 one `error: ` line on stderr.  `--order` exists only on `expand` and
 `verify`, the two commands that read it; any other command reports it,
-like every option it does not know, under its own usage line.
+like every option it does not know, under its own usage line.  An unknown
+option written before the command name is the root parser's, and is
+reported under the root usage line.  JSON output has the bytes of
+`json.dumps` with sorted keys and indent 1; `_json_dump` writes them
+itself, because with an indent `json` always runs its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from math import comb, lcm
 
 from . import _poly, covariants, enumerator, sw_curve, verify
@@ -26,8 +31,22 @@ from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta, 
 from .invariant_ring import klmn
 
 
-def _json_dump(obj):
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "), indent=1)
+def _json_dump(obj, newline="\n"):
+    """The text of json.dumps(obj, sort_keys=True, separators=(", ", ": "),
+    indent=1) for dicts with str keys, lists, tuples and scalars.  newline is a
+    line break and obj's own indent; obj's items sit one space deeper."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    if obj and isinstance(obj, (list, tuple)):
+        inner = newline + " "
+        return "[" + inner + (", " + inner).join([_json_dump(v, inner) for v in obj]) + newline + "]"
+    if obj and isinstance(obj, dict):
+        inner = newline + " "
+        items = [encode_basestring_ascii(k) + ": " + _json_dump(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + (", " + inner).join(items) + newline + "}"
+    return json.dumps(obj)
 
 
 # -- tiny expression parser for CLI polynomial arguments -------------------------
@@ -430,9 +449,14 @@ REFUSED = (ExprError, covariants.BadOrderError, _poly.NotHomogeneousError, verif
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     args, unknown = build_parser().parse_known_args(argv)
-    if unknown:  # reported by the command's own parser, with its usage line
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if unknown:
+        # the root's leftovers come first; those after the command name are
+        # reported by the command's own parser, with its usage line
+        before = argv[: argv.index(args.command)]
+        parser = build_parser() if unknown[0] in before else args.parser
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         for name, (least, limit) in LIMITS.items():
             value = getattr(args, name, least)  # an option the command lacks passes

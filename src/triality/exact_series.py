@@ -18,10 +18,13 @@ view that makes a Fraction only when a value is read.
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
 the weight-2 level-2 forms e1, e2, e3) take an `order` argument in q-units:
-the result is exact for all exponents below q^order.  A series is never
-changed once built, so the Bernoulli numbers, Eisenstein series, eta,
-Delta and e1, e2, e3 are each computed once per argument and kept for the
-process.
+the result is exact for all exponents below q^order.  Eisenstein series
+and eta are built on integers, from divisor sums and from the product
+prod (1 - q^n) on a list of coefficients, and handed to `_new` in stored
+form; Delta and e1, e2, e3 are products of series, and `__mul__` is the
+one series product.  A series is never changed once built, so the
+Bernoulli numbers, Eisenstein series, eta, Delta and e1, e2, e3 are each
+computed once per argument and kept for the process.
 """
 
 from __future__ import annotations
@@ -250,19 +253,26 @@ def bernoulli(k):
 
 @lru_cache(maxsize=None)
 def eisenstein(two_n, order):
-    """Weight-2n Eisenstein series 1 - (4n/B_2n) sum k^(2n-1) q^k/(1-q^k)."""
+    """Weight-2n Eisenstein series 1 - (4n/B_2n) sum k^(2n-1) q^k/(1-q^k).
+
+    The coefficient of q^m is the factor -4n/B_2n times the divisor sum
+    sigma_(2n-1)(m), summed on integers and scaled once over the factor's
+    denominator.
+    """
     if two_n < 2 or two_n % 2:
         raise ValueError("Eisenstein weight must be an even integer >= 2")
     if order < 1:
         raise ValueError("order must be >= 1")
     n = two_n // 2
     factor = Fraction(-4 * n) / bernoulli(two_n)
-    coeffs = {0: Fraction(1)}
+    sigma = [0] * order
     for k in range(1, order):
-        kp = Fraction(k ** (two_n - 1))
-        for e in range(LATTICE * k, LATTICE * order, LATTICE * k):
-            coeffs[e] = coeffs.get(e, Fraction(0)) + factor * kp
-    return FracSeries(coeffs, LATTICE * order)
+        kp = k ** (two_n - 1)
+        for m in range(k, order, k):
+            sigma[m] += kp
+    num = {LATTICE * m: factor.numerator * s for m, s in enumerate(sigma)}
+    num[0] = factor.denominator
+    return FracSeries._new(num, factor.denominator, LATTICE * order)
 
 
 def theta_const(k, order):
@@ -290,13 +300,19 @@ def theta_const(k, order):
 
 @lru_cache(maxsize=None)
 def eta_delta(order):
-    """The eta product q^(1/24) prod (1 - q^n) and the discriminant eta^24."""
+    """The eta product q^(1/24) prod (1 - q^n) and the discriminant eta^24.
+
+    The product is taken on the integer coefficients of q^0 .. q^(order-1),
+    one factor (1 - q^n) at a time in place; Delta is a series power.
+    """
     if order < 2:
         raise ValueError("order must be >= 2")
-    trunc = LATTICE * order
-    eta = FracSeries({1: 1}, trunc)
+    c = [1] + [0] * (order - 1)
     for n in range(1, order):
-        eta = eta * FracSeries({0: Fraction(1), LATTICE * n: Fraction(-1)}, trunc)
+        # k descends, so c[k - n] still holds the product before this factor
+        for k in range(order - 1, n - 1, -1):
+            c[k] -= c[k - n]
+    eta = FracSeries._new({LATTICE * k + 1: ck for k, ck in enumerate(c)}, 1, LATTICE * order)
     return eta, eta ** 24
 
 

@@ -367,6 +367,51 @@ def test_order_is_refused_where_no_command_reads_it(capsys, argv):
     assert code == 0 and "--format" in out and "--order" not in out
 
 
+@pytest.mark.parametrize(
+    "argv, prog, unknown",
+    [
+        (["--bogus", "generators"], "triality", "--bogus"),
+        (["generators", "--bogus"], "triality generators", "--bogus"),
+        (["--bogus", "expand", "E4", "--json"], "triality", "--bogus --json"),
+        (["expand", "E4", "--bogus", "--order", "3"], "triality expand", "--bogus"),
+    ],
+    ids=["before", "after", "both", "after-expand"],
+)
+def test_unknown_option_is_reported_by_the_parser_it_was_given_to(capsys, argv, prog, unknown):
+    # one written before the command name is the root parser's, with its usage line
+    code, out, err = cli_outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: {unknown}\n")
+
+
+def test_json_writer_matches_json_dumps():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(", ", ": "), indent=1)
+
+    # json writes a tuple as a list
+    payload = {"terms": ((0, "1/1"), (24, "-24/1")), "empty": (), "z": [(), {}, [None]]}
+    assert cli._json_dump(payload) == dumps(payload)
+
+    scalars = st.none() | st.booleans() | st.integers() | st.text()
+    payloads = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+        max_leaves=40,
+    )
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(payloads)
+    def check(obj):
+        assert cli._json_dump(obj) == dumps(obj)
+
+    check()
+
+
 def test_expand_and_verify_read_order(capsys):
     for argv in (["expand", "E4"], ["verify", "series"]):
         assert cli.build_parser().parse_args(argv + ["--order", "8"]).order == 8
@@ -542,6 +587,12 @@ GOLDEN = [
     # the suites that evaluate the recovery polynomials and the generators' gradings
     ("verify all --order 24 --format json", 0, "647b9c1d51cd5a1189f5c98507f20f13722ad6b488306f896c4b2bd64ed90f7f"),
     ("verify curve --order 96 --format json", 0, "9dd28755d17a16723eaa884dc6e0987bb45baad2174cdfa24a2aef0841ffd857"),
+    # the modular series the paper's spectrum is read from
+    ("expand E4 --order 48 --format json", 0, "d37052a06e6c717b98f70727792679ef58ec7d432aacbcaef03905c2a8040214"),
+    ("expand E6 --order 128 --format json", 0, "c11c56ed5508cef413a2516b50750ebb21686c8640fc25d2005c0b4f90d492d6"),
+    ("expand Delta --order 48 --format json", 0, "b6ec1ac506e0fe4e7a0cb3d47b5f1cdfbd155e104ed3934ac358b5df825719ea"),
+    ("expand eta --order 128 --format json", 0, "ded77de636753cf79b9e09700ff690d874f5feb6b2b6e6e0fcc33d3690e143dc"),
+    ("expand e2 --order 30 --format json", 0, "f42a53d387144e453c1ff34c9601c8da72c3cec96bcd74f8f039eb1c0d5063dd"),
 ]
 
 

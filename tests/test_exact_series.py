@@ -168,6 +168,26 @@ def test_eisenstein_constant_term_is_one():
         assert eisenstein(two_n, 2).coeff(0) == 1
 
 
+def stored(series):
+    return series.trunc, series._num, series._den
+
+
+def eisenstein_by_fractions(two_n, order):
+    # one Fraction per divisor, through the validating constructor
+    factor = F(-2 * two_n) / bernoulli(two_n)
+    coeffs = {0: F(1)}
+    for k in range(1, order):
+        for e in range(LATTICE * k, LATTICE * order, LATTICE * k):
+            coeffs[e] = coeffs.get(e, F(0)) + factor * k ** (two_n - 1)
+    return FracSeries(coeffs, LATTICE * order)
+
+
+def test_eisenstein_on_integers_matches_the_fraction_loop():
+    for two_n in range(2, 13, 2):
+        for order in range(1, 65):
+            assert stored(eisenstein(two_n, order)) == stored(eisenstein_by_fractions(two_n, order))
+
+
 # -- theta constants ---------------------------------------------------------------------
 
 
@@ -275,8 +295,21 @@ def eta_oracle(order):
 
 
 def test_eta_product_matches_pentagonal_numbers():
-    eta, _ = eta_delta(20)
-    assert eta == eta_oracle(20)
+    for order in (2, 3, 20, 64, 128):
+        eta, _ = eta_delta(order)
+        assert eta.trunc == LATTICE * order
+        assert eta == eta_oracle(order)
+
+
+def test_eta_on_integers_matches_series_products():
+    for order in range(2, 65):
+        # q^(1/24) times one series (1 - q^n) per factor, through __mul__
+        trunc = LATTICE * order
+        eta = FracSeries({1: 1}, trunc)
+        for n in range(1, order):
+            eta = eta * FracSeries({0: 1, LATTICE * n: -1}, trunc)
+        assert stored(eta_delta(order)[0]) == stored(eta)
+        assert stored(eta_delta(order)[1]) == stored(eta ** 24)
 
 
 def test_eta_twelfth_power_on_half_lattice():
