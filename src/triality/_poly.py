@@ -21,10 +21,7 @@ square-and-multiply `power`), `monomial_degree`, `compose` and `jacobian`,
 the one determinant of a matrix of partials.  `PowerTable` is the one home of monomial images:
 it windows each image once by the target's `one` and keeps each power it
 builds; its `monomial` may return a kept power or `one`, which every
-caller copies into a new value.  A table held across calls (`sw_curve`'s
-frame changes and frame values, `invariant_ring`'s series generators)
-grows only to the largest exponent asked of it; a fresh one caches within
-its call only.
+caller copies into a new value.
 `format_terms` is the one term printer of `SparsePoly` and `FracSeries`,
 and `format_monomial` the one monomial text of both polynomial types.
 `taylor_shift` is the one shift u -> u + s v of a binary form's
@@ -363,6 +360,10 @@ class PowerTable:
     largest exponent asked of it.  A negative exponent builds on
     images[i] ** -1, which the target ring defines only for its units; when
     that raises, the table keeps what it had.
+
+    Each image set kept for the process has one cached builder, which
+    returns its table (per order for series images); a table built inside
+    a call caches within that call only.
     """
 
     def __init__(self, images, one):

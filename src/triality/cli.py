@@ -93,7 +93,7 @@ def _checked(degree, height, terms=1):
     if degree > MAX_EXPR_DEGREE:
         raise ExprError(f"total degree must be at most {MAX_EXPR_DEGREE}, got {degree}")
     if height > MAX_COEFF_BITS:
-        raise ExprError(f"coefficients must stay below 2^{MAX_COEFF_BITS}")
+        raise ExprError(f"coefficient numerators and denominators must stay at most 2^{MAX_COEFF_BITS}")
     if terms > MAX_EXPR_TERMS:
         raise ExprError(f"the number of terms must be at most {MAX_EXPR_TERMS}")
 
@@ -211,7 +211,7 @@ EXPAND = {
     "eta": (None, lambda order: eta_delta(order)[0]),
     **{f"theta{k}": (None, lambda order, k=k: theta_const(k, order)) for k in (2, 3, 4)},
     **{f"e{k}": (2, lambda order, k=k: e_series(k, order)) for k in (1, 2, 3)},
-    **{n: (None, lambda order, i=i: klmn(order)[i]) for i, n in enumerate("KLMN")},
+    **{n: (None, lambda order, i=i: klmn(order).images[i]) for i, n in enumerate("KLMN")},
     **{n: (None, lambda order, i=i: sw_curve.evaluate_ab(sw_curve.CurvePolyAB.variable(i), order))
        for i, n in enumerate(sw_curve.CurvePolyAB.names)},
     **{n: (None, lambda order, i=i: sw_curve.evaluate_cd(sw_curve.CurvePolyCD.variable(i), order))

@@ -27,13 +27,13 @@ generators.
 
 `change_generators` reads each monomial's image from a `_poly.PowerTable`,
 which windows each image once by its `one`; the image may be a kept power,
-and its coefficient scales it into a new value.  Each order keeps three
-tables for the whole process, so every series power is built once per
-order: K, L, M, N in the invariant ring (read by `KLMNPoly.evaluate`),
-`weyl_in_klmn` over `KLMNPoly.one` (read by `express_in_klmn`), and E4,
-E6, Delta over the unit series (read by `_modular_basis` for every weight,
-which truncates each image into a new value).  A table at one order never
-serves another, whose window differs.
+and its coefficient scales it into a new value.  Each kept image set has
+one cached builder per order, which returns its table: `klmn` (K, L, M, N
+over `Invariant.one`, read by `KLMNPoly.evaluate`), `weyl_in_klmn` (over
+`KLMNPoly.one`, read by `express_in_klmn`) and `_modular_powers` (E4, E6,
+Delta over the unit series, read by `_modular_basis`).  So every series
+power is built once per order, and a table at one order never serves
+another, whose window differs.
 """
 
 from __future__ import annotations
@@ -341,7 +341,8 @@ T_POLYS = (
 
 @lru_cache(maxsize=None)
 def klmn(order):
-    """The four fundamental weak invariants K, L, M, N at the given order.
+    """The power table of the four fundamental weak invariants K, L, M, N at
+    the given order, over `Invariant.one`; `.images` holds the four.
 
     K = I2,  L = sum e_i T_i,  M = 12 sum e_i^2 T_i,
     N = I6/4 - I2 I4/24 + I2^3/96;
@@ -360,7 +361,7 @@ def klmn(order):
         one,
         0,
     )
-    return K, L, M, N
+    return PowerTable((K, L, M, N), Invariant.one(trunc))
 
 
 # -- polynomials in formal K, L, M, N -------------------------------------------
@@ -382,17 +383,13 @@ class KLMNPoly(SeriesPoly):
 
     def evaluate(self, order):
         """Substitute the actual K, L, M, N invariants at the given order."""
-        return self.change_generators(_klmn_powers(order))
+        return self.change_generators(klmn(order))
 
 
 @lru_cache(maxsize=None)
-def _klmn_powers(order):
-    """The powers of K, L, M, N at this order, kept for the process."""
-    return PowerTable(klmn(order), Invariant.one(LATTICE * order))
-
-
 def weyl_in_klmn(order):
-    """I2, I4, I6, I~4 as polynomials in formal K, L, M, N at the given order.
+    """The power table of I2, I4, I6, I~4 as polynomials in formal K, L, M, N
+    at the given order, over `KLMNPoly.one`; `.images` holds the four.
 
     The inverse of `klmn`: I2 = K, I4 = 6 T1 + K^2/4, I6 = 4N + K T1 and
     I~4 = -T1 - 2 T2, where (T1, T2) solve L = (e1-e3) T1 + (e2-e3) T2 and
@@ -410,13 +407,8 @@ def weyl_in_klmn(order):
     T2 = KLMNPoly({(0, 1, 0, 0): -c * inv_det, (0, 0, 1, 0): a * inv_det}, 0, 4)
     K = KLMNPoly({(1, 0, 0, 0): one}, 0, 2)
     N = KLMNPoly({(0, 0, 0, 1): one}, 0, 6)
-    return K, T1 * 6 + K * K * Fraction(1, 4), N * 4 + K * T1, -T1 - T2 * 2
-
-
-@lru_cache(maxsize=None)
-def _weyl_powers(order):
-    """The powers of `weyl_in_klmn(order)`, kept for the process."""
-    return PowerTable(weyl_in_klmn(order), KLMNPoly.one(LATTICE * order))
+    weyl = (K, T1 * 6 + K * K * Fraction(1, 4), N * 4 + K * T1, -T1 - T2 * 2)
+    return PowerTable(weyl, KLMNPoly.one(LATTICE * order))
 
 
 @lru_cache(maxsize=None)
@@ -488,12 +480,16 @@ def express_in_klmn(phi):
     Substitutes `weyl_in_klmn` for the Weyl generators at the order of
     phi's window, fits every coefficient into C[E4, E6] of its weight, and
     checks the result by evaluating it over the whole window phi knows.
+    That order, not the one phi was evaluated at, is what decides a curve
+    value with Delta factors: they widen its window by a power of q or two,
+    and at orders 2 to 4 that pins down rewrites the narrower order leaves
+    ambiguous, at the cost of tables kept at the wider order too.
     """
     trunc = phi.common_trunc()
     if trunc is None:
         return KLMNPoly.zero(phi.weight, phi.degree)
     order = trunc // LATTICE
-    rep = fit_coefficients(phi.change_generators(_weyl_powers(order)), order)
+    rep = fit_coefficients(phi.change_generators(weyl_in_klmn(order)), order)
     if not rep.evaluate(order) == phi:
         raise NoRepresentationError("no representation matches the full window")
     return rep

@@ -31,15 +31,14 @@ most 556 cores are kept.
 
 Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
-series coefficients are ratios of E4, E6 and the discriminant.  Each order
-keeps one `PowerTable` of the six values per frame for the whole process,
-which windows each value once by the unit series of that order, so every
-series power of a coefficient value is built once per order, whichever
-evaluation asked first; the tables at one order never serve another, whose
-window differs.  Each order also keeps one table of the ab frame's six
-K,L,M,N forms over `KLMNPoly.one`, so `klmn_form_ab` composes a
-polynomial straight into K,L,M,N with series coefficients, ready for
-`invariant_ring.fit_coefficients`.
+series coefficients are ratios of E4, E6 and the discriminant.  Each kept
+image set has one cached builder per order, which returns its tables, one
+per frame: `_frame_forms` (the six K,L,M,N forms over `KLMNPoly.one`, so
+`klmn_form_ab` composes a polynomial straight into K,L,M,N with series
+coefficients, ready for `invariant_ring.fit_coefficients`) and
+`_frame_values` (the six values over `Invariant.one`).  So every series
+power is built once per order, whichever call asked first, and a table at
+one order never serves another, whose window differs.
 
 The polynomials that recover Delta K, Delta^2 L, Delta^2 M and Delta^3 N
 (`recover_klmn`) are written once, in the ab frame; the cd frame's four
@@ -174,7 +173,8 @@ def negative_c0_part(mono):
 
 @lru_cache(maxsize=None)
 def _frame_forms(order):
-    """The twelve coefficient values as K,L,M,N-polynomials at this order."""
+    """Power tables of the twelve coefficient values as K,L,M,N-polynomials
+    at this order, the ab frame's and the cd frame's, over `KLMNPoly.one`."""
     if order < 2:
         raise ValueError("order must be >= 2")
     e4 = eisenstein(4, order)
@@ -208,8 +208,9 @@ def _frame_forms(order):
         {K3: 2 * (delta ** 2) * (e6i ** 2), KL: e4 * delta * e6i / 4, N1: delta / 4},
     )
     # each form is graded like the coefficient it stands for
+    one = KLMNPoly.one(LATTICE * order)
     return tuple(
-        tuple(map(KLMNPoly, forms, frame.WEIGHTS, frame.DEGREES))
+        PowerTable(map(KLMNPoly, forms, frame.WEIGHTS, frame.DEGREES), one)
         for forms, frame in ((ab, CurvePolyAB), (cd, CurvePolyCD))
     )
 
@@ -219,21 +220,14 @@ def _frame_values(order):
     """Power tables of the twelve coefficient values at this order, the ab
     frame's and the cd frame's, kept for the process."""
     one = Invariant.one(LATTICE * order)
-    return tuple(PowerTable((f.evaluate(order) for f in forms), one) for forms in _frame_forms(order))
-
-
-@lru_cache(maxsize=None)
-def _frame_form_powers(order):
-    """Power table of the ab frame's six K,L,M,N forms at this order, kept
-    for the process."""
-    return PowerTable(_frame_forms(order)[0], KLMNPoly.one(LATTICE * order))
+    return tuple(PowerTable((f.evaluate(order) for f in t.images), one) for t in _frame_forms(order))
 
 
 def klmn_form_ab(p, order):
     """Substitute the K,L,M,N forms of the coefficients into an ab-frame
     polynomial: its value as a K,L,M,N polynomial with series coefficients,
     not yet fitted into C[E4, E6] (`invariant_ring.fit_coefficients` does that)."""
-    return compose(p, _frame_form_powers(order))
+    return compose(p, _frame_forms(order)[0])
 
 
 def evaluate_ab(p, order):
@@ -302,7 +296,7 @@ def jacobian_klmn(order):
     Returns (det d(a2,b1,b2,b3)/d(K,L,M,N), det d(c1,c2,d2,d3)/d(K,L,M,N))
     as plain series: both are constant as K,L,M,N-polynomials.
     """
-    ab, cd = _frame_forms(order)
+    ab, cd = (table.images for table in _frame_forms(order))
     det_ab = jacobian((ab[1], ab[3], ab[4], ab[5]))
     det_cd = jacobian((cd[1], cd[2], cd[4], cd[5]))
     return det_ab.constant_series(), det_cd.constant_series()

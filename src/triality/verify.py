@@ -87,7 +87,7 @@ def series_checks(order):
     esum = e_series(1, order) + e_series(2, order) + e_series(3, order)
     out.append(_check("weight-2 forms: e1 + e2 + e3 = 0", esum.is_zero and _reaches(order, esum)))
 
-    K, L, M, N = klmn(order)
+    K, L, M, N = klmn(order).images
     dk = K.scale_series(delta, 12)
     verdicts = [
         ("classify Delta*K = invariant", dk, INVARIANT),
@@ -115,7 +115,7 @@ def jacobian_checks(order):
         )
     )
     eta, delta = eta_delta(order)
-    det = jacobian(klmn(order)).constant_series()
+    det = jacobian(klmn(order).images).constant_series()
     out.append(
         _check(
             "det d(K,L,M,N)/d(I2,I4,I6,I~4) = -eta^12/16",
@@ -187,7 +187,7 @@ def curve_checks(order):
         out.append(_check(f"frame change preserves the value of {name}", ok))
 
     eta, delta = eta_delta(order)
-    K, L, M, N = klmn(order)
+    K, L, M, N = klmn(order).images
     targets = (
         ("Delta*K", K.scale_series(delta, 12)),
         ("Delta^2*L", L.scale_series(delta ** 2, 24)),

@@ -48,4 +48,4 @@ def delta():
 
 @pytest.fixture(scope="session")
 def KLMN():
-    return klmn(ORDER)
+    return klmn(ORDER).images

@@ -17,9 +17,7 @@ from triality.invariant_ring import (
     Invariant,
     KLMNPoly,
     NoRepresentationError,
-    _klmn_powers,
     _modular_powers,
-    _weyl_powers,
     express_in_klmn,
     fit_coefficients,
     klmn,
@@ -267,6 +265,38 @@ def test_direct_rewrite_matches_the_weyl_route(order):
         assert min(direct.common_trunc(), weyl.common_trunc()) >= LATTICE * order, label
 
 
+def test_express_in_klmn_fits_at_its_input_window():
+    # express_in_klmn fits at the order of its input's window: the Delta
+    # factors of a curve value widen it by one or two powers of q past the
+    # order it was evaluated at, and that decides the rewrites the direct
+    # route leaves ambiguous; fitted at the narrower order, they stay ambiguous
+    from triality.covariants import gordan_images
+    from triality.sw_curve import evaluate_ab, klmn_form_ab
+
+    decided = {}
+    for order in (2, 3, 4):
+        for label, p in gordan_images():
+            try:
+                fit_coefficients(klmn_form_ab(p, order), order)
+                continue
+            except AmbiguousRepresentationError:
+                pass
+            phi = evaluate_ab(p, order)
+            with pytest.raises(AmbiguousRepresentationError):
+                fit_coefficients(phi.change_generators(weyl_in_klmn(order)), order)
+            try:
+                rep = express_in_klmn(phi)
+            except AmbiguousRepresentationError:
+                continue
+            assert rep.evaluate(order) == phi
+            decided[order, label] = phi.common_trunc() // LATTICE - order
+    assert decided == {
+        (2, "<f,Q>^2"): 1,
+        (3, "<f^3,g^2>^6"): 1, (3, "<P,P>^2"): 1, (3, "<f^2,Q>^3"): 1,
+        (4, "<f^3,g*Q>^6"): 2,
+    }
+
+
 def test_table1_builds_tables_at_its_own_order_alone(monkeypatch):
     # no kept table or klmn at an order wider than the one asked for
     from triality import invariant_ring, sw_curve
@@ -275,8 +305,8 @@ def test_table1_builds_tables_at_its_own_order_alone(monkeypatch):
 
     order = 24
     caches = (
-        klmn, _klmn_powers, _weyl_powers, _modular_powers, invariant_ring._modular_basis,
-        sw_curve._frame_forms, sw_curve._frame_values, sw_curve._frame_form_powers,
+        klmn, weyl_in_klmn, _modular_powers, invariant_ring._modular_basis,
+        sw_curve._frame_forms, sw_curve._frame_values,
     )
     for cache in caches:
         cache.cache_clear()
@@ -304,7 +334,7 @@ def test_weyl_generators_in_klmn_evaluate_back(order, eta):
         Invariant({exps: one}, 0, degree)
         for exps, degree in zip(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (2, 4, 6, 4))
     ]
-    for image, generator in zip(weyl_in_klmn(order), weyl):
+    for image, generator in zip(weyl_in_klmn(order).images, weyl):
         value = image.evaluate(order)
         # dividing by the determinant, of valuation q^(1/2), costs at most q
         assert min(value.common_trunc(), generator.common_trunc()) >= trunc - 24
@@ -388,16 +418,17 @@ def test_kept_series_tables_match_fresh_ones():
         for rewrite, (order, rep) in calls:
             trunc = LATTICE * order
             value = rep.evaluate(order)
-            fresh = rep.change_generators(PowerTable(klmn(order), Invariant.one(trunc)))
+            fresh = rep.change_generators(PowerTable(klmn(order).images, Invariant.one(trunc)))
             assert value.to_json() == fresh.to_json()
             assert trunc <= value.common_trunc() < rep.common_trunc()
             if rewrite:
                 result = express_in_klmn(value)
-                assert result == value.change_generators(PowerTable(weyl_in_klmn(order), KLMNPoly.one(trunc)))
+                weyl = PowerTable(weyl_in_klmn(order).images, KLMNPoly.one(trunc))
+                assert result == value.change_generators(weyl)
                 assert result == rep and result.common_trunc() >= trunc
             # each order's kept tables serve that order alone
-            assert _klmn_powers(order).one.common_trunc() == trunc
-            assert _weyl_powers(order).one.common_trunc() == trunc
+            assert klmn(order).one.common_trunc() == trunc
+            assert weyl_in_klmn(order).one.common_trunc() == trunc
             assert _modular_powers(order).one.trunc == trunc
 
     check()
@@ -408,7 +439,7 @@ def test_kept_series_results_own_their_terms(order, delta):
     rep = KLMNPoly({(1, 0, 0, 0): delta / 12}, 12, 2)
     before = rep.evaluate(order).to_json()
     value = rep.evaluate(order)
-    stored = [power.terms for cache in _klmn_powers(order).powers for power in cache.values()]
+    stored = [power.terms for cache in klmn(order).powers for power in cache.values()]
     assert all(value.terms is not terms for terms in stored)
     value.terms.clear()
     assert rep.evaluate(order).to_json() == before
@@ -423,7 +454,7 @@ def test_kept_series_results_own_their_terms(order, delta):
 def test_monomial_is_a_product_of_windowed_powers():
     # the table windows each image once by one, and the image of a monomial
     # of two variables is a new product, never a kept power
-    table = _weyl_powers(6)
+    table = weyl_in_klmn(6)
     image = table.monomial((2, 0, 1, 0))
     assert image == table.power(0, 2) * table.power(2, 1)
     assert image is not table.power(0, 2) and image.terms is not table.power(0, 2).terms

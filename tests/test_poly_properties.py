@@ -22,7 +22,7 @@ from triality._poly import PowerTable, compose, stored, taylor_shift  # noqa: E4
 from triality.covariants import FormPoly  # noqa: E402
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta  # noqa: E402
 from triality.invariant_ring import (  # noqa: E402
-    GradingError, _klmn_powers, _modular_powers, _weyl_powers, klmn, weyl_in_klmn,
+    GradingError, _modular_powers, klmn, weyl_in_klmn,
 )
 from triality.sw_curve import (  # noqa: E402
     CurvePolyAB, CurvePolyCD, _frame_changes, _frame_forms, _frame_values, ab_to_cd, cd_to_ab,
@@ -89,12 +89,13 @@ def test_round_trips_hold_after_the_tables_grew_past_the_input(p, q):
 
 def series_tables(order):
     """(kept table, its images before windowing, its unit variables) for
-    every series table the package keeps."""
-    values = [[f.evaluate(order) for f in forms] for forms in _frame_forms(order)]
+    every series table the package keeps; a builder that returns its table
+    gives the images it holds, already windowed."""
+    values = [[f.evaluate(order) for f in table.images] for table in _frame_forms(order)]
     modular = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
     return {
-        "klmn": (_klmn_powers(order), klmn(order), ()),
-        "weyl": (_weyl_powers(order), weyl_in_klmn(order), ()),
+        "klmn": (klmn(order), klmn(order).images, ()),
+        "weyl": (weyl_in_klmn(order), weyl_in_klmn(order).images, ()),
         "modular": (_modular_powers(order), modular, (0, 1, 2)),
         "ab values": (_frame_values(order)[0], values[0], (0, 2)),
         "cd values": (_frame_values(order)[1], values[1], (0, 3)),

@@ -142,6 +142,35 @@ def test_only_power_tables_build_monomial_images():
     assert readers == []
 
 
+def test_each_kept_image_set_is_its_power_table(monkeypatch):
+    # one cached builder per image set returns its table; no second cache keeps it
+    for owner, name in ((invariant_ring, "_klmn_powers"), (invariant_ring, "_weyl_powers"),
+                        (sw_curve, "_frame_form_powers")):
+        assert not hasattr(owner, name)
+    order = 5
+    klmn, weyl = invariant_ring.klmn(order), invariant_ring.weyl_in_klmn(order)
+    forms = sw_curve._frame_forms(order)
+    assert invariant_ring.klmn(order) is klmn and invariant_ring.weyl_in_klmn(order) is weyl
+    assert len(forms) == 2 and all(a is b for a, b in zip(sw_curve._frame_forms(order), forms))
+    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, *forms))
+
+    asked = []
+    monomial = _poly.PowerTable.monomial
+    monkeypatch.setattr(
+        _poly.PowerTable, "monomial", lambda table, exps: asked.append(table) or monomial(table, exps)
+    )
+
+    def tables_asked(call, *args):
+        asked.clear()
+        call(*args)
+        return asked[:]
+
+    rep = invariant_ring.KLMNPoly({(1, 0, 0, 0): exact_series.eta_delta(order)[1]}, 12, 2)
+    assert any(t is klmn for t in tables_asked(rep.evaluate, order))
+    assert any(t is weyl for t in tables_asked(invariant_ring.express_in_klmn, rep.evaluate(order)))
+    assert any(t is forms[0] for t in tables_asked(sw_curve.klmn_form_ab, A0 * A0, order))
+
+
 def test_the_modular_fit_has_one_home():
     # invariant_ring alone fits series into C[E4, E6]; verify only asks it to
     src = Path(triality.__file__).parent
@@ -216,3 +245,58 @@ def test_series_and_polynomials_print_their_terms_alike():
     assert _poly.format_monomial(("x", "y"), (0, 0)) == ""
     invariant = Invariant({(2, 0, 1, 1): FracSeries.constant(1, 24)}, 0, 14)
     assert str(invariant) == "(1)*I2^2*I6*I~4"
+
+
+
+def module_trees():
+    """{module file name: its parsed source} for every module of the package."""
+    src = Path(triality.__file__).parent
+    return {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def loaded_names(tree):
+    """The names a module loads, the base of an attribute included."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def read_names(tree):
+    """Every name a module reads: loaded names, attributes and imported names."""
+    names = loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def module_level_names(tree):
+    """The names a module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        for target in getattr(node, "targets", [getattr(node, "target", None)]):
+            if isinstance(target, ast.Name):
+                yield target.id
+
+
+def test_every_import_and_private_name_is_read():
+    # what a deletion leaves behind: an import no line uses, or a module-level
+    # _private definition no module reads (the root's imports are its exports)
+    trees = module_trees()
+    unused = []
+    for name, tree in trees.items():
+        loaded = loaded_names(tree)
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        bound = {
+            (a.asname or a.name).split(".")[0]
+            for n in imports if getattr(n, "module", "") != "__future__" for a in n.names
+        }
+        unused += [f"{name}: import {b}" for b in sorted(bound - loaded) if name != "__init__.py"]
+    readers = set().union(*map(read_names, trees.values()))
+    for name, tree in trees.items():
+        unused += [
+            f"{name}: {d}" for d in module_level_names(tree)
+            if d.startswith("_") and not d.startswith("__") and d not in readers
+        ]
+    assert unused == []

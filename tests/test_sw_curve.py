@@ -312,7 +312,7 @@ def graded_polys(st, cls):
 
 def fresh_frame_table(frame, order):
     """A new table over the frame's coefficient values, evaluated afresh."""
-    images = [f.evaluate(order) for f in _frame_forms(order)[frame]]
+    images = [f.evaluate(order) for f in _frame_forms(order)[frame].images]
     return PowerTable(images, Invariant.one(LATTICE * order))
 
 
