@@ -80,8 +80,10 @@ def _tokenize(text):
 
 
 def _height(*polys):
-    """h with every coefficient of the sum of polys a ratio of integers of size
-    at most 2^h; a product's h is at most the sum of its factors'."""
+    """h with the sum of all coefficient numerators of polys over their common
+    denominator, and that denominator, of size at most 2^h.  It bounds every
+    coefficient of their sum, and a product's h is at most the sum of its
+    factors': that bound needs the summed numerators, not the largest one."""
     stores = [_poly.stored(p) for p in polys]
     # each stored denominator is the lcm of its reduced coefficients' denominators
     den = lcm(*(d for _, d in stores))
@@ -90,10 +92,14 @@ def _height(*polys):
 
 
 def _checked(degree, height, terms=1):
+    """Refuse a total degree, a `_height` or a term count past its cap."""
     if degree > MAX_EXPR_DEGREE:
         raise ExprError(f"total degree must be at most {MAX_EXPR_DEGREE}, got {degree}")
     if height > MAX_COEFF_BITS:
-        raise ExprError(f"coefficient numerators and denominators must stay at most 2^{MAX_COEFF_BITS}")
+        raise ExprError(
+            "coefficient numerators summed over their common denominator, and that denominator,"
+            f" must stay at most 2^{MAX_COEFF_BITS}"
+        )
     if terms > MAX_EXPR_TERMS:
         raise ExprError(f"the number of terms must be at most {MAX_EXPR_TERMS}")
 
@@ -103,7 +109,8 @@ def parse_poly(text, atoms, cls):
 
     Parentheses and unary minus signs nest at most MAX_NESTING deep.  A
     sum, product or power whose total degree would pass MAX_EXPR_DEGREE,
-    whose coefficients could pass 2^MAX_COEFF_BITS, or whose terms could
+    whose summed coefficient numerators (`_height`) could pass
+    2^MAX_COEFF_BITS, or whose terms could
     number more than MAX_EXPR_TERMS, is refused before it is computed, and
     a quotient by a constant right after.  A power of t terms to the n has
     at most C(t + n - 1, n) terms, one per multiset of n of them.
@@ -210,7 +217,7 @@ EXPAND = {
     "Delta": (12, lambda order: eta_delta(order)[1]),
     "eta": (None, lambda order: eta_delta(order)[0]),
     **{f"theta{k}": (None, lambda order, k=k: theta_const(k, order)) for k in (2, 3, 4)},
-    **{f"e{k}": (2, lambda order, k=k: e_series(k, order)) for k in (1, 2, 3)},
+    **{f"e{k}": (2, lambda order, k=k: e_series(order)[k - 1]) for k in (1, 2, 3)},
     **{n: (None, lambda order, i=i: klmn(order).images[i]) for i, n in enumerate("KLMN")},
     **{n: (None, lambda order, i=i: sw_curve.evaluate_ab(sw_curve.CurvePolyAB.variable(i), order))
        for i, n in enumerate(sw_curve.CurvePolyAB.names)},
@@ -429,8 +436,9 @@ def build_parser():
 # the largest accepted values: beyond them a request runs for hours
 MAX_ORDER, MAX_WEIGHT, MAX_DEGREE = 128, 96, 32
 # in a polynomial argument: the total degree of a product or power, the
-# terms of a sum, product or power, the bits of its coefficients (Python
-# prints at most 4,300 digits), the digits of an integer, and the nesting
+# terms of a sum, product or power, the bits of its coefficient numerators
+# summed over their common denominator and of that denominator (`_height`;
+# Python prints at most 4,300 digits), the digits of an integer, and the nesting
 # of parentheses and unary minus signs; the term products of a
 # transvectant, (index + 1) * |left| * |right|; and the terms a
 # `membership` input's frame change builds before they merge

@@ -23,9 +23,9 @@ The gradings are weight rows on `FormPoly` (the (u, v) order, the scaling
 weights alpha_i -> 2-2i, beta_i -> 3-2i, and the alpha and beta counts),
 each read by `SparsePoly.weighted_degree`.  The module also carries the
 named forms f, g, P = <g,g>^2 and Q = <g,P>^1 and the fifteen classical
-transvectant generators of the joint covariant ring, each built once and
-graded by these rows, with their curve images (`gordan_images`, built
-once) and a brute-force dimension oracle for spaces of joint
+transvectant generators of the joint covariant ring, each built once,
+graded by these rows and carrying its leading coefficient and curve
+image, and a brute-force dimension oracle for spaces of joint
 semiinvariants.
 """
 
@@ -234,10 +234,12 @@ def psi_inverse(Phi):
 
 @dataclass(frozen=True)
 class GordanGenerator:
-    """A generator's label and covariant, with the gradings read off the
+    """A generator's label and covariant, with what is read off the
     covariant: refined degrees (d_a, d_b), order omega, the z-degree
-    m = 2 d_a + 3 d_b - omega of the matching triality invariant, and the
-    modular weight k = 3m + 2 omega."""
+    m = 2 d_a + 3 d_b - omega of the matching triality invariant, the
+    modular weight k = 3m + 2 omega, the leading coefficient `semi` (a
+    semiinvariant) and its curve image `image` under `psi_inverse`, a
+    triality invariant."""
 
     label: str
     poly: FormPoly
@@ -245,11 +247,17 @@ class GordanGenerator:
     d_b: int = field(init=False)
     degree_m: int = field(init=False)
     order_omega: int = field(init=False)
+    semi: FormPoly = field(init=False)
+    image: CurvePolyAB = field(init=False)
 
     def __post_init__(self):
         (d_a, d_b), omega = refined_form_degrees(self.poly), uv_order(self.poly)
+        semi = roberts_to_semiinvariant(self.poly)
         # the instance is frozen, so the derived fields go straight into its dict
-        vars(self).update(d_a=d_a, d_b=d_b, degree_m=2 * d_a + 3 * d_b - omega, order_omega=omega)
+        vars(self).update(
+            d_a=d_a, d_b=d_b, degree_m=2 * d_a + 3 * d_b - omega, order_omega=omega,
+            semi=semi, image=psi_inverse(semi),
+        )
 
     @property
     def weight(self):
@@ -268,7 +276,7 @@ def named_forms():
 def gordan_generators():
     """The classical 15-element basis of joint covariants of the pair (f, g)
     (Grace and Young), built once; each `GordanGenerator` reads its
-    gradings off its covariant."""
+    gradings, leading coefficient and curve image off its covariant."""
     f, g, P, Q = named_forms()
     tv = transvectant
     f2 = f * f
@@ -292,15 +300,6 @@ def gordan_generators():
             ("<f^2,Q>^3", tv(f2, Q, 3)),
             ("<f^3,g*Q>^6", tv(f3, g * Q, 6)),
         )
-    )
-
-
-@lru_cache(maxsize=None)
-def gordan_images():
-    """(label, curve polynomial) per generator, built once: the image under
-    `psi_inverse` of its leading coefficient, a triality invariant."""
-    return tuple(
-        (g.label, psi_inverse(roberts_to_semiinvariant(g.poly))) for g in gordan_generators()
     )
 
 

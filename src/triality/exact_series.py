@@ -21,9 +21,10 @@ the weight-2 level-2 forms e1, e2, e3) take an `order` argument in q-units:
 the result is exact for all exponents below q^order.  Eisenstein series
 and eta are built on integers, from divisor sums and from the product
 prod (1 - q^n) on a list of coefficients, and handed to `_new` in stored
-form; Delta and e1, e2, e3 are products of series, and `__mul__` is the
+form; Delta and the triple (e1, e2, e3), which `e_series` builds from one
+set of theta fourth powers, are products of series, and `__mul__` is the
 one series product.  A series is never changed once built, so the
-Bernoulli numbers, Eisenstein series, eta, Delta and e1, e2, e3 are each
+Bernoulli numbers, Eisenstein series, eta, Delta and the e-triple are each
 computed once per argument and kept for the process.
 """
 
@@ -317,18 +318,10 @@ def eta_delta(order):
 
 
 @lru_cache(maxsize=None)
-def e_series(i, order):
-    """The weight-2 forms e1, e2, e3 built from fourth powers of thetas."""
-    if i not in (1, 2, 3):
-        raise ValueError("index must be 1, 2 or 3")
+def e_series(order):
+    """The weight-2 forms (e1, e2, e3), built from one set of fourth powers of thetas."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    th2 = theta_const(2, order) ** 4
-    th3 = theta_const(3, order) ** 4
-    th4 = theta_const(4, order) ** 4
+    th2, th3, th4 = (theta_const(k, order) ** 4 for k in (2, 3, 4))
     twelfth = Fraction(1, 12)
-    if i == 1:
-        return (th3 + th4) * twelfth
-    if i == 2:
-        return (th2 - th4) * twelfth
-    return (th2 + th3) * Fraction(-1, 12)
+    return (th3 + th4) * twelfth, (th2 - th4) * twelfth, (th2 + th3) * -twelfth

@@ -9,8 +9,10 @@ named modular series know their weights) and propagated additively by
 arithmetic.  The constructor, for values built from outside input, checks
 every monomial's degree against the declared one; arithmetic results go
 through the trusted `_new` and sums through the one-pass `_sum`, where
-the first summand nonzero within its window fixes the grading.  The term
-kernels (product, derivative, square-and-multiply) are `_poly`'s.
+the first summand nonzero within its window fixes the grading.  Either
+raises `_poly.NotHomogeneousError`, the one error for gradings that
+disagree.  The term kernels (product, derivative, square-and-multiply)
+are `_poly`'s.
 
 `Invariant` is the element over the Weyl generators I2, I4, I6, I~4
 (degrees 2, 4, 6, 4).  The module provides its exponent-shift injection,
@@ -41,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _poly
 from ._poly import (
     PowerTable, _grlex_key, add_terms, derivative_terms, format_monomial, monomial_degree,
     mul_terms, power,
@@ -56,10 +59,6 @@ ONE_EXPS = (0, 0, 0, 0)
 
 KLMN_WEIGHTS = (0, 2, 4, 0)
 KLMN_DEGREES = (2, 4, 4, 6)
-
-
-class GradingError(ValueError):
-    """Mismatched weight/degree in invariant arithmetic."""
 
 
 class HasPoleError(ValueError):
@@ -96,7 +95,7 @@ class SeriesPoly:
         for exps in self.terms:
             mono_degree = monomial_degree(self.DEGREES, exps)
             if mono_degree != self.degree:
-                raise GradingError(
+                raise _poly.NotHomogeneousError(
                     f"monomial {exps} has degree {mono_degree}, declared {self.degree}"
                 )
 
@@ -113,14 +112,14 @@ class SeriesPoly:
     def _sum(cls, values, weight=0, degree=0):
         """Sum of values of this type, added into one dict in one pass.  The
         first summand nonzero within its window fixes the grading, (weight,
-        degree) if none is; a later nonzero one of another raises GradingError."""
+        degree) if none is; a later nonzero one of another raises NotHomogeneousError."""
         terms = {}
         grading = None
         for value in values:
             if not value.is_zero:
                 grading = grading or (value.weight, value.degree)
                 if grading != (value.weight, value.degree):
-                    raise GradingError(
+                    raise _poly.NotHomogeneousError(
                         "cannot add ({},{}) and ({},{})".format(*grading, value.weight, value.degree)
                     )
             add_terms(terms, value.terms)
@@ -352,7 +351,7 @@ def klmn(order):
         raise ValueError("order must be >= 2")
     trunc = LATTICE * order
     one = FracSeries.constant(1, trunc)
-    es = [e_series(i, order) for i in (1, 2, 3)]
+    es = e_series(order)
     K = Invariant({(1, 0, 0, 0): one}, 0, 2)
     L = Invariant._sum(Invariant.from_ipoly_series(t, e, 2) for e, t in zip(es, T_POLYS))
     M = Invariant._sum(Invariant.from_ipoly_series(t, e * e, 4) for e, t in zip(es, T_POLYS)) * 12
@@ -399,7 +398,7 @@ def weyl_in_klmn(order):
     if order < 2:
         raise ValueError("order must be >= 2")
     one = FracSeries.constant(1, LATTICE * order)
-    e1, e2, e3 = (e_series(i, order) for i in (1, 2, 3))
+    e1, e2, e3 = e_series(order)
     a, b = e1 - e3, e2 - e3
     c, d = (e1 * e1 - e3 * e3) * 12, (e2 * e2 - e3 * e3) * 12
     inv_det = (a * d - b * c).inverse()

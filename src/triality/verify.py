@@ -84,7 +84,8 @@ def series_checks(order):
             f"window q^{order}",
         )
     )
-    esum = e_series(1, order) + e_series(2, order) + e_series(3, order)
+    e1, e2, e3 = e_series(order)
+    esum = e1 + e2 + e3
     out.append(_check("weight-2 forms: e1 + e2 + e3 = 0", esum.is_zero and _reaches(order, esum)))
 
     K, L, M, N = klmn(order).images
@@ -272,19 +273,18 @@ def isomorphism_checks(order):
     graded_ok = True
     psi_ok = True
     for g in gens15:
-        semi = covariants.roberts_to_semiinvariant(g.poly)
-        cov = covariants.roberts_to_covariant(semi)
-        if not cov == g.poly or covariants.roberts_to_semiinvariant(cov) != semi:
+        cov = covariants.roberts_to_covariant(g.semi)
+        if not cov == g.poly or covariants.roberts_to_semiinvariant(cov) != g.semi:
             roundtrip_ok = False
         degrees = (g.d_a, g.d_b)
         if (
-            covariants.order_of(semi) != g.order_omega
+            covariants.order_of(g.semi) != g.order_omega
             or covariants.uv_order(cov) != g.order_omega
-            or covariants.refined_form_degrees(semi) != degrees
+            or covariants.refined_form_degrees(g.semi) != degrees
             or covariants.refined_form_degrees(cov) != degrees
         ):
             graded_ok = False
-        if covariants.psi_forward(covariants.psi_inverse(semi)) != semi:
+        if covariants.psi_forward(g.image) != g.semi:
             psi_ok = False
     out.append(_check("leading-coefficient round trips on all 15 generators", roundtrip_ok))
     out.append(_check("round trips preserve degree and order", graded_ok))
@@ -333,13 +333,12 @@ def table1_checks(order):
     by_order = Counter(g.order_omega for g in gens)
     out.append(_check("order totals (5, 4, 3, 3)", by_order == {0: 5, 1: 4, 2: 3, 3: 3}))
 
-    semis = {g.label: covariants.roberts_to_semiinvariant(g.poly) for g in gens}
-    images = dict(covariants.gordan_images())
+    images = {g.label: g.image for g in gens}
     direct = {label: _rewrite(_direct_rewrite, p, order) for label, p in images.items()}
-    for label, semi in semis.items():
-        out.append(_check(f"leading coefficient of {label} is a semiinvariant", covariants.is_semiinvariant(semi)))
-    for label, p in images.items():
-        out.append(_check(f"curve image of {label} is a triality invariant", sw_curve.is_triality_invariant(p)))
+    for g in gens:
+        out.append(_check(f"leading coefficient of {g.label} is a semiinvariant", covariants.is_semiinvariant(g.semi)))
+    for g in gens:
+        out.append(_check(f"curve image of {g.label} is a triality invariant", sw_curve.is_triality_invariant(g.image)))
 
     # the six explicit low-weight evaluations, in both written forms
     eta, delta = eta_delta(order)

@@ -336,7 +336,8 @@ REFUSALS = [
     ("nesting", ["membership", "(" * (cli.MAX_NESTING + 1) + "a0" + ")" * (cli.MAX_NESTING + 1)],
      f"parentheses and signs may nest at most {cli.MAX_NESTING} deep"),
     ("coefficient bits", ["membership", f"2^{cli.MAX_COEFF_BITS + 1}"],
-     f"coefficient numerators and denominators must stay at most 2^{cli.MAX_COEFF_BITS}"),
+     "coefficient numerators summed over their common denominator, and that denominator,"
+     f" must stay at most 2^{cli.MAX_COEFF_BITS}"),
     ("total degree", ["membership", "a2^25"], f"total degree must be at most {cli.MAX_EXPR_DEGREE}, got 25"),
 ]
 
@@ -347,13 +348,20 @@ def test_every_refusal_is_one_error_line(capsys, argv, message):
     assert cli_outcome(capsys, argv) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("admitted, refused", [("2^{}", "2*2^{}"), ("a0/2^{}", "a0/2^{}/2")])
+@pytest.mark.parametrize(
+    "admitted, refused",
+    [("2^{}", "2*2^{}"), ("a0/2^{}", "a0/2^{}/2"), ("2^{0}*a0", "2^{0}*a0 + 2^{0}*a2")],
+)
 def test_coefficient_cap_admits_its_bound(capsys, admitted, refused):
-    # numerators and denominators of size exactly 2^MAX_COEFF_BITS pass, twice that does not
+    # numerators and denominators of size exactly 2^MAX_COEFF_BITS pass, twice that does not;
+    # a sum's numerators are summed, so two coefficients at the cap exceed it together
     bits = cli.MAX_COEFF_BITS
     code, _, err = cli_outcome(capsys, ["membership", admitted.format(bits)])
     assert (code, err) == (0, "")
-    message = f"error: coefficient numerators and denominators must stay at most 2^{bits}\n"
+    message = (
+        "error: coefficient numerators summed over their common denominator, and that denominator,"
+        f" must stay at most 2^{bits}\n"
+    )
     assert cli_outcome(capsys, ["membership", refused.format(bits)]) == (2, "", message)
 
 
@@ -603,6 +611,8 @@ GOLDEN = [
     ("expand Delta --order 48 --format json", 0, "b6ec1ac506e0fe4e7a0cb3d47b5f1cdfbd155e104ed3934ac358b5df825719ea"),
     ("expand eta --order 128 --format json", 0, "ded77de636753cf79b9e09700ff690d874f5feb6b2b6e6e0fcc33d3690e143dc"),
     ("expand e2 --order 30 --format json", 0, "f42a53d387144e453c1ff34c9601c8da72c3cec96bcd74f8f039eb1c0d5063dd"),
+    ("expand e1 --order 24 --format json", 0, "2c785c2900984c5a22e41943dc4e84f7a0e149198fa7c2ed74c34e427aa95183"),
+    ("expand e3 --order 7", 0, "debb8428fa3dec114d377014e3e613d28c556cc8a2fcce983381bb32eed0b7fd"),
     # values read through the kept K,L,M,N, frame-value and frame-form tables
     ("expand K --order 24 --format json", 0, "fd1daff7c8b5441de38b29063bab8690850fe27bc10006a0ee823815966e5953"),
     ("expand N --order 24 --format json", 0, "42b28598d1dc253bdfb6f5b0edf07da2605f3024f08a8b07c7da01e792078277"),

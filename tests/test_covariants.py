@@ -14,7 +14,6 @@ from triality.covariants import (
     NotPolynomialError,
     cubic_form,
     gordan_generators,
-    gordan_images,
     hat_coefficients,
     is_semiinvariant,
     named_forms,
@@ -314,11 +313,13 @@ def test_gordan_generator_metadata():
     assert len(gens) == 15
     assert [g.label for g in gens][:3] == ["f", "g", "<f,g>^1"]
     assert {g.label: (g.d_a, g.d_b, g.degree_m, g.order_omega) for g in gens} == TABLE1
-    for g, (label, image) in zip(gens, gordan_images()):
-        assert label == g.label
-        assert image.weighted_degree(CurvePolyAB.DEGREES) == g.degree_m
-        assert image.weighted_degree(CurvePolyAB.WEIGHTS) == g.weight
-        assert [image.weighted_degree(row) for row in AB_COUNTS] == [g.d_a, g.d_b]
+    for g in gens:
+        # each carries its leading coefficient and that coefficient's curve image
+        semi = roberts_to_semiinvariant(g.poly)
+        assert g.semi == semi and g.image == psi_inverse(semi)
+        assert g.image.weighted_degree(CurvePolyAB.DEGREES) == g.degree_m
+        assert g.image.weighted_degree(CurvePolyAB.WEIGHTS) == g.weight
+        assert [g.image.weighted_degree(row) for row in AB_COUNTS] == [g.d_a, g.d_b]
 
 
 def test_table1_checks_read_the_gradings_off_the_generators(monkeypatch):
@@ -330,12 +331,8 @@ def test_table1_checks_read_the_gradings_off_the_generators(monkeypatch):
         replace(g, poly=wrong) if g.label == "<f,P>^2" else g for g in gordan_generators()
     )
     monkeypatch.setattr(covariants, "gordan_generators", lambda: gens)
-    # the kept images follow the patched generators during the run only
-    gordan_images.cache_clear()
-    try:
-        passed = {r.name: r.passed for r in verify.table1_checks(6)}
-    finally:
-        gordan_images.cache_clear()
+    # each patched generator carries its own leading coefficient and image
+    passed = {r.name: r.passed for r in verify.table1_checks(6)}
     assert passed["exactly 15 generators"]
     assert not passed["per-(degree, order) cell counts"]
     assert not passed["order totals (5, 4, 3, 3)"]

@@ -361,12 +361,13 @@ def theta4_counting_oracle(k, order):
 
 
 def test_e_series_sum_vanishes():
-    total = e_series(1, 25) + e_series(2, 25) + e_series(3, 25)
+    e1, e2, e3 = e_series(25)
+    total = e1 + e2 + e3
     assert total.is_zero
 
 
 def test_e1_expansion():
-    e1 = e_series(1, 4)
+    e1 = e_series(4)[0]
     assert e1.coeff(0) == F(1, 6)
     assert e1.coeff(LATTICE) == 4
     assert e1.coeff(LATTICE * 2) == 4
@@ -375,14 +376,14 @@ def test_e1_expansion():
 def test_e_series_against_counting_oracle():
     order = 4
     th = {k: theta4_counting_oracle(k, order) for k in (2, 3, 4)}
-    assert e_series(1, order) == (th[3] + th[4]) / 12
-    assert e_series(2, order) == (th[2] - th[4]) / 12
-    assert e_series(3, order) == (th[2] + th[3]) / -12
+    e1, e2, e3 = e_series(order)
+    assert e1 == (th[3] + th[4]) / 12
+    assert e2 == (th[2] - th[4]) / 12
+    assert e3 == (th[2] + th[3]) / -12
 
 
 def test_half_q_flip_swaps_e2_e3():
-    e2 = e_series(2, 10)
-    e3 = e_series(3, 10)
+    _, e2, e3 = e_series(10)
     flipped = FracSeries(
         {e: -c if (e // 12) % 2 else c for e, c in e2.terms.items()}, e2.trunc
     )
@@ -400,7 +401,7 @@ def test_terms_is_a_read_only_view():
 
 
 def test_serialization_round_trip():
-    e1 = e_series(1, 3)
+    e1 = e_series(3)[0]
     payload = e1.to_json()
     assert payload["trunc"] == 72
     rebuilt = FracSeries(

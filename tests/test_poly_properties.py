@@ -18,11 +18,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality._poly import PowerTable, compose, stored, taylor_shift  # noqa: E402
+from triality._poly import NotHomogeneousError, PowerTable, compose, stored, taylor_shift  # noqa: E402
 from triality.covariants import FormPoly  # noqa: E402
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta  # noqa: E402
 from triality.invariant_ring import (  # noqa: E402
-    GradingError, _modular_powers, klmn, weyl_in_klmn,
+    _modular_powers, klmn, weyl_in_klmn,
 )
 from triality.sw_curve import (  # noqa: E402
     CurvePolyAB, CurvePolyCD, _frame_changes, _frame_forms, _frame_values, ab_to_cd, cd_to_ab,
@@ -168,7 +168,7 @@ def test_arithmetic_results_store_no_zero_coefficient(p, q, c, i):
 
 def test_one_pass_sum_still_rejects_mixed_weights():
     # a0 evaluates to weight 4 and b0 to weight 6: their sum has no grading
-    with pytest.raises(GradingError):
+    with pytest.raises(NotHomogeneousError):
         evaluate_ab(CurvePolyAB.variable(0) + CurvePolyAB.variable(2), 8)
 
 

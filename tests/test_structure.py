@@ -4,6 +4,7 @@ it, one builder of monomial images, one fit into
 C[E4, E6] and one assembler of equation rows."""
 
 import ast
+import inspect
 import re
 import types
 from fractions import Fraction
@@ -111,6 +112,9 @@ def test_grading_errors_are_one_class():
     assert not hasattr(covariants, "NotHomogeneousError")
     assert issubclass(_poly.NotHomogeneousError, ValueError)
     assert not hasattr(invariant_ring, "UnsupportedLatticeError")
+    # a SeriesPoly grading that disagrees raises _poly's error too
+    assert not hasattr(invariant_ring, "GradingError")
+    assert not hasattr(invariant_ring, "NotHomogeneousError")
 
 
 def test_no_module_but_exact_series_reads_the_stored_series_form():
@@ -300,3 +304,21 @@ def test_every_import_and_private_name_is_read():
             if d.startswith("_") and not d.startswith("__") and d not in readers
         ]
     assert unused == []
+
+
+def test_each_derived_set_has_one_builder():
+    # e_series builds the triple (e1, e2, e3) from one set of theta fourth
+    # powers; each generator carries its leading coefficient and curve image,
+    # so no reader rebuilds either and no second cache keeps the images
+    assert list(inspect.signature(exact_series.e_series).parameters) == ["order"]
+    assert not hasattr(covariants, "gordan_images")
+    rebuilt = [
+        f"{name}:{node.lineno}"
+        for name, tree in module_trees().items()
+        if name != "covariants.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "roberts_to_semiinvariant"
+        and node.args and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "poly"
+    ]
+    assert rebuilt == []
