@@ -23,7 +23,8 @@ it windows each image once by the target's `one` and keeps each power it
 builds; its `monomial` may return a kept power or `one`, which every
 caller copies into a new value.
 `format_terms` is the one term printer of `SparsePoly` and `FracSeries`,
-and `format_monomial` the one monomial text of both polynomial types.
+`format_monomial` the one monomial text of both polynomial types, and
+`fraction_text` the one JSON coefficient text of both, read off the store.
 `taylor_shift` is the one shift u -> u + s v of a binary form's
 coefficients, from which every frame change and hat substitution of the
 package is built.  `bounded_monomials` lists the exponent vectors of fixed
@@ -170,6 +171,13 @@ def format_terms(terms):
         else:
             parts.append(str(c) + ("*" + mono if mono else ""))
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def fraction_text(n, den):
+    """The reduced fraction n/den as "num/den", with "/1" for an integer:
+    den > 0, and no Fraction is built."""
+    g = gcd(n, den)
+    return f"{n // g}/{den // g}"
 
 
 def format_monomial(names, exps):
@@ -334,7 +342,8 @@ class SparsePoly:
     # -- output ----------------------------------------------------------
 
     def to_json(self):
-        return [[list(e), f"{c.numerator}/{c.denominator}"] for e, c in self.sorted_terms()]
+        num, den = self._num, self._den
+        return [[list(e), fraction_text(num[e], den)] for e in sorted(num, key=_grlex_key, reverse=True)]
 
     def __str__(self):
         return format_terms((c, format_monomial(self.names, e)) for e, c in self.sorted_terms())

@@ -25,6 +25,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 from math import comb, lcm
+from operator import add
 
 from . import _poly, covariants, enumerator, sw_curve, verify
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta, theta_const
@@ -34,19 +35,27 @@ from .invariant_ring import klmn
 def _json_dump(obj, newline="\n"):
     """The text of json.dumps(obj, sort_keys=True, separators=(", ", ": "),
     indent=1) for dicts with str keys, lists, tuples and scalars.  newline is a
-    line break and obj's own indent; obj's items sit one space deeper."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return int.__repr__(obj)
-    if obj and isinstance(obj, (list, tuple)):
-        inner = newline + " "
-        return "[" + inner + (", " + inner).join([_json_dump(v, inner) for v in obj]) + newline + "]"
-    if obj and isinstance(obj, dict):
-        inner = newline + " "
-        items = [encode_basestring_ascii(k) + ": " + _json_dump(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + (", " + inner).join(items) + newline + "}"
-    return json.dumps(obj)
+    line break and obj's own indent; obj's items sit one space deeper.
+
+    An item whose type is int or str is written in place, by `int.__repr__`
+    or `encode_basestring_ascii` as json does; the type test is exact, since
+    a bool is an int that json writes as true or false.  Only a non-empty
+    list, tuple or dict recurses, and json.dumps writes any other value.
+    """
+    if not obj or not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)
+    inner = newline + " "
+    keys = sorted(obj) if isinstance(obj, dict) else None
+    items = [
+        int.__repr__(v) if type(v) is int
+        else encode_basestring_ascii(v) if type(v) is str
+        else _json_dump(v, inner)
+        for v in (obj if keys is None else [obj[k] for k in keys])
+    ]
+    if keys is None:
+        return "[" + inner + (", " + inner).join(items) + newline + "]"
+    items = [encode_basestring_ascii(k) + ": " + item for k, item in zip(keys, items)]
+    return "{" + inner + (", " + inner).join(items) + newline + "}"
 
 
 # -- tiny expression parser for CLI polynomial arguments -------------------------
@@ -91,6 +100,16 @@ def _height(*polys):
     return (max(top, den) - 1).bit_length()
 
 
+def _lone_term(poly):
+    """(exponents, numerator, denominator, `_height`) of a poly with one term,
+    else None: a lone term's summed numerator is its own."""
+    num, den = _poly.stored(poly)
+    if len(num) != 1:
+        return None
+    (exps, n), = num.items()
+    return exps, n, den, (max(abs(n), den) - 1).bit_length()
+
+
 def _checked(degree, height, terms=1):
     """Refuse a total degree, a `_height` or a term count past its cap."""
     if degree > MAX_EXPR_DEGREE:
@@ -114,6 +133,14 @@ def parse_poly(text, atoms, cls):
     number more than MAX_EXPR_TERMS, is refused before it is computed, and
     a quotient by a constant right after.  A power of t terms to the n has
     at most C(t + n - 1, n) terms, one per multiset of n of them.
+
+    A product or power whose operands each have one term is built as one
+    monomial, in one `cls._new`: exponents are added or scaled, and the
+    numerator and denominator multiplied or raised.  It is held to the same
+    bounds at the same points, the degree and the `_height`s of the exact
+    operands, read off the one term by `_lone_term`; one term to any power
+    is one term.  So every input has the value, or the refusal, that the
+    general products and powers give it.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -157,10 +184,15 @@ def parse_poly(text, atoms, cls):
         if peek()[0] == "^":
             take()
             expo = take("int")[1]
-            _checked(base.total_degree() * expo, _height(base) * expo)
-            # past the degree check, expo <= 24 unless base is a constant
-            _checked(0, 0, comb(len(base.terms) + expo - 1, expo) if base else 1)
-            base = base ** expo
+            if lone := _lone_term(base):
+                exps, n, den, height = lone
+                _checked(sum(exps) * expo, height * expo)
+                base = cls._new({tuple(e * expo for e in exps): n ** expo}, den ** expo)
+            else:
+                _checked(base.total_degree() * expo, _height(base) * expo)
+                # past the degree check, expo <= 24 unless base is a constant
+                _checked(0, 0, comb(len(base.terms) + expo - 1, expo) if base else 1)
+                base = base ** expo
         return -base if signs % 2 else base
 
     def term(depth):
@@ -169,12 +201,18 @@ def parse_poly(text, atoms, cls):
             op = take()[0]
             rhs = factor(depth)
             if op == "*":
-                _checked(
-                    value.total_degree() + rhs.total_degree(),
-                    _height(value) + _height(rhs),
-                    len(value.terms) * len(rhs.terms),
-                )
-                value = value * rhs
+                left, right = _lone_term(value), _lone_term(rhs)
+                if left and right:
+                    (e1, n1, d1, h1), (e2, n2, d2, h2) = left, right
+                    _checked(sum(e1) + sum(e2), h1 + h2)
+                    value = cls._new({tuple(map(add, e1, e2)): n1 * n2}, d1 * d2)
+                else:
+                    _checked(
+                        value.total_degree() + rhs.total_degree(),
+                        _height(value) + _height(rhs),
+                        len(value.terms) * len(rhs.terms),
+                    )
+                    value = value * rhs
             else:
                 if not rhs:
                     raise ExprError("division by zero")

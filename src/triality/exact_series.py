@@ -35,7 +35,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
-from ._poly import _over_lcm, _reduced, _Terms, format_terms, power
+from ._poly import _over_lcm, _reduced, _Terms, format_terms, fraction_text, power
 
 # t-units per power of q: the lattice (1/24)Z houses eta (1/24), theta2
 # (1/8) and q^(1/2) simultaneously.
@@ -228,7 +228,7 @@ class FracSeries:
     def to_json(self):
         return {
             "trunc": self.trunc,
-            "terms": [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(self.terms.items())],
+            "terms": [[e, fraction_text(n, self._den)] for e, n in sorted(self._num.items())],
         }
 
     def __str__(self):

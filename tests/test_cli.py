@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from triality import cli, covariants, sw_curve
+from triality import _poly, cli, covariants, sw_curve
 
 
 def run_cli(capsys, *argv):
@@ -414,6 +414,11 @@ def test_json_writer_matches_json_dumps():
     # json writes a tuple as a list
     payload = {"terms": ((0, "1/1"), (24, "-24/1")), "empty": (), "z": [(), {}, [None]]}
     assert cli._json_dump(payload) == dumps(payload)
+    # items that are neither an int nor a str, nor a non-empty container: a
+    # bool is an int that json writes as true or false
+    odd = [True, None, [], {}, (), False]
+    payload = {"items": odd, **{f"value{i}": v for i, v in enumerate(odd)}, "nested": [odd, {"t": True}]}
+    assert cli._json_dump(payload) == dumps(payload)
 
     scalars = st.none() | st.booleans() | st.integers() | st.text()
     payloads = st.recursive(
@@ -490,6 +495,170 @@ def test_tokenizer_agrees_with_the_character_loop(monkeypatch):
         assert outcome(cli._tokenize, text) == outcome(character_loop, text)
 
     check()
+
+
+def general_parse_poly(text, atoms, cls):
+    """The parser with every product and power built in general, as it was
+    before one-term operands were built as one monomial: the oracle of that
+    shortcut."""
+    tokens = cli._tokenize(text)
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]]
+
+    def take(kind=None):
+        tok = tokens[pos[0]]
+        if kind and tok[0] != kind:
+            found = "the end of the input" if tok[0] == "end" else repr(tok[1])
+            raise cli.ExprError(f"expected {kind}, found {found}")
+        pos[0] += 1
+        return tok
+
+    def atom(depth):
+        kind, value = peek()
+        if kind == "name":
+            take()
+            if value not in atoms:
+                raise cli.ExprError(f"unknown name {value!r}; valid: {', '.join(sorted(atoms))}")
+            return atoms[value]
+        if kind == "int":
+            take()
+            return cls.constant(value)
+        if kind == "(":
+            take()
+            inner = expr(depth + 1)
+            take(")")
+            return inner
+        raise cli.ExprError("input ended early" if kind == "end" else f"unexpected token {value!r}")
+
+    def factor(depth):
+        signs = 0
+        while peek()[0] == "-":
+            take()
+            signs += 1
+        if depth + signs > cli.MAX_NESTING:
+            raise cli.ExprError(f"parentheses and signs may nest at most {cli.MAX_NESTING} deep")
+        base = atom(depth + signs)
+        if peek()[0] == "^":
+            take()
+            expo = take("int")[1]
+            cli._checked(base.total_degree() * expo, cli._height(base) * expo)
+            cli._checked(0, 0, comb(len(base.terms) + expo - 1, expo) if base else 1)
+            base = base ** expo
+        return -base if signs % 2 else base
+
+    def term(depth):
+        value = factor(depth)
+        while peek()[0] in ("*", "/"):
+            op = take()[0]
+            rhs = factor(depth)
+            if op == "*":
+                cli._checked(
+                    value.total_degree() + rhs.total_degree(),
+                    cli._height(value) + cli._height(rhs),
+                    len(value.terms) * len(rhs.terms),
+                )
+                value = value * rhs
+            else:
+                if not rhs:
+                    raise cli.ExprError("division by zero")
+                const = rhs.terms.get((0,) * cls.nvars)
+                if len(rhs.terms) != 1 or const is None:
+                    raise cli.ExprError("division only by constants")
+                value = value / const
+                cli._checked(0, cli._height(value))
+        return value
+
+    def expr(depth):
+        summands = [term(depth)]
+        while peek()[0] in ("+", "-"):
+            op = take()[0]
+            summands.append(term(depth) if op == "+" else -term(depth))
+        cli._checked(0, cli._height(*summands), sum(len(s.terms) for s in summands))
+        return cls._sum(summands)
+
+    result = expr(0)
+    take("end")
+    return result
+
+
+def parse_outcome(parse, text, atoms, cls):
+    """The stored form of the parsed value, or the refusal's class and message."""
+    try:
+        value = parse(text, atoms, cls)
+    except cli.ExprError as exc:
+        return type(exc), str(exc)
+    num, den = _poly.stored(value)
+    return type(value), dict(num), den
+
+
+# exponents at the edges of the caps: 4096 is the height cap, and a literal
+# may have 1000 digits
+EXPONENTS = ["0", "1", "2", "3", "13", "2048", "4096", "1" + "0" * 999, "9" * 1000]
+
+
+def test_parser_agrees_with_the_general_parser():
+    # one-term products and powers are built as one monomial: the same value,
+    # or the same refusal, as the general products and powers
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    curve = (cli._curve_atoms(), sw_curve.CurvePolyAB)
+    forms = (dict(zip("fgPQ", covariants.named_forms())), covariants.FormPoly)
+    ints = st.sampled_from([0, 1, 2, 3, 12]) | st.integers(0, 2**70)
+
+    def expressions(names):
+        # a name, an integer, or a fraction in parentheses, raised to a power or
+        # not, and a bare fraction; sums, differences, products, quotients,
+        # powers, signs and parentheses of those
+        fractions = st.tuples(ints, st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}")
+        atoms = st.sampled_from(names) | ints.map(str) | fractions.map(lambda s: f"({s})")
+        powers = st.tuples(atoms, st.sampled_from(EXPONENTS)).map("^".join)
+        return st.recursive(
+            atoms | powers | fractions,
+            lambda inner: (
+                st.tuples(inner.map(lambda s: f"({s})"), st.sampled_from(EXPONENTS)).map("^".join)
+                | st.tuples(inner, st.sampled_from([" + ", " - ", "*", "/", "*"]), inner).map("".join)
+                | inner.map(lambda s: "-" + s)
+                | inner.map(lambda s: f"({s})")
+            ),
+            max_leaves=10,
+        )
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.sampled_from([curve, forms]).flatmap(lambda c: st.tuples(st.just(c), expressions(sorted(c[0])))))
+    def check(case):
+        (atoms, cls), text = case
+        assert parse_outcome(cli.parse_poly, text, atoms, cls) == parse_outcome(general_parse_poly, text, atoms, cls)
+
+    check()
+
+
+BOUNDARIES = [
+    ("product at the height cap", "2^2048*2^2048*a0", None),
+    ("degree at the cap", "a0^12*a2^12", None),
+    ("degree past the cap", "a0^12*a2^13", f"total degree must be at most {cli.MAX_EXPR_DEGREE}, got 25"),
+    ("one to 999 nines", "1^" + "9" * 999, None),
+    ("power of zero", "0^5", None),
+    ("power of minus one", "(-1)^3", None),
+    ("zeroth power", "a0^0", None),
+    ("negated power at the height cap", "-2^4096*a0", None),
+    ("product past the height cap", "2^4096*a0*2", "coefficient numerators summed over their common"
+     f" denominator, and that denominator, must stay at most 2^{cli.MAX_COEFF_BITS}"),
+]
+
+
+@pytest.mark.parametrize("text, refusal", [b[1:] for b in BOUNDARIES], ids=[b[0] for b in BOUNDARIES])
+def test_one_term_shortcut_keeps_every_bound(text, refusal):
+    # the running product's height is checked as the general product checks it
+    curve = (cli._curve_atoms(), sw_curve.CurvePolyAB)
+    got = parse_outcome(cli.parse_poly, text, *curve)
+    assert got == parse_outcome(general_parse_poly, text, *curve)
+    assert got[0] is (cli.ExprError if refusal else sw_curve.CurvePolyAB)
+    if refusal:
+        assert got[1] == refusal
 
 
 @pytest.mark.parametrize(
@@ -618,6 +787,12 @@ GOLDEN = [
     ("expand N --order 24 --format json", 0, "42b28598d1dc253bdfb6f5b0edf07da2605f3024f08a8b07c7da01e792078277"),
     ("expand d3 --order 24 --format json", 0, "c18caa74667cbb1a0b4eda98182bb7a7994c7b0800769b071cdc5e1858c4baec"),
     ("verify jacobians --order 40 --format json", 0, "3087972c7ea15f6a7770122d3f94e679846faad7b003f166fa06ab7f82553f16"),
+    # calls shaped like a session's: a long curve polynomial with fractional
+    # coefficients, parsed term by term, and a product of form powers
+    ('membership "-2*a0^9*b3 + 3*a0^8*a2*b1 - 81/2*b0^6*b3 + 27/2*b0^5*b1*b2 - 3*b0^4*b1^3"'
+     " --format json", 0, "5b87941c6809b93af36589af6b29c464a35db55c4b23359970f8f3b9abe6ca1a"),
+    ('transvect --left "f^3" --right "g^2" --index 3 --format json', 0,
+     "e8683384466da7ca9f4ce55492f95a998a9ce1a8d7f4ae3849004bc339ec406e"),
 ]
 
 
@@ -634,8 +809,8 @@ def golden_ids():
 
 @pytest.mark.parametrize("call, code, digest", GOLDEN, ids=golden_ids())
 def test_cli_output_matches_golden_digest(capsys, call, code, digest):
-    exit_code, out = run_cli(capsys, *shlex.split(call))
-    assert exit_code == code
+    exit_code, out, err = cli_outcome(capsys, shlex.split(call))
+    assert (exit_code, err) == (code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,8 +1,9 @@
 """Property tests for the polynomial layer: frame changes (and the power
 tables they keep for the process), the monomial images of every kept power
 table, the binary-form shift, the trusted arithmetic constructor, the
-grading rule of the one-pass sum, and the integer-numerator store against
-a reference on {exponents: Fraction} dicts.
+grading rule of the one-pass sum, the integer-numerator store against
+a reference on {exponents: Fraction} dicts, and the JSON coefficient text
+read off that store.
 
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
@@ -18,7 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality._poly import NotHomogeneousError, PowerTable, compose, stored, taylor_shift  # noqa: E402
+from triality._poly import (  # noqa: E402
+    NotHomogeneousError, PowerTable, compose, fraction_text, stored, taylor_shift,
+)
 from triality.covariants import FormPoly  # noqa: E402
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta  # noqa: E402
 from triality.invariant_ring import (  # noqa: E402
@@ -231,3 +234,29 @@ def test_integer_store_matches_a_fraction_dict_reference(cls, data):
     for result, want in cases:
         assert dict(result.terms) == want
         assert is_canonical(result)
+
+
+# -- the JSON coefficient text, read off the store -----------------------------------
+
+# numerators and denominators up to 4,096 bits, the CLI's coefficient cap
+big_numerators = st.integers(-(2**4096), 2**4096)
+big_denominators = st.integers(1, 2**4096)
+big_rationals = st.builds(F, big_numerators, big_denominators) | rationals
+
+
+@PROPERTY
+@given(big_numerators, big_denominators | st.sampled_from([1, 2, 3, 8]))
+def test_fraction_text_is_the_reduced_fraction(n, den):
+    text = str(F(n, den))
+    assert fraction_text(n, den) == (text if "/" in text else text + "/1")
+
+
+@PROPERTY
+@given(st.sampled_from([CurvePolyAB, FormPoly]), st.data())
+def test_to_json_matches_the_fraction_view(cls, data):
+    exps = st.tuples(*[st.integers(0, 2)] * cls.nvars)
+    p = cls(data.draw(st.dictionaries(exps, big_rationals, max_size=4)))
+    assert p.to_json() == [[list(e), f"{c.numerator}/{c.denominator}"] for e, c in p.sorted_terms()]
+    s = FracSeries(data.draw(st.dictionaries(st.integers(-30, 90), big_rationals, max_size=6)), 91)
+    terms = [[e, f"{c.numerator}/{c.denominator}"] for e, c in sorted(s.terms.items())]
+    assert s.to_json() == {"trunc": 91, "terms": terms}
