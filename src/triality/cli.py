@@ -7,12 +7,12 @@ JSON header.  Exit codes: 0 success, 1 verification failure or a stdout
 closed by its reader (the run ends quietly), 2 usage error.  A command
 refuses a request by raising one of `REFUSED`; `main` alone prints it as
 one `error: ` line on stderr.  `--order` exists only on `expand` and
-`verify`, the two commands that read it; any other command reports it,
-like every option it does not know, under its own usage line.  An unknown
-option written before the command name is the root parser's, and is
-reported under the root usage line.  JSON output has the bytes of
-`json.dumps` with sorted keys and indent 1; `_json_dump` writes them
-itself, because with an indent `json` always runs its pure-Python encoder.
+`verify`, the two commands that read it.  The words after a command's
+name go to that command's parser, and any other command line to the
+root's, so each reports what it does not know under its own usage line.
+JSON output has the bytes of `json.dumps` with sorted keys and indent 1;
+`_json_dump` writes them itself, because with an indent `json` always
+runs its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -425,7 +425,7 @@ def cmd_verify(args):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process; parsing leaves no state in it."""
+    """The root parser and each command's parser by name, built once; parsing leaves no state."""
     ordered = argparse.ArgumentParser(add_help=False)
     ordered.add_argument("--order", type=int, default=24, help="q-series truncation order (default 24)")
     common = argparse.ArgumentParser(add_help=False)
@@ -439,36 +439,36 @@ def build_parser():
 
     p = sub.add_parser("expand", parents=[ordered, common], help="q-expansion of a named series or invariant")
     p.add_argument("name")
-    p.set_defaults(func=cmd_expand, parser=p)
+    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("basis", parents=[common], help="basis of invariants of given weight and degree")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=cmd_basis, parser=p)
+    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("dims", parents=[common], help="dimension table")
     p.add_argument("--kmax", type=int, default=24)
     p.add_argument("--mmax", type=int, default=8)
-    p.set_defaults(func=cmd_dims, parser=p)
+    p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("generators", parents=[common], help="the 15 classical generators")
-    p.set_defaults(func=cmd_generators, parser=p)
+    p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("transvect", parents=[common], help="transvectant of two form expressions")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--index", type=int, required=True)
-    p.set_defaults(func=cmd_transvect, parser=p)
+    p.set_defaults(func=cmd_transvect)
 
     p = sub.add_parser("membership", parents=[common], help="triality-invariance test of a curve polynomial")
     p.add_argument("poly")
-    p.set_defaults(func=cmd_membership, parser=p)
+    p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("verify", parents=[ordered, common], help="run an identity suite")
     p.add_argument("suite", help=f"one of: {', '.join(verify.SUITE_ORDER)}, all")
-    p.set_defaults(func=cmd_verify, parser=p)
+    p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 # the largest accepted values: beyond them a request runs for hours
@@ -496,13 +496,11 @@ REFUSED = (ExprError, covariants.BadOrderError, _poly.NotHomogeneousError, verif
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        # the root's leftovers come first; those after the command name are
-        # reported by the command's own parser, with its usage line
-        before = argv[: argv.index(args.command)]
-        parser = build_parser() if unknown[0] in before else args.parser
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    root, commands = build_parser()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:])
+    else:
+        args = root.parse_args(argv)
     try:
         for name, (least, limit) in LIMITS.items():
             value = getattr(args, name, least)  # an option the command lacks passes

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -436,8 +437,9 @@ def test_json_writer_matches_json_dumps():
 
 
 def test_expand_and_verify_read_order(capsys):
+    _, commands = cli.build_parser()
     for argv in (["expand", "E4"], ["verify", "series"]):
-        assert cli.build_parser().parse_args(argv + ["--order", "8"]).order == 8
+        assert commands[argv[0]].parse_args(argv[1:] + ["--order", "8"]).order == 8
         code, out, _ = cli_outcome(capsys, [argv[0], "--help"])
         assert code == 0 and "--order ORDER" in out
 
@@ -814,6 +816,62 @@ def test_cli_output_matches_golden_digest(capsys, call, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+# the exit code and the sha256 of stdout and of stderr of help requests and
+# malformed command lines, at 80 columns: argparse wraps its usage and help
+# lines at the terminal width
+USAGE = [
+    ("", 2, EMPTY, "31279bc0ce02d74691f889b81ce7aa4d50c2cbe07c52ad5eafed481bfe28bb46"),
+    ("-h", 0, "d698164a579242ed983f7f8242a19f273095a8f4838fe4317c4ecf4fbabdf302", EMPTY),
+    ("--bogus", 2, EMPTY, "31279bc0ce02d74691f889b81ce7aa4d50c2cbe07c52ad5eafed481bfe28bb46"),
+    ("-h expand", 0, "d698164a579242ed983f7f8242a19f273095a8f4838fe4317c4ecf4fbabdf302", EMPTY),
+    ("nosuch", 2, EMPTY, "7283b5d3e87af47429502e6d8eaf896730de7ec2051ee5e68cf1c508c3799fb8"),
+    ("--format json generators", 2, EMPTY, "030372e10973cfbb31c08542455dcd2262177cf3372675b1697c3f85db3ebff9"),
+    ("expand", 2, EMPTY, "a5b21da56f62b39dbfe532deae6fd84bec6501e10b554da0875bfb8b7c1d783e"),
+    ("expand -h", 0, "6c9a218feeccdd0cae035e15ed8c3208154c94642bff2163b753c859680b2a9a", EMPTY),
+    ("verify --help", 0, "81fc3415bc6eca0ca1f4ef7e7cb9dc7e7f90c411b09c89110a30107d56bdb594", EMPTY),
+    ("verify", 2, EMPTY, "ca17ac4186e59364fd9aa63474fdda218f1b9db1667ecd49af47b1e402f7e2c8"),
+    ("basis --weight 12", 2, EMPTY, "cbe4d62612dc3753bec13790fff3559acb085e614340e4fd21b0501935dd03e9"),
+    ("basis --weight x --degree 2", 2, EMPTY, "d718830951a714d458bbfc0e9d616a28cd2fff0126c4eb585eb752dac94d4c38"),
+    ("generators --format", 2, EMPTY, "923941da532b54486a0ce8100462cf40cef951dc3e5dc49bd23d2eeb5549bc4b"),
+    ("generators --format xml", 2, EMPTY, "16d4baf887ded0de28598e80d0dd97a17706412fa581083410037eaf8bc98243"),
+    ("expand E4 -- --order", 2, EMPTY, "eefca29a8e3b4ce06657a17a573f75a298d25e623dae76c6eca205980071fc84"),
+]
+
+
+@pytest.mark.parametrize("call, code, out_digest, err_digest", USAGE, ids=[u[0] or "(none)" for u in USAGE])
+def test_usage_bytes_are_pinned(capsys, monkeypatch, call, code, out_digest, err_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    exit_code, out, err = cli_outcome(capsys, shlex.split(call))
+    assert exit_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "E4", "--order", "4"],
+    ["basis", "--weight", "12", "--degree", "2"],
+    ["dims", "--kmax", "4", "--mmax", "2", "--format", "json"],
+    ["generators"],
+    ["transvect", "--left", "f", "--right", "f", "--index", "0"],
+    ["membership", "a0"],
+    ["verify", "series", "--order", "4"],
+], ids=lambda argv: argv[0])
+def test_a_command_line_is_parsed_once(capsys, monkeypatch, argv):
+    real = argparse.ArgumentParser.parse_known_args
+    progs = []
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, _, err = cli_outcome(capsys, argv)
+    assert (code, err) == (0, "")
+    # by the command's own parser alone
+    assert progs == [f"triality {argv[0]}"]
+
+
 def cli_outcome(capsys, argv):
     """(exit code, stdout, stderr) of one call, a usage error's SystemExit included."""
     try:
@@ -837,7 +895,8 @@ def test_parser_built_once_keeps_no_state_between_calls(capsys):
         cli.build_parser.cache_clear()
         separately.append(cli_outcome(capsys, argv))
     in_one_process = [cli_outcome(capsys, argv) for argv in calls]
-    assert cli.build_parser() is cli.build_parser()
+    (root, commands), again = cli.build_parser(), cli.build_parser()
+    assert again[0] is root and again[1] is commands
     assert in_one_process == separately
     assert [code for code, _, _ in separately] == [2, 0, 2, 0, 0]
     assert "argument --index: invalid int value: 'x'" in separately[0][2]
