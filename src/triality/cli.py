@@ -7,9 +7,10 @@ JSON header.  Exit codes: 0 success, 1 verification failure or a stdout
 closed by its reader (the run ends quietly), 2 usage error.  A command
 refuses a request by raising one of `REFUSED`; `main` alone prints it as
 one `error: ` line on stderr.  `--order` exists only on `expand` and
-`verify`, the two commands that read it.  The words after a command's
-name go to that command's parser, and any other command line to the
-root's, so each reports what it does not know under its own usage line.
+`verify`, the two commands that read it.  One leading `--` is dropped.
+The words after a command's name go to that command's parser, and any
+other command line to the root's, so each reports what it does not know
+under its own usage line.
 JSON output has the bytes of `json.dumps` with sorted keys and indent 1;
 `_json_dump` writes them itself, because with an indent `json` always
 runs its pure-Python encoder.
@@ -496,6 +497,9 @@ REFUSED = (ExprError, covariants.BadOrderError, _poly.NotHomogeneousError, verif
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--"]:
+        # argparse would hand a leading "--" to the command positional
+        argv = argv[1:]
     root, commands = build_parser()
     if argv and argv[0] in commands:
         args = commands[argv[0]].parse_args(argv[1:])

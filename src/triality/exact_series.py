@@ -11,7 +11,15 @@ reduced by the gcd of the denominator and all numerators, so its stored
 form is canonical; `_poly`'s `SparsePoly` is stored the same way, through
 the same reduction and view, and no other module reads either.  Sums scale
 both sides to the lcm of the denominators, and products are integer
-convolutions over the product of the denominators.  `coeff` reads one
+convolutions over the product of the denominators, on two paths that
+give the same stored form.  A product of fewer than `DENSE_PAIRS` term
+pairs runs one interpreted step per pair; a larger one writes both
+operands as lists on the gcd of their exponent gaps, nearly always dense
+(the lattice strides 24 and 12), and takes each coefficient below the
+window as one dot product in C.  The pair loop stays because the small
+products (one term or twelve times a series) are most of a session's
+stream, where the list set-up costs more than it saves; the dot products
+win on the long q-series of the deep checks.  `coeff` reads one
 coefficient as a Fraction; `terms` is a read-only {exponent: Fraction}
 view that makes a Fraction only when a value is read.
 
@@ -34,12 +42,20 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from ._poly import _over_lcm, _reduced, _Terms, format_terms, fraction_text, power
 
 # t-units per power of q: the lattice (1/24)Z houses eta (1/24), theta2
 # (1/8) and q^(1/2) simultaneously.
 LATTICE = 24
+
+# Products of at least this many term pairs run as dot products on the
+# common stride (`_convolve`); smaller ones keep the term-pair loop.  On
+# dense stride-24 operands with 42-bit numerators (CPython 3.11, x86-64)
+# the two break even at 16 x 16 = 256 pairs, the loop is 25% faster at
+# 12 x 12 and the dot products 15% faster at 12 x 24 and 40% at 96 x 96.
+DENSE_PAIRS = 256
 
 
 class ZeroSeriesError(ZeroDivisionError):
@@ -158,16 +174,22 @@ class FracSeries:
             return NotImplemented
         # The product coefficient at e is complete iff every split e = i + j
         # with i >= val(a), j >= val(b) has i, j inside the known windows.
+        # Long operands go to the dot products of `_convolve`, short ones
+        # through one step per term pair, which is cheaper below DENSE_PAIRS.
         trunc = min(self.trunc + other.valuation, other.trunc + self.valuation)
-        right = sorted(other._num.items())
-        num = {}
-        for e1, n1 in self._num.items():
-            limit = trunc - e1
-            for e2, n2 in right:
-                if e2 >= limit:
-                    break
-                e = e1 + e2
-                num[e] = num.get(e, 0) + n1 * n2
+        a, b = self._num, other._num
+        if len(a) * len(b) >= DENSE_PAIRS:
+            num = _convolve(a, b, trunc)
+        else:
+            right = sorted(b.items())
+            num = {}
+            for e1, n1 in a.items():
+                limit = trunc - e1
+                for e2, n2 in right:
+                    if e2 >= limit:
+                        break
+                    e = e1 + e2
+                    num[e] = num.get(e, 0) + n1 * n2
         return FracSeries._new(num, self._den * other._den, trunc)
 
     __rmul__ = __mul__
@@ -237,6 +259,33 @@ class FracSeries:
 
     def __repr__(self):
         return f"FracSeries({self!s}, trunc={self.trunc})"
+
+
+def _convolve(a, b, trunc):
+    """The numerators below trunc of the product of two nonempty {exponent:
+    numerator} dicts, not both one term, as one dot product per exponent.
+
+    Both operands are written as lists on the gcd `step` of all their
+    exponent gaps, from their own valuations on, with zeros in the gaps, and
+    the right list is reversed.  Output k sits at t^(va + vb + step k) and
+    is the sum of left[i] right[k - i] over the i that both lists hold: up to
+    the right list's top index it dots all of left with a window of the
+    reversed right, and past it a window of left with all of right.
+    """
+    va, vb = min(a), min(b)
+    step = math.gcd(*(e - va for e in a), *(e - vb for e in b))
+    left = [0] * ((max(a) - va) // step + 1)
+    for e, n in a.items():
+        left[(e - va) // step] = n
+    top = (max(b) - vb) // step
+    right = [0] * (top + 1)
+    for e, n in b.items():
+        right[top - (e - vb) // step] = n
+    la, base = len(left), va + vb
+    width = min(la + top, (trunc - base + step - 1) // step)
+    sums = [sum(map(mul, left, right[top - k : top - k + la])) for k in range(min(width, top + 1))]
+    sums += [sum(map(mul, left[k - top : k + 1], right)) for k in range(top + 1, width)]
+    return {base + step * k: c for k, c in enumerate(sums) if c}
 
 
 # -- special functions ------------------------------------------------

@@ -836,6 +836,9 @@ USAGE = [
     ("generators --format", 2, EMPTY, "923941da532b54486a0ce8100462cf40cef951dc3e5dc49bd23d2eeb5549bc4b"),
     ("generators --format xml", 2, EMPTY, "16d4baf887ded0de28598e80d0dd97a17706412fa581083410037eaf8bc98243"),
     ("expand E4 -- --order", 2, EMPTY, "eefca29a8e3b4ce06657a17a573f75a298d25e623dae76c6eca205980071fc84"),
+    # one leading "--" is dropped: the same bytes as "generators" and as ""
+    ("-- generators", 0, "114f0ed1fb2043c960add192a2b4dbb97c5598ddbb0d17b5c59981d36e1b97df", EMPTY),
+    ("--", 2, EMPTY, "31279bc0ce02d74691f889b81ce7aa4d50c2cbe07c52ad5eafed481bfe28bb46"),
 ]
 
 

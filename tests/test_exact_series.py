@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 
+from triality import exact_series
 from triality.exact_series import (
+    DENSE_PAIRS,
     LATTICE,
     FracSeries,
     ZeroSeriesError,
@@ -62,6 +64,34 @@ def test_ring_axioms_on_random_series():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def test_both_sides_of_the_pair_selection_store_one_product(monkeypatch):
+    # at 15 x 17 = 255 pairs and at 16 x 16 = 256: a run on 24k + 1 (eta's
+    # lattice) cut inside it, against a run on 12k - 5 whose window reaches
+    # far past its last term, so the product runs past the end of the latter
+    rng = random.Random(31)
+
+    def run(n, first, step, trunc):
+        # the terms at and past trunc are unknown and not stored
+        coeffs = [F(rng.randrange(-99, 100) or 1, rng.choice([1, 2, 7])) for _ in range(n)]
+        return FracSeries({first + step * k: c for k, c in enumerate(coeffs)}, trunc)
+
+    for n_left, n_right in ((15, 17), (16, 16)):
+        a = run(n_left + 2, 1, 24, 1 + 24 * n_left - 23)
+        b = run(n_right, -5, 12, 12 * 3 * n_right)
+        pairs = len(a.terms) * len(b.terms)
+        assert pairs == n_left * n_right and (pairs >= DENSE_PAIRS) == (pairs == 256)
+        for x, y in ((a, b), (b, a)):
+            products = []
+            for threshold in (DENSE_PAIRS, 1, pairs + 1):  # as selected, then each path forced
+                monkeypatch.setattr(exact_series, "DENSE_PAIRS", threshold)
+                products.append(stored(x * y))
+            monkeypatch.undo()
+            # the term-pair loop, kept for small products, is the reference
+            assert products[0] == products[1] == products[2]
+            _, num, _ = products[0]
+            assert (max(num) - min(num)) // 12 >= n_right  # past the end of b's run
 
 
 def test_equality_only_on_common_window():
@@ -321,6 +351,27 @@ def test_eta_twelfth_power_on_half_lattice():
 def test_delta_expansion():
     _, delta = eta_delta(6)
     assert [delta.coeff(LATTICE * n) for n in range(1, 5)] == [1, -24, 252, -1472]
+
+
+def test_delta_coefficients_obey_ramanujan_tau_relations():
+    # Delta = sum tau(n) q^n from eta_delta(96); eta has 16 terms below q^96,
+    # so the first squaring of eta^24 already runs on DENSE_PAIRS pairs
+    eta, delta = eta_delta(96)
+    assert len(eta.terms) ** 2 >= DENSE_PAIRS
+    assert delta.trunc > LATTICE * 96
+    tau = [delta.coeff(LATTICE * n) for n in range(97)]
+    assert all(c.denominator == 1 for c in tau) and tau[:3] == [0, 1, -24]
+    assert all(delta.coeff(e) == 0 for e in range(delta.trunc) if e % LATTICE)
+    coprime = [(m, n) for m in range(2, 96) for n in range(m + 1, 96) if m * n <= 96 and gcd(m, n) == 1]
+    assert len(coprime) > 50
+    for m, n in coprime:
+        assert tau[m * n] == tau[m] * tau[n], (m, n)
+    for p in (2, 3, 5, 7):
+        assert tau[p * p] == tau[p] ** 2 - p ** 11, p
+    # the Hecke recurrence on the powers of 2 and 3 in the window
+    for p, top in ((2, 6), (3, 4)):
+        for k in range(1, top):
+            assert tau[p ** (k + 1)] == tau[p] * tau[p ** k] - p ** 11 * tau[p ** (k - 1)], (p, k)
 
 
 def test_delta_equals_eisenstein_combination():

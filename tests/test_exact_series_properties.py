@@ -4,6 +4,7 @@ A separate module, so that a missing `hypothesis` skips only these tests and
 not the example tests in test_exact_series.py.
 """
 
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -13,13 +14,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality.exact_series import FracSeries  # noqa: E402
+from triality.exact_series import DENSE_PAIRS, FracSeries  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
-coefficients = st.builds(
-    F, st.integers(-30, 30).filter(bool), st.sampled_from([1, 2, 3, 4, 6, 9, 10, 35])
-)
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 10, 35)
+coefficients = st.builds(F, st.integers(-30, 30).filter(bool), st.sampled_from(DENOMINATORS))
 
 
 @st.composite
@@ -39,6 +39,45 @@ def units(draw):
     rest = draw(st.dictionaries(st.integers(1, 100 // step), coefficients, max_size=6))
     terms = {v: lead, **{v + step * k: c for k, c in rest.items()}}
     return FracSeries(terms, trunc)
+
+
+@st.composite
+def long_series(draw, min_terms=16, max_terms=40, squares=True):
+    """At least min_terms stored terms, so that two of them reach DENSE_PAIRS:
+    a run on offset + step*k with a few gaps, or (if squares) the theta2
+    exponents 3m^2 for odd m moved by an offset; offsets reach negative
+    valuations, and trunc cuts inside the support or lies past its end.  The
+    coefficients come from a drawn seed, small or up to 90 bits, because a
+    draw per term would dominate the run time."""
+    offset = draw(st.integers(-60, 40))
+    n = draw(st.integers(min_terms, max_terms))
+    if not squares or draw(st.booleans()):
+        step = draw(st.sampled_from([1, 2, 3, 12, 24]))
+        exps = [offset + step * k for k in range(n + 4)]
+    else:
+        exps = [offset + 3 * m * m for m in range(1, 2 * n + 8, 2)]
+    gaps = draw(st.sets(st.integers(0, n + 3), max_size=3))
+    kept = [e for k, e in enumerate(exps) if k not in gaps]
+    trunc = kept[n - 1] + 1 + draw(st.integers(0, kept[n] - kept[n - 1] + 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = draw(st.sampled_from([5, 90]))
+    numerators = (rng.getrandbits(bits) - 2 ** (bits - 1) or 1 for _ in kept)
+    return FracSeries({e: F(n, rng.choice(DENOMINATORS)) for e, n in zip(kept, numerators)}, trunc)
+
+
+@st.composite
+def one_term(draw):
+    e = draw(st.integers(-40, 40))
+    return FracSeries({e: draw(coefficients)}, e + draw(st.integers(1, 400)))
+
+
+# operand pairs with at least DENSE_PAIRS term pairs: two long supports, or
+# one term against a long run, either way round
+dense_operands = st.one_of(
+    st.tuples(long_series(), long_series()),
+    st.tuples(one_term(), long_series(DENSE_PAIRS, DENSE_PAIRS + 40, squares=False)),
+    st.tuples(long_series(DENSE_PAIRS, DENSE_PAIRS + 40, squares=False), one_term()),
+)
 
 
 def naive_product(a, b):
@@ -66,6 +105,18 @@ def test_product_equals_naive_fraction_convolution(a, b):
     assert prod.trunc == trunc
     assert prod.terms == terms
     assert canonical(prod)
+
+
+@PROPERTY
+@given(dense_operands)
+def test_products_past_the_pair_selection_equal_the_naive_convolution(operands):
+    a, b = operands
+    assert len(a.terms) * len(b.terms) >= DENSE_PAIRS
+    terms, trunc = naive_product(a, b)
+    for prod in (a * b, b * a):
+        assert prod.trunc == trunc
+        assert prod.terms == terms
+        assert canonical(prod)
 
 
 @PROPERTY
