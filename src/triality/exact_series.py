@@ -13,13 +13,13 @@ the same reduction and view, and no other module reads either.  Sums scale
 both sides to the lcm of the denominators, and products are integer
 convolutions over the product of the denominators, on two paths that
 give the same stored form.  A product of fewer than `DENSE_PAIRS` term
-pairs runs one interpreted step per pair; a larger one writes both
-operands as lists on the gcd of their exponent gaps, nearly always dense
-(the lattice strides 24 and 12), and takes each coefficient below the
-window as one dot product in C.  The pair loop stays because the small
-products (one term or twelve times a series) are most of a session's
-stream, where the list set-up costs more than it saves; the dot products
-win on the long q-series of the deep checks.  `coeff` reads one
+pairs, or with a one-term operand, runs one interpreted step per pair; any
+other writes both operands as lists on the gcd of their exponent gaps,
+nearly always dense (the lattice strides 24 and 12), and takes each
+coefficient below the window as one dot product in C.  The pair loop stays
+because the small products (one term or twelve times a series) are most of
+a session's stream, where the list set-up costs more than it saves; the
+dot products win on the long q-series of the deep checks.  `coeff` reads one
 coefficient as a Fraction; `terms` is a read-only {exponent: Fraction}
 view that makes a Fraction only when a value is read.
 
@@ -51,7 +51,8 @@ from ._poly import _over_lcm, _reduced, _Terms, format_terms, fraction_text, pow
 LATTICE = 24
 
 # Products of at least this many term pairs run as dot products on the
-# common stride (`_convolve`); smaller ones keep the term-pair loop.  On
+# common stride (`_convolve`); smaller ones, and any with a one-term operand
+# (1 x 300 takes 2.7x as long as dot products), keep the term-pair loop.  On
 # dense stride-24 operands with 42-bit numerators (CPython 3.11, x86-64)
 # the two break even at 16 x 16 = 256 pairs, the loop is 25% faster at
 # 12 x 12 and the dot products 15% faster at 12 x 24 and 40% at 96 x 96.
@@ -174,11 +175,11 @@ class FracSeries:
             return NotImplemented
         # The product coefficient at e is complete iff every split e = i + j
         # with i >= val(a), j >= val(b) has i, j inside the known windows.
-        # Long operands go to the dot products of `_convolve`, short ones
-        # through one step per term pair, which is cheaper below DENSE_PAIRS.
+        # Long operands go to the dot products of `_convolve`, short ones and
+        # one-term ones through one step per term pair, which is cheaper there.
         trunc = min(self.trunc + other.valuation, other.trunc + self.valuation)
         a, b = self._num, other._num
-        if len(a) * len(b) >= DENSE_PAIRS:
+        if len(a) * len(b) >= DENSE_PAIRS and min(len(a), len(b)) > 1:
             num = _convolve(a, b, trunc)
         else:
             right = sorted(b.items())
@@ -263,7 +264,7 @@ class FracSeries:
 
 def _convolve(a, b, trunc):
     """The numerators below trunc of the product of two nonempty {exponent:
-    numerator} dicts, not both one term, as one dot product per exponent.
+    numerator} dicts, neither operand one term, as one dot product per exponent.
 
     Both operands are written as lists on the gcd `step` of all their
     exponent gaps, from their own valuations on, with zeros in the gaps, and

@@ -106,6 +106,8 @@ def test_rational_kernel():
     assert divided(integer_nullspace(columns)) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
     # equations past full rank are never read: the last-sorted key is not a number
     assert integer_nullspace([({0: 1, 2: "not a number"}, 1), ({1: 1}, 1)]) == []
+    # nor scaled: None times the column's scale would raise
+    assert integer_nullspace([({0: 1, 2: None}, 1), ({1: 1}, 1)]) == []
 
 
 def test_columns_match_the_full_frame_change_images():

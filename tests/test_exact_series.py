@@ -94,6 +94,24 @@ def test_both_sides_of_the_pair_selection_store_one_product(monkeypatch):
             assert (max(num) - min(num)) // 12 >= n_right  # past the end of b's run
 
 
+def test_one_term_products_run_the_pair_loop_at_any_length(monkeypatch):
+    # 1 x 300 is past DENSE_PAIRS, but one term times a run is cheaper as
+    # the loop; its product is the one the dot products give
+    rng = random.Random(32)
+    one = FracSeries({25: F(-7, 6)}, 24 * 250)
+    coeffs = [F(rng.getrandbits(42) - 2**41, rng.choice([1, 5])) for _ in range(300)]
+    long = FracSeries({-23 + 24 * k: c for k, c in enumerate(coeffs)}, 24 * 300)
+    calls = []
+    monkeypatch.setattr(exact_series, "_convolve", lambda *args: calls.append(args))
+    products = [one * long, long * one]
+    monkeypatch.undo()
+    assert calls == [] and len(one.terms) * len(long.terms) == 300 >= DENSE_PAIRS
+    trunc = products[0].trunc
+    direct = FracSeries._new(exact_series._convolve(one._num, long._num, trunc), one._den * long._den, trunc)
+    assert stored(products[0]) == stored(products[1]) == stored(direct)
+    assert len(direct.terms) == 249  # one's window cuts the run before its end
+
+
 def test_equality_only_on_common_window():
     a = FracSeries({0: 1}, 48)
     b = FracSeries({0: 1, 50: 7}, 96)

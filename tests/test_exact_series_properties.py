@@ -71,8 +71,9 @@ def one_term(draw):
     return FracSeries({e: draw(coefficients)}, e + draw(st.integers(1, 400)))
 
 
-# operand pairs with at least DENSE_PAIRS term pairs: two long supports, or
-# one term against a long run, either way round
+# operand pairs with at least DENSE_PAIRS term pairs: two long supports (the
+# dot products), or one term against a long run, either way round (the pair
+# loop, which a one-term operand takes at any pair count)
 dense_operands = st.one_of(
     st.tuples(long_series(), long_series()),
     st.tuples(one_term(), long_series(DENSE_PAIRS, DENSE_PAIRS + 40, squares=False)),

@@ -8,6 +8,7 @@ reference is a test-local Gauss-Jordan over Fractions.
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
 
+import random
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -17,7 +18,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from triality.enumerator import monomials_of, triality_basis  # noqa: E402
 from triality.linalg import LinearSolver, integer_nullspace  # noqa: E402
+from triality.sw_curve import negative_c0_part  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -58,6 +61,38 @@ def sparse_columns(draw, values=entries):
     return [draw(st.dictionaries(st.sampled_from(keys), values)) for _ in range(ncols)]
 
 
+@st.composite
+def block_sparse_systems(draw):
+    """(rows, ncols): 20 to 60 unknowns split into a few blocks of shuffled
+    columns; rows with a few entries inside one block, then rows b*r - a*s
+    of two rows of a block in which a column both hold cancels exactly, and
+    a few sums of rows of two blocks.  The entries come from a drawn seed,
+    because a draw per entry would dominate the run time."""
+    ncols = draw(st.integers(20, 60))
+    nblocks = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    order = rng.sample(range(ncols), ncols)
+    cuts = sorted(rng.sample(range(1, ncols), nblocks - 1))
+    rows = []
+    for block in (order[i:j] for i, j in zip([0, *cuts], [*cuts, ncols])):
+        own = []
+        for _ in range(rng.randint(1, min(len(block), 6))):
+            row = [0] * ncols
+            for j in rng.sample(block, rng.randint(1, min(len(block), 4))):
+                row[j] = rng.choice([-3, -2, -1, 1, 2, 3, 5, 10**12 + 1])
+            own.append(row)
+        for _ in range(rng.randrange(3) if len(own) > 1 else 0):
+            r, s = rng.sample(own, 2)
+            shared = [j for j in block if r[j] and s[j]]
+            if shared:
+                j = rng.choice(shared)
+                own.append([s[j] * x - r[j] * y for x, y in zip(r, s)])
+        rows += own
+    rows += [[x + y for x, y in zip(*rng.sample(rows, 2))] for _ in range(rng.randrange(3))]
+    rng.shuffle(rows)
+    return rows, ncols
+
+
 def stored_column(column):
     """A {key: rational} column as (integer numerators, lcm of the denominators)."""
     den = lcm(*(F(x).denominator for x in column.values()))
@@ -73,7 +108,7 @@ def dense_rows(columns):
 def solve(rows, ncols):
     solver = LinearSolver(ncols)
     for row in rows:
-        solver.add(row)
+        solver.add(dict(enumerate(row)))
     return solver
 
 
@@ -122,12 +157,13 @@ def test_kernel_ignores_row_order_and_row_scaling(system, data):
 def test_stored_rows_are_primitive_and_kernel_vectors_integers(system):
     rows, ncols = system
     solver = solve(rows, ncols)
-    pivots = [p for p, _ in solver.rows]
-    assert pivots == sorted(set(pivots))
-    for p, coeffs in solver.rows:
-        assert all(type(x) is int for x in coeffs)
-        assert gcd(*coeffs) == 1 and coeffs[p] > 0
-        assert not any(coeffs[:p]) and not any(coeffs[q] for q in pivots if q != p)
+    # rows are keyed by their pivot column, so each pivot holds one row
+    pivots = set(solver.rows)
+    for p, coeffs in solver.rows.items():
+        assert all(type(x) is int and x for x in coeffs.values())
+        assert set(coeffs) <= set(range(ncols)) and min(coeffs) == p
+        assert gcd(*coeffs.values()) == 1 and coeffs[p] > 0
+        assert not any(q in coeffs for q in pivots if q != p)
     vectors = solver.integer_kernel()
     assert len(vectors) == ncols - solver.rank
     for vec, den in vectors:
@@ -168,3 +204,26 @@ def test_integer_nullspace_reads_only_each_columns_rational_value(columns, data)
     scales = data.draw(st.lists(st.integers(1, 9), min_size=len(stored), max_size=len(stored)))
     rescaled = [({key: c * n for key, n in num.items()}, c * den) for c, (num, den) in zip(scales, stored)]
     assert integer_nullspace(rescaled) == integer_nullspace(stored)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(block_sparse_systems())
+def test_wide_block_sparse_kernels_are_the_kernel(system):
+    rows, ncols = system
+    kernel = fraction_kernel(rows, ncols)
+    assert divided(solve(rows, ncols).integer_kernel()) == kernel
+    columns = [({i: row[j] for i, row in enumerate(rows)}, 1) for j in range(ncols)]
+    assert divided(integer_nullspace(columns)) == kernel
+
+
+def test_nullspace_of_the_widest_dimension_table_cells():
+    # the cell with the most unknowns (76, and 37 equations that each raise
+    # the rank) and one whose 66 equations reach rank 58 of 69
+    for k, m, unknowns, equations, dimension in ((72, 20, 76, 37, 39), (72, 24, 69, 66, 11)):
+        columns = [negative_c0_part(mono) for mono in monomials_of(k, m)]
+        keys = sorted({key for num, _ in columns for key in num})
+        assert (len(columns), len(keys)) == (unknowns, equations)
+        rows = [[F(num.get(key, 0), den) for num, den in columns] for key in keys]
+        vectors = integer_nullspace(columns)
+        assert divided(vectors) == fraction_kernel(rows, len(columns))
+        assert len(vectors) == triality_basis(k, m).dimension == dimension

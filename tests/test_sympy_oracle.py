@@ -95,7 +95,7 @@ def solver_kernel(rows, ncols):
     solver = LinearSolver(ncols)
     for row in rows:
         scale = lcm(*(F(x).denominator for x in row))
-        solver.add([int(x * scale) for x in row])
+        solver.add(dict(enumerate(int(x * scale) for x in row)))
     return divided(solver.integer_kernel())
 
 
@@ -145,6 +145,9 @@ def test_nullspace_early_stop_matches_sympy_rref():
     # an equation after the rank is full would fail in LinearSolver.add
     columns[-1][0][len(full)] = "not a number"
     assert integer_nullspace(columns) == sympy_kernel(full, 3) == []
+    # nor is it scaled: None times the column's scale would raise
+    columns[-1][0][len(full)] = None
+    assert integer_nullspace(columns) == []
     deficient = [[F(6, 4), 3, 0, BIG], [3, 6, 0, 2 * BIG], [0, 0, 0, 0]]
     vectors = integer_nullspace(iter(columns_of(deficient, 4)))
     assert divided(vectors) == sympy_kernel(deficient, 4)
