@@ -203,7 +203,7 @@ def hat_coefficients():
     """
     alphas = [FormPoly.variable(i) for i in range(3)]
     betas = [FormPoly.variable(i) for i in range(3, 7)]
-    shift = FormPoly.monomial((-1, 1, 0, 0, 0, 0, 0, 0, 0), Fraction(-1, 2))
+    shift = alphas[1] * alphas[0] ** -1 * Fraction(-1, 2)
     return taylor_shift(alphas, shift), taylor_shift(betas, shift)
 
 

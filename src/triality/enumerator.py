@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from ._poly import bounded_monomials
 from .linalg import integer_nullspace
 from .sw_curve import CurvePolyAB, curve_poly_json, negative_c0_part
+from .weyl_poly import I_DEGREES
 
 
 def monomials_of(k, m):
@@ -72,9 +73,9 @@ def dimension_table(k_max, m_max):
 
 
 def rank_series(m_max):
-    """Coefficients of 1/((1-x^2)(1-x^4)^2(1-x^6)) up to degree m_max."""
+    """Coefficients of 1/((1-x^2)(1-x^4)^2(1-x^6)), a factor per `I_DEGREES` entry, to x^m_max."""
     coeffs = [1] + [0] * m_max
-    for period in (2, 4, 4, 6):
+    for period in I_DEGREES:
         # multiply by the geometric series of x^period
         for n in range(period, m_max + 1):
             coeffs[n] += coeffs[n - period]

@@ -19,21 +19,23 @@ nearly always dense (the lattice strides 24 and 12), and takes each
 coefficient below the window as one dot product in C.  The pair loop stays
 because the small products (one term or twelve times a series) are most of
 a session's stream, where the list set-up costs more than it saves; the
-dot products win on the long q-series of the deep checks.  `coeff` reads one
-coefficient as a Fraction; `terms` is a read-only {exponent: Fraction}
-view that makes a Fraction only when a value is read.
+dot products win on the long q-series of the deep checks.  The fraction-free
+inverse, too, takes each coefficient as one dot product on the stride; a
+quotient of series is x * y.inverse(), and / takes scalars only.  `coeff`
+reads one coefficient as a Fraction; `terms` is a read-only {exponent:
+Fraction} view that makes a Fraction only when a value is read.
 
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
 the weight-2 level-2 forms e1, e2, e3) take an `order` argument in q-units:
-the result is exact for all exponents below q^order.  Eisenstein series
-and eta are built on integers, from divisor sums and from the product
-prod (1 - q^n) on a list of coefficients, and handed to `_new` in stored
-form; Delta and the triple (e1, e2, e3), which `e_series` builds from one
-set of theta fourth powers, are products of series, and `__mul__` is the
-one series product.  A series is never changed once built, so the
-Bernoulli numbers, Eisenstein series, eta, Delta and the e-triple are each
-computed once per argument and kept for the process.
+the result is exact for all exponents below q^order.  Every one is built on
+integers: Bernoulli's series as (k+1)!/(j+1)! over (k+1)!, thetas as +-1 and
++-2, Eisenstein series from divisor sums and eta from prod (1 - q^n) are
+handed to `_new` in stored form, and Delta and the triple (e1, e2, e3),
+which `e_series` builds from one set of theta fourth powers, are products of
+series, by the one series product `__mul__`.  A series is never changed once
+built, so the Bernoulli numbers, Eisenstein series, eta, Delta and the
+e-triple are each computed once per argument and kept for the process.
 """
 
 from __future__ import annotations
@@ -168,9 +170,9 @@ class FracSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            num = {e: n * c.numerator for e, n in self._num.items()}
-            return FracSeries._new(num, self._den * c.denominator, self.trunc)
+            c = other.numerator
+            num = {e: n * c for e, n in self._num.items()}
+            return FracSeries._new(num, self._den * other.denominator, self.trunc)
         if not isinstance(other, FracSeries):
             return NotImplemented
         # The product coefficient at e is complete iff every split e = i + j
@@ -198,8 +200,6 @@ class FracSeries:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, FracSeries):
-            return self * other.inverse()
         return NotImplemented
 
     def __pow__(self, n):
@@ -219,21 +219,17 @@ class FracSeries:
         width = self.trunc - v
         # self = (sign/den) t^v sum_k a_k t^(step k) with a_0 > 0; the k-th
         # coefficient of the inverse of the sum is b_k / a_0^(k+1), where
-        # b_0 = 1 and b_k = -sum_{j>=1} a_j a_0^(j-1) b_(k-j), all integers.
+        # b_0 = 1 and b_k = -sum_{j>=1} a_j a_0^(j-1) b_(k-j), all integers,
+        # one dot product of b with u[k], ..., u[1] for u[j] = a_j a_0^(j-1).
         sign = 1 if self._num[v] > 0 else -1
         step = math.gcd(*(e - v for e in self._num)) or width
         a0 = sign * self._num[v]
-        u = [((e - v) // step, sign * n * a0 ** ((e - v) // step - 1))
-             for e, n in sorted(self._num.items())[1:]]
+        top = (width - 1) // step
+        a = {(e - v) // step: sign * n for e, n in self._num.items()}
+        u = [0] + [a.get(j, 0) * a0 ** (j - 1) for j in range(1, top + 1)]
         b = [1]
-        for k in range(1, (width - 1) // step + 1):
-            acc = 0
-            for j, c in u:
-                if j > k:
-                    break
-                acc += c * b[k - j]
-            b.append(-acc)
-        top = len(b) - 1
+        for k in range(1, top + 1):
+            b.append(-sum(map(mul, u[k:0:-1], b)))
         num = {step * k - v: sign * self._den * bk * a0 ** (top - k) for k, bk in enumerate(b)}
         return FracSeries._new(num, a0 ** (top + 1), self.trunc - 2 * v)
 
@@ -297,8 +293,9 @@ def bernoulli(k):
     """Exact Bernoulli number B_k in the x/(e^x - 1) convention (B_1 = -1/2)."""
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    # x/(e^x - 1) = 1 / sum_{j>=0} x^j/(j+1)!, a power series in x up to x^k
-    series = FracSeries({j: Fraction(1, math.factorial(j + 1)) for j in range(k + 1)}, k + 1)
+    # x/(e^x - 1) = 1 / sum_{j>=0} x^j/(j+1)!, up to x^k: numerators (k+1)!/(j+1)! over (k+1)!
+    top = math.factorial(k + 1)
+    series = FracSeries._new({j: top // math.factorial(j + 1) for j in range(k + 1)}, top, k + 1)
     return series.inverse().coeff(k) * math.factorial(k)
 
 
@@ -340,13 +337,13 @@ def theta_const(k, order):
     if k not in (2, 3, 4):
         raise ValueError("theta constant index must be 2, 3 or 4")
     trunc = LATTICE * order
-    terms = {}
+    num = {}
     m = 1 if k == 2 else 0
     while 3 * m * m < trunc:
         sign = -1 if k == 4 and m % 4 == 2 else 1
-        terms[3 * m * m] = Fraction(sign * (2 if m else 1))
+        num[3 * m * m] = sign * (2 if m else 1)
         m += 2
-    return FracSeries(terms, trunc)
+    return FracSeries._new(num, 1, trunc)
 
 
 @lru_cache(maxsize=None)

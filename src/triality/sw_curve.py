@@ -109,12 +109,12 @@ def _frame_changes():
     u -> u + s v: s = -c1/(2 c0) kills a1, and s = -b1/(3 b0) kills d1.
     """
     c0, c1, c2, d0, d2, d3 = (CurvePolyCD.variable(i) for i in range(6))
-    s = CurvePolyCD.monomial((-1, 1, 0, 0, 0, 0), Fraction(-1, 2))
+    s = c1 * c0 ** -1 * Fraction(-1, 2)
     a0, _, a2 = taylor_shift((c0, c1, c2), s)
     ab_in_cd = (a0, a2) + taylor_shift((d0, CurvePolyCD.zero(), d2, d3), s)
 
     a0, a2, b0, b1, b2, b3 = (CurvePolyAB.variable(i) for i in range(6))
-    s = CurvePolyAB.monomial((0, 0, -1, 1, 0, 0), Fraction(-1, 3))
+    s = b1 * b0 ** -1 * Fraction(-1, 3)
     d0, _, d2, d3 = taylor_shift((b0, b1, b2, b3), s)
     cd_in_ab = taylor_shift((a0, CurvePolyAB.zero(), a2), s) + (d0, d2, d3)
     return PowerTable(ab_in_cd, CurvePolyCD.one()), PowerTable(cd_in_ab, CurvePolyAB.one())

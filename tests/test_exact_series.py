@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction as F
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +161,54 @@ def test_inverse_is_two_sided_on_random_units():
         inv = a.inverse()
         assert a * inv == FracSeries.constant(1, 120)
         assert inv * a == FracSeries.constant(1, 120)
+
+
+def long_division_inverse(series):
+    """1/series as {exponent: Fraction} by long division on every exponent of
+    the window: b_0 = 1/a_0, b_k = -(sum_{j>=1} a_j b_(k-j)) / a_0."""
+    a = {e - series.valuation: c for e, c in series.terms.items()}
+    b = {}
+    for k in range(series.trunc - series.valuation):
+        acc = sum(c * b[k - j] for j, c in a.items() if 0 < j <= k and k - j in b)
+        bk = (int(k == 0) - acc) / a[0]
+        if bk:
+            b[k] = bk
+    return {k - series.valuation: bk for k, bk in b.items()}
+
+
+def weyl_determinant(order):
+    # the 2x2 determinant that weyl_in_klmn inverts, -3 eta^12 (valuation 12)
+    e1, e2, e3 = e_series(order)
+    a, b = e1 - e3, e2 - e3
+    c, d = (e1 * e1 - e3 * e3) * 12, (e2 * e2 - e3 * e3) * 12
+    return a * d - b * c
+
+
+def test_inverse_matches_long_division_on_long_inputs():
+    # the deep checks invert E4 and E6 at order 96 and the weyl_in_klmn
+    # determinant; the last unit has stride 12, a negative valuation and gaps
+    units = [
+        eisenstein(4, 96),
+        eisenstein(6, 96),
+        weyl_determinant(96),
+        FracSeries({-24: F(-3, 7), -12: 5, 12: F(2, 3), 48: -11, 84: F(1, 5), 144: 2}, LATTICE * 8),
+    ]
+    assert units[2].valuation == 12
+    for unit in units:
+        trunc = unit.trunc - 2 * unit.valuation
+        assert stored(unit.inverse()) == stored(FracSeries(long_division_inverse(unit), trunc))
+
+
+def test_series_divide_only_by_scalars(capsys):
+    # a quotient of series is x * y.inverse(); / takes ints and Fractions, as
+    # the README's library example does, whose last line still prints True
+    _, delta = eta_delta(8)
+    with pytest.raises(TypeError):
+        delta / delta
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    exec(re.search(r"```python\n(.*?)```", example, re.S).group(1), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
 
 
 # -- Bernoulli numbers -----------------------------------------------------------

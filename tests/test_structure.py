@@ -236,6 +236,22 @@ def test_the_cli_refuses_in_one_place():
     assert tries == []
 
 
+def test_series_are_built_on_integers():
+    # every series but zero (no terms) and constant (which drops exponent 0
+    # when trunc <= 0) is built as integer numerators and handed to _new;
+    # the validating constructor, FracSeries(...) or cls(...), is called nowhere else
+    builders = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in ("FracSeries", "cls"):
+                builders.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(Path(exact_series.__file__).read_text()), None)
+    assert sorted(builders) == ["constant", "zero"]
+
+
 def test_series_and_polynomials_print_their_terms_alike():
     # one printer: a unit coefficient shows only its sign, "+ -" reads "- "
     series = FracSeries({0: 3, 12: Fraction(1, 2), 24: -1, 48: 1, 60: -2}, 96)
