@@ -25,7 +25,11 @@ change of generators and a fit of each coefficient into C[E4, E6].  That
 fit, with its test that the window pins every coefficient down, is
 `fit_coefficients`, shared with the direct rewrite of curve polynomials
 over the frame forms (`sw_curve.klmn_form_ab`), which needs no change of
-generators.
+generators.  Those forms are exact: `ModularKLMN` is the rational
+polynomial in K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a
+K,L,M,N polynomial with coefficients in Q[E4^+-1, E6^+-1, Delta] is, for
+every order at once, and `series_form` evaluates one at an order into a
+`KLMNPoly`, reading each E4^i E6^j Delta^k once from `_modular_powers`.
 
 `change_generators` reads each monomial's image from a `_poly.PowerTable`,
 which windows each image once by its `one`; the image may be a kept power,
@@ -33,9 +37,9 @@ and its coefficient scales it into a new value.  Each kept image set has
 one cached builder per order, which returns its table: `klmn` (K, L, M, N
 over `Invariant.one`, read by `KLMNPoly.evaluate`), `weyl_in_klmn` (over
 `KLMNPoly.one`, read by `express_in_klmn`) and `_modular_powers` (E4, E6,
-Delta over the unit series, read by `_modular_basis`).  So every series
-power is built once per order, and a table at one order never serves
-another, whose window differs.
+Delta over the unit series, read by `_modular_basis` and `series_form`).
+So every series power is built once per order, and a table at one order
+never serves another, whose window differs.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from functools import lru_cache
 
 from . import _poly
 from ._poly import (
-    PowerTable, _grlex_key, add_terms, derivative_terms, format_monomial, monomial_degree,
-    mul_terms, power,
+    PowerTable, SparsePoly, _grlex_key, add_terms, derivative_terms, format_monomial,
+    monomial_degree, mul_terms, power,
 )
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from .weyl_poly import I_DEGREES, IPoly
@@ -415,6 +419,45 @@ def _modular_powers(order):
     """The powers of E4, E6 and Delta at this order, kept for the process."""
     gens = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
     return PowerTable(gens, FracSeries.constant(1, LATTICE * order))
+
+
+class ModularKLMN(SparsePoly):
+    """Polynomial in formal K, L, M, N, E4, E6, Delta with rational
+    coefficients, Laurent in E4 and E6: the exact, order-free form of a
+    K,L,M,N polynomial whose series coefficients are rational multiples of
+    E4^i E6^j Delta^k, evaluated at an order by `series_form`.
+
+    E4, E6 and Delta are free here (E4^3 - E6^2 = 1728 Delta is not
+    used), so what cancels exactly cancels in every window, and what cancels
+    only by that relation is kept, as a series that is zero in its window.
+    The rows grade it like `KLMNPoly`: weight adds the modular weights of
+    E4, E6, Delta to the formal ones, and degree counts K, L, M, N alone.
+    """
+
+    nvars = 7
+    names = KLMNPoly.NAMES + ("E4", "E6", "Delta")
+    laurent = frozenset({4, 5})
+    WEIGHTS = KLMN_WEIGHTS + (4, 6, 12)
+    DEGREES = KLMN_DEGREES + (0, 0, 0)
+
+
+def series_form(form, order):
+    """The `KLMNPoly` a `ModularKLMN` form stands for at this order: each
+    coefficient is the sum of its numerators times the kept E4^i E6^j Delta^k
+    of `_modular_powers`, over the form's denominator once."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    table = _modular_powers(order)
+    num, den = _poly.stored(form)
+    sums = {}
+    for exps, n in num.items():
+        add_terms(sums, {exps[:4]: table.monomial(exps[4:]) * n})
+    scale = Fraction(1, den)
+    return KLMNPoly._new(
+        {e: s * scale for e, s in sums.items()},
+        form.weighted_degree(ModularKLMN.WEIGHTS),
+        form.weighted_degree(ModularKLMN.DEGREES),
+    )
 
 
 @lru_cache(maxsize=None)

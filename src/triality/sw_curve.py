@@ -31,14 +31,17 @@ most 556 cores are kept.
 
 Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
-series coefficients are ratios of E4, E6 and the discriminant.  Each kept
-image set has one cached builder per order, which returns its tables, one
-per frame: `_frame_forms` (the six K,L,M,N forms over `KLMNPoly.one`, so
-`klmn_form_ab` composes a polynomial straight into K,L,M,N with series
-coefficients, ready for `invariant_ring.fit_coefficients`) and
-`_frame_values` (the six values over `Invariant.one`).  So every series
-power is built once per order, whichever call asked first, and a table at
-one order never serves another, whose window differs.
+coefficients are rational multiples of E4^i E6^j Delta^k.  `_frame_forms`
+keeps them exactly, as `invariant_ring.ModularKLMN` forms, in one pair of
+tables for every order: `klmn_form_ab` and `jacobian_klmn` compose and
+differentiate in rationals, and `invariant_ring.series_form` goes to
+series once at the end, each E4^i E6^j Delta^k read from the kept powers
+of its order.  So `klmn_form_ab` returns K,L,M,N with series coefficients,
+ready for `invariant_ring.fit_coefficients`.  `_frame_values` has one
+cached builder per order, which returns the six values of each frame over
+`Invariant.one`, so every series power is built once per order, whichever
+call asked first, and a table at one order never serves another, whose
+window differs.
 
 The polynomials that recover Delta K, Delta^2 L, Delta^2 M and Delta^3 N
 (`recover_klmn`) are written once, in the ab frame; the cd frame's four
@@ -53,8 +56,8 @@ from functools import lru_cache
 from math import comb, prod
 
 from ._poly import PowerTable, SparsePoly, compose, jacobian, stored, taylor_shift
-from .exact_series import LATTICE, eisenstein, eta_delta
-from .invariant_ring import Invariant, KLMNPoly
+from .exact_series import LATTICE
+from .invariant_ring import Invariant, ModularKLMN, series_form
 
 
 class CurvePolyAB(SparsePoly):
@@ -172,47 +175,30 @@ def negative_c0_part(mono):
 
 
 @lru_cache(maxsize=None)
-def _frame_forms(order):
-    """Power tables of the twelve coefficient values as K,L,M,N-polynomials
-    at this order, the ab frame's and the cd frame's, over `KLMNPoly.one`."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
-    _, delta = eta_delta(order)
-    e4i = e4.inverse()
-    e6i = e6.inverse()
-    K2 = (2, 0, 0, 0)
-    K3 = (3, 0, 0, 0)
-    K1 = (1, 0, 0, 0)
-    L1 = (0, 1, 0, 0)
-    M1 = (0, 0, 1, 0)
-    N1 = (0, 0, 0, 1)
-    KM = (1, 0, 1, 0)
-    KL = (1, 1, 0, 0)
-    ONE = (0, 0, 0, 0)
+def _frame_forms():
+    """Power tables of the twelve coefficient values as exact K,L,M,N forms
+    over E4, E6 and Delta, the ab frame's and the cd frame's, over
+    `ModularKLMN.one`."""
+    K, L, M, N, e4, e6, delta = (ModularKLMN.variable(i) for i in range(7))
+    e4i, e6i = e4 ** -1, e6 ** -1
     ab = (
-        {ONE: e4 / 12},
-        {K2: delta * e4i / 4, L1: -e6 / 24, M1: e4 / 24},
-        {ONE: e6 / 216},
-        {K1: delta * e4i},
-        {K2: -(e6 * delta) * (e4i ** 2) / 24, L1: -(e4 ** 2) / 288, M1: e6 / 288},
-        {K3: -(delta ** 2) * (e4i ** 3), KM: delta * e4i / 4, N1: delta / 4},
+        e4 / 12,
+        K * K * delta * e4i / 4 - L * e6 / 24 + M * e4 / 24,
+        e6 / 216,
+        K * delta * e4i,
+        -(K * K * e6 * delta * e4i ** 2) / 24 - L * e4 ** 2 / 288 + M * e6 / 288,
+        -(K ** 3 * delta ** 2 * e4i ** 3) + K * M * delta * e4i / 4 + N * delta / 4,
     )
     cd = (
-        {ONE: e4 / 12},
-        {K1: delta * e6i * -12},
-        {K2: (e4 ** 2) * delta * (e6i ** 2) / 4, L1: -e6 / 24, M1: e4 / 24},
-        {ONE: e6 / 216},
-        {K2: -(e4 * delta) * e6i / 24, L1: -(e4 ** 2) / 288, M1: e6 / 288},
-        {K3: 2 * (delta ** 2) * (e6i ** 2), KL: e4 * delta * e6i / 4, N1: delta / 4},
+        e4 / 12,
+        K * delta * e6i * -12,
+        K * K * e4 ** 2 * delta * e6i ** 2 / 4 - L * e6 / 24 + M * e4 / 24,
+        e6 / 216,
+        -(K * K * e4 * delta * e6i) / 24 - L * e4 ** 2 / 288 + M * e6 / 288,
+        K ** 3 * delta ** 2 * e6i ** 2 * 2 + K * L * e4 * delta * e6i / 4 + N * delta / 4,
     )
-    # each form is graded like the coefficient it stands for
-    one = KLMNPoly.one(LATTICE * order)
-    return tuple(
-        PowerTable(map(KLMNPoly, forms, frame.WEIGHTS, frame.DEGREES), one)
-        for forms, frame in ((ab, CurvePolyAB), (cd, CurvePolyCD))
-    )
+    one = ModularKLMN.one()
+    return PowerTable(ab, one), PowerTable(cd, one)
 
 
 @lru_cache(maxsize=None)
@@ -220,14 +206,17 @@ def _frame_values(order):
     """Power tables of the twelve coefficient values at this order, the ab
     frame's and the cd frame's, kept for the process."""
     one = Invariant.one(LATTICE * order)
-    return tuple(PowerTable((f.evaluate(order) for f in t.images), one) for t in _frame_forms(order))
+    return tuple(
+        PowerTable((series_form(f, order).evaluate(order) for f in t.images), one)
+        for t in _frame_forms()
+    )
 
 
 def klmn_form_ab(p, order):
     """Substitute the K,L,M,N forms of the coefficients into an ab-frame
     polynomial: its value as a K,L,M,N polynomial with series coefficients,
     not yet fitted into C[E4, E6] (`invariant_ring.fit_coefficients` does that)."""
-    return compose(p, _frame_forms(order)[0])
+    return series_form(compose(p, _frame_forms()[0]), order)
 
 
 def evaluate_ab(p, order):
@@ -296,7 +285,7 @@ def jacobian_klmn(order):
     Returns (det d(a2,b1,b2,b3)/d(K,L,M,N), det d(c1,c2,d2,d3)/d(K,L,M,N))
     as plain series: both are constant as K,L,M,N-polynomials.
     """
-    ab, cd = (table.images for table in _frame_forms(order))
+    ab, cd = (table.images for table in _frame_forms())
     det_ab = jacobian((ab[1], ab[3], ab[4], ab[5]))
     det_cd = jacobian((cd[1], cd[2], cd[4], cd[5]))
-    return det_ab.constant_series(), det_cd.constant_series()
+    return tuple(series_form(det, order).constant_series() for det in (det_ab, det_cd))

@@ -11,14 +11,15 @@ verdict fails when its value's window ends before q^order.
 
 The table1 suite compares the gradings each generator reads off its
 covariant with the paper's Table 1.  It rewrites each generator's curve
-image directly: it composes the image over the K,L,M,N forms of the frame
-coefficients (`sw_curve.klmn_form_ab`) and fits every coefficient into
-C[E4, E6] at the requested order (`invariant_ring.fit_coefficients`); a
-composition whose window ends before q^order is too shallow.  Where that
-window cannot pin the rewrite down (only at orders 2 to 4), the wider
-window of the route through `evaluate_ab` and `express_in_klmn` decides
-whether the image lies in the ring.  The six explicit forms read the
-direct rewrite alone and compare the Weyl route's too, a second oracle.
+image directly: it composes the image over the exact K,L,M,N forms of the
+frame coefficients, evaluates the result at the requested order once
+(`sw_curve.klmn_form_ab`) and fits every coefficient into C[E4, E6] there
+(`invariant_ring.fit_coefficients`); a composition whose window ends
+before q^order is too shallow.  Where that window cannot pin the rewrite
+down (only at orders 2 to 4), the wider window of the route through
+`evaluate_ab` and `express_in_klmn` decides whether the image lies in the
+ring.  The six explicit forms read the direct rewrite alone and compare
+the Weyl route's too, a second oracle.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from triality._poly import (  # noqa: E402
 from triality.covariants import FormPoly  # noqa: E402
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta  # noqa: E402
 from triality.invariant_ring import (  # noqa: E402
-    _modular_powers, klmn, weyl_in_klmn,
+    _modular_powers, klmn, series_form, weyl_in_klmn,
 )
 from triality.sw_curve import (  # noqa: E402
     CurvePolyAB, CurvePolyCD, _frame_changes, _frame_forms, _frame_values, ab_to_cd, cd_to_ab,
@@ -94,7 +94,7 @@ def series_tables(order):
     """(kept table, its images before windowing, its unit variables) for
     every series table the package keeps; a builder that returns its table
     gives the images it holds, already windowed."""
-    values = [[f.evaluate(order) for f in table.images] for table in _frame_forms(order)]
+    values = [[series_form(f, order).evaluate(order) for f in t.images] for t in _frame_forms()]
     modular = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
     return {
         "klmn": (klmn(order), klmn(order).images, ()),

@@ -153,10 +153,14 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
         assert not hasattr(owner, name)
     order = 5
     klmn, weyl = invariant_ring.klmn(order), invariant_ring.weyl_in_klmn(order)
-    forms = sw_curve._frame_forms(order)
+    modular = invariant_ring._modular_powers(order)
+    # the frame forms are exact and order-free: one table pair for every order
+    assert not inspect.signature(sw_curve._frame_forms).parameters
+    forms = sw_curve._frame_forms()
     assert invariant_ring.klmn(order) is klmn and invariant_ring.weyl_in_klmn(order) is weyl
-    assert len(forms) == 2 and all(a is b for a, b in zip(sw_curve._frame_forms(order), forms))
+    assert sw_curve._frame_forms() is forms and len(forms) == 2
     assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, *forms))
+    assert all(type(t.one) is invariant_ring.ModularKLMN for t in forms)
 
     asked = []
     monomial = _poly.PowerTable.monomial
@@ -172,7 +176,23 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     rep = invariant_ring.KLMNPoly({(1, 0, 0, 0): exact_series.eta_delta(order)[1]}, 12, 2)
     assert any(t is klmn for t in tables_asked(rep.evaluate, order))
     assert any(t is weyl for t in tables_asked(invariant_ring.express_in_klmn, rep.evaluate(order)))
-    assert any(t is forms[0] for t in tables_asked(sw_curve.klmn_form_ab, A0 * A0, order))
+    asked_by_form = tables_asked(sw_curve.klmn_form_ab, A0 * A0, order)
+    assert any(t is forms[0] for t in asked_by_form) and any(t is modular for t in asked_by_form)
+
+    # the forms compose exactly and go to series once: no series polynomial is multiplied
+    products = []
+    multiply = invariant_ring.KLMNPoly.__mul__
+
+    def counted(*args):
+        products.append(args)
+        return multiply(*args)
+
+    monkeypatch.setattr(invariant_ring.KLMNPoly, "__mul__", counted)
+    monkeypatch.setattr(invariant_ring.KLMNPoly, "__rmul__", counted)
+    a2, b1, b3 = (sw_curve.CurvePolyAB.variable(i) for i in (1, 3, 5))
+    sw_curve.klmn_form_ab(a2 * b1 * b1 + A0 * b1 * b3, order)
+    sw_curve.jacobian_klmn(order)
+    assert products == []
 
 
 def test_the_modular_fit_has_one_home():

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
 from triality._poly import (
     PowerTable, SparsePoly, bounded_monomials, compose, jacobian, stored, taylor_shift,
 )
-from triality.exact_series import LATTICE
-from triality.invariant_ring import Invariant
+from triality import sw_curve, verify
+from triality.covariants import gordan_generators
+from triality.exact_series import LATTICE, eisenstein, eta_delta
+from triality.invariant_ring import Invariant, KLMNPoly, ModularKLMN, series_form
 from triality.sw_curve import (
     CurvePolyAB,
     CurvePolyCD,
@@ -312,7 +315,7 @@ def graded_polys(st, cls):
 
 def fresh_frame_table(frame, order):
     """A new table over the frame's coefficient values, evaluated afresh."""
-    images = [f.evaluate(order) for f in _frame_forms(order)[frame].images]
+    images = [series_form(f, order).evaluate(order) for f in _frame_forms()[frame].images]
     return PowerTable(images, Invariant.one(LATTICE * order))
 
 
@@ -354,3 +357,125 @@ def test_kept_frame_value_results_own_their_terms():
     for exps in list(result.terms):
         result.terms[exps] = result.terms[exps] * 5
     assert evaluate_cd(q, 6).to_json() == before
+
+
+# -- the exact frame forms against the series they stand for ----------------------
+
+
+@lru_cache(maxsize=None)
+def series_built_forms(order):
+    """The twelve frame forms as `KLMNPoly` power tables built on series at
+    this order, term by term from E4, E6, Delta and the two inverses: the
+    oracle for the exact forms and every composition over them."""
+    e4, e6 = eisenstein(4, order), eisenstein(6, order)
+    delta = eta_delta(order)[1]
+    e4i, e6i = e4.inverse(), e6.inverse()
+    one, K, K2, K3 = (0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)
+    L, M, N, KL, KM = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0)
+    ab = (
+        {one: e4 / 12},
+        {K2: delta * e4i / 4, L: -e6 / 24, M: e4 / 24},
+        {one: e6 / 216},
+        {K: delta * e4i},
+        {K2: -(e6 * delta) * (e4i ** 2) / 24, L: -(e4 ** 2) / 288, M: e6 / 288},
+        {K3: -(delta ** 2) * (e4i ** 3), KM: delta * e4i / 4, N: delta / 4},
+    )
+    cd = (
+        {one: e4 / 12},
+        {K: delta * e6i * -12},
+        {K2: (e4 ** 2) * delta * (e6i ** 2) / 4, L: -e6 / 24, M: e4 / 24},
+        {one: e6 / 216},
+        {K2: -(e4 * delta) * e6i / 24, L: -(e4 ** 2) / 288, M: e6 / 288},
+        {K3: 2 * (delta ** 2) * (e6i ** 2), KL: e4 * delta * e6i / 4, N: delta / 4},
+    )
+    unit = KLMNPoly.one(LATTICE * order)
+    return tuple(
+        PowerTable(map(KLMNPoly, forms, frame.WEIGHTS, frame.DEGREES), unit)
+        for forms, frame in ((ab, CurvePolyAB), (cd, CurvePolyCD))
+    )
+
+
+def stored_series(series):
+    return stored(series), series.trunc
+
+
+def assert_matches_series_built(value, oracle):
+    """value has the oracle's grading, and each monomial both hold has the
+    same stored series (numerators, denominator and trunc); a monomial only
+    the oracle holds cancelled exactly, so its series is zero in its window."""
+    assert (value.weight, value.degree) == (oracle.weight, oracle.degree)
+    assert set(value.terms) <= set(oracle.terms)
+    for exps, series in oracle.terms.items():
+        if exps in value.terms:
+            assert stored_series(value.terms[exps]) == stored_series(series), exps
+        else:
+            assert series.is_zero, exps
+
+
+@pytest.mark.parametrize("order", [2, 5, 24])
+def test_exact_frame_forms_evaluate_to_the_series_built_forms(order):
+    for exact, built in zip(_frame_forms(), series_built_forms(order)):
+        for form, oracle in zip(exact.images, built.images):
+            value = series_form(form, order)
+            assert set(value.terms) == set(oracle.terms)
+            assert_matches_series_built(value, oracle)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 24])
+def test_klmn_form_ab_matches_the_series_built_table(order):
+    polys = [g.image for g in gordan_generators()] + list(recover_klmn()[0])
+    for p in polys:
+        assert_matches_series_built(klmn_form_ab(p, order), compose(p, series_built_forms(order)[0]))
+
+
+def test_klmn_form_ab_matches_the_series_built_table_on_graded_polys():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 6, 24]), graded_polys(st, CurvePolyAB))
+    def check(order, p):
+        assert_matches_series_built(klmn_form_ab(p, order), compose(p, series_built_forms(order)[0]))
+
+    check()
+
+
+B3_N_DELTA = (5, (0, 0, 0, 1, 0, 0, 1))  # b3's N*Delta coefficient, 1/4
+A2_K2_DELTA_OVER_E4 = (1, (2, 0, 0, 0, -1, 0, 1))  # a2's K^2*Delta/E4 coefficient, 1/4
+
+
+@pytest.mark.parametrize(
+    "coefficient, suites",
+    [(B3_N_DELTA, ("jacobians", "curve")), (A2_K2_DELTA_OVER_E4, ("curve", "table1"))],
+    ids=["b3 N*Delta", "a2 K^2*Delta/E4"],
+)
+def test_a_wrong_frame_form_coefficient_fails_its_checks(monkeypatch, coefficient, suites):
+    # the ab form of one coefficient with one exact coefficient doubled
+    i, exps = coefficient
+    ab, cd = (list(t.images) for t in _frame_forms())
+    assert ab[i].terms[exps] == F(1, 4)
+    ab[i] = ab[i] + ModularKLMN.monomial(exps, F(1, 4))
+    patched = tuple(PowerTable(images, ModularKLMN.one()) for images in (ab, cd))
+    monkeypatch.setattr(sw_curve, "_frame_forms", lambda: patched)
+    _frame_values.cache_clear()
+    try:
+        failed = {suite: [r.name for r in verify.SUITES[suite](6) if not r.passed] for suite in suites}
+    finally:
+        _frame_values.cache_clear()
+    assert all(failed.values()), failed
+    if "table1" in suites:
+        assert "explicit forms of <f,f>^2 (curve and K,L,M,N)" in failed["table1"]
+
+
+def test_frame_form_poles_are_the_frame_change_poles():
+    # the pole order in E4 of each ab form is the pole order in c0 of its
+    # variable in the cd frame, and the pole order in E6 of each cd form that
+    # in b0 of its variable in the ab frame
+    ab, cd = (t.images for t in _frame_forms())
+    assert [form.min_degree_in(4) for form in ab] == [
+        ab_to_cd(CurvePolyAB.variable(i)).min_degree_in(0) for i in range(6)
+    ] == [1, -1, 0, -1, -2, -3]
+    assert [form.min_degree_in(5) for form in cd] == [
+        cd_to_ab(CurvePolyCD.variable(i)).min_degree_in(2) for i in range(6)
+    ] == [0, -1, -2, 1, -1, -2]
