@@ -41,7 +41,17 @@ ready for `invariant_ring.fit_coefficients`.  `_frame_values` has one
 cached builder per order, which returns the six values of each frame over
 `Invariant.one`, so every series power is built once per order, whichever
 call asked first, and a table at one order never serves another, whose
-window differs.
+window differs.  `evaluate_ab` and `evaluate_cd` give `compose` over that
+table, core by core, as `negative_c0_part` reads the frame change: a
+monomial is its unit part (a0, b0 resp. c0, d0) times its core, and the
+unit images of a core with several monomials are summed into one series
+before they meet the core's image.  A unit power is one series of
+valuation 0 known to the table's window, and every kept coefficient c has
+c.trunc <= window + val(c), so a product of c with a unit power has c's
+window.  A sum of units can cancel its constant term (4 a0^6 - 216 a0^3
+b0^2 + 2916 b0^4 is 4 Delta^2), and its product with c would then be known
+further; cutting it to c's window keeps the windows `compose` gives, which
+`express_in_klmn` reads its order from.
 
 The polynomials that recover Delta K, Delta^2 L, Delta^2 M and Delta^3 N
 (`recover_klmn`) are written once, in the ab frame; the cd frame's four
@@ -54,10 +64,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
+from operator import sub
 
 from ._poly import PowerTable, SparsePoly, compose, jacobian, stored, taylor_shift
 from .exact_series import LATTICE
-from .invariant_ring import Invariant, ModularKLMN, series_form
+from .invariant_ring import ONE_EXPS, Invariant, ModularKLMN, series_form
 
 
 class CurvePolyAB(SparsePoly):
@@ -219,17 +230,47 @@ def klmn_form_ab(p, order):
     return series_form(compose(p, _frame_forms()[0]), order)
 
 
+def _evaluate(p, table):
+    """`compose(p, table)` for a `_frame_values` table, core by core: a core
+    with one monomial adds its image, and the unit images of a core with
+    more are summed into one series s that each coefficient c of the core's
+    image meets once, cut to c's window.  p's grading is checked first, as
+    a sum of parts that cancel within the window would not check it, and
+    the parts are added over p's denominator."""
+    grading = [p.weighted_degree(row) for row in (type(p).WEIGHTS, type(p).DEGREES)]
+    laurent = type(p).laurent
+    num, den = stored(p)
+    groups = {}
+    for exps, n in num.items():
+        core = tuple(0 if i in laurent else e for i, e in enumerate(exps))
+        groups.setdefault(core, []).append((exps, n))
+    parts = []
+    for core, group in groups.items():
+        if len(group) == 1:
+            (exps, n), = group
+            parts.append(table.monomial(exps) * n)
+            continue
+        units = Invariant._sum(table.monomial(tuple(map(sub, e, core))) * n for e, n in group)
+        s = units.terms[ONE_EXPS]
+        image = table.monomial(core)
+        scaled = {e: (c * s).truncate(c.trunc) for e, c in image.terms.items()}
+        parts.append(Invariant._new(scaled, image.weight + units.weight, image.degree))
+    total = Invariant._sum(parts, *grading)
+    return total if den == 1 else total * Fraction(1, den)
+
+
 def evaluate_ab(p, order):
     """Substitute the concrete coefficient values into an ab-frame polynomial.
 
     Only the unit coefficients a0, b0, c0, d0 (pure series of valuation 0)
     are ever inverted, where a frame change left them a negative power.
+    The monomials that share a core multiply its image once (`_evaluate`).
     """
-    return compose(p, _frame_values(order)[0])
+    return _evaluate(p, _frame_values(order)[0])
 
 
 def evaluate_cd(p, order):
-    return compose(p, _frame_values(order)[1])
+    return _evaluate(p, _frame_values(order)[1])
 
 
 # -- recovery of the fundamental invariants ---------------------------------------

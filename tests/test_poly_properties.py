@@ -170,9 +170,14 @@ def test_arithmetic_results_store_no_zero_coefficient(p, q, c, i):
 
 
 def test_one_pass_sum_still_rejects_mixed_weights():
-    # a0 evaluates to weight 4 and b0 to weight 6: their sum has no grading
-    with pytest.raises(NotHomogeneousError):
-        evaluate_ab(CurvePolyAB.variable(0) + CurvePolyAB.variable(2), 8)
+    # a0 evaluates to weight 4 and b0 to weight 6: their sum has no grading,
+    # also where the two share the core b1 and their images are summed first,
+    # and beside a group of monomials that sums to 4 Delta^2, zero below q^2
+    a0, a2, b0, b1 = (CurvePolyAB.variable(i) for i in range(4))
+    delta_squared = a0 ** 6 * 4 - a0 ** 3 * b0 ** 2 * 216 + b0 ** 4 * 2916
+    for p, order in ((a0 + b0, 8), (a0 * b1 + b0 * b1, 8), (delta_squared * b1 + a2, 2)):
+        with pytest.raises(NotHomogeneousError):
+            evaluate_ab(p, order)
 
 
 # -- the integer-numerator store, against {exponents: Fraction} dicts --------------

@@ -9,8 +9,8 @@ from triality._poly import (
 )
 from triality import sw_curve, verify
 from triality.covariants import gordan_generators
-from triality.exact_series import LATTICE, eisenstein, eta_delta
-from triality.invariant_ring import Invariant, KLMNPoly, ModularKLMN, series_form
+from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta
+from triality.invariant_ring import ONE_EXPS, Invariant, KLMNPoly, ModularKLMN, series_form
 from triality.sw_curve import (
     CurvePolyAB,
     CurvePolyCD,
@@ -479,3 +479,85 @@ def test_frame_form_poles_are_the_frame_change_poles():
     assert [form.min_degree_in(5) for form in cd] == [
         cd_to_ab(CurvePolyCD.variable(i)).min_degree_in(2) for i in range(6)
     ] == [0, -1, -2, 1, -1, -2]
+
+
+# -- evaluation core by core, against term-by-term composition ---------------------
+
+
+def evaluation_inputs():
+    """(frame, polynomial) pairs: the recoveries, the generators' cd images, the
+    Gordan images in both frames and Laurent monomials in the unit variables."""
+    ab, cd = recover_klmn()
+    gordan = [g.image for g in gordan_generators()]
+    ab_inputs = [*ab, *gordan, A0 ** -3 * B0 ** 2 * B1, A0 ** 2 * B1 + A0 ** -1 * B0 ** 2 * B1]
+    cd_inputs = [
+        *cd, *map(ab_to_cd, (A2, B1, B2, B3)), *map(ab_to_cd, gordan), C0 ** -1 * C1 ** 2 * D0,
+        C0 ** -1 * C1 ** 2 * D0 + C0 ** 2 * C1 ** 2 * D0 ** -1,
+    ]
+    return [(0, p) for p in ab_inputs] + [(1, p) for p in cd_inputs]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 24, 96])
+def test_evaluation_by_cores_matches_compose(order):
+    # the same terms, windows and grading as one product per monomial
+    for frame, p in evaluation_inputs():
+        result = (evaluate_ab, evaluate_cd)[frame](p, order)
+        assert result.to_json() == compose(p, _frame_values(order)[frame]).to_json(), (frame, p)
+
+
+@pytest.mark.parametrize("order", [2, 3, 6, 24])
+def test_unit_powers_keep_every_coefficient_window(order):
+    # a unit power times a coefficient c has c's window exactly when the unit
+    # has valuation 0 and trunc LATTICE*order and c.trunc <= LATTICE*order + val(c)
+    verify.run_suite("curve", order)
+    trunc = LATTICE * order
+    assert -1 in _frame_values(order)[1].powers[0]  # c0^-1, for the cd recoveries
+    for table, cls in zip(_frame_values(order), (CurvePolyAB, CurvePolyCD)):
+        for i, cache in enumerate(table.powers):
+            for value in cache.values():
+                if i in cls.laurent:
+                    assert set(value.terms) == {ONE_EXPS}
+                    unit = value.terms[ONE_EXPS]
+                    assert (unit.valuation, unit.trunc) == (0, trunc)
+                for c in value.terms.values():
+                    assert c.is_zero or c.trunc <= trunc + c.valuation
+
+
+def test_zero_and_window_zero_values_keep_their_grading():
+    # 4 a0^6 - 216 a0^3 b0^2 + 2916 b0^4 is 4 Delta^2, zero below q^2
+    for frame, p in ((0, CurvePolyAB.zero()), (1, CurvePolyCD.zero())):
+        result = (evaluate_ab, evaluate_cd)[frame](p, 6)
+        assert result.to_json() == compose(p, _frame_values(6)[frame]).to_json()
+        assert (result.weight, result.degree, result.terms) == (0, 0, {})
+    delta_squared = A0 ** 6 * 4 - A0 ** 3 * B0 ** 2 * 216 + B0 ** 4 * 2916
+    result = evaluate_ab(delta_squared, 2)
+    assert result.is_zero and (result.weight, result.degree) == (24, 0)
+    assert result.to_json() == compose(delta_squared, _frame_values(2)[0]).to_json()
+
+
+def test_evaluation_by_cores_makes_fewer_series_products(monkeypatch):
+    # on warm tables, a recovery polynomial multiplies each shared core once
+    polys = [(frame, p) for frame, ps in enumerate(recover_klmn()) for p in ps]
+    tables = _frame_values(24)
+    for frame, p in polys:
+        (evaluate_ab, evaluate_cd)[frame](p, 24)
+        compose(p, tables[frame])
+    products = []
+    multiply = FracSeries.__mul__
+
+    def counted(self, other):
+        if isinstance(other, FracSeries):
+            products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(FracSeries, "__mul__", counted)
+
+    def count(evaluate):
+        products.clear()
+        for frame, p in polys:
+            evaluate(frame, p)
+        return len(products)
+
+    by_cores = count(lambda frame, p: (evaluate_ab, evaluate_cd)[frame](p, 24))
+    by_monomials = count(lambda frame, p: compose(p, tables[frame]))
+    assert 0 < by_cores < by_monomials
