@@ -21,15 +21,18 @@ resulting three-way classification (invariant / weak only / neither).
 `KLMNPoly` is the element over the four fundamental weak invariants
 K, L, M, N, which generate freely over the level-1 forms E4, E6
 (Wirthmueller), so `express_in_klmn` rewrites an invariant in them by a
-change of generators and a fit of each coefficient into C[E4, E6].  That
-fit, with its test that the window pins every coefficient down, is
-`fit_coefficients`, shared with the direct rewrite of curve polynomials
-over the frame forms (`sw_curve.klmn_form_ab`), which needs no change of
-generators.  Those forms are exact: `ModularKLMN` is the rational
-polynomial in K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a
-K,L,M,N polynomial with coefficients in Q[E4^+-1, E6^+-1, Delta] is, for
-every order at once, and `series_form` evaluates one at an order into a
+change of generators and a fit of each coefficient into C[E4, E6]
+(`fit_coefficients`), within a window that must pin every coefficient
+down.  `ModularKLMN` needs no window: it is the rational polynomial in
+K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a K,L,M,N
+polynomial with coefficients in Q[E4^+-1, E6^+-1, Delta] is, for every
+order at once.  `series_form` evaluates one at an order into a
 `KLMNPoly`, reading each E4^i E6^j Delta^k once from `_modular_powers`.
+`reduce_delta` writes Delta out as (E4^3 - E6^2)/1728; as E4, E6 are
+algebraically independent and K, L, M, N free over them, two forms are
+one value exactly when these normal forms are equal, and a form lies in
+C[E4, E6][K, L, M, N] exactly when its normal form has no negative power
+of E4 or E6.
 
 `change_generators` reads each monomial's image from a `_poly.PowerTable`,
 which windows each image once by its `one`; the image may be a kept power,
@@ -39,7 +42,8 @@ over `Invariant.one`, read by `KLMNPoly.evaluate`), `weyl_in_klmn` (over
 `KLMNPoly.one`, read by `express_in_klmn`) and `_modular_powers` (E4, E6,
 Delta over the unit series, read by `_modular_basis` and `series_form`).
 So every series power is built once per order, and a table at one order
-never serves another, whose window differs.
+never serves another, whose window differs; the order-free
+`_delta_reduction` (over `ModularKLMN.one`) has one for the process.
 """
 
 from __future__ import annotations
@@ -427,9 +431,9 @@ class ModularKLMN(SparsePoly):
     K,L,M,N polynomial whose series coefficients are rational multiples of
     E4^i E6^j Delta^k, evaluated at an order by `series_form`.
 
-    E4, E6 and Delta are free here (E4^3 - E6^2 = 1728 Delta is not
-    used), so what cancels exactly cancels in every window, and what cancels
-    only by that relation is kept, as a series that is zero in its window.
+    E4, E6 and Delta are free here, so what cancels only by E4^3 - E6^2 =
+    1728 Delta is kept, and `series_form` gives it as a series that is zero
+    in its window; `reduce_delta` applies the relation.
     The rows grade it like `KLMNPoly`: weight adds the modular weights of
     E4, E6, Delta to the formal ones, and degree counts K, L, M, N alone.
     """
@@ -458,6 +462,20 @@ def series_form(form, order):
         form.weighted_degree(ModularKLMN.WEIGHTS),
         form.weighted_degree(ModularKLMN.DEGREES),
     )
+
+
+@lru_cache(maxsize=None)
+def _delta_reduction():
+    """The power table of K, L, M, N, E4, E6 and (E4^3 - E6^2)/1728 over
+    `ModularKLMN.one`, kept for the process: Delta's image in E4 and E6."""
+    K, L, M, N, e4, e6, _ = (ModularKLMN.variable(i) for i in range(7))
+    return PowerTable((K, L, M, N, e4, e6, (e4 ** 3 - e6 ** 2) / 1728), ModularKLMN.one())
+
+
+def reduce_delta(form):
+    """The normal form of a `ModularKLMN` form: Delta replaced by
+    (E4^3 - E6^2)/1728, so every value has exactly one Delta-free form."""
+    return _poly.compose(form, _delta_reduction())
 
 
 @lru_cache(maxsize=None)

@@ -32,26 +32,27 @@ most 556 cores are kept.
 Evaluation sends the formal coefficients to their concrete values: each is
 a polynomial in the four fundamental weak invariants K, L, M, N whose
 coefficients are rational multiples of E4^i E6^j Delta^k.  `_frame_forms`
-keeps them exactly, as `invariant_ring.ModularKLMN` forms, in one pair of
-tables for every order: `klmn_form_ab` and `jacobian_klmn` compose and
-differentiate in rationals, and `invariant_ring.series_form` goes to
-series once at the end, each E4^i E6^j Delta^k read from the kept powers
-of its order.  So `klmn_form_ab` returns K,L,M,N with series coefficients,
-ready for `invariant_ring.fit_coefficients`.  `_frame_values` has one
-cached builder per order, which returns the six values of each frame over
-`Invariant.one`, so every series power is built once per order, whichever
-call asked first, and a table at one order never serves another, whose
-window differs.  `evaluate_ab` and `evaluate_cd` give `compose` over that
-table, core by core, as `negative_c0_part` reads the frame change: a
-monomial is its unit part (a0, b0 resp. c0, d0) times its core, and the
-unit images of a core with several monomials are summed into one series
-before they meet the core's image.  A unit power is one series of
-valuation 0 known to the table's window, and every kept coefficient c has
-c.trunc <= window + val(c), so a product of c with a unit power has c's
-window.  A sum of units can cancel its constant term (4 a0^6 - 216 a0^3
-b0^2 + 2916 b0^4 is 4 Delta^2), and its product with c would then be known
-further; cutting it to c's window keeps the windows `compose` gives, which
-`express_in_klmn` reads its order from.
+keeps them exactly, as `invariant_ring.ModularKLMN` forms with Delta in
+them, in one pair of tables for every order.  `exact_ab` composes over the
+ab table and takes the Delta-free normal form
+(`invariant_ring.reduce_delta`), with no series built; `jacobian_klmn`
+differentiates in rationals and goes to series once at the end
+(`invariant_ring.series_form`).
+
+`_frame_values` has one cached builder per order, which returns the six
+values of each frame over `Invariant.one`, so every series power is built
+once per order, whichever call asked first, and a table at one order never
+serves another, whose window differs.  `evaluate_ab` and `evaluate_cd` give
+`compose` over that table, core by core, as `negative_c0_part` reads the
+frame change: a monomial is its unit part (a0, b0 resp. c0, d0) times its
+core, and the unit images of a core with several monomials are summed into
+one series before they meet the core's image.  A unit power is one series
+of valuation 0 known to the table's window, and every kept coefficient c
+has c.trunc <= window + val(c), so a product of c with a unit power has
+c's window.  A sum of units can cancel its constant term (4 a0^6 - 216
+a0^3 b0^2 + 2916 b0^4 is 4 Delta^2), and its product with c would then be
+known further; cutting it to c's window keeps the windows `compose` gives,
+which `express_in_klmn` reads its order from.
 
 The polynomials that recover Delta K, Delta^2 L, Delta^2 M and Delta^3 N
 (`recover_klmn`) are written once, in the ab frame; the cd frame's four
@@ -68,7 +69,7 @@ from operator import sub
 
 from ._poly import PowerTable, SparsePoly, compose, jacobian, stored, taylor_shift
 from .exact_series import LATTICE
-from .invariant_ring import ONE_EXPS, Invariant, ModularKLMN, series_form
+from .invariant_ring import ONE_EXPS, Invariant, ModularKLMN, reduce_delta, series_form
 
 
 class CurvePolyAB(SparsePoly):
@@ -223,11 +224,10 @@ def _frame_values(order):
     )
 
 
-def klmn_form_ab(p, order):
-    """Substitute the K,L,M,N forms of the coefficients into an ab-frame
-    polynomial: its value as a K,L,M,N polynomial with series coefficients,
-    not yet fitted into C[E4, E6] (`invariant_ring.fit_coefficients` does that)."""
-    return series_form(compose(p, _frame_forms()[0]), order)
+def exact_ab(p):
+    """The exact value of an ab-frame polynomial: its Delta-free K,L,M,N form
+    over E4 and E6 (`invariant_ring.reduce_delta`), for every order at once."""
+    return reduce_delta(compose(p, _frame_forms()[0]))
 
 
 def _evaluate(p, table):

@@ -10,16 +10,15 @@ of a polynomial equality differ in (weight, degree); a classification
 verdict fails when its value's window ends before q^order.
 
 The table1 suite compares the gradings each generator reads off its
-covariant with the paper's Table 1.  It rewrites each generator's curve
-image directly: it composes the image over the exact K,L,M,N forms of the
-frame coefficients, evaluates the result at the requested order once
-(`sw_curve.klmn_form_ab`) and fits every coefficient into C[E4, E6] there
-(`invariant_ring.fit_coefficients`); a composition whose window ends
-before q^order is too shallow.  Where that window cannot pin the rewrite
-down (only at orders 2 to 4), the wider window of the route through
-`evaluate_ab` and `express_in_klmn` decides whether the image lies in the
-ring.  The six explicit forms read the direct rewrite alone and compare
-the Weyl route's too, a second oracle.
+covariant with the paper's Table 1.  Membership in C[E4, E6][K, L, M, N]
+is decided exactly, with no window: `sw_curve.exact_ab` gives each
+generator's curve image as its Delta-free K,L,M,N form over E4 and E6,
+which lies in the ring exactly when no power of E4 or E6 in it is
+negative.  The six explicit forms are written once, as exact forms in
+K, L, M, N, E4, E6 and Delta, and each is checked on two routes: exactly,
+against the normal form of its curve image, and on series at the
+requested order, against the route through `evaluate_ab` and
+`express_in_klmn`, a second oracle.
 """
 
 from __future__ import annotations
@@ -36,10 +35,12 @@ from .invariant_ring import (
     WEAK_ONLY,
     AmbiguousRepresentationError,
     Invariant,
+    ModularKLMN,
     NoRepresentationError,
     express_in_klmn,
-    fit_coefficients,
     klmn,
+    reduce_delta,
+    series_form,
 )
 from .weyl_poly import IPoly
 
@@ -293,29 +294,21 @@ def isomorphism_checks(order):
     return out
 
 
-def _direct_rewrite(p, order):
-    """K,L,M,N form of the curve polynomial p, fitted from its composition
-    over the frame forms at this order, whose window must reach q^order."""
-    coeffs = sw_curve.klmn_form_ab(p, order)
-    if not _reaches(order, coeffs):
-        raise AmbiguousRepresentationError(f"window q^{order} too shallow")
-    return fit_coefficients(coeffs, order)
+def _in_ring(form):
+    """True when a Delta-free K,L,M,N form has no negative power of E4 or E6."""
+    return form.min_degree_in(4) >= 0 and form.min_degree_in(5) >= 0
 
 
-def _weyl_rewrite(p, order):
-    """K,L,M,N form of the curve polynomial p, through its value over the
-    Weyl generators, whose window the Delta factors may widen."""
-    return express_in_klmn(sw_curve.evaluate_ab(p, order))
-
-
-def _rewrite(route, p, order):
-    """(K,L,M,N form of p by this route or None, detail of a failed rewrite)."""
+def _weyl_route(p, expected, order):
+    """(passed, detail): the K,L,M,N form of the curve polynomial p, through
+    its value over the Weyl generators, is the exact form expected at this order."""
     try:
-        return route(p, order), ""
+        rep = express_in_klmn(sw_curve.evaluate_ab(p, order))
     except NoRepresentationError:
-        return None, ""
+        return False, ""
     except AmbiguousRepresentationError:
-        return None, f"window q^{order} too shallow to pin the representation down"
+        return False, f"window q^{order} too shallow to pin the representation down"
+    return _same(rep, series_form(expected, order), order), ""
 
 
 def table1_checks(order):
@@ -335,56 +328,37 @@ def table1_checks(order):
     out.append(_check("order totals (5, 4, 3, 3)", by_order == {0: 5, 1: 4, 2: 3, 3: 3}))
 
     images = {g.label: g.image for g in gens}
-    direct = {label: _rewrite(_direct_rewrite, p, order) for label, p in images.items()}
+    exact = {label: sw_curve.exact_ab(p) for label, p in images.items()}
     for g in gens:
         out.append(_check(f"leading coefficient of {g.label} is a semiinvariant", covariants.is_semiinvariant(g.semi)))
     for g in gens:
         out.append(_check(f"curve image of {g.label} is a triality invariant", sw_curve.is_triality_invariant(g.image)))
 
     # the six explicit low-weight evaluations, in both written forms
-    eta, delta = eta_delta(order)
-    e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
     AB = sw_curve.CurvePolyAB
+    K, L, M, N, E4, E6, D = (ModularKLMN.variable(i) for i in range(7))
     explicit = {
-        "f": (AB({(1, 0, 0, 0, 0, 0): 1}), {(0, 0, 0, 0): e4 / 12}),
-        "g": (AB({(0, 0, 1, 0, 0, 0): 1}), {(0, 0, 0, 0): e6 / 216}),
-        "<f,g>^1": (AB({(1, 0, 0, 1, 0, 0): Fraction(1, 3)}), {(1, 0, 0, 0): delta / 36}),
-        "<f,f>^2": (
-            AB({(1, 1, 0, 0, 0, 0): 2}),
-            {(2, 0, 0, 0): delta / 24, (0, 1, 0, 0): -(e4 * e6) / 144, (0, 0, 1, 0): (e4 ** 2) / 144},
-        ),
+        "f": (AB({(1, 0, 0, 0, 0, 0): 1}), E4 / 12),
+        "g": (AB({(0, 0, 1, 0, 0, 0): 1}), E6 / 216),
+        "<f,g>^1": (AB({(1, 0, 0, 1, 0, 0): Fraction(1, 3)}), K * D / 36),
+        "<f,f>^2": (AB({(1, 1, 0, 0, 0, 0): 2}), (K * K * D * 6 - L * E4 * E6 + M * E4 ** 2) / 144),
         "<f,g>^2": (
             AB({(1, 0, 0, 0, 1, 0): Fraction(1, 3), (0, 1, 1, 0, 0, 0): 1}),
-            {(0, 1, 0, 0): -((e6 ** 2) + 576 * delta) / 3456, (0, 0, 1, 0): (e4 * e6) / 3456},
+            (M * E4 * E6 - L * (E6 ** 2 + D * 576)) / 3456,
         ),
         "<g,g>^2": (
             AB({(0, 0, 1, 0, 1, 0): Fraction(2, 3), (0, 0, 0, 2, 0, 0): Fraction(-2, 9)}),
-            {
-                (2, 0, 0, 0): -(12 * e4 * delta) / 93312,
-                (0, 1, 0, 0): -((e4 ** 2) * e6) / 93312,
-                (0, 0, 1, 0): (e6 ** 2) / 93312,
-            },
+            (M * E6 ** 2 - L * E4 ** 2 * E6 - K * K * E4 * D * 12) / 93312,
         ),
     }
-    for label, (poly_expected, klmn_expected) in explicit.items():
+    for label, (poly_expected, form) in explicit.items():
         # the route through the Weyl generators is a second oracle for these
-        reps, details = zip(direct[label], _rewrite(_weyl_rewrite, images[label], order))
-        ok = images[label] == poly_expected and all(rep is not None for rep in reps)
-        ok = ok and all(
-            set(rep.terms) == set(klmn_expected)
-            and all(_same(rep.terms.get(key), series, order) for key, series in klmn_expected.items())
-            for rep in reps
-        )
-        out.append(_check(f"explicit forms of {label} (curve and K,L,M,N)", ok, details[0] or details[1]))
+        ok, detail = _weyl_route(images[label], form, order)
+        ok = ok and images[label] == poly_expected and exact[label] == reduce_delta(form)
+        out.append(_check(f"explicit forms of {label} (curve and K,L,M,N)", ok, detail))
 
-    for label, (rep, detail) in direct.items():
-        if rep is None and detail:
-            # the wider window of the Weyl route may pin down what this one cannot
-            rep, detail = _rewrite(_weyl_rewrite, images[label], order)
-        out.append(
-            _check(f"{label} lies in the K,L,M,N polynomial ring over E4, E6", rep is not None, detail)
-        )
+    for label, form in exact.items():
+        out.append(_check(f"{label} lies in the K,L,M,N polynomial ring over E4, E6", _in_ring(form)))
     return out
 
 

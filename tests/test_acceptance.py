@@ -158,36 +158,37 @@ def test_unknown_leading_coefficient_fails_with_the_window(monkeypatch):
     assert [(r.passed, r.detail) for r in failed] == [(False, "")] * 6
 
 
-# each explicit form is read from the direct route (the composition over the
-# frame forms, then its fit) and checked again through the Weyl route
-FAULTS = ((sw_curve, "klmn_form_ab"), (verify, "fit_coefficients"), (verify, "express_in_klmn"))
+# each explicit form is checked exactly, against the normal form of its curve
+# image, and on series, against the route through the Weyl generators
 
 
 def test_failed_rewrite_fails_the_explicit_forms(monkeypatch):
     def shallow(*args):
         raise AmbiguousRepresentationError("window too short")
 
-    for owner, name in FAULTS:
-        with monkeypatch.context() as m:
-            m.setattr(owner, name, shallow)
-            results = verify.table1_checks(2)
-        explicit = [r for r in results if r.name.startswith("explicit forms of")]
-        assert len(explicit) == 6
-        for r in explicit:
-            assert not r.passed and "too shallow" in r.detail, (name, r.name)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "express_in_klmn", shallow)
+        explicit = [r for r in verify.table1_checks(2) if r.name.startswith("explicit forms of")]
+    assert len(explicit) == 6
+    for r in explicit:
+        assert not r.passed and "too shallow" in r.detail, r.name
+
+    # a wrong exact form fails them too, with no window to blame
+    exact_ab = sw_curve.exact_ab
+    monkeypatch.setattr(sw_curve, "exact_ab", lambda p: exact_ab(p) * 2)
+    explicit = [r for r in verify.table1_checks(4) if r.name.startswith("explicit forms of")]
+    assert [(r.passed, r.detail) for r in explicit] == [(False, "")] * 6
 
 
 def test_rewrite_one_power_short_fails_the_explicit_forms(monkeypatch):
-    # a composition one power short must not be fitted as if it reached q^order
+    # a Weyl-route rewrite one power short must not pass as if it reached q^order
     order = 4
-    for owner, name in FAULTS:
-        rewrite = getattr(owner, name)
+    rewrite = verify.express_in_klmn
 
-        def short(*args):
-            return rewrite(*args).truncate(24 * order - 24)
+    def short(*args):
+        return rewrite(*args).truncate(24 * order - 24)
 
-        with monkeypatch.context() as m:
-            m.setattr(owner, name, short)
-            explicit = [r for r in verify.table1_checks(order) if r.name.startswith("explicit forms of")]
-        assert len(explicit) == 6
-        assert [r.name for r in explicit if r.passed] == [], name
+    monkeypatch.setattr(verify, "express_in_klmn", short)
+    explicit = [r for r in verify.table1_checks(order) if r.name.startswith("explicit forms of")]
+    assert len(explicit) == 6
+    assert [r.name for r in explicit if r.passed] == []

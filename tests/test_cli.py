@@ -741,8 +741,8 @@ def test_closed_stdout_ends_the_run_quietly():
 
 
 # sha256 of the stdout of each call and its exit code, pinned so that
-# refactors keep every byte; at orders 2 to 4 only the Weyl fallback decides
-# the table1 verdicts
+# refactors keep every byte; at order 2 only the six leading-coefficient
+# reads of the curve suite fail, as table1 membership needs no window
 GOLDEN = [
     ("expand K --order 6 --format json", 0, "c43a084b18c0e2e74f975c5dd5cf537e30111e2f5d6875f2a0cc676b8c425916"),
     ("expand b3 --order 5 --format json", 0, "5e09fece9d137e16808b13dda0725762d87e90d7a6cc60831b79c73c688f939f"),
@@ -754,8 +754,8 @@ GOLDEN = [
     ("expand M --order 96 --format json", 0, "984301bd9a066d2ea9f5e821428201901dbe4654d47d68c15e36aaadab24e2a1"),
     ("dims --kmax 72 --mmax 24 --format json", 0, "3067c166e58b3a1ef0ae899b394d65cc047ce55c0d2e0340175e8f9cf47f733b"),
     ("basis --weight 48 --degree 16 --format json", 0, "888917000673f0d3b3ea03337d46180bfab1b372001104631299ccb45fe8299b"),
-    ("verify all --order 2", 1, "1597edf43b6f5bedb43b3ac3dbdf90e55bcb91a8f0598ea8c0427aa230c04794"),
-    ("verify all --order 3", 1, "10d0d01f63a000c3637f38c7efc39a73000203afab719695de1e60727978665f"),
+    ("verify all --order 2", 1, "7b492c1fb37bf4cd6961c67bbb542d2b345a5043c6f5609a582c5c3d90a4278d"),
+    ("verify all --order 3", 0, "a49aef2b26a7c3795ba9b6300a6254e8b363437f03113dff139bcf593c0ff397"),
     ("verify all --order 4", 0, "97eff19608a0d2cf98b291a0b323835e13ac00fccedb401b7531599b1dc29db6"),
     ("verify all --order 5 --format json", 0, "af68b94cf1c1ff1ea70eaf6f2bbd76b4e983abe373e13f9d6f53e2f4a7ca6116"),
     ("generators", 0, "114f0ed1fb2043c960add192a2b4dbb97c5598ddbb0d17b5c59981d36e1b97df"),

@@ -15,11 +15,13 @@ from triality.invariant_ring import (
     HasPoleError,
     Invariant,
     KLMNPoly,
+    ModularKLMN,
     NoRepresentationError,
     _modular_powers,
     express_in_klmn,
     fit_coefficients,
     klmn,
+    series_form,
     weyl_in_klmn,
 )
 from triality.weyl_poly import IPoly
@@ -227,55 +229,70 @@ def test_express_reports_ambiguity_on_shallow_windows():
         express_in_klmn(value)
 
 
-def test_shallow_table1_fails_only_on_shallow_windows():
-    # every generator lies in the ring, so a rewrite may fail at a low order
-    # only because its window is too short, never as "no representation";
-    # where the direct route's window is too short the wider Weyl route
-    # decides, so only these fail
-    from triality.verify import run_suite
+def test_table1_passes_at_every_order_from_two():
+    # membership is decided exactly and the explicit forms on the Weyl route,
+    # whose Delta factors widen its window: no table1 check needs a deeper order
+    from triality.verify import table1_checks
 
-    expected = {
-        2: ["<g,P>^1", "<f,P>^2", "<f^3,g^2>^6", "<P,P>^2", "<f^2,Q>^3", "<f^3,g*Q>^6"],
-        3: ["<f^3,g*Q>^6"],
-        4: [],
-    }
-    for order, labels in expected.items():
-        failed = [r for r in run_suite("table1", order) if not r.passed]
-        assert [r.name for r in failed] == [
-            f"{label} lies in the K,L,M,N polynomial ring over E4, E6" for label in labels
-        ]
-        for r in failed:
-            assert "too shallow" in r.detail, r.name
+    for order in range(2, 7):
+        assert [(r.name, r.detail) for r in table1_checks(order) if not r.passed or r.detail] == [], order
 
 
 @pytest.mark.parametrize("order", [6, 12, 24])
-def test_direct_rewrite_matches_the_weyl_route(order):
-    # the composition over the frame forms, fitted at this order, and the
-    # route through evaluate_ab and express_in_klmn agree on all 15 images
+def test_exact_route_matches_the_weyl_route(order):
+    # the exact normal form of each of the 15 images, taken to series at this
+    # order, and the route through evaluate_ab and express_in_klmn agree
     from triality.covariants import gordan_generators
-    from triality.sw_curve import evaluate_ab, klmn_form_ab
+    from triality.sw_curve import evaluate_ab, exact_ab
 
     for label, p in ((g.label, g.image) for g in gordan_generators()):
-        direct = fit_coefficients(klmn_form_ab(p, order), order)
+        exact = series_form(exact_ab(p), order)
         weyl = express_in_klmn(evaluate_ab(p, order))
-        assert set(direct.terms) == set(weyl.terms), label
-        assert all(s == weyl.terms[exps] for exps, s in direct.terms.items()), label
-        assert min(direct.common_trunc(), weyl.common_trunc()) >= LATTICE * order, label
+        assert set(exact.terms) == set(weyl.terms), label
+        assert all(s == weyl.terms[exps] for exps, s in exact.terms.items()), label
+        assert (exact.weight, exact.degree) == (weyl.weight, weyl.degree), label
+        assert min(exact.common_trunc(), weyl.common_trunc()) >= LATTICE * order, label
+
+
+@pytest.mark.parametrize("delta", ["free", 1727], ids=["Delta free", "1727 for 1728"])
+def test_a_wrong_delta_reduction_fails_its_checks(monkeypatch, delta):
+    # the generators whose exact forms are polynomial only through
+    # E4^3 - E6^2 = 1728 Delta fail membership, and the explicit forms
+    # written in another representative fail their exact comparison
+    from triality import invariant_ring
+    from triality.verify import table1_checks
+
+    K, L, M, N, e4, e6, d = (ModularKLMN.variable(i) for i in range(7))
+    image = d if delta == "free" else (e4 ** 3 - e6 ** 2) / delta
+    table = PowerTable((K, L, M, N, e4, e6, image), ModularKLMN.one())
+    monkeypatch.setattr(invariant_ring, "_delta_reduction", lambda: table)
+    failed = [r.name for r in table1_checks(24) if not r.passed]
+    assert failed == [
+        f"explicit forms of {label} (curve and K,L,M,N)" for label in ("<f,g>^2", "<g,g>^2")
+    ] + [
+        f"{label} lies in the K,L,M,N polynomial ring over E4, E6"
+        for label in (
+            "<g,g>^2", "<g,P>^1", "<f,P>^2", "<f,Q>^2", "<f^3,g^2>^6", "<P,P>^2", "<f^2,Q>^3",
+            "<f^3,g*Q>^6",
+        )
+    ]
 
 
 def test_express_in_klmn_fits_at_its_input_window():
     # express_in_klmn fits at the order of its input's window: the Delta
     # factors of a curve value widen it by one or two powers of q past the
-    # order it was evaluated at, and that decides the rewrites the direct
-    # route leaves ambiguous; fitted at the narrower order, they stay ambiguous
+    # order it was evaluated at, and that decides the fits the composition
+    # over the frame forms leaves ambiguous at that order; fitted at the
+    # narrower order, they stay ambiguous
+    from triality._poly import compose
     from triality.covariants import gordan_generators
-    from triality.sw_curve import evaluate_ab, klmn_form_ab
+    from triality.sw_curve import _frame_forms, evaluate_ab
 
     decided = {}
     for order in (2, 3, 4):
         for label, p in ((g.label, g.image) for g in gordan_generators()):
             try:
-                fit_coefficients(klmn_form_ab(p, order), order)
+                fit_coefficients(series_form(compose(p, _frame_forms()[0]), order), order)
                 continue
             except AmbiguousRepresentationError:
                 pass

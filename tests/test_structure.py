@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import triality
-from triality import _poly, covariants, exact_series, invariant_ring, linalg, sw_curve, weyl_poly
+from triality import _poly, covariants, exact_series, invariant_ring, linalg, sw_curve, verify, weyl_poly
 from triality.covariants import FormPoly
 from triality.exact_series import FracSeries
 from triality.invariant_ring import Invariant
@@ -159,8 +159,13 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     forms = sw_curve._frame_forms()
     assert invariant_ring.klmn(order) is klmn and invariant_ring.weyl_in_klmn(order) is weyl
     assert sw_curve._frame_forms() is forms and len(forms) == 2
-    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, *forms))
-    assert all(type(t.one) is invariant_ring.ModularKLMN for t in forms)
+    # the Delta reduction is exact and order-free too: one table for the process
+    assert not inspect.signature(invariant_ring._delta_reduction).parameters
+    reduction = invariant_ring._delta_reduction()
+    assert invariant_ring._delta_reduction() is reduction
+    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, *forms, reduction))
+    assert all(type(t.one) is invariant_ring.ModularKLMN for t in (*forms, reduction))
+    assert reduction.one == invariant_ring.ModularKLMN.one()
 
     asked = []
     monomial = _poly.PowerTable.monomial
@@ -176,8 +181,11 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     rep = invariant_ring.KLMNPoly({(1, 0, 0, 0): exact_series.eta_delta(order)[1]}, 12, 2)
     assert any(t is klmn for t in tables_asked(rep.evaluate, order))
     assert any(t is weyl for t in tables_asked(invariant_ring.express_in_klmn, rep.evaluate(order)))
-    asked_by_form = tables_asked(sw_curve.klmn_form_ab, A0 * A0, order)
-    assert any(t is forms[0] for t in asked_by_form) and any(t is modular for t in asked_by_form)
+    a2, b1, b3 = (sw_curve.CurvePolyAB.variable(i) for i in (1, 3, 5))
+    p = a2 * b1 * b1 + A0 * b1 * b3
+    asked_by_exact = tables_asked(sw_curve.exact_ab, p)
+    assert any(t is forms[0] for t in asked_by_exact) and any(t is reduction for t in asked_by_exact)
+    assert any(t is modular for t in tables_asked(sw_curve.jacobian_klmn, order))
 
     # the forms compose exactly and go to series once: no series polynomial is multiplied
     products = []
@@ -189,9 +197,27 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
 
     monkeypatch.setattr(invariant_ring.KLMNPoly, "__mul__", counted)
     monkeypatch.setattr(invariant_ring.KLMNPoly, "__rmul__", counted)
-    a2, b1, b3 = (sw_curve.CurvePolyAB.variable(i) for i in (1, 3, 5))
-    sw_curve.klmn_form_ab(a2 * b1 * b1 + A0 * b1 * b3, order)
+    sw_curve.exact_ab(p)
     sw_curve.jacobian_klmn(order)
+    assert products == []
+
+
+def test_table1_membership_multiplies_no_series(monkeypatch):
+    # the verdicts of all 15 generators are exact: no q-series is multiplied,
+    # not even to build the frame forms or the Delta reduction
+    images = [g.image for g in covariants.gordan_generators()]
+    sw_curve._frame_forms.cache_clear()
+    invariant_ring._delta_reduction.cache_clear()
+    products = []
+    multiply = FracSeries.__mul__
+
+    def counted(*args):
+        products.append(args)
+        return multiply(*args)
+
+    monkeypatch.setattr(FracSeries, "__mul__", counted)
+    monkeypatch.setattr(FracSeries, "__rmul__", counted)
+    assert [verify._in_ring(sw_curve.exact_ab(p)) for p in images] == [True] * 15
     assert products == []
 
 

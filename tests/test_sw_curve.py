@@ -23,7 +23,6 @@ from triality.sw_curve import (
     evaluate_cd,
     is_triality_invariant,
     jacobian_klmn,
-    klmn_form_ab,
     recover_klmn,
 )
 from triality.weyl_poly import ipoly_to_zpoly, vandermonde_product
@@ -234,7 +233,6 @@ def test_negative_exponent_guards():
 @pytest.mark.parametrize("order", [1, 0, -1])
 def test_frame_evaluation_refuses_orders_below_two(order):
     calls = (
-        lambda: klmn_form_ab(A0, order),
         lambda: evaluate_ab(A0, order),
         lambda: evaluate_cd(C0, order),
         lambda: jacobian_klmn(order),
@@ -425,7 +423,9 @@ def test_exact_frame_forms_evaluate_to_the_series_built_forms(order):
 def test_klmn_form_ab_matches_the_series_built_table(order):
     polys = [g.image for g in gordan_generators()] + list(recover_klmn()[0])
     for p in polys:
-        assert_matches_series_built(klmn_form_ab(p, order), compose(p, series_built_forms(order)[0]))
+        assert_matches_series_built(
+            series_form(compose(p, _frame_forms()[0]), order), compose(p, series_built_forms(order)[0])
+        )
 
 
 def test_klmn_form_ab_matches_the_series_built_table_on_graded_polys():
@@ -436,7 +436,9 @@ def test_klmn_form_ab_matches_the_series_built_table_on_graded_polys():
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.sampled_from([2, 3, 4, 5, 6, 24]), graded_polys(st, CurvePolyAB))
     def check(order, p):
-        assert_matches_series_built(klmn_form_ab(p, order), compose(p, series_built_forms(order)[0]))
+        assert_matches_series_built(
+            series_form(compose(p, _frame_forms()[0]), order), compose(p, series_built_forms(order)[0])
+        )
 
     check()
 
