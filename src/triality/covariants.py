@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from ._poly import PowerTable, SparsePoly, bounded_monomials, compose, stored, taylor_shift
-from .linalg import integer_nullspace
+from .linalg import LinearSolver
 from .sw_curve import CurvePolyAB
 
 
@@ -322,9 +322,11 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
     """dim of joint semiinvariants of refined degrees (d_alpha, d_beta), order omega.
 
     Enumerates every monomial of matching degrees and scaling weight and
-    computes the exact kernel of the unipotent derivation D on their span.
+    counts the exact kernel of the unipotent derivation D on their span:
+    the number of monomials minus the rank, with no kernel vector built.
     """
     if d_alpha < 0 or d_beta < 0:
         raise ValueError("refined degrees must be nonnegative")
     monos = _semiinvariant_monomials(d_alpha, d_beta, omega)
-    return len(integer_nullspace(stored(_derivation(FormPoly.monomial(m), _DERIVATION)) for m in monos))
+    solver = LinearSolver.of_columns(stored(_derivation(FormPoly.monomial(m), _DERIVATION)) for m in monos)
+    return solver.ncols - solver.rank

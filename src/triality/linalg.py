@@ -3,19 +3,18 @@
 Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on sparse rows,
 dicts {column: int} with no zero value, so a step costs a row's nonzero
 entries, not its length.  Every stored row is primitive, its content
-divided out and its pivot entry (its least column) positive: the unique
-integer scaling of a row of the reduced row-echelon form, so the form (and
-every kernel basis) is the canonical one Gauss-Jordan over Fractions gives.
-`integer_kernel()` hands out each kernel vector as dense integer numerators
-over one positive denominator.
+divided out and its pivot entry (its least column) positive.  Adding a row
+eliminates forward only, so the rows stay in echelon form and the rank is
+known after each one: a count reads it.  `integer_kernel()` first back-
+substitutes once, bottom-up, which leaves the unique integer scaling of
+each row of the reduced row-echelon form, so every kernel basis is the
+canonical one Gauss-Jordan over Fractions gives; it hands each vector out
+as dense integer numerators over one positive denominator.
 
-`integer_nullspace` is the one place that turns coefficients into solver
-rows.  It takes a linear map by its sparse columns, each in the package's
-stored form (`_poly.stored`): the image {equation key: integer numerator}
-of one unknown over its positive denominator, scales them all to the lcm
-of the denominators (which leaves the reduced-echelon kernel unchanged),
-and builds the sparse rows lazily, one per key in sorted order, until the
-rank is full.
+`LinearSolver.of_columns` is the one place that turns coefficients into
+solver rows.  It takes a linear map by its sparse columns, each in the
+package's stored form (`_poly.stored`), and scales them all to the lcm of
+their denominators, which leaves the reduced-echelon kernel unchanged.
 """
 
 from __future__ import annotations
@@ -47,41 +46,72 @@ def _clear(row, other, j):
 
 
 class LinearSolver:
-    """Incremental RREF of a homogeneous system with a fixed number of unknowns."""
+    """Echelon rows of a homogeneous system with a fixed number of unknowns,
+    brought to reduced echelon form only when a kernel is read."""
 
     def __init__(self, ncols):
         self.ncols = ncols
-        # pivot -> primitive row: its least column, > 0 there, no other pivot in it
+        # pivot -> primitive row: its least column, > 0 there; after
+        # integer_kernel() and until the rank grows, no other pivot in it
         self.rows = {}
+        self._reduced = True
+
+    @classmethod
+    def of_columns(cls, columns):
+        """The solver of the linear map with the given columns.
+
+        columns[i] is (numerators, denominator), the sparse image {equation
+        key: integer} of unknown i over a positive denominator; an empty
+        column is a free unknown.  Sparse rows are built in sorted key order,
+        from an index of the columns that hold each key, only until the rank
+        is full: the entries past that point are never read.
+        """
+        columns = list(columns)
+        scale = lcm(*(den for _, den in columns))
+        holders = {}
+        for i, (num, _) in enumerate(columns):
+            for key in num:
+                holders.setdefault(key, []).append(i)
+        solver = cls(len(columns))
+        for key in sorted(holders):
+            solver.add({i: columns[i][0][key] * (scale // columns[i][1]) for i in holders[key]})
+            if solver.rank == solver.ncols:
+                break
+        return solver
 
     @property
     def rank(self):
         return len(self.rows)
 
     def add(self, row):
-        """Reduce one equation {column: int} into the RREF; returns True if rank grew."""
+        """Eliminate one equation {column: int} forward; returns True if rank grew."""
         row = {j: x for j, x in row.items() if x}
-        # clear the stored pivots held on entry: no stored row holds another's
-        for pivot in [j for j in row if j in self.rows]:
+        while row:
+            pivot = min(row)
+            if pivot not in self.rows:
+                self.rows[pivot] = _primitive(row, pivot)
+                self._reduced = False
+                return True
             row = _clear(row, self.rows[pivot], pivot)
-        if not row:
-            return False
-        pivot = min(row)
-        row = _primitive(row, pivot)
-        # back-substitute the new pivot into the existing rows
-        for p, coeffs in self.rows.items():
-            if pivot in coeffs:
-                self.rows[p] = _primitive(_clear(coeffs, row, pivot), p)
-        self.rows[pivot] = row
-        return True
+        return False
 
     def integer_kernel(self):
         """Reduced-echelon kernel basis: (integer numerators, denominator > 0) per free column."""
+        rows = self.rows
+        if not self._reduced:
+            # back-substitute bottom-up: a row holds only the pivots of reduced
+            # rows past its own, and clears each once
+            for p in sorted(rows, reverse=True):
+                row = rows[p]
+                for q in [q for q in row if q != p and q in rows]:
+                    row = _clear(row, rows[q], q)
+                rows[p] = _primitive(row, p)
+            self._reduced = True
         basis = []
         for f in range(self.ncols):
-            if f not in self.rows:
+            if f not in rows:
                 # entry p is -coeffs[f] / coeffs[p], the 1 at f is den / den
-                column = [(p, coeffs[p], coeffs[f]) for p, coeffs in self.rows.items() if f in coeffs]
+                column = [(p, coeffs[p], coeffs[f]) for p, coeffs in rows.items() if f in coeffs]
                 den = lcm(*(lead for _, lead, _ in column))
                 vec = [0] * self.ncols
                 vec[f] = den
@@ -93,23 +123,6 @@ class LinearSolver:
 
 def integer_nullspace(columns):
     """Exact reduced-echelon kernel basis of the linear map with the given
-    columns, each vector as (integer numerators, denominator > 0).
-
-    columns[i] is (numerators, denominator), the sparse image {equation key:
-    integer} of unknown i over a positive denominator; an empty column is a
-    free unknown.  Sparse rows are built in sorted key order, from an index of
-    the columns that hold each key, only until the rank is full: the entries
-    past that point are never read.
-    """
-    columns = list(columns)
-    scale = lcm(*(den for _, den in columns))
-    holders = {}
-    for i, (num, _) in enumerate(columns):
-        for key in num:
-            holders.setdefault(key, []).append(i)
-    solver = LinearSolver(len(columns))
-    for key in sorted(holders):
-        solver.add({i: columns[i][0][key] * (scale // columns[i][1]) for i in holders[key]})
-        if solver.rank == solver.ncols:
-            break
-    return solver.integer_kernel()
+    columns (as `LinearSolver.of_columns` takes them), each vector as
+    (integer numerators, denominator > 0)."""
+    return LinearSolver.of_columns(columns).integer_kernel()

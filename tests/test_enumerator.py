@@ -7,11 +7,11 @@ from triality._poly import bounded_monomials
 from triality.cli import MAX_DEGREE, MAX_WEIGHT
 from triality.enumerator import dimension_table, monomials_of, rank_series, triality_basis
 from triality.invariant_ring import INVARIANT, KLMN_DEGREES, express_in_klmn
-from triality.linalg import integer_nullspace
+from triality.linalg import LinearSolver, integer_nullspace
 from triality.sw_curve import (
     CurvePolyAB, ab_to_cd, evaluate_ab, is_triality_invariant, negative_c0_part,
 )
-from triality.verify import oracle_dimension
+from triality.verify import K_MAX, M_MAX, oracle_dimension
 from triality.weyl_poly import I_DEGREES
 
 
@@ -220,6 +220,25 @@ def test_rank_series():
     assert rs[4] == 3
     assert rs[6] == 4
     assert all(rs[m] == 0 for m in (1, 3, 5, 7, 9, 11))
+
+
+def test_counting_builds_no_kernel(monkeypatch):
+    # a count reads the solver's rank; only a read of `basis` builds kernel vectors
+    oracle_cells = [(k, m) for k in range(0, K_MAX + 1, 2) for m in range(0, M_MAX + 1, 2)]
+    table = dimension_table(72, 24)
+    oracle = [oracle_dimension(k, m) for k, m in oracle_cells]
+
+    def refuse(self):
+        raise AssertionError("a count built a kernel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LinearSolver, "integer_kernel", refuse)
+        assert dimension_table(72, 24) == table
+        assert [oracle_dimension(k, m) for k, m in oracle_cells] == oracle
+    assert len(table) == 481
+    for (k, m), dim in table.items():
+        cell = triality_basis(k, m)
+        assert cell.dimension == len(cell.basis) == dim, (k, m)
 
 
 def test_oracle_cross_validation_sample():

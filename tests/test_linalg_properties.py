@@ -1,9 +1,11 @@
 """Property tests for the fraction-free solver: its kernel is the canonical
-reduced-echelon one, whatever the order and scaling of the input rows, and
-every stored row is a primitive integer row with a positive pivot.  The
-kernel of a map given by sparse columns in the stored form is that of its
-dense matrix, and depends only on each column's rational value.  The
-reference is a test-local Gauss-Jordan over Fractions.
+reduced-echelon one, whatever the order and scaling of the input rows and
+however kernel reads and adds interleave, and every stored row is a
+primitive integer row with a positive pivot, in echelon form after the adds
+and reduced once a kernel is read.  The kernel of a map given by sparse
+columns in the stored form is that of its dense matrix, and depends only on
+each column's rational value.  The reference is a test-local Gauss-Jordan
+over Fractions.
 
 A separate module, so that a missing `hypothesis` skips only these tests.
 """
@@ -157,18 +159,41 @@ def test_kernel_ignores_row_order_and_row_scaling(system, data):
 def test_stored_rows_are_primitive_and_kernel_vectors_integers(system):
     rows, ncols = system
     solver = solve(rows, ncols)
-    # rows are keyed by their pivot column, so each pivot holds one row
-    pivots = set(solver.rows)
+    # echelon after the adds: rows are keyed by their pivot column, so each
+    # pivot holds one row, and the pivot is the row's least column
     for p, coeffs in solver.rows.items():
         assert all(type(x) is int and x for x in coeffs.values())
         assert set(coeffs) <= set(range(ncols)) and min(coeffs) == p
         assert gcd(*coeffs.values()) == 1 and coeffs[p] > 0
-        assert not any(q in coeffs for q in pivots if q != p)
     vectors = solver.integer_kernel()
+    # reduced once a kernel is read: still primitive, and no other pivot in a row
+    pivots = set(solver.rows)
+    for p, coeffs in solver.rows.items():
+        assert min(coeffs) == p and gcd(*coeffs.values()) == 1 and coeffs[p] > 0
+        assert not any(q in coeffs for q in pivots if q != p)
     assert len(vectors) == ncols - solver.rank
     for vec, den in vectors:
         assert type(den) is int and den > 0 and all(type(n) is int for n in vec)
         assert all(sum(a * n for a, n in zip(row, vec)) == 0 for row in rows)
+
+
+@PROPERTY
+@given(systems, st.data())
+def test_kernels_read_between_adds_are_the_kernels_so_far(system, data):
+    # the rank is the Fraction rank after adds alone; a kernel read reduces
+    # the rows, and a later add that grows the rank must undo that mark, or
+    # the next kernel reads rows that are not reduced
+    rows, ncols = system
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    solver = LinearSolver(ncols)
+    done = 0
+    for cut in [*cuts, len(rows)]:
+        for row in rows[done:cut]:
+            solver.add(dict(enumerate(row)))
+        done = cut
+        kernel = fraction_kernel(rows[:done], ncols)
+        assert solver.rank == ncols - len(kernel)
+        assert divided(solver.integer_kernel()) == kernel
 
 
 @PROPERTY

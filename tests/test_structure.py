@@ -236,7 +236,7 @@ def test_the_modular_fit_has_one_home():
 
 
 def test_only_linalg_assembles_equation_rows():
-    # callers hand integer_nullspace the sparse stored-form columns of a map;
+    # callers hand `LinearSolver.of_columns` the sparse stored-form columns of a map;
     # none builds an {equation: {unknown: coefficient}} dict of its own
     src = Path(triality.__file__).parent
     pattern = re.compile(r"\.setdefault\([^)]*\)\s*\[")
@@ -261,6 +261,27 @@ def test_the_solver_works_in_integers_only():
     assert "fractions" not in imported and "Fraction" not in imported | used
     assert not hasattr(linalg, "nullspace") and not hasattr(linalg, "_divided")
     assert not hasattr(linalg.LinearSolver, "kernel")
+
+
+def test_one_solver_class_and_one_elimination_step():
+    # `_clear` is the one place where two solver rows combine: the only
+    # subtraction in linalg, called by the solver's forward elimination and
+    # back-substitution alone, and by no other module
+    src = Path(triality.__file__).parent
+    tree = ast.parse((src / "linalg.py").read_text())
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["LinearSolver"]
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def subtracts(node):
+        return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Sub)
+
+    def calls_clear(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_clear"
+
+    assert {fn.name for fn in functions if any(map(subtracts, ast.walk(fn)))} == {"_clear"}
+    assert {fn.name for fn in functions if any(map(calls_clear, ast.walk(fn)))} == {"add", "integer_kernel"}
+    clearing = re.compile(r"\b_clear\(")
+    assert [path.name for path in sorted(src.glob("*.py")) if clearing.search(path.read_text())] == ["linalg.py"]
 
 
 def test_the_cli_refuses_in_one_place():
