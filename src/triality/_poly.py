@@ -5,8 +5,10 @@
 binary-form coefficients).  Like a `FracSeries`, it stores integer
 numerators over one positive denominator in the canonical form of
 `_reduced`, and `terms` is the read-only Fraction view `_Terms`, whose
-`len` and iteration build no Fraction; both types share the two, and
-other modules read the store only through `stored`.  Subclasses fix the
+`len` and iteration build no Fraction.  Both types derive from
+`_IntegerStore`, the one definition of that store's read side (`terms`,
+`is_zero`, division by a scalar), and other modules read the store only
+through `stored`.  Subclasses fix the
 arity, print names and which variables may carry negative (Laurent)
 exponents.  The constructor validates values built from outside input;
 arithmetic results go through the trusted `_new`, which only reduces, and
@@ -185,7 +187,29 @@ def format_monomial(names, exps):
     return "*".join(n + (f"^{e}" if e != 1 else "") for n, e in zip(names, exps) if e)
 
 
-class SparsePoly:
+class _IntegerStore:
+    """The read side of the integer store, written once for `SparsePoly` and
+    `exact_series.FracSeries`: both keep `_num` and `_den` as `_reduced`
+    makes them, and divide by a scalar through their own product."""
+
+    @property
+    def terms(self):
+        """Read-only {key: Fraction} view of the nonzero coefficients."""
+        return _Terms(self._num, self._den)
+
+    @property
+    def is_zero(self):
+        return not self._num
+
+    __hash__ = None
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / Fraction(other))
+        return NotImplemented
+
+
+class SparsePoly(_IntegerStore):
     """`_num` maps exponent tuples to nonzero integer numerators over the
     positive denominator `_den`, and gcd(_den, *_num.values()) == 1."""
 
@@ -257,15 +281,6 @@ class SparsePoly:
 
     # -- queries -------------------------------------------------------
 
-    @property
-    def terms(self):
-        """Read-only {exponents: Fraction} view of the nonzero coefficients."""
-        return _Terms(self._num, self._den)
-
-    @property
-    def is_zero(self):
-        return not self._num
-
     def __bool__(self):
         return bool(self._num)
 
@@ -273,8 +288,6 @@ class SparsePoly:
         if type(other) is not type(self):
             return NotImplemented
         return self._den == other._den and self._num == other._num
-
-    __hash__ = None
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -317,11 +330,6 @@ class SparsePoly:
         return self._new(mul_terms(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int):

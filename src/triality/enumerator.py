@@ -21,7 +21,6 @@ from functools import cached_property
 from ._poly import bounded_monomials
 from .linalg import LinearSolver
 from .sw_curve import CurvePolyAB, curve_poly_json, negative_c0_part
-from .weyl_poly import I_DEGREES
 
 
 def monomials_of(k, m):
@@ -80,12 +79,3 @@ def dimension_table(k_max, m_max):
         for m in range(0, m_max + 1, 2)
     }
 
-
-def rank_series(m_max):
-    """Coefficients of 1/((1-x^2)(1-x^4)^2(1-x^6)), a factor per `I_DEGREES` entry, to x^m_max."""
-    coeffs = [1] + [0] * m_max
-    for period in I_DEGREES:
-        # multiply by the geometric series of x^period
-        for n in range(period, m_max + 1):
-            coeffs[n] += coeffs[n - period]
-    return coeffs

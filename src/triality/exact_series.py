@@ -8,13 +8,14 @@ Equality is therefore only ever tested on the common window of two series.
 
 A series stores integer numerators over one positive common denominator,
 reduced by the gcd of the denominator and all numerators, so its stored
-form is canonical; `_poly`'s `SparsePoly` is stored the same way, through
-the same reduction and view, and no other module reads either.  Sums scale
-both sides to the lcm of the denominators, and products are integer
-convolutions over the product of the denominators, on two paths that
-give the same stored form.  A product of fewer than `DENSE_PAIRS` term
-pairs, or with a one-term operand, runs one interpreted step per pair; any
-other writes both operands as lists on the gcd of their exponent gaps,
+form is canonical.  `_poly`'s `SparsePoly` is stored the same way, through
+the same reduction; both types derive from `_poly._IntegerStore`, which
+reads the store (`terms`, `is_zero`, division by a scalar), and no other
+module reads either.  Sums scale both sides to the lcm of the
+denominators, and products are integer convolutions over the product of
+the denominators, on two paths that give the same stored form.  A
+product of fewer than `DENSE_PAIRS` term pairs, or with a one-term
+operand, runs one interpreted step per pair; any other writes both operands as lists on the gcd of their exponent gaps,
 nearly always dense (the lattice strides 24 and 12), and takes each
 coefficient below the window as one dot product in C.  The pair loop stays
 because the small products (one term or twelve times a series) are most of
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from ._poly import _over_lcm, _reduced, _Terms, format_terms, fraction_text, power
+from ._poly import _IntegerStore, _over_lcm, _reduced, format_terms, fraction_text, power
 
 # t-units per power of q: the lattice (1/24)Z houses eta (1/24), theta2
 # (1/8) and q^(1/2) simultaneously.
@@ -77,7 +78,7 @@ def _q_power_text(q):
     return f"q^{q}" if q.denominator == 1 else f"q^({q})"
 
 
-class FracSeries:
+class FracSeries(_IntegerStore):
     """A truncated Laurent series sum_e c_e t^e, c_e rational, e < trunc.
 
     `_num` maps exponents to nonzero integer numerators over the positive
@@ -115,15 +116,6 @@ class FracSeries:
     # -- basic queries -----------------------------------------------
 
     @property
-    def terms(self):
-        """Read-only {exponent: Fraction} view of the nonzero coefficients."""
-        return _Terms(self._num, self._den)
-
-    @property
-    def is_zero(self):
-        return not self._num
-
-    @property
     def valuation(self):
         """Smallest known exponent; trunc for a (window-)zero series."""
         return min(self._num) if self._num else self.trunc
@@ -139,8 +131,6 @@ class FracSeries:
         w = min(self.trunc, other.trunc)
         a, b, da, db = self._num, other._num, self._den, other._den
         return all(a.get(e, 0) * db == b.get(e, 0) * da for e in a.keys() | b.keys() if e < w)
-
-    __hash__ = None
 
     # -- arithmetic ---------------------------------------------------
 
@@ -196,11 +186,6 @@ class FracSeries:
         return FracSeries._new(num, self._den * other._den, trunc)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int):

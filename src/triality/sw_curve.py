@@ -53,11 +53,6 @@ c's window.  A sum of units can cancel its constant term (4 a0^6 - 216
 a0^3 b0^2 + 2916 b0^4 is 4 Delta^2), and its product with c would then be
 known further; cutting it to c's window keeps the windows `compose` gives,
 which `express_in_klmn` reads its order from.
-
-The polynomials that recover Delta K, Delta^2 L, Delta^2 M and Delta^3 N
-(`recover_klmn`) are written once, in the ab frame; the cd frame's four
-are their images under `ab_to_cd`, so evaluating both checks the frame
-change as well as the recovery.
 """
 
 from __future__ import annotations
@@ -271,53 +266,6 @@ def evaluate_ab(p, order):
 
 def evaluate_cd(p, order):
     return _evaluate(p, _frame_values(order)[1])
-
-
-# -- recovery of the fundamental invariants ---------------------------------------
-
-
-def recover_klmn():
-    """Eight polynomials evaluating to Delta K, Delta^2 L, Delta^2 M, Delta^3 N.
-
-    First the four of the ab frame, then their images under `ab_to_cd`,
-    the four of the cd frame.
-    """
-    ab = (
-        CurvePolyAB({(1, 0, 0, 1, 0, 0): 12}),
-        CurvePolyAB(
-            {
-                (4, 0, 0, 0, 1, 0): -2,
-                (3, 1, 1, 0, 0, 0): 3,
-                (1, 0, 2, 0, 1, 0): 54,
-                (1, 0, 1, 2, 0, 0): -27,
-                (0, 1, 3, 0, 0, 0): -81,
-            }
-        ),
-        CurvePolyAB(
-            {
-                (5, 1, 0, 0, 0, 0): 2,
-                (3, 0, 1, 0, 1, 0): -36,
-                (3, 0, 0, 2, 0, 0): -6,
-                (2, 1, 2, 0, 0, 0): -54,
-                (0, 0, 3, 0, 1, 0): 972,
-                (0, 0, 2, 2, 0, 0): -324,
-            }
-        ),
-        CurvePolyAB(
-            {
-                (6, 0, 0, 0, 0, 1): 4,
-                (5, 1, 0, 1, 0, 0): -2,
-                (3, 0, 2, 0, 0, 1): -216,
-                (3, 0, 1, 1, 1, 0): 36,
-                (3, 0, 0, 3, 0, 0): 10,
-                (2, 1, 2, 1, 0, 0): 54,
-                (0, 0, 4, 0, 0, 1): 2916,
-                (0, 0, 3, 1, 1, 0): -972,
-                (0, 0, 2, 3, 0, 0): 216,
-            }
-        ),
-    )
-    return ab, tuple(map(ab_to_cd, ab))
 
 
 def jacobian_klmn(order):

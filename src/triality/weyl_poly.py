@@ -4,7 +4,8 @@ The generators are the elementary symmetric functions of the squares
 z_i^2 together with the product z1 z2 z3 z4; they freely generate the
 invariant ring of the degree-(2,4,6,4) reflection group acting on C^4.
 Conversion from z-coordinates back to generator coordinates reduces by
-leading terms, which doubles as an invariance test.
+leading terms, which doubles as an invariance test.  `rank_series` is the
+Hilbert series of C[I2, I4, I6, I~4], read off `I_DEGREES` alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,17 @@ from __future__ import annotations
 from ._poly import PowerTable, SparsePoly, compose
 
 I_DEGREES = (2, 4, 6, 4)
+
+
+def rank_series(m_max):
+    """Coefficients of 1/((1-x^2)(1-x^4)^2(1-x^6)), the Hilbert series of
+    C[I2, I4, I6, I~4], a factor per `I_DEGREES` entry, to x^m_max."""
+    coeffs = [1] + [0] * m_max
+    for period in I_DEGREES:
+        # multiply by the geometric series of x^period
+        for n in range(period, m_max + 1):
+            coeffs[n] += coeffs[n - period]
+    return coeffs
 
 
 class NotInvariantError(ValueError):

@@ -5,14 +5,14 @@ from operator import mul
 from triality import _poly, covariants, sw_curve
 from triality._poly import bounded_monomials
 from triality.cli import MAX_DEGREE, MAX_WEIGHT
-from triality.enumerator import dimension_table, monomials_of, rank_series, triality_basis
+from triality.enumerator import dimension_table, monomials_of, triality_basis
 from triality.invariant_ring import INVARIANT, KLMN_DEGREES, express_in_klmn
 from triality.linalg import LinearSolver, integer_nullspace
 from triality.sw_curve import (
     CurvePolyAB, ab_to_cd, evaluate_ab, is_triality_invariant, negative_c0_part,
 )
 from triality.verify import K_MAX, M_MAX, oracle_dimension
-from triality.weyl_poly import I_DEGREES
+from triality.weyl_poly import I_DEGREES, rank_series
 
 
 def test_monomials_of():

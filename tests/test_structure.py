@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import triality
-from triality import _poly, covariants, exact_series, invariant_ring, linalg, sw_curve, verify, weyl_poly
+from triality import _poly, covariants, enumerator, exact_series, invariant_ring, linalg, sw_curve, verify, weyl_poly
 from triality.covariants import FormPoly
 from triality.exact_series import FracSeries
 from triality.invariant_ring import Invariant
@@ -405,3 +405,22 @@ def test_each_derived_set_has_one_builder():
         and node.args and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "poly"
     ]
     assert rebuilt == []
+
+
+def test_each_decision_sits_behind_one_module():
+    # the recovery identities are rows of verify, the rank series sits beside
+    # I_DEGREES, and the integer store's read side is written once in _poly
+    assert not hasattr(sw_curve, "recover_klmn")
+    assert not hasattr(enumerator, "rank_series")
+    imports = [n for n in ast.walk(module_trees()["enumerator.py"]) if isinstance(n, ast.ImportFrom)]
+    assert all(n.module != "weyl_poly" and "weyl_poly" not in {a.name for a in n.names} for n in imports)
+    assert all(isinstance(poly, sw_curve.CurvePolyAB) for _, _, _, poly in verify.RECOVERY)
+
+    base = _poly._IntegerStore
+    assert issubclass(_poly.SparsePoly, base) and issubclass(FracSeries, base)
+    for name in ("terms", "is_zero", "__truediv__"):
+        assert name in vars(base)
+        assert name not in vars(_poly.SparsePoly) and name not in vars(FracSeries)
+    # the span tracer wraps the hot methods in their owner's own __dict__
+    assert {"__mul__", "inverse", "_combine", "_new"} <= set(vars(FracSeries))
+    assert {"__mul__", "_new"} <= set(vars(_poly.SparsePoly))
