@@ -26,23 +26,24 @@ change of generators and a fit of each coefficient into C[E4, E6]
 down.  `ModularKLMN` needs no window: it is the rational polynomial in
 K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a K,L,M,N
 polynomial with coefficients in Q[E4^+-1, E6^+-1, Delta] is, for every
-order at once.  `series_form` evaluates one at an order into a
-`KLMNPoly`, reading each E4^i E6^j Delta^k once from `_modular_powers`.
-`reduce_delta` writes Delta out as (E4^3 - E6^2)/1728; as E4, E6 are
-algebraically independent and K, L, M, N free over them, two forms are
-one value exactly when these normal forms are equal, and a form lies in
-C[E4, E6][K, L, M, N] exactly when its normal form has no negative power
-of E4 or E6.
+order at once.  Its value at an order is the `KLMNPoly`
+`compose(form, modular_in_klmn(order))`.  `reduce_delta` writes Delta
+out as (E4^3 - E6^2)/1728; as E4, E6 are algebraically independent and
+K, L, M, N free over them, two forms are one value exactly when these
+normal forms are equal, and a form lies in C[E4, E6][K, L, M, N] exactly
+when its normal form has no negative power of E4 or E6.
 
 `change_generators` reads each monomial's image from a `_poly.PowerTable`,
 which windows each image once by its `one`; the image may be a kept power,
 and its coefficient scales it into a new value.  Each kept image set has
 one cached builder per order, which returns its table: `klmn` (K, L, M, N
 over `Invariant.one`, read by `KLMNPoly.evaluate`), `weyl_in_klmn` (over
-`KLMNPoly.one`, read by `express_in_klmn`) and `_modular_powers` (E4, E6,
-Delta over the unit series, read by `_modular_basis` and `series_form`).
-So every series power is built once per order, and a table at one order
-never serves another, whose window differs; the order-free
+`KLMNPoly.one`, read by `express_in_klmn`) and `modular_in_klmn` (formal
+K, L, M, N and the series E4, E6, Delta over `KLMNPoly.one`, read by
+`_modular_basis` and by every evaluation of a `ModularKLMN` form).
+`SeriesPoly.variable` is the one formal generator, graded by its class's
+rows.  So every series power is built once per order, and a table at one
+order never serves another, whose window differs; the order-free
 `_delta_reduction` (over `ModularKLMN.one`) has one for the process.
 """
 
@@ -141,6 +142,17 @@ class SeriesPoly:
     def one(cls, trunc):
         """The unit, with its series known below t^trunc."""
         return cls._new({ONE_EXPS: FracSeries.constant(1, trunc)}, 0, 0)
+
+    @classmethod
+    def variable(cls, i, trunc):
+        """Generator i, graded by WEIGHTS[i] and DEGREES[i], with the unit
+        series known below t^trunc as its coefficient."""
+        exps = tuple(int(j == i) for j in range(4))
+        return cls._new({exps: FracSeries.constant(1, trunc)}, cls.WEIGHTS[i], cls.DEGREES[i])
+
+    @classmethod
+    def from_series(cls, series, weight):
+        return cls({ONE_EXPS: series}, weight, 0)
 
     # -- structure -------------------------------------------------------
 
@@ -278,10 +290,6 @@ class Invariant(SeriesPoly):
     __mul__ = __rmul__ = SeriesPoly.__mul__
 
     @classmethod
-    def from_series(cls, series, weight):
-        return cls({ONE_EXPS: series}, weight, 0)
-
-    @classmethod
     def from_ipoly_series(cls, ipoly, series, weight):
         """ipoly (homogeneous) times a single series of the given weight."""
         degree = ipoly.weighted_degree(I_DEGREES)
@@ -360,7 +368,7 @@ def klmn(order):
     trunc = LATTICE * order
     one = FracSeries.constant(1, trunc)
     es = e_series(order)
-    K = Invariant({(1, 0, 0, 0): one}, 0, 2)
+    K = Invariant.variable(0, trunc)
     L = Invariant._sum(Invariant.from_ipoly_series(t, e, 2) for e, t in zip(es, T_POLYS))
     M = Invariant._sum(Invariant.from_ipoly_series(t, e * e, 4) for e, t in zip(es, T_POLYS)) * 12
     N = Invariant.from_ipoly_series(
@@ -405,35 +413,28 @@ def weyl_in_klmn(order):
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    one = FracSeries.constant(1, LATTICE * order)
+    trunc = LATTICE * order
     e1, e2, e3 = e_series(order)
     a, b = e1 - e3, e2 - e3
     c, d = (e1 * e1 - e3 * e3) * 12, (e2 * e2 - e3 * e3) * 12
     inv_det = (a * d - b * c).inverse()
     T1 = KLMNPoly({(0, 1, 0, 0): d * inv_det, (0, 0, 1, 0): -b * inv_det}, 0, 4)
     T2 = KLMNPoly({(0, 1, 0, 0): -c * inv_det, (0, 0, 1, 0): a * inv_det}, 0, 4)
-    K = KLMNPoly({(1, 0, 0, 0): one}, 0, 2)
-    N = KLMNPoly({(0, 0, 0, 1): one}, 0, 6)
+    K, N = KLMNPoly.variable(0, trunc), KLMNPoly.variable(3, trunc)
     weyl = (K, T1 * 6 + K * K * Fraction(1, 4), N * 4 + K * T1, -T1 - T2 * 2)
-    return PowerTable(weyl, KLMNPoly.one(LATTICE * order))
-
-
-@lru_cache(maxsize=None)
-def _modular_powers(order):
-    """The powers of E4, E6 and Delta at this order, kept for the process."""
-    gens = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
-    return PowerTable(gens, FracSeries.constant(1, LATTICE * order))
+    return PowerTable(weyl, KLMNPoly.one(trunc))
 
 
 class ModularKLMN(SparsePoly):
     """Polynomial in formal K, L, M, N, E4, E6, Delta with rational
     coefficients, Laurent in E4 and E6: the exact, order-free form of a
     K,L,M,N polynomial whose series coefficients are rational multiples of
-    E4^i E6^j Delta^k, evaluated at an order by `series_form`.
+    E4^i E6^j Delta^k, evaluated at an order by `compose` over
+    `modular_in_klmn`.
 
     E4, E6 and Delta are free here, so what cancels only by E4^3 - E6^2 =
-    1728 Delta is kept, and `series_form` gives it as a series that is zero
-    in its window; `reduce_delta` applies the relation.
+    1728 Delta is kept, and its value is a series that is zero in its
+    window; `reduce_delta` applies the relation.
     The rows grade it like `KLMNPoly`: weight adds the modular weights of
     E4, E6, Delta to the formal ones, and degree counts K, L, M, N alone.
     """
@@ -445,23 +446,18 @@ class ModularKLMN(SparsePoly):
     DEGREES = KLMN_DEGREES + (0, 0, 0)
 
 
-def series_form(form, order):
-    """The `KLMNPoly` a `ModularKLMN` form stands for at this order: each
-    coefficient is the sum of its numerators times the kept E4^i E6^j Delta^k
-    of `_modular_powers`, over the form's denominator once."""
+@lru_cache(maxsize=None)
+def modular_in_klmn(order):
+    """The power table of the seven `ModularKLMN` generators at the given
+    order, over `KLMNPoly.one`: formal K, L, M, N and the series E4, E6 and
+    Delta.  A form's value at the order is `compose(form, modular_in_klmn(order))`."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    table = _modular_powers(order)
-    num, den = _poly.stored(form)
-    sums = {}
-    for exps, n in num.items():
-        add_terms(sums, {exps[:4]: table.monomial(exps[4:]) * n})
-    scale = Fraction(1, den)
-    return KLMNPoly._new(
-        {e: s * scale for e, s in sums.items()},
-        form.weighted_degree(ModularKLMN.WEIGHTS),
-        form.weighted_degree(ModularKLMN.DEGREES),
-    )
+    trunc = LATTICE * order
+    modular = ((eisenstein(4, order), 4), (eisenstein(6, order), 6), (eta_delta(order)[1], 12))
+    images = [KLMNPoly.variable(i, trunc) for i in range(4)]
+    images += [KLMNPoly.from_series(series, weight) for series, weight in modular]
+    return PowerTable(images, KLMNPoly.one(trunc))
 
 
 @lru_cache(maxsize=None)
@@ -482,13 +478,14 @@ def reduce_delta(form):
 def _modular_basis(weight, order):
     """E4^a E6^b Delta^j with 4a + 6b = weight - 12j != 2, b in {0, 1}, one per
     j: a basis of C[E4, E6]_weight whose j-th element is q^j + O(q^(j+1))."""
-    table = _modular_powers(order)
+    table = modular_in_klmn(order)
     basis = []
     for j in range(weight // 12 + 1):
         rest = weight - 12 * j
         if rest % 2 == 0 and rest != 2:
             b = rest % 4 // 2
-            basis.append(table.monomial(((rest - 6 * b) // 4, b, j)).truncate(LATTICE * order))
+            power = table.monomial((0, 0, 0, 0, (rest - 6 * b) // 4, b, j)).constant_series()
+            basis.append(power.truncate(LATTICE * order))
     return tuple(basis)
 
 

@@ -120,9 +120,3 @@ class LinearSolver:
                 basis.append((vec, den))
         return basis
 
-
-def integer_nullspace(columns):
-    """Exact reduced-echelon kernel basis of the linear map with the given
-    columns (as `LinearSolver.of_columns` takes them), each vector as
-    (integer numerators, denominator > 0)."""
-    return LinearSolver.of_columns(columns).integer_kernel()

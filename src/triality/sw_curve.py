@@ -36,8 +36,9 @@ keeps them exactly, as `invariant_ring.ModularKLMN` forms with Delta in
 them, in one pair of tables for every order.  `exact_ab` composes over the
 ab table and takes the Delta-free normal form
 (`invariant_ring.reduce_delta`), with no series built; `jacobian_klmn`
-differentiates in rationals and goes to series once at the end
-(`invariant_ring.series_form`).
+differentiates in rationals and goes to series once at the end.  Both it
+and `_frame_values` take a form to series at an order by `compose` over
+`invariant_ring.modular_in_klmn`.
 
 `_frame_values` has one cached builder per order, which returns the six
 values of each frame over `Invariant.one`, so every series power is built
@@ -64,7 +65,7 @@ from operator import sub
 
 from ._poly import PowerTable, SparsePoly, compose, jacobian, stored, taylor_shift
 from .exact_series import LATTICE
-from .invariant_ring import ONE_EXPS, Invariant, ModularKLMN, reduce_delta, series_form
+from .invariant_ring import ONE_EXPS, Invariant, ModularKLMN, modular_in_klmn, reduce_delta
 
 
 class CurvePolyAB(SparsePoly):
@@ -212,9 +213,9 @@ def _frame_forms():
 def _frame_values(order):
     """Power tables of the twelve coefficient values at this order, the ab
     frame's and the cd frame's, kept for the process."""
-    one = Invariant.one(LATTICE * order)
+    one, modular = Invariant.one(LATTICE * order), modular_in_klmn(order)
     return tuple(
-        PowerTable((series_form(f, order).evaluate(order) for f in t.images), one)
+        PowerTable((compose(f, modular).evaluate(order) for f in t.images), one)
         for t in _frame_forms()
     )
 
@@ -277,4 +278,5 @@ def jacobian_klmn(order):
     ab, cd = (table.images for table in _frame_forms())
     det_ab = jacobian((ab[1], ab[3], ab[4], ab[5]))
     det_cd = jacobian((cd[1], cd[2], cd[4], cd[5]))
-    return tuple(series_form(det, order).constant_series() for det in (det_ab, det_cd))
+    modular = modular_in_klmn(order)
+    return tuple(compose(det, modular).constant_series() for det in (det_ab, det_cd))

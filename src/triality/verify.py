@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import covariants, enumerator, sw_curve, weyl_poly
-from ._poly import jacobian
+from ._poly import compose, jacobian
 from .exact_series import LATTICE, FracSeries, UnknownCoefficientError, e_series, eisenstein, eta_delta
 from .invariant_ring import (
     INVARIANT,
@@ -44,8 +44,8 @@ from .invariant_ring import (
     NoRepresentationError,
     express_in_klmn,
     klmn,
+    modular_in_klmn,
     reduce_delta,
-    series_form,
 )
 from .weyl_poly import IPoly
 
@@ -329,7 +329,7 @@ def _weyl_route(p, expected, order):
         return False, ""
     except AmbiguousRepresentationError:
         return False, f"window q^{order} too shallow to pin the representation down"
-    return _same(rep, series_form(expected, order), order), ""
+    return _same(rep, compose(expected, modular_in_klmn(order)), order), ""
 
 
 def table1_checks(order):

@@ -7,7 +7,7 @@ from triality._poly import bounded_monomials
 from triality.cli import MAX_DEGREE, MAX_WEIGHT
 from triality.enumerator import dimension_table, monomials_of, triality_basis
 from triality.invariant_ring import INVARIANT, KLMN_DEGREES, express_in_klmn
-from triality.linalg import LinearSolver, integer_nullspace
+from triality.linalg import LinearSolver
 from triality.sw_curve import (
     CurvePolyAB, ab_to_cd, evaluate_ab, is_triality_invariant, negative_c0_part,
 )
@@ -91,9 +91,12 @@ def divided(vectors):
 
 def test_rational_kernel():
     # columns[i] is the image (numerators {equation: integer}, denominator) of unknown i
-    assert integer_nullspace([({}, 1), ({0: 0, 1: 0}, 1)]) == [([1, 0], 1), ([0, 1], 1)]
-    assert integer_nullspace([({0: 1}, 1), ({1: 1}, 1)]) == []
-    assert integer_nullspace([({0: 1}, 1), ({0: -1}, 1)]) == [([1, 1], 1)]
+    def kernel(columns):
+        return LinearSolver.of_columns(columns).integer_kernel()
+
+    assert kernel([({}, 1), ({0: 0, 1: 0}, 1)]) == [([1, 0], 1), ([0, 1], 1)]
+    assert kernel([({0: 1}, 1), ({1: 1}, 1)]) == []
+    assert kernel([({0: 1}, 1), ({0: -1}, 1)]) == [([1, 1], 1)]
     # rank 2 in 4 unknowns: one vector per free column (2 and 3), with a 1
     # there and the pivot entries read off the reduced row-echelon form of
     # the rows [1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1/2], [1, 3, 4, 9/2]
@@ -103,11 +106,11 @@ def test_rational_kernel():
         ({0: 3, 1: 6, 2: 1, 3: 4}, 1),
         ({0: 8, 1: 16, 2: 1, 3: 9}, 2),
     ]
-    assert divided(integer_nullspace(columns)) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
+    assert divided(kernel(columns)) == [[-1, -1, 1, 0], [-3, F(-1, 2), 0, 1]]
     # equations past full rank are never read: the last-sorted key is not a number
-    assert integer_nullspace([({0: 1, 2: "not a number"}, 1), ({1: 1}, 1)]) == []
+    assert kernel([({0: 1, 2: "not a number"}, 1), ({1: 1}, 1)]) == []
     # nor scaled: None times the column's scale would raise
-    assert integer_nullspace([({0: 1, 2: None}, 1), ({1: 1}, 1)]) == []
+    assert kernel([({0: 1, 2: None}, 1), ({1: 1}, 1)]) == []
 
 
 def test_columns_match_the_full_frame_change_images():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import NotHomogeneousError, PowerTable, bounded_monomials
+from triality._poly import NotHomogeneousError, PowerTable, bounded_monomials, compose
 from triality.exact_series import (
     LATTICE, FracSeries, e_series, eisenstein, eta_delta,
 )
@@ -17,11 +17,10 @@ from triality.invariant_ring import (
     KLMNPoly,
     ModularKLMN,
     NoRepresentationError,
-    _modular_powers,
     express_in_klmn,
     fit_coefficients,
     klmn,
-    series_form,
+    modular_in_klmn,
     weyl_in_klmn,
 )
 from triality.weyl_poly import IPoly
@@ -42,6 +41,27 @@ def test_klmn_definitions(KLMN, order):
     assert N.terms[(3, 0, 0, 0)] == one * F(1, 96)
     for series in N.terms.values():
         assert set(series.terms) == {0}
+
+
+def test_generators_are_graded_by_their_rows():
+    # a formal generator reads its grading off WEIGHTS and DEGREES, and the
+    # modular table holds the seven ModularKLMN generators in its row order
+    trunc = LATTICE * 5
+    for cls in (Invariant, KLMNPoly):
+        for i in range(4):
+            g = cls.variable(i, trunc)
+            assert (g.weight, g.degree) == (cls.WEIGHTS[i], cls.DEGREES[i])
+            assert g.terms == {tuple(int(j == i) for j in range(4)): FracSeries.constant(1, trunc)}
+    table = modular_in_klmn(5)
+    gradings = [(g.weight, g.degree) for g in table.images]
+    assert gradings == list(zip(ModularKLMN.WEIGHTS, ModularKLMN.DEGREES))
+    E4, E6, D = eisenstein(4, 5), eisenstein(6, 5), eta_delta(5)[1]
+    assert [g.constant_series() for g in table.images[4:]] == [E4, E6, D]
+    # a form's value is the sum of its monomials' values, over its denominator once
+    K, L, M, N, e4, e6, delta = (ModularKLMN.variable(i) for i in range(7))
+    value = compose((K * K * delta * e4 ** -1 - L * e6 * 3) / 24, table)
+    assert (value.weight, value.degree) == (8, 4)
+    assert value.terms == {(2, 0, 0, 0): D * E4.inverse() / 24, (0, 1, 0, 0): E6 * F(-1, 8)}
 
 
 def test_klmn_matches_building_blocks(KLMN, order):
@@ -246,7 +266,7 @@ def test_exact_route_matches_the_weyl_route(order):
     from triality.sw_curve import evaluate_ab, exact_ab
 
     for label, p in ((g.label, g.image) for g in gordan_generators()):
-        exact = series_form(exact_ab(p), order)
+        exact = compose(exact_ab(p), modular_in_klmn(order))
         weyl = express_in_klmn(evaluate_ab(p, order))
         assert set(exact.terms) == set(weyl.terms), label
         assert all(s == weyl.terms[exps] for exps, s in exact.terms.items()), label
@@ -284,7 +304,6 @@ def test_express_in_klmn_fits_at_its_input_window():
     # order it was evaluated at, and that decides the fits the composition
     # over the frame forms leaves ambiguous at that order; fitted at the
     # narrower order, they stay ambiguous
-    from triality._poly import compose
     from triality.covariants import gordan_generators
     from triality.sw_curve import _frame_forms, evaluate_ab
 
@@ -292,7 +311,7 @@ def test_express_in_klmn_fits_at_its_input_window():
     for order in (2, 3, 4):
         for label, p in ((g.label, g.image) for g in gordan_generators()):
             try:
-                fit_coefficients(series_form(compose(p, _frame_forms()[0]), order), order)
+                fit_coefficients(compose(compose(p, _frame_forms()[0]), modular_in_klmn(order)), order)
                 continue
             except AmbiguousRepresentationError:
                 pass
@@ -320,7 +339,7 @@ def test_table1_builds_tables_at_its_own_order_alone(monkeypatch):
 
     order = 24
     caches = (
-        klmn, weyl_in_klmn, _modular_powers, invariant_ring._modular_basis,
+        klmn, weyl_in_klmn, modular_in_klmn, invariant_ring._modular_basis,
         sw_curve._frame_forms, sw_curve._frame_values,
     )
     for cache in caches:
@@ -330,8 +349,8 @@ def test_table1_builds_tables_at_its_own_order_alone(monkeypatch):
 
     def record(self, images, one):
         init(self, images, one)
-        if isinstance(one, (FracSeries, SeriesPoly)):
-            windows.append(one.trunc if isinstance(one, FracSeries) else one.common_trunc())
+        if isinstance(one, SeriesPoly):
+            windows.append(one.common_trunc())
 
     monkeypatch.setattr(PowerTable, "__init__", record)
     assert all(r.passed for r in table1_checks(order))
@@ -444,7 +463,7 @@ def test_kept_series_tables_match_fresh_ones():
             # each order's kept tables serve that order alone
             assert klmn(order).one.common_trunc() == trunc
             assert weyl_in_klmn(order).one.common_trunc() == trunc
-            assert _modular_powers(order).one.trunc == trunc
+            assert modular_in_klmn(order).one.common_trunc() == trunc
 
     check()
 

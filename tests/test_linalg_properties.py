@@ -21,7 +21,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from triality.enumerator import monomials_of, triality_basis  # noqa: E402
-from triality.linalg import LinearSolver, integer_nullspace  # noqa: E402
+from triality.linalg import LinearSolver  # noqa: E402
 from triality.sw_curve import negative_c0_part  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -209,26 +209,27 @@ def test_integer_kernel_divided_out_is_the_kernel(system):
 @given(sparse_columns(values=st.integers(-3, 3)))
 def test_nullspace_of_columns_is_the_kernel_of_the_dense_matrix(columns):
     kernel = solve(dense_rows(columns), len(columns)).integer_kernel()
-    assert integer_nullspace((column, 1) for column in columns) == kernel
-    assert integer_nullspace([(column, 1) for column in columns]) == kernel
+    assert LinearSolver.of_columns((column, 1) for column in columns).integer_kernel() == kernel
+    assert LinearSolver.of_columns([(column, 1) for column in columns]).integer_kernel() == kernel
 
 
 @PROPERTY
 @given(sparse_columns())
-def test_integer_nullspace_divided_out_is_the_nullspace(columns):
+def test_kernel_of_columns_divided_out_is_the_nullspace(columns):
     # columns over different denominators: the kernel of the rational matrix
-    vectors = integer_nullspace(stored_column(column) for column in columns)
+    vectors = LinearSolver.of_columns(stored_column(column) for column in columns).integer_kernel()
     assert divided(vectors) == fraction_kernel(dense_rows(columns), len(columns))
 
 
 @PROPERTY
 @given(sparse_columns(), st.data())
-def test_integer_nullspace_reads_only_each_columns_rational_value(columns, data):
+def test_kernel_of_columns_reads_only_each_columns_rational_value(columns, data):
     # (num, d) and (c*num, c*d) are the same column, whatever c > 0 each column takes
     stored = [stored_column(column) for column in columns]
     scales = data.draw(st.lists(st.integers(1, 9), min_size=len(stored), max_size=len(stored)))
     rescaled = [({key: c * n for key, n in num.items()}, c * den) for c, (num, den) in zip(scales, stored)]
-    assert integer_nullspace(rescaled) == integer_nullspace(stored)
+    kernels = [LinearSolver.of_columns(columns).integer_kernel() for columns in (rescaled, stored)]
+    assert kernels[0] == kernels[1]
 
 
 @settings(PROPERTY, max_examples=50)
@@ -238,7 +239,7 @@ def test_wide_block_sparse_kernels_are_the_kernel(system):
     kernel = fraction_kernel(rows, ncols)
     assert divided(solve(rows, ncols).integer_kernel()) == kernel
     columns = [({i: row[j] for i, row in enumerate(rows)}, 1) for j in range(ncols)]
-    assert divided(integer_nullspace(columns)) == kernel
+    assert divided(LinearSolver.of_columns(columns).integer_kernel()) == kernel
 
 
 def test_nullspace_of_the_widest_dimension_table_cells():
@@ -249,6 +250,6 @@ def test_nullspace_of_the_widest_dimension_table_cells():
         keys = sorted({key for num, _ in columns for key in num})
         assert (len(columns), len(keys)) == (unknowns, equations)
         rows = [[F(num.get(key, 0), den) for num, den in columns] for key in keys]
-        vectors = integer_nullspace(columns)
+        vectors = LinearSolver.of_columns(columns).integer_kernel()
         assert divided(vectors) == fraction_kernel(rows, len(columns))
         assert len(vectors) == triality_basis(k, m).dimension == dimension

@@ -81,6 +81,12 @@ def test_wrappers_stay_gone():
     assert not hasattr(Invariant, "t_action")
     assert not hasattr(FracSeries, "flip_half_powers")
     assert not hasattr(exact_series, "UnsupportedLatticeError")
+    # a form's value at an order is compose over modular_in_klmn, and a kernel
+    # is LinearSolver.of_columns(columns).integer_kernel()
+    for name in ("series_form", "_modular_powers"):
+        assert not hasattr(invariant_ring, name)
+    assert not hasattr(linalg, "integer_nullspace")
+    assert not re.search(r"\bstored\b", (Path(triality.__file__).parent / "invariant_ring.py").read_text())
     # a polynomial meets an int only in scaling (* and /): sums, differences
     # and comparisons with one go through Cls.constant(n)
     for name in ("_coerce", "__radd__", "__rsub__"):
@@ -153,17 +159,19 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
         assert not hasattr(owner, name)
     order = 5
     klmn, weyl = invariant_ring.klmn(order), invariant_ring.weyl_in_klmn(order)
-    modular = invariant_ring._modular_powers(order)
+    modular = invariant_ring.modular_in_klmn(order)
     # the frame forms are exact and order-free: one table pair for every order
     assert not inspect.signature(sw_curve._frame_forms).parameters
     forms = sw_curve._frame_forms()
     assert invariant_ring.klmn(order) is klmn and invariant_ring.weyl_in_klmn(order) is weyl
+    assert invariant_ring.modular_in_klmn(order) is modular
     assert sw_curve._frame_forms() is forms and len(forms) == 2
     # the Delta reduction is exact and order-free too: one table for the process
     assert not inspect.signature(invariant_ring._delta_reduction).parameters
     reduction = invariant_ring._delta_reduction()
     assert invariant_ring._delta_reduction() is reduction
-    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, *forms, reduction))
+    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, modular, *forms, reduction))
+    assert type(modular.one) is invariant_ring.KLMNPoly and len(modular.images) == 7
     assert all(type(t.one) is invariant_ring.ModularKLMN for t in (*forms, reduction))
     assert reduction.one == invariant_ring.ModularKLMN.one()
 
@@ -186,8 +194,11 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     asked_by_exact = tables_asked(sw_curve.exact_ab, p)
     assert any(t is forms[0] for t in asked_by_exact) and any(t is reduction for t in asked_by_exact)
     assert any(t is modular for t in tables_asked(sw_curve.jacobian_klmn, order))
+    sw_curve._frame_values.cache_clear()
+    assert any(t is modular for t in tables_asked(sw_curve._frame_values, order))
 
-    # the forms compose exactly and go to series once: no series polynomial is multiplied
+    # the forms compose exactly and go to series once, through the modular
+    # table: the only series polynomials multiplied are its constants
     products = []
     multiply = invariant_ring.KLMNPoly.__mul__
 
@@ -198,8 +209,11 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     monkeypatch.setattr(invariant_ring.KLMNPoly, "__mul__", counted)
     monkeypatch.setattr(invariant_ring.KLMNPoly, "__rmul__", counted)
     sw_curve.exact_ab(p)
-    sw_curve.jacobian_klmn(order)
     assert products == []
+    sw_curve.jacobian_klmn(order)
+    assert products
+    for operands in products:
+        assert all(isinstance(x, (int, Fraction)) or set(x.terms) == {invariant_ring.ONE_EXPS} for x in operands)
 
 
 def test_table1_membership_multiplies_no_series(monkeypatch):
@@ -231,7 +245,7 @@ def test_the_modular_fit_has_one_home():
         if re.search(r"\b_fit_modular\(", line) and not line.lstrip().startswith("def ")
     ]
     assert callers and {c.split(":")[0] for c in callers} == {"invariant_ring.py"}
-    fitting = re.compile(r"_fit_modular|_modular_basis|_modular_powers|\.coeff\(")
+    fitting = re.compile(r"_fit_modular|_modular_basis|\.coeff\(")
     assert not fitting.search((src / "verify.py").read_text())
 
 

@@ -10,7 +10,9 @@ from triality._poly import (
 from triality import sw_curve, verify
 from triality.covariants import gordan_generators
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta
-from triality.invariant_ring import ONE_EXPS, Invariant, KLMNPoly, ModularKLMN, reduce_delta, series_form
+from triality.invariant_ring import (
+    ONE_EXPS, Invariant, KLMNPoly, ModularKLMN, modular_in_klmn, reduce_delta,
+)
 from triality.sw_curve import (
     CurvePolyAB,
     CurvePolyCD,
@@ -318,7 +320,7 @@ def graded_polys(st, cls):
 
 def fresh_frame_table(frame, order):
     """A new table over the frame's coefficient values, evaluated afresh."""
-    images = [series_form(f, order).evaluate(order) for f in _frame_forms()[frame].images]
+    images = [compose(f, modular_in_klmn(order)).evaluate(order) for f in _frame_forms()[frame].images]
     return PowerTable(images, Invariant.one(LATTICE * order))
 
 
@@ -419,7 +421,7 @@ def assert_matches_series_built(value, oracle):
 def test_exact_frame_forms_evaluate_to_the_series_built_forms(order):
     for exact, built in zip(_frame_forms(), series_built_forms(order)):
         for form, oracle in zip(exact.images, built.images):
-            value = series_form(form, order)
+            value = compose(form, modular_in_klmn(order))
             assert set(value.terms) == set(oracle.terms)
             assert_matches_series_built(value, oracle)
 
@@ -429,7 +431,7 @@ def test_compose_over_frame_forms_matches_the_series_built_table(order):
     polys = [g.image for g in gordan_generators()] + list(recovery_polys()[0])
     for p in polys:
         assert_matches_series_built(
-            series_form(compose(p, _frame_forms()[0]), order), compose(p, series_built_forms(order)[0])
+            compose(compose(p, _frame_forms()[0]), modular_in_klmn(order)), compose(p, series_built_forms(order)[0])
         )
 
 
@@ -442,7 +444,7 @@ def test_compose_over_frame_forms_matches_the_series_built_table_on_graded_polys
     @given(st.sampled_from([2, 3, 4, 5, 6, 24]), graded_polys(st, CurvePolyAB))
     def check(order, p):
         assert_matches_series_built(
-            series_form(compose(p, _frame_forms()[0]), order), compose(p, series_built_forms(order)[0])
+            compose(compose(p, _frame_forms()[0]), modular_in_klmn(order)), compose(p, series_built_forms(order)[0])
         )
 
     check()
@@ -470,6 +472,12 @@ def test_frame_forms_place_delta_canonically():
     # oracle tests.  So a derivation of the forms must land on these: in the
     # ab frame E6 powers above 1 read E4^3 - 1728 Delta, in the cd frame E4
     # powers above 2 read E6^2 + 1728 Delta.
+    # The windows move because Delta is eta^24, and eta_delta(order) gives eta
+    # known below t^(24 order) with valuation t^1: Delta is known 23 steps of
+    # t further than E4^3 - E6^2, which is known only below t^(24 order).
+    for order in (2, 3, 24):
+        e4, e6, delta = (image.constant_series() for image in modular_in_klmn(order).images[4:])
+        assert (delta.trunc, (e4 ** 3 - e6 ** 2).trunc) == (LATTICE * order + 23, LATTICE * order)
     E4, E6, D = (ModularKLMN.variable(i) for i in (4, 5, 6))
     ab, cd = (t.images for t in _frame_forms())
     for forms, i, period, relation in ((ab, 5, 2, E4 ** 3 - D * 1728), (cd, 4, 3, E6 ** 2 + D * 1728)):

@@ -3,7 +3,7 @@
 Products and frame changes of `SparsePoly` are compared with sympy's
 `expand` and substitution, where the frame-change images are derived in
 sympy from their definition (completing the square of the quadratic), and
-the kernels of `LinearSolver` and `integer_nullspace`, divided out, are
+the kernels of `LinearSolver`, divided out, are
 compared exactly with the kernel read off sympy's `Matrix.rref`.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from triality.linalg import LinearSolver, integer_nullspace  # noqa: E402
+from triality.linalg import LinearSolver  # noqa: E402
 from triality.sw_curve import CurvePolyAB, CurvePolyCD, ab_to_cd  # noqa: E402
 
 AB = sympy.symbols(CurvePolyAB.names)
@@ -144,10 +144,10 @@ def test_nullspace_early_stop_matches_sympy_rref():
     columns = columns_of(full, 3)
     # an equation after the rank is full would fail in LinearSolver.add
     columns[-1][0][len(full)] = "not a number"
-    assert integer_nullspace(columns) == sympy_kernel(full, 3) == []
+    assert LinearSolver.of_columns(columns).integer_kernel() == sympy_kernel(full, 3) == []
     # nor is it scaled: None times the column's scale would raise
     columns[-1][0][len(full)] = None
-    assert integer_nullspace(columns) == []
+    assert LinearSolver.of_columns(columns).integer_kernel() == []
     deficient = [[F(6, 4), 3, 0, BIG], [3, 6, 0, 2 * BIG], [0, 0, 0, 0]]
-    vectors = integer_nullspace(iter(columns_of(deficient, 4)))
+    vectors = LinearSolver.of_columns(iter(columns_of(deficient, 4))).integer_kernel()
     assert divided(vectors) == sympy_kernel(deficient, 4)
