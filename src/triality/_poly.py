@@ -20,10 +20,11 @@ weight row its class declares), and raises NotHomogeneousError.  The
 polynomials with q-series coefficients live in `invariant_ring` and share
 the term kernels (`add_terms`, `mul_terms`, `derivative_terms`,
 square-and-multiply `power`), `monomial_degree`, `compose` and `jacobian`,
-the one determinant of a matrix of partials.  `PowerTable` is the one home of monomial images:
-it windows each image once by the target's `one` and keeps each power it
-builds; its `monomial` may return a kept power or `one`, which every
-caller copies into a new value.
+the one determinant of a matrix of partials, by `ring_det`, a plain
+cofactor expansion (every caller's matrix is 4x4).  `PowerTable` is
+the one home of monomial images: it windows each image once by the
+target's `one` and keeps each power it builds; its `monomial` may return
+a kept power or `one`, which every caller copies into a new value.
 `format_terms` is the one term printer of `SparsePoly` and `FracSeries`,
 `format_monomial` the one monomial text of both polynomial types, and
 `fraction_text` the one JSON coefficient text of both, read off the store.
@@ -435,28 +436,21 @@ def taylor_shift(coeffs, s):
 def ring_det(matrix):
     """Determinant of a small square matrix of polynomials of one type.
 
-    Expansion by minors with memoization on (row count consumed, column
-    subset); each minor is one `_sum` of its signed cofactor products.
+    Cofactor expansion along the first row; each minor is one `_sum` of its
+    signed cofactor products.  The recursion runs in an inner helper, so
+    `ring_det` itself is entered once per determinant.
     """
-    n = len(matrix)
-    if n == 0:
+    if not matrix:
         raise ValueError("empty matrix")
-    cache = {}
 
-    def minor(row, cols):
-        if len(cols) == 1:
-            return matrix[row][cols[0]]
-        if (row, cols) not in cache:
-            products = (
-                matrix[row][col] * minor(row + 1, cols[:k] + cols[k + 1 :])
-                for k, col in enumerate(cols)
-            )
-            cache[row, cols] = type(matrix[row][0])._sum(
-                -p if k % 2 else p for k, p in enumerate(products)
-            )
-        return cache[row, cols]
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        minors = ([row[:k] + row[k + 1 :] for row in rows[1:]] for k in range(len(rows)))
+        products = (x * det(minor) for x, minor in zip(rows[0], minors))
+        return type(rows[0][0])._sum(-p if k % 2 else p for k, p in enumerate(products))
 
-    return minor(0, tuple(range(n)))
+    return det(matrix)
 
 
 def jacobian(polys):

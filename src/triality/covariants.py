@@ -45,12 +45,9 @@ class BadOrderError(ValueError):
     """Transvectant index exceeds the order of an argument."""
 
 
-class NegativeOrderError(ValueError):
-    """The Roberts inverse needs a nonnegative order."""
-
-
 class NotPolynomialError(ValueError):
-    """Alpha0 denominators survived psi_forward, or Roberts was given a non-semiinvariant."""
+    """Alpha0 denominators survived psi_forward, or Roberts was given a
+    non-semiinvariant (a Phi of negative order is never one)."""
 
 
 class FormPoly(SparsePoly):
@@ -175,11 +172,11 @@ def roberts_to_covariant(Phi):
     omega is the order of Phi.  This is u^omega Phi(exp((v/u) Delta)
     alpha, beta), which has no negative power of u iff Delta^(omega+1)
     Phi = 0; for a polynomial Phi that holds iff Phi is a semiinvariant.
-    NotPolynomialError otherwise.
+    NotPolynomialError otherwise, also for a negative omega.
     """
     omega = order_of(Phi)
     if omega < 0:
-        raise NegativeOrderError(f"order {omega} is negative")
+        raise NotPolynomialError(f"order {omega} is negative: it leads no covariant")
     terms = {}
     lowered = Phi
     for k in range(omega + 1):

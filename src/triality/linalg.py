@@ -51,10 +51,9 @@ class LinearSolver:
 
     def __init__(self, ncols):
         self.ncols = ncols
-        # pivot -> primitive row: its least column, > 0 there; after
-        # integer_kernel() and until the rank grows, no other pivot in it
+        # pivot -> primitive row: its least column, > 0 there; as
+        # integer_kernel() returns, no other pivot in it
         self.rows = {}
-        self._reduced = True
 
     @classmethod
     def of_columns(cls, columns):
@@ -90,7 +89,6 @@ class LinearSolver:
             pivot = min(row)
             if pivot not in self.rows:
                 self.rows[pivot] = _primitive(row, pivot)
-                self._reduced = False
                 return True
             row = _clear(row, self.rows[pivot], pivot)
         return False
@@ -98,15 +96,13 @@ class LinearSolver:
     def integer_kernel(self):
         """Reduced-echelon kernel basis: (integer numerators, denominator > 0) per free column."""
         rows = self.rows
-        if not self._reduced:
-            # back-substitute bottom-up: a row holds only the pivots of reduced
-            # rows past its own, and clears each once
-            for p in sorted(rows, reverse=True):
-                row = rows[p]
-                for q in [q for q in row if q != p and q in rows]:
-                    row = _clear(row, rows[q], q)
-                rows[p] = _primitive(row, p)
-            self._reduced = True
+        # back-substitute bottom-up: a row holds only the pivots of reduced
+        # rows past its own, and clears each once (a reduced row, none)
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            for q in [q for q in row if q != p and q in rows]:
+                row = _clear(row, rows[q], q)
+            rows[p] = _primitive(row, p)
         basis = []
         for f in range(self.ncols):
             if f not in rows:

@@ -86,6 +86,10 @@ def test_wrappers_stay_gone():
     for name in ("series_form", "_modular_powers"):
         assert not hasattr(invariant_ring, name)
     assert not hasattr(linalg, "integer_nullspace")
+    # no caller reads a kernel twice, so a solver keeps no mark of reduced
+    # rows; and a Phi of negative order is refused as a non-semiinvariant
+    assert vars(linalg.LinearSolver(2)) == {"ncols": 2, "rows": {}}
+    assert not hasattr(covariants, "NegativeOrderError")
     assert not re.search(r"\bstored\b", (Path(triality.__file__).parent / "invariant_ring.py").read_text())
     # a polynomial meets an int only in scaling (* and /): sums, differences
     # and comparisons with one go through Cls.constant(n)

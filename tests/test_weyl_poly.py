@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
+from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 
-from triality._poly import PowerTable, _grlex_key, compose, jacobian, ring_det
-from triality.invariant_ring import T_POLYS
+from triality import _poly, sw_curve
+from triality._poly import PowerTable, _grlex_key, compose, jacobian, monomial_degree, ring_det
+from triality.exact_series import FracSeries
+from triality.invariant_ring import T_POLYS, Invariant, klmn
 from triality.weyl_poly import (
+    I_DEGREES,
     IPoly,
     NotInvariantError,
     ZPoly,
@@ -121,6 +127,72 @@ def test_jacobian_alternating_and_multilinear():
 def test_determinant_of_no_rows_is_refused():
     with pytest.raises(ValueError, match="empty matrix"):
         ring_det([])
+
+
+def leibniz(matrix):
+    """The determinant as the signed sum over permutations, the oracle of `ring_det`."""
+    n = len(matrix)
+    products = []
+    for perm in permutations(range(n)):
+        product = reduce(mul, (matrix[i][perm[i]] for i in range(n)))
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        products.append(-product if inversions % 2 else product)
+    return sum(products[1:], products[0])
+
+
+def random_zpoly(rng):
+    return ZPoly(
+        {tuple(rng.randrange(3) for _ in range(4)): F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)}
+    )
+
+
+# the monomials of I-degree 0, 2 and 4
+I_MONOMIALS = [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
+
+
+def random_invariant_row(rng, n, trunc):
+    """n entries of one grading, so every product over a permutation has one grading."""
+    weight, degree = rng.randrange(-4, 8, 2), rng.choice((0, 2, 4))
+    monos = [e for e in I_MONOMIALS if monomial_degree(I_DEGREES, e) == degree]
+
+    def series():
+        terms = {12 * rng.randrange(-2, 6): F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)}
+        return FracSeries(terms, trunc)
+
+    return [Invariant({e: series() for e in monos}, weight, degree) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_determinant_matches_the_leibniz_formula(n):
+    rng = random.Random(n)
+    trunc = 24 * 4  # order 4
+    matrices = [[[random_zpoly(rng) for _ in range(n)] for _ in range(n)] for _ in range(4)]
+    matrices += [[random_invariant_row(rng, n, trunc) for _ in range(n)] for _ in range(3)]
+    for matrix in matrices:
+        det = ring_det(matrix)
+        assert det == leibniz(matrix)
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            swapped = list(matrix)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            assert ring_det(swapped) == -det
+
+
+def test_each_jacobian_enters_ring_det_once(monkeypatch):
+    # the bench times `_poly.ring_det` by its module name: an expansion that
+    # recursed through that name would open 40 more spans per 4x4 determinant
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return ring_det(matrix)
+
+    monkeypatch.setattr(_poly, "ring_det", counted)
+    jacobian(weyl_generators())
+    jacobian(klmn(4).images)
+    assert calls == [4, 4]
+    sw_curve.jacobian_klmn(4)
+    assert calls == [4, 4, 4, 4]
 
 
 def test_json_term_order_is_canonical():
