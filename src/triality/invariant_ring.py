@@ -20,16 +20,17 @@ which converts the cusp condition into plain q-regularity, and the
 resulting three-way classification (invariant / weak only / neither).
 `KLMNPoly` is the element over the four fundamental weak invariants
 K, L, M, N, which generate freely over the level-1 forms E4, E6
-(Wirthmueller), so `express_in_klmn` rewrites an invariant in them by a
-change of generators and a fit of each coefficient into C[E4, E6]
-(`fit_coefficients`), within a window that must pin every coefficient
-down.  `ModularKLMN` needs no window: it is the rational polynomial in
-K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a K,L,M,N
-polynomial with coefficients in Q[E4^+-1, E6^+-1, Delta] is, for every
-order at once.  Its value at an order is the `KLMNPoly`
-`compose(form, modular_in_klmn(order))`.  `reduce_delta` writes Delta
-out as (E4^3 - E6^2)/1728; as E4, E6 are algebraically independent and
-K, L, M, N free over them, two forms are one value exactly when these
+(Wirthmueller).  `ModularKLMN` needs no window: it is the rational
+polynomial in K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a
+K,L,M,N polynomial with coefficients in Q[E4^+-1, E6^+-1, Delta] is, for
+every order at once.  Its value at an order is `ModularKLMN.evaluate`:
+the `KLMNPoly` `compose(form, modular_in_klmn(order))`, with K, L, M, N
+substituted.  `express_in_klmn` rewrites an invariant exactly, as the
+`ModularKLMN` form it equals: a change of generators, then a fit of each
+coefficient into rationals on E4^a E6^b Delta^j (`fit_coefficients`),
+within a window that must pin every rational down.  `reduce_delta` writes
+Delta out as (E4^3 - E6^2)/1728; as E4, E6 are algebraically independent
+and K, L, M, N free over them, two forms are one value exactly when these
 normal forms are equal, and a form lies in C[E4, E6][K, L, M, N] exactly
 when its normal form has no negative power of E4 or E6.
 
@@ -40,7 +41,7 @@ one cached builder per order, which returns its table: `klmn` (K, L, M, N
 over `Invariant.one`, read by `KLMNPoly.evaluate`), `weyl_in_klmn` (over
 `KLMNPoly.one`, read by `express_in_klmn`) and `modular_in_klmn` (formal
 K, L, M, N and the series E4, E6, Delta over `KLMNPoly.one`, read by
-`_modular_basis` and by every evaluation of a `ModularKLMN` form).
+`_modular_basis` and by `ModularKLMN.evaluate`).
 `SeriesPoly.variable` is the one formal generator, graded by its class's
 rows.  So every series power is built once per order, and a table at one
 order never serves another, whose window differs; the order-free
@@ -135,8 +136,8 @@ class SeriesPoly:
         return cls._new(terms, *(grading or (weight, degree)))
 
     @classmethod
-    def zero(cls, weight=0, degree=0):
-        return cls._new({}, weight, degree)
+    def zero(cls):
+        return cls._new({}, 0, 0)
 
     @classmethod
     def one(cls, trunc):
@@ -429,14 +430,13 @@ class ModularKLMN(SparsePoly):
     """Polynomial in formal K, L, M, N, E4, E6, Delta with rational
     coefficients, Laurent in E4 and E6: the exact, order-free form of a
     K,L,M,N polynomial whose series coefficients are rational multiples of
-    E4^i E6^j Delta^k, evaluated at an order by `compose` over
-    `modular_in_klmn`.
+    E4^i E6^j Delta^k, such as `express_in_klmn` gives.
 
     E4, E6 and Delta are free here, so what cancels only by E4^3 - E6^2 =
     1728 Delta is kept, and its value is a series that is zero in its
     window; `reduce_delta` applies the relation.
-    The rows grade it like `KLMNPoly`: weight adds the modular weights of
-    E4, E6, Delta to the formal ones, and degree counts K, L, M, N alone.
+    The rows grade it like `KLMNPoly`: `weight` adds the modular weights of
+    E4, E6, Delta to the formal ones, and `degree` counts K, L, M, N alone.
     """
 
     nvars = 7
@@ -445,12 +445,19 @@ class ModularKLMN(SparsePoly):
     WEIGHTS = KLMN_WEIGHTS + (4, 6, 12)
     DEGREES = KLMN_DEGREES + (0, 0, 0)
 
+    weight = property(lambda self: self.weighted_degree(self.WEIGHTS))
+    degree = property(lambda self: self.weighted_degree(self.DEGREES))
+
+    def evaluate(self, order):
+        """The `Invariant` value at this order, through `modular_in_klmn` and `klmn`."""
+        return _poly.compose(self, modular_in_klmn(order)).evaluate(order)
+
 
 @lru_cache(maxsize=None)
 def modular_in_klmn(order):
     """The power table of the seven `ModularKLMN` generators at the given
     order, over `KLMNPoly.one`: formal K, L, M, N and the series E4, E6 and
-    Delta.  A form's value at the order is `compose(form, modular_in_klmn(order))`."""
+    Delta, which `ModularKLMN.evaluate` composes a form over."""
     if order < 2:
         raise ValueError("order must be >= 2")
     trunc = LATTICE * order
@@ -476,7 +483,7 @@ def reduce_delta(form):
 
 @lru_cache(maxsize=None)
 def _modular_basis(weight, order):
-    """E4^a E6^b Delta^j with 4a + 6b = weight - 12j != 2, b in {0, 1}, one per
+    """(a, b, j, E4^a E6^b Delta^j), 4a + 6b = weight - 12j != 2, b in {0, 1}, one per
     j: a basis of C[E4, E6]_weight whose j-th element is q^j + O(q^(j+1))."""
     table = modular_in_klmn(order)
     basis = []
@@ -484,25 +491,25 @@ def _modular_basis(weight, order):
         rest = weight - 12 * j
         if rest % 2 == 0 and rest != 2:
             b = rest % 4 // 2
-            power = table.monomial((0, 0, 0, 0, (rest - 6 * b) // 4, b, j)).constant_series()
-            basis.append(power.truncate(LATTICE * order))
+            a = (rest - 6 * b) // 4
+            power = table.monomial((0, 0, 0, 0, a, b, j)).constant_series()
+            basis.append((a, b, j, power.truncate(LATTICE * order)))
     return tuple(basis)
 
 
 def _fit_modular(series, weight, order):
-    """The form of this weight equal to series within its window (raises if
-    none is), or None if the window ends before q^j for the last element j."""
+    """{(a, b, j): c} of the form sum c E4^a E6^b Delta^j equal to series within its
+    window (raises if none is), or None if the window ends before the last q^j."""
     basis = _modular_basis(weight, order)
     window = min(series.trunc, LATTICE * order)
-    rest = series
-    fit = FracSeries.zero(LATTICE * order)
-    for j, element in enumerate(basis):
+    rest, fit = series, {}
+    for a, b, j, element in basis:
         if LATTICE * j >= window:
             break
         c = rest.coeff(LATTICE * j)
         if c:
-            scaled = element * c
-            rest, fit = rest - scaled, fit + scaled
+            rest = rest - element * c
+            fit[a, b, j] = c
     if not rest.truncate(window).is_zero:
         raise NoRepresentationError(
             f"a weight-{weight} coefficient is not in C[E4, E6] within t^{window}"
@@ -511,7 +518,7 @@ def _fit_modular(series, weight, order):
 
 
 def fit_coefficients(coeffs, order):
-    """coeffs with every coefficient fitted into C[E4, E6] of its weight.
+    """The `ModularKLMN` form of coeffs, each coefficient fitted into C[E4, E6].
 
     Raises NoRepresentationError when a coefficient is no form within its
     window, and AmbiguousRepresentationError when the window q^order is too
@@ -528,15 +535,15 @@ def fit_coefficients(coeffs, order):
         raise AmbiguousRepresentationError(
             f"window q^{order} is too short to pin every coefficient down"
         )
-    return KLMNPoly({e: s for e, s in fits.items() if not s.is_zero}, coeffs.weight, coeffs.degree)
+    return ModularKLMN({exps + abj: c for exps, fit in fits.items() for abj, c in fit.items()})
 
 
 def express_in_klmn(phi):
-    """Rewrite an invariant as a polynomial in K, L, M, N over E4, E6.
+    """Rewrite an invariant exactly, as the `ModularKLMN` form it equals.
 
     Substitutes `weyl_in_klmn` for the Weyl generators at the order of
-    phi's window, fits every coefficient into C[E4, E6] of its weight, and
-    checks the result by evaluating it over the whole window phi knows.
+    phi's window, which must reach q^2, fits every coefficient into C[E4, E6]
+    of its weight, and checks the form by evaluating it over that whole window.
     That order, not the one phi was evaluated at, is what decides a curve
     value with Delta factors: they widen its window by a power of q or two,
     and at orders 2 to 4 that pins down rewrites the narrower order leaves
@@ -544,8 +551,10 @@ def express_in_klmn(phi):
     """
     trunc = phi.common_trunc()
     if trunc is None:
-        return KLMNPoly.zero(phi.weight, phi.degree)
+        return ModularKLMN.zero()
     order = trunc // LATTICE
+    if order < 2:
+        raise AmbiguousRepresentationError(f"window t^{trunc} ends before q^2")
     rep = fit_coefficients(phi.change_generators(weyl_in_klmn(order)), order)
     if not rep.evaluate(order) == phi:
         raise NoRepresentationError("no representation matches the full window")

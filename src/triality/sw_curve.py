@@ -36,9 +36,9 @@ keeps them exactly, as `invariant_ring.ModularKLMN` forms with Delta in
 them, in one pair of tables for every order.  `exact_ab` composes over the
 ab table and takes the Delta-free normal form
 (`invariant_ring.reduce_delta`), with no series built; `jacobian_klmn`
-differentiates in rationals and goes to series once at the end.  Both it
-and `_frame_values` take a form to series at an order by `compose` over
-`invariant_ring.modular_in_klmn`.
+differentiates in rationals and goes to series once at the end, by
+`compose` over `invariant_ring.modular_in_klmn`; `_frame_values` takes each
+form to its value at an order by `ModularKLMN.evaluate`.
 
 `_frame_values` has one cached builder per order, which returns the six
 values of each frame over `Invariant.one`, so every series power is built
@@ -213,11 +213,8 @@ def _frame_forms():
 def _frame_values(order):
     """Power tables of the twelve coefficient values at this order, the ab
     frame's and the cd frame's, kept for the process."""
-    one, modular = Invariant.one(LATTICE * order), modular_in_klmn(order)
-    return tuple(
-        PowerTable((compose(f, modular).evaluate(order) for f in t.images), one)
-        for t in _frame_forms()
-    )
+    one = Invariant.one(LATTICE * order)
+    return tuple(PowerTable((f.evaluate(order) for f in t.images), one) for t in _frame_forms())
 
 
 def exact_ab(p):

@@ -20,10 +20,10 @@ is decided exactly, with no window: `sw_curve.exact_ab` gives each
 generator's curve image as its Delta-free K,L,M,N form over E4 and E6,
 which lies in the ring exactly when no power of E4 or E6 in it is
 negative.  The six explicit forms are written once, as exact forms in
-K, L, M, N, E4, E6 and Delta, and each is checked on two routes: exactly,
-against the normal form of its curve image, and on series at the
-requested order, against the route through `evaluate_ab` and
-`express_in_klmn`, a second oracle.
+K, L, M, N, E4, E6 and Delta, and each is checked exactly on two routes:
+against the normal form of its curve image, and against the normal form
+of the exact form `express_in_klmn` fits to the curve image's value at
+the requested order through `evaluate_ab`, a second oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import covariants, enumerator, sw_curve, weyl_poly
-from ._poly import compose, jacobian
+from ._poly import jacobian
 from .exact_series import LATTICE, FracSeries, UnknownCoefficientError, e_series, eisenstein, eta_delta
 from .invariant_ring import (
     INVARIANT,
@@ -44,7 +44,6 @@ from .invariant_ring import (
     NoRepresentationError,
     express_in_klmn,
     klmn,
-    modular_in_klmn,
     reduce_delta,
 )
 from .weyl_poly import IPoly
@@ -321,15 +320,15 @@ def _in_ring(form):
 
 
 def _weyl_route(p, expected, order):
-    """(passed, detail): the K,L,M,N form of the curve polynomial p, through
-    its value over the Weyl generators, is the exact form expected at this order."""
+    """(passed, detail): the exact form `express_in_klmn` fits to the value of
+    the curve polynomial p at this order has the normal form of expected."""
     try:
         rep = express_in_klmn(sw_curve.evaluate_ab(p, order))
     except NoRepresentationError:
         return False, ""
     except AmbiguousRepresentationError:
         return False, f"window q^{order} too shallow to pin the representation down"
-    return _same(rep, compose(expected, modular_in_klmn(order)), order), ""
+    return reduce_delta(rep) == reduce_delta(expected), ""
 
 
 def table1_checks(order):

@@ -94,7 +94,7 @@ def series_tables(order):
     """(kept table, its images before windowing, its unit variables) for
     every series table the package keeps; a builder that returns its table
     gives the images it holds, already windowed."""
-    values = [[compose(f, modular_in_klmn(order)).evaluate(order) for f in t.images] for t in _frame_forms()]
+    values = [[f.evaluate(order) for f in t.images] for t in _frame_forms()]
     series = ((eisenstein(4, order), 4), (eisenstein(6, order), 6), (eta_delta(order)[1], 12))
     modular = [KLMNPoly.variable(i, LATTICE * order) for i in range(4)]
     modular += [KLMNPoly.from_series(s, weight) for s, weight in series]

@@ -85,6 +85,9 @@ def test_wrappers_stay_gone():
     # is LinearSolver.of_columns(columns).integer_kernel()
     for name in ("series_form", "_modular_powers"):
         assert not hasattr(invariant_ring, name)
+    # the Weyl route's rewrite is exact, so verify compares it with no series
+    for name in ("compose", "modular_in_klmn"):
+        assert not hasattr(verify, name)
     assert not hasattr(linalg, "integer_nullspace")
     # no caller reads a kernel twice, so a solver keeps no mark of reduced
     # rows; and a Phi of negative order is refused as a non-semiinvariant
@@ -190,9 +193,13 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
         call(*args)
         return asked[:]
 
-    rep = invariant_ring.KLMNPoly({(1, 0, 0, 0): exact_series.eta_delta(order)[1]}, 12, 2)
-    assert any(t is klmn for t in tables_asked(rep.evaluate, order))
-    assert any(t is weyl for t in tables_asked(invariant_ring.express_in_klmn, rep.evaluate(order)))
+    # a form goes to series through the modular table and then klmn; its
+    # rewrite reads the Weyl table, and the modular one to evaluate it back
+    rep = invariant_ring.ModularKLMN.monomial((1, 0, 0, 0, 0, 0, 1))
+    asked_by_evaluate = tables_asked(rep.evaluate, order)
+    assert any(t is modular for t in asked_by_evaluate) and any(t is klmn for t in asked_by_evaluate)
+    asked_by_rewrite = tables_asked(invariant_ring.express_in_klmn, rep.evaluate(order))
+    assert any(t is weyl for t in asked_by_rewrite) and any(t is modular for t in asked_by_rewrite)
     a2, b1, b3 = (sw_curve.CurvePolyAB.variable(i) for i in (1, 3, 5))
     p = a2 * b1 * b1 + A0 * b1 * b3
     asked_by_exact = tables_asked(sw_curve.exact_ab, p)

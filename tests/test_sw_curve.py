@@ -320,7 +320,7 @@ def graded_polys(st, cls):
 
 def fresh_frame_table(frame, order):
     """A new table over the frame's coefficient values, evaluated afresh."""
-    images = [compose(f, modular_in_klmn(order)).evaluate(order) for f in _frame_forms()[frame].images]
+    images = [f.evaluate(order) for f in _frame_forms()[frame].images]
     return PowerTable(images, Invariant.one(LATTICE * order))
 
 
