@@ -5,9 +5,12 @@ bytes.  Rationals are printed as num/den strings, q-exponents as integers
 on the t = q^(1/24) lattice with the lattice denominator stated in the
 JSON header.  Exit codes: 0 success, 1 verification failure or a stdout
 closed by its reader (the run ends quietly), 2 usage error.  A command
-refuses a request by raising one of `REFUSED`; `main` alone prints it as
-one `error: ` line on stderr.  `--order` exists only on `expand` and
-`verify`, the two commands that read it.  One leading `--` is dropped.
+refuses a request by raising one of `REFUSED`, or returns its exit code and
+its two renderings, each a function that builds it: the JSON object and the
+text lines.  `main` alone prints the refusal as one `error: ` line on
+stderr, or the rendering that `--format` names, once.  `--order` exists
+only on `expand` and `verify`, the two commands that read it.  One leading
+`--` is dropped.
 The words after a command's name go to that command's parser, and any
 other command line to the root's, so each reports what it does not know
 under its own usage line.
@@ -271,20 +274,13 @@ def cmd_expand(args):
         raise ExprError(f"unknown name {name!r}; valid names: {', '.join(EXPAND)}")
     weight, build = EXPAND[name]
     value = build(args.order).truncate(LATTICE * args.order)
-    if isinstance(value, FracSeries):
-        if args.format == "json":
-            payload = {"kind": "series", "name": name, "exponent_lattice": LATTICE}
-            if weight is not None:
-                payload["grading"] = {"weight": weight}
-            payload.update(value.to_json())
-            print(_json_dump(payload))
-        else:
-            print(f"{name} = {value}")
-    elif args.format == "json":
-        print(_json_dump(dict(value.to_json(), name=name)))
-    else:
-        print(f"{name} (weight {value.weight}, degree {value.degree}) = {value}")
-    return 0
+    if not isinstance(value, FracSeries):
+        return 0, lambda: dict(value.to_json(), name=name), lambda: [
+            f"{name} (weight {value.weight}, degree {value.degree}) = {value}"
+        ]
+    grading = {} if weight is None else {"grading": {"weight": weight}}
+    head = {"kind": "series", "name": name, "exponent_lattice": LATTICE, **grading}
+    return 0, lambda: dict(head, **value.to_json()), lambda: [f"{name} = {value}"]
 
 
 # -- basis / dims --------------------------------------------------------------------
@@ -292,31 +288,27 @@ def cmd_expand(args):
 
 def cmd_basis(args):
     result = enumerator.triality_basis(args.weight, args.degree)
-    if args.format == "json":
-        print(_json_dump(result.to_json()))
-    else:
-        print(f"weight {result.weight}, degree {result.degree}: dimension {result.dimension}")
-        for poly in result.basis:
-            print(f"  {poly}")
-    return 0
+    return 0, result.to_json, lambda: [
+        f"weight {result.weight}, degree {result.degree}: dimension {result.dimension}",
+        *(f"  {poly}" for poly in result.basis),
+    ]
 
 
 def cmd_dims(args):
     table = enumerator.dimension_table(args.kmax, args.mmax)
-    if args.format == "json":
-        payload = {
-            "kind": "dimension_table",
-            "kmax": args.kmax,
-            "mmax": args.mmax,
-            "entries": [[k, m, d] for (k, m), d in sorted(table.items())],
-        }
-        print(_json_dump(payload))
-    else:
-        ms = list(range(0, args.mmax + 1, 2))
-        print("k\\m " + "".join(f"{m:>5d}" for m in ms))
+    ms = range(0, args.mmax + 1, 2)
+
+    def lines():
+        yield "k\\m " + "".join(f"{m:>5d}" for m in ms)
         for k in range(0, args.kmax + 1, 2):
-            print(f"{k:<4d}" + "".join(f"{table[(k, m)]:>5d}" for m in ms))
-    return 0
+            yield f"{k:<4d}" + "".join(f"{table[(k, m)]:>5d}" for m in ms)
+
+    return 0, lambda: {
+        "kind": "dimension_table",
+        "kmax": args.kmax,
+        "mmax": args.mmax,
+        "entries": [[k, m, d] for (k, m), d in sorted(table.items())],
+    }, lines
 
 
 # -- generators / transvectants --------------------------------------------------------
@@ -324,33 +316,28 @@ def cmd_dims(args):
 
 def cmd_generators(args):
     gens = covariants.gordan_generators()
-    if args.format == "json":
-        payload = {
-            "kind": "generators",
-            "count": len(gens),
-            "generators": [
-                {
-                    "label": g.label,
-                    "grading": {
-                        "d_a": g.d_a,
-                        "d_b": g.d_b,
-                        "degree": g.degree_m,
-                        "order_omega": g.order_omega,
-                        "weight": g.weight,
-                    },
-                    "terms": g.poly.to_json(),
-                }
-                for g in gens
-            ],
-        }
-        print(_json_dump(payload))
-    else:
-        for g in gens:
-            print(
-                f"{g.label:<14s} degrees ({g.d_a},{g.d_b})  degree {g.degree_m:<3d}"
-                f" order {g.order_omega}  weight {g.weight}"
-            )
-    return 0
+    return 0, lambda: {
+        "kind": "generators",
+        "count": len(gens),
+        "generators": [
+            {
+                "label": g.label,
+                "grading": {
+                    "d_a": g.d_a,
+                    "d_b": g.d_b,
+                    "degree": g.degree_m,
+                    "order_omega": g.order_omega,
+                    "weight": g.weight,
+                },
+                "terms": g.poly.to_json(),
+            }
+            for g in gens
+        ],
+    }, lambda: [
+        f"{g.label:<14s} degrees ({g.d_a},{g.d_b})  degree {g.degree_m:<3d}"
+        f" order {g.order_omega}  weight {g.weight}"
+        for g in gens
+    ]
 
 
 def cmd_transvect(args):
@@ -360,18 +347,18 @@ def cmd_transvect(args):
     if (args.index + 1) * len(left.terms) * len(right.terms) > MAX_TRANSVECT_PAIRS:
         raise ExprError(f"(index + 1) * left terms * right terms must be at most {MAX_TRANSVECT_PAIRS}")
     result = covariants.transvectant(left, right, args.index)
-    if args.format == "json":
+
+    def payload():
+        # refined degrees exist only for some results, and the text needs none
         d_a, d_b = covariants.refined_form_degrees(result)
-        payload = {
+        return {
             "kind": "form",
             "grading": {"d_a": d_a, "d_b": d_b, "order_omega": covariants.uv_order(result)},
             "variables": list(covariants.FormPoly.names),
             "terms": result.to_json(),
         }
-        print(_json_dump(payload))
-    else:
-        print(result)
-    return 0
+
+    return 0, payload, lambda: [str(result)]
 
 
 def cmd_membership(args):
@@ -380,18 +367,13 @@ def cmd_membership(args):
         raise ExprError(f"the cd-frame image's terms must be at most {MAX_IMAGE_TERMS}, got {bound}")
     valuation = sw_curve.c0_valuation(poly)
     member = valuation >= 0
-    if args.format == "json":
-        payload = {
-            "kind": "membership",
-            "input": str(poly),
-            "is_triality_invariant": member,
-            "c0_valuation": valuation,
-        }
-        print(_json_dump(payload))
-    else:
-        verdict = "a triality invariant" if member else "NOT a triality invariant"
-        print(f"{poly} is {verdict} (c0 valuation of the image: {valuation})")
-    return 0
+    verdict = "a triality invariant" if member else "NOT a triality invariant"
+    return 0, lambda: {
+        "kind": "membership",
+        "input": str(poly),
+        "is_triality_invariant": member,
+        "c0_valuation": valuation,
+    }, lambda: [f"{poly} is {verdict} (c0 valuation of the image: {valuation})"]
 
 
 # -- verify -------------------------------------------------------------------------
@@ -399,26 +381,23 @@ def cmd_membership(args):
 
 def cmd_verify(args):
     results = verify.run_suite(args.suite, args.order)
-    failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        payload = {
-            "kind": "report",
-            "suite": args.suite,
-            "order": args.order,
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-        }
-        print(_json_dump(payload))
-    else:
+    failed = sum(not r.passed for r in results)
+    passed = len(results) - failed
+
+    def lines():
         for r in results:
             status = "ok  " if r.passed else "FAIL"
-            detail = f"  ({r.detail})" if r.detail else ""
-            print(f"{status} {r.name}{detail}")
-        print(f"{len(results) - len(failed)} passed, {len(failed)} failed (order q^{args.order})")
-    return 1 if failed else 0
+            yield f"{status} {r.name}" + (f"  ({r.detail})" if r.detail else "")
+        yield f"{passed} passed, {failed} failed (order q^{args.order})"
+
+    return 1 if failed else 0, lambda: {
+        "kind": "report",
+        "suite": args.suite,
+        "order": args.order,
+        "passed": passed,
+        "failed": failed,
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+    }, lines
 
 
 # -- argument plumbing ------------------------------------------------------------------
@@ -512,7 +491,8 @@ def main(argv=None):
                 raise ExprError(f"--{name} must be at least {least}")
             if value > limit:
                 raise ExprError(f"--{name} must be at most {limit}")
-        code = args.func(args)
+        code, payload, lines = args.func(args)
+        print(_json_dump(payload()) if args.format == "json" else "\n".join(lines()))
         sys.stdout.flush()
     except REFUSED as exc:
         print(f"error: {exc}", file=sys.stderr)

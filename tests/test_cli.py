@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from triality import _poly, cli, covariants, sw_curve
+from triality.exact_series import FracSeries
+from triality.invariant_ring import SeriesPoly
 
 
 def run_cli(capsys, *argv):
@@ -731,8 +733,9 @@ def test_cli_output_is_deterministic():
     assert first.stdout
 
 
-def test_closed_stdout_ends_the_run_quietly():
-    cmd = [sys.executable, "-m", "triality.cli", "verify", "series", "--format", "json"]
+@pytest.mark.parametrize("call", ["verify series --format json", "verify series --order 12"], ids=["json", "text"])
+def test_closed_stdout_ends_the_run_quietly(call):
+    cmd = [sys.executable, "-m", "triality.cli", *call.split()]
     with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as child:
         child.stdout.close()  # the reader goes away before the child has imported the package
         _, err = child.communicate(timeout=120)
@@ -755,6 +758,7 @@ GOLDEN = [
     ("dims --kmax 72 --mmax 24 --format json", 0, "3067c166e58b3a1ef0ae899b394d65cc047ce55c0d2e0340175e8f9cf47f733b"),
     ("basis --weight 48 --degree 16 --format json", 0, "888917000673f0d3b3ea03337d46180bfab1b372001104631299ccb45fe8299b"),
     ("verify all --order 2", 1, "7b492c1fb37bf4cd6961c67bbb542d2b345a5043c6f5609a582c5c3d90a4278d"),
+    ("verify curve --order 2 --format json", 1, "b4f35576848594bf9955fea9d47f77230932c2db47f1307ef1e02a7b8306807b"),
     ("verify all --order 3", 0, "a49aef2b26a7c3795ba9b6300a6254e8b363437f03113dff139bcf593c0ff397"),
     ("verify all --order 4", 0, "97eff19608a0d2cf98b291a0b323835e13ac00fccedb401b7531599b1dc29db6"),
     ("verify all --order 5 --format json", 0, "af68b94cf1c1ff1ea70eaf6f2bbd76b4e983abe373e13f9d6f53e2f4a7ca6116"),
@@ -814,6 +818,31 @@ def test_cli_output_matches_golden_digest(capsys, call, code, digest):
     exit_code, out, err = cli_outcome(capsys, shlex.split(call))
     assert (exit_code, err) == (code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# JSON calls whose text would print series or polynomials; membership is not
+# among them, as its JSON `input` field is the input's text by design
+JSON_ONLY = [
+    "expand K --order 6",
+    "expand b3 --order 5",
+    "expand E4 --order 48",
+    "basis --weight 24 --degree 6",
+    "transvect --left f^3 --right g*Q --index 6",
+    "verify series --order 4",
+]
+
+
+def test_json_output_renders_no_text(capsys, monkeypatch):
+    def refuse(value):
+        raise AssertionError(f"a {type(value).__name__} was rendered as text")
+
+    calls = [shlex.split(call) + ["--format", "json"] for call in JSON_ONLY]
+    with monkeypatch.context() as patch:
+        for cls in (SeriesPoly, _poly.SparsePoly, FracSeries):
+            patch.setattr(cls, "__str__", refuse)
+        outcomes = [cli_outcome(capsys, argv) for argv in calls]
+    assert [(code, err) for code, _, err in outcomes] == [(0, "")] * len(calls)
+    assert outcomes == [cli_outcome(capsys, argv) for argv in calls]
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()

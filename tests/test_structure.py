@@ -328,6 +328,27 @@ def test_the_cli_refuses_in_one_place():
     assert tries == []
 
 
+def test_the_cli_prints_in_one_place():
+    # commands compute and return their renderings; main alone prints, once:
+    # the rendering --format names on stdout, or the refusal on stderr
+    tree = ast.parse((Path(triality.__file__).parent / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def prints(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "print"]
+
+    def reads_format(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "format" for n in ast.walk(node))
+
+    commands = [fn for name, fn in functions.items() if name.startswith("cmd_")]
+    assert len(commands) == 7
+    assert [fn.name for fn in commands if prints(fn) or reads_format(fn)] == []
+    main_prints = prints(functions["main"])
+    assert len(main_prints) == len(prints(tree)) == 2
+    keywords = [(kw.arg, ast.unparse(kw.value)) for call in main_prints for kw in call.keywords]
+    assert keywords == [("file", "sys.stderr")]
+
+
 def test_series_are_built_on_integers():
     # every series but zero (no terms) and constant (which drops exponent 0
     # when trunc <= 0) is built as integer numerators and handed to _new;
