@@ -6,19 +6,22 @@ variables (alpha0..alpha2, beta0..beta3, u, v).  Alpha0 and beta0 may
 carry negative powers, as the two completions of the square need; the
 module builds only the one by -alpha1/(2 alpha0), the shift u -> u + s v
 of the coefficients (`hat_coefficients`, through `_poly.taylor_shift`)
-that psi_forward substitutes.  u and v are never Laurent, and every
-public result is validated polynomial.
+that psi_forward substitutes, composing over one power table of the hat
+images kept for the process.  Its inverse psi_inverse (alpha1 -> 0) only
+relabels stored terms.  u and v are never Laurent, and every public
+result is validated polynomial.
 
 The unipotent action is read through two derivations of the coefficients,
 each a table of (i, j, w) triples meaning w x_j d/dx_i and applied by the
-one helper `_derivation`: the raising D = 2 alpha0 d/dalpha1 + alpha1
-d/dalpha2 + 3 beta0 d/dbeta1 + 2 beta1 d/dbeta2 + beta2 d/dbeta3, which
-generates u -> u + kappa v (P(kappa) = exp(kappa D) P, so P is a
-semiinvariant iff DP = 0), and the lowering Delta alpha_i = (i+1)
-alpha_(i+1), Delta beta_i = (i+1) beta_(i+1).  With the scaling order they
-form an sl2 triple, so a polynomial Phi of order omega >= 0 is a
-semiinvariant iff Delta^(omega+1) Phi = 0, and then its covariant is
-sum_k Delta^k Phi / k! u^(omega-k) v^k (the Roberts correspondence).
+one helper `_derivation` in one pass over the stored integer numerators:
+the raising D = 2 alpha0 d/dalpha1 + alpha1 d/dalpha2 + 3 beta0 d/dbeta1
++ 2 beta1 d/dbeta2 + beta2 d/dbeta3, which generates u -> u + kappa v
+(P(kappa) = exp(kappa D) P, so P is a semiinvariant iff DP = 0), and the
+lowering Delta alpha_i = (i+1) alpha_(i+1), Delta beta_i = (i+1)
+beta_(i+1).  With the scaling order they form an sl2 triple, so a
+polynomial Phi of order omega >= 0 is a semiinvariant iff
+Delta^(omega+1) Phi = 0, and then its covariant is sum_k Delta^k Phi / k!
+u^(omega-k) v^k (the Roberts correspondence).
 The gradings are weight rows on `FormPoly` (the (u, v) order, the scaling
 weights alpha_i -> 2-2i, beta_i -> 3-2i, and the alpha and beta counts),
 each read by `SparsePoly.weighted_degree`.  The module also carries the
@@ -137,8 +140,19 @@ _LOWERING = ((0, 1, 1), (1, 2, 2), (3, 4, 1), (4, 5, 2), (5, 6, 3))
 
 
 def _derivation(P, table):
-    """The derivation sum of w x_j d/dx_i over the (i, j, w) of table, applied to P."""
-    return FormPoly._sum(P.derivative(i) * FormPoly.variable(j) * w for i, j, w in table)
+    """The derivation sum of w x_j d/dx_i over the (i, j, w) of table, applied to P,
+    in one pass over its stored terms: n x^e adds w e[i] n at e - delta_i + delta_j
+    for each triple with e[i] != 0 (a Laurent e[i] < 0 too), over P's denominator."""
+    num, den = stored(P)
+    out = {}
+    for e, n in num.items():
+        for i, j, w in table:
+            if k := e[i]:
+                key = list(e)
+                key[i], key[j] = k - 1, key[j] + 1
+                key = tuple(key)
+                out[key] = out.get(key, 0) + w * k * n
+    return FormPoly._new(out, den)
 
 
 def is_semiinvariant(P):
@@ -192,7 +206,6 @@ def roberts_to_covariant(Phi):
 # -- the curve-coefficient substitution ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def hat_coefficients():
     """(a-hat, b-hat): the form coefficients with u shifted by -alpha1/(2 alpha0).
 
@@ -204,26 +217,34 @@ def hat_coefficients():
     return taylor_shift(alphas, shift), taylor_shift(betas, shift)
 
 
+@lru_cache(maxsize=None)
+def _hat_powers():
+    """The power table of (a-hat_0, a-hat_2, b-hat_0, ..., b-hat_3), kept for the process."""
+    a_hat, b_hat = hat_coefficients()
+    return PowerTable([a_hat[0], a_hat[2], *b_hat], FormPoly.one())
+
+
 def psi_forward(p):
     """Substitute a_i -> a-hat_i, b_j -> b-hat_j into a curve polynomial.
 
-    For genuine triality invariants all alpha0 denominators cancel and the
-    result is a joint semiinvariant; NotPolynomialError otherwise.
+    Composes over the kept `_hat_powers`.  For genuine triality invariants
+    all alpha0 denominators cancel and the result is a joint semiinvariant;
+    NotPolynomialError otherwise.
     """
-    a_hat, b_hat = hat_coefficients()
-    images = [a_hat[0], a_hat[2], *b_hat]
-    result = compose(p, PowerTable(images, FormPoly.one()))
+    result = compose(p, _hat_powers())
     if result.min_degree_in(0) < 0:
         raise NotPolynomialError("alpha0 denominators survived; not in both frames")
     return result
 
 
 def psi_inverse(Phi):
-    """Substitute alpha0 -> a0, alpha1 -> 0, alpha2 -> a2, beta_j -> b_j."""
+    """Substitute alpha0 -> a0, alpha1 -> 0, alpha2 -> a2, beta_j -> b_j: a relabelling
+    of the stored terms, those holding an alpha1 dropped and (e0, e2, ..., e6) the ab
+    exponents of the rest, over the same denominator (both types are Laurent in the
+    same two variables)."""
     _require_uv_free(Phi, "psi_inverse")
-    a0, a2, *b = (CurvePolyAB.variable(i) for i in range(6))
-    images = [a0, CurvePolyAB.zero(), a2, *b, CurvePolyAB.one(), CurvePolyAB.one()]
-    return compose(Phi, PowerTable(images, CurvePolyAB.one()))
+    num, den = stored(Phi)
+    return CurvePolyAB._new({(e[0],) + e[2 : FormPoly.U]: n for e, n in num.items() if not e[1]}, den)
 
 
 # -- the fifteen generators --------------------------------------------------------
@@ -321,9 +342,10 @@ def semiinvariant_dimension(d_alpha, d_beta, omega):
     Enumerates every monomial of matching degrees and scaling weight and
     counts the exact kernel of the unipotent derivation D on their span:
     the number of monomials minus the rank, with no kernel vector built.
+    Monomial m's column is the D-image of the stored {m: 1} over 1.
     """
     if d_alpha < 0 or d_beta < 0:
         raise ValueError("refined degrees must be nonnegative")
     monos = _semiinvariant_monomials(d_alpha, d_beta, omega)
-    solver = LinearSolver.of_columns(stored(_derivation(FormPoly.monomial(m), _DERIVATION)) for m in monos)
+    solver = LinearSolver.of_columns(stored(_derivation(FormPoly._new({m: 1}), _DERIVATION)) for m in monos)
     return solver.ncols - solver.rank

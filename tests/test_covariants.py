@@ -375,3 +375,93 @@ def test_semiinvariant_dimension_matches_cayley_sylvester():
             for omega in range(-top - 1, top + 2):
                 expected = counts.get(omega, 0) - counts.get(omega + 2, 0) if omega >= 0 else 0
                 assert semiinvariant_dimension(d_a, d_b, omega) == expected, (d_a, d_b, omega)
+
+
+# -- the stored-term kernels against the polynomial algebra they replace ----------------
+
+
+def reference_derivation(P, table):
+    """sum of w x_j d/dx_i over the (i, j, w) of table, built from polynomial products."""
+    return FormPoly._sum(P.derivative(i) * FormPoly.variable(j) * w for i, j, w in table)
+
+
+def reference_psi_inverse(Phi):
+    """alpha0 -> a0, alpha1 -> 0, alpha2 -> a2, beta_j -> b_j, (u, v) -> (1, 1), by compose."""
+    a0, a2, *b = (CurvePolyAB.variable(i) for i in range(6))
+    images = [a0, CurvePolyAB.zero(), a2, *b, CurvePolyAB.one(), CurvePolyAB.one()]
+    return compose(Phi, PowerTable(images, CurvePolyAB.one()))
+
+
+def fresh_hat_table():
+    a_hat, b_hat = hat_coefficients()
+    return PowerTable([a_hat[0], a_hat[2], *b_hat], FormPoly.one())
+
+
+def form_polys(st, uv=True, max_terms=5):
+    """Small FormPolys with rational coefficients, alpha0 and beta0 exponents down to -2,
+    and (with uv) powers of u and v."""
+    laurent, plain = st.integers(-2, 2), st.integers(0, 2)
+    uv_exps = plain if uv else st.just(0)
+    exps = st.tuples(laurent, plain, plain, laurent, plain, plain, plain, uv_exps, uv_exps)
+    rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 8]))
+    terms = st.lists(st.tuples(exps, rationals), max_size=max_terms)
+    return terms.map(lambda ts: FormPoly._sum(FormPoly.monomial(e, c) for e, c in ts))
+
+
+def test_derivation_kernel_matches_the_polynomial_sum():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(form_polys(st))
+    def check(P):
+        for table in (covariants._DERIVATION, covariants._LOWERING):
+            assert covariants._derivation(P, table) == reference_derivation(P, table)
+
+    check()
+
+
+def test_psi_inverse_relabelling_matches_the_compose():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # every drawn poly holds an alpha1 term, which psi_inverse drops
+    alpha1_term = st.tuples(st.integers(1, 2), st.integers(-3, 3).filter(bool))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(form_polys(st, uv=False), alpha1_term)
+    def check(Phi, term):
+        Phi = Phi + FormPoly.monomial((-1, term[0], 1, 0, 0, 0, 0, 0, 0), F(term[1], 3))
+        assert psi_inverse(Phi) == reference_psi_inverse(Phi)
+
+    check()
+
+
+def test_psi_forward_over_the_kept_table_matches_a_fresh_table():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    laurent, plain = st.integers(-2, 3), st.integers(0, 3)
+    exps = st.tuples(laurent, plain, laurent, plain, plain, plain)
+    rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 8]))
+    curve_polys = st.lists(st.tuples(exps, rationals), max_size=4).map(
+        lambda ts: CurvePolyAB._sum(CurvePolyAB.monomial(e, c) for e, c in ts)
+    )
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(curve_polys)
+    def check(p):
+        fresh = compose(p, fresh_hat_table())
+        assert compose(p, covariants._hat_powers()) == fresh
+        if fresh.min_degree_in(0) < 0:
+            with pytest.raises(NotPolynomialError):
+                psi_forward(p)
+        else:
+            assert psi_forward(p) == fresh
+
+    check()
+    for g in gordan_generators():
+        assert psi_forward(g.image) == compose(g.image, fresh_hat_table()) == g.semi

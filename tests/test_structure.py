@@ -177,7 +177,19 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     assert not inspect.signature(invariant_ring._delta_reduction).parameters
     reduction = invariant_ring._delta_reduction()
     assert invariant_ring._delta_reduction() is reduction
-    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, modular, *forms, reduction))
+    # so are the hat images psi_forward substitutes, and covariants builds no other table
+    assert not inspect.signature(covariants._hat_powers).parameters
+    hats = covariants._hat_powers()
+    assert covariants._hat_powers() is hats
+    assert type(hats.one) is FormPoly and len(hats.images) == 6
+    builders = {
+        node.name
+        for node in ast.walk(ast.parse(inspect.getsource(covariants)))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "PowerTable" for c in ast.walk(node))
+    }
+    assert builders == {"_hat_powers"}
+    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, modular, *forms, reduction, hats))
     assert type(modular.one) is invariant_ring.KLMNPoly and len(modular.images) == 7
     assert all(type(t.one) is invariant_ring.ModularKLMN for t in (*forms, reduction))
     assert reduction.one == invariant_ring.ModularKLMN.one()
@@ -205,6 +217,7 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     asked_by_exact = tables_asked(sw_curve.exact_ab, p)
     assert any(t is forms[0] for t in asked_by_exact) and any(t is reduction for t in asked_by_exact)
     assert any(t is modular for t in tables_asked(sw_curve.jacobian_klmn, order))
+    assert tables_asked(covariants.psi_forward, A0 * a2 + B0) and all(t is hats for t in asked)
     sw_curve._frame_values.cache_clear()
     assert any(t is modular for t in tables_asked(sw_curve._frame_values, order))
 
@@ -243,6 +256,28 @@ def test_table1_membership_multiplies_no_series(monkeypatch):
     monkeypatch.setattr(FracSeries, "__mul__", counted)
     monkeypatch.setattr(FracSeries, "__rmul__", counted)
     assert [verify._in_ring(sw_curve.exact_ab(p)) for p in images] == [True] * 15
+    assert products == []
+
+
+def test_covariant_kernels_multiply_no_polynomial(monkeypatch):
+    # the derivations and psi_inverse act on stored terms: the oracle's columns,
+    # the semiinvariance of the 15 leading coefficients and their curve images
+    # are read off without one polynomial product
+    gens = covariants.gordan_generators()
+    products = []
+    multiply = _poly.SparsePoly.__mul__
+
+    def counted(*args):
+        products.append(args)
+        return multiply(*args)
+
+    monkeypatch.setattr(_poly.SparsePoly, "__mul__", counted)
+    monkeypatch.setattr(_poly.SparsePoly, "__rmul__", counted)
+    # (2, 2, 1) has no monomial (an odd order at even 2 d_a + 3 d_b); the others have 5 and 10
+    dims = [covariants.semiinvariant_dimension(*cell) for cell in ((2, 2, 1), (2, 1, 1), (2, 2, 2))]
+    assert dims == [0, 1, 3]
+    assert all(covariants.is_semiinvariant(g.semi) for g in gens)
+    assert [covariants.psi_inverse(g.semi) for g in gens] == [g.image for g in gens]
     assert products == []
 
 
