@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from ._poly import PowerTable, SparsePoly, bounded_monomials, compose, stored, taylor_shift
 from .linalg import LinearSolver
@@ -176,8 +176,15 @@ def refined_form_degrees(P):
 
 
 def roberts_to_semiinvariant(Psi):
-    """Leading coefficient: evaluate the covariant at (u, v) = (1, 0)."""
-    return FormPoly((e[: FormPoly.U] + (0, 0), c) for e, c in Psi.terms.items() if not e[FormPoly.V])
+    """Leading coefficient: evaluate the covariant at (u, v) = (1, 0), which
+    drops the stored terms holding a v and the u exponent of the rest."""
+    num, den = stored(Psi)
+    out = {}
+    for e, n in num.items():
+        if not e[FormPoly.V]:
+            key = e[: FormPoly.U] + (0, 0)
+            out[key] = out.get(key, 0) + n
+    return FormPoly._new(out, den)
 
 
 def roberts_to_covariant(Phi):
@@ -191,16 +198,19 @@ def roberts_to_covariant(Phi):
     omega = order_of(Phi)
     if omega < 0:
         raise NotPolynomialError(f"order {omega} is negative: it leads no covariant")
-    terms = {}
+    # part k: the numerators of Delta^k Phi, at u^(omega-k) v^k, over k! times their denominator
+    parts = []
     lowered = Phi
     for k in range(omega + 1):
-        uv = (omega - k, k)
-        scale = Fraction(1, factorial(k))
-        terms.update((e[: FormPoly.U] + uv, c * scale) for e, c in lowered.terms.items())
+        num, den = stored(lowered)
+        parts.append(((omega - k, k), num, den * factorial(k)))
         lowered = _derivation(lowered, _LOWERING)
     if not lowered.is_zero:
         raise NotPolynomialError("Delta^(omega+1) of the input is not 0: it leads no covariant")
-    return FormPoly(terms)
+    den = lcm(*(d for _, _, d in parts))
+    return FormPoly._new(
+        {e[: FormPoly.U] + uv: n * (den // d) for uv, num, d in parts for e, n in num.items()}, den
+    )
 
 
 # -- the curve-coefficient substitution ----------------------------------------------

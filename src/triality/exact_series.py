@@ -13,18 +13,27 @@ the same reduction; both types derive from `_poly._IntegerStore`, which
 reads the store (`terms`, `is_zero`, division by a scalar), and no other
 module reads either.  Sums scale both sides to the lcm of the
 denominators, and products are integer convolutions over the product of
-the denominators, on two paths that give the same stored form.  A
-product of fewer than `DENSE_PAIRS` term pairs, or with a one-term
-operand, runs one interpreted step per pair; any other writes both operands as lists on the gcd of their exponent gaps,
-nearly always dense (the lattice strides 24 and 12), and takes each
-coefficient below the window as one dot product in C.  The pair loop stays
-because the small products (one term or twelve times a series) are most of
-a session's stream, where the list set-up costs more than it saves; the
-dot products win on the long q-series of the deep checks.  The fraction-free
-inverse, too, takes each coefficient as one dot product on the stride; a
-quotient of series is x * y.inverse(), and / takes scalars only.  `coeff`
-reads one coefficient as a Fraction; `terms` is a read-only {exponent:
-Fraction} view that makes a Fraction only when a value is read.
+the denominators, on three kernels that give the same stored form, chosen
+by the operands' sizes alone.  A product of fewer than `DENSE_PAIRS` term
+pairs, or with a one-term operand, runs one interpreted step per pair.
+Any other writes both operands as lists on the gcd of their exponent gaps,
+nearly always dense (the lattice strides 24 and 12).  If both lists hold
+at least `KRONECKER_TERMS` entries and the two widest numerators total at
+most `KRONECKER_BITS` bits, each list is packed into one integer of
+fixed-width slots and a single int product, which CPython runs with
+Karatsuba in C, gives every coefficient (Kronecker substitution);
+otherwise each coefficient below the window is one dot product in C.  The
+pair loop stays because the small products (one term or twelve times a
+series) are most of a session's stream, where the list set-up costs more
+than it saves.  The packed product takes about 0.45x the time of the dot
+products on the long narrow q-series of the deep checks; the dot products
+stay for the wide ones, the powers of E4^-1 and E6^-1, whose numerators
+grow with the index while every slot takes the widest one's width, so
+packed they take about 2.9x.  The fraction-free inverse, too, takes each
+coefficient as one dot product on the stride; a quotient of series is
+x * y.inverse(), and / takes scalars only.  `coeff` reads one coefficient
+as a Fraction; `terms` is a read-only {exponent: Fraction} view that makes
+a Fraction only when a value is read.
 
 Constructors for the special functions (Bernoulli numbers, Eisenstein
 series, Jacobi theta constants, the eta product and the discriminant, and
@@ -53,13 +62,24 @@ from ._poly import _IntegerStore, _over_lcm, _reduced, format_terms, fraction_te
 # (1/8) and q^(1/2) simultaneously.
 LATTICE = 24
 
-# Products of at least this many term pairs run as dot products on the
-# common stride (`_convolve`); smaller ones, and any with a one-term operand
-# (1 x 300 takes 2.7x as long as dot products), keep the term-pair loop.  On
-# dense stride-24 operands with 42-bit numerators (CPython 3.11, x86-64)
-# the two break even at 16 x 16 = 256 pairs, the loop is 25% faster at
-# 12 x 12 and the dot products 15% faster at 12 x 24 and 40% at 96 x 96.
+# Products of at least this many term pairs run on the common stride
+# (`_convolve`); smaller ones, and any with a one-term operand (1 x 300
+# takes 2.7x as long as dot products), keep the term-pair loop.  On dense
+# stride-24 operands with 42-bit numerators (CPython 3.11, x86-64) the two
+# break even at 16 x 16 = 256 pairs, the loop is 25% faster at 12 x 12 and
+# the dot products 15% faster at 12 x 24 and 40% at 96 x 96.
 DENSE_PAIRS = 256
+# Of those, a product whose two stride lists both hold at least
+# KRONECKER_TERMS entries and whose two widest numerators total at most
+# KRONECKER_BITS bits is one packed int product.  Against the dot products
+# (medians, same host): the 125 such products of the order-96 checks (93 to
+# 192 entries, up to 158 bits) take 0.45x the time, and packing their 93 of
+# 770 to 1,740 bits (powers of E4^-1 and E6^-1) would take 2.9x.  On 64
+# entries whose widths grow with the index, as those powers' do, packing
+# takes 0.9x at 192 bits, 1.0x at 224 and 1.08x at 256; at order 24 (22 to
+# 24 entries) 1.04x up to 192 bits and 1.4x past it.
+KRONECKER_TERMS = 64
+KRONECKER_BITS = 192
 
 
 class ZeroSeriesError(ZeroDivisionError):
@@ -167,8 +187,9 @@ class FracSeries(_IntegerStore):
             return NotImplemented
         # The product coefficient at e is complete iff every split e = i + j
         # with i >= val(a), j >= val(b) has i, j inside the known windows.
-        # Long operands go to the dot products of `_convolve`, short ones and
-        # one-term ones through one step per term pair, which is cheaper there.
+        # Long operands go to `_convolve`, which packs the long narrow ones
+        # into one int product and takes the rest as dot products; short ones
+        # and one-term ones go through one step per term pair, cheaper there.
         trunc = min(self.trunc + other.valuation, other.trunc + self.valuation)
         a, b = self._num, other._num
         if len(a) * len(b) >= DENSE_PAIRS and min(len(a), len(b)) > 1:
@@ -245,14 +266,17 @@ class FracSeries(_IntegerStore):
 
 def _convolve(a, b, trunc):
     """The numerators below trunc of the product of two nonempty {exponent:
-    numerator} dicts, neither operand one term, as one dot product per exponent.
+    numerator} dicts, neither operand one term, on the common stride.
 
     Both operands are written as lists on the gcd `step` of all their
     exponent gaps, from their own valuations on, with zeros in the gaps, and
     the right list is reversed.  Output k sits at t^(va + vb + step k) and
-    is the sum of left[i] right[k - i] over the i that both lists hold: up to
-    the right list's top index it dots all of left with a window of the
-    reversed right, and past it a window of left with all of right.
+    is the sum of left[i] right[k - i] over the i that both lists hold.  If
+    both lists hold at least KRONECKER_TERMS entries and the two widest
+    numerators total at most KRONECKER_BITS bits, `_packed_product` makes
+    all outputs at once.  Otherwise each is one dot product: up to the right
+    list's top index it dots all of left with a window of the reversed
+    right, and past it a window of left with all of right.
     """
     va, vb = min(a), min(b)
     step = math.gcd(*(e - va for e in a), *(e - vb for e in b))
@@ -265,9 +289,41 @@ def _convolve(a, b, trunc):
         right[top - (e - vb) // step] = n
     la, base = len(left), va + vb
     width = min(la + top, (trunc - base + step - 1) // step)
-    sums = [sum(map(mul, left, right[top - k : top - k + la])) for k in range(min(width, top + 1))]
-    sums += [sum(map(mul, left[k - top : k + 1], right)) for k in range(top + 1, width)]
+    if min(la, top + 1) >= KRONECKER_TERMS and (
+        bits := max(map(int.bit_length, a.values())) + max(map(int.bit_length, b.values()))
+    ) <= KRONECKER_BITS:
+        sums = _packed_product(left, right[::-1], width, bits)
+    else:
+        sums = [sum(map(mul, left, right[top - k : top - k + la])) for k in range(min(width, top + 1))]
+        sums += [sum(map(mul, left[k - top : k + 1], right)) for k in range(top + 1, width)]
     return {base + step * k: c for k, c in enumerate(sums) if c}
+
+
+def _packed_product(left, right, width, bits):
+    """The first `width` coefficients of the product of two integer lists
+    whose widest entries have `bits` bits together, by one int product.
+
+    Each list is packed into one integer, entry k in the little-endian slot
+    k of `size` bytes.  An output is a sum of at most min(len) products of
+    less than 2^bits each, so it is less than 2^(8 size - 1) in size and
+    never overflows its slot.  Slot k of the product, read as a signed
+    digit d_k, is then output k less the borrow of 1 that a negative digit
+    below it took, so output k is d_k + (d_(k-1) < 0).
+    """
+    size = (bits + min(len(left), len(right)).bit_length() + 8) // 8
+    n = size * width
+    data = (_pack(left, size) * _pack(right, size) & ((1 << 8 * n) - 1)).to_bytes(n, "little")
+    digits = [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, n, size)]
+    return [d + (p < 0) for p, d in zip([0] + digits, digits)]
+
+
+def _pack(values, size):
+    """sum_k values[k] 256^(size k): the positive and the negative entries,
+    each below 256^size in size, packed apart into two integers."""
+    zero = bytes(size)
+    pos = b"".join(n.to_bytes(size, "little") if n > 0 else zero for n in values)
+    neg = b"".join((-n).to_bytes(size, "little") if n < 0 else zero for n in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 # -- special functions ------------------------------------------------

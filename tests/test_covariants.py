@@ -1,12 +1,15 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import reduce
 from itertools import combinations_with_replacement
+from math import factorial
+from operator import mul
 
 import pytest
 
 from triality import covariants, verify
-from triality._poly import NotHomogeneousError, PowerTable, compose, taylor_shift
+from triality._poly import NotHomogeneousError, PowerTable, compose, stored, taylor_shift
 from triality.covariants import (
     BadOrderError,
     FormPoly,
@@ -392,6 +395,28 @@ def reference_psi_inverse(Phi):
     return compose(Phi, PowerTable(images, CurvePolyAB.one()))
 
 
+def reference_roberts_to_semiinvariant(Psi):
+    """The leading coefficient through Fractions and the validating constructor."""
+    return FormPoly((e[: FormPoly.U] + (0, 0), c) for e, c in Psi.terms.items() if not e[FormPoly.V])
+
+
+def reference_roberts_to_covariant(Phi):
+    """sum_k Delta^k Phi / k! u^(omega-k) v^k through Fractions and the
+    validating constructor, with the same two refusals."""
+    omega = order_of(Phi)
+    if omega < 0:
+        raise NotPolynomialError(f"order {omega} is negative: it leads no covariant")
+    terms = {}
+    lowered = Phi
+    for k in range(omega + 1):
+        scale = F(1, factorial(k))
+        terms.update((e[: FormPoly.U] + (omega - k, k), c * scale) for e, c in lowered.terms.items())
+        lowered = covariants._derivation(lowered, covariants._LOWERING)
+    if not lowered.is_zero:
+        raise NotPolynomialError("Delta^(omega+1) of the input is not 0: it leads no covariant")
+    return FormPoly(terms)
+
+
 def fresh_hat_table():
     a_hat, b_hat = hat_coefficients()
     return PowerTable([a_hat[0], a_hat[2], *b_hat], FormPoly.one())
@@ -435,6 +460,40 @@ def test_psi_inverse_relabelling_matches_the_compose():
     def check(Phi, term):
         Phi = Phi + FormPoly.monomial((-1, term[0], 1, 0, 0, 0, 0, 0, 0), F(term[1], 3))
         assert psi_inverse(Phi) == reference_psi_inverse(Phi)
+
+    check()
+
+
+def test_roberts_on_stored_terms_matches_the_fraction_path_on_the_generators():
+    for g in gordan_generators():
+        assert stored(roberts_to_semiinvariant(g.poly)) == stored(reference_roberts_to_semiinvariant(g.poly))
+        assert stored(roberts_to_covariant(g.semi)) == stored(reference_roberts_to_covariant(g.semi))
+
+
+def test_roberts_on_stored_terms_matches_the_fraction_path():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # products of semiinvariants, and the same plus a drawn polynomial, which
+    # is refused unless it is homogeneous of the product's order and D kills it
+    semi = st.sampled_from([AL0, BE0, AL0 * AL2 - AL1 * AL1 / 4, AL0 * BE1 - AL1 * BE0 * F(3, 2)])
+    products = st.lists(semi, min_size=1, max_size=3).map(lambda fs: reduce(mul, fs))
+    rationals = st.builds(F, st.integers(-12, 12).filter(bool), st.sampled_from([1, 2, 3, 5, 8]))
+
+    def outcome(roberts, P):
+        try:
+            return stored(roberts(P))
+        except (NotPolynomialError, NotHomogeneousError) as err:
+            return type(err), str(err)
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(products, rationals, form_polys(st, uv=False), form_polys(st))
+    def check(product, c, P, Psi):
+        for Phi in (product * c, product * c + P):
+            assert outcome(roberts_to_covariant, Phi) == outcome(reference_roberts_to_covariant, Phi)
+        for Psi in (Psi, roberts_to_covariant(product)):
+            assert stored(roberts_to_semiinvariant(Psi)) == stored(reference_roberts_to_semiinvariant(Psi))
 
     check()
 

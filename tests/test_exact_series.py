@@ -9,6 +9,8 @@ import pytest
 from triality import exact_series
 from triality.exact_series import (
     DENSE_PAIRS,
+    KRONECKER_BITS,
+    KRONECKER_TERMS,
     LATTICE,
     FracSeries,
     ZeroSeriesError,
@@ -94,6 +96,88 @@ def test_both_sides_of_the_pair_selection_store_one_product(monkeypatch):
             assert products[0] == products[1] == products[2]
             _, num, _ = products[0]
             assert (max(num) - min(num)) // 12 >= n_right  # past the end of b's run
+
+
+def test_both_sides_of_the_packing_selection_store_one_product(monkeypatch):
+    # at 63 and 64 stride entries on eta's lattice 24k + 1 and on 24k - 23,
+    # with widest numerators totalling KRONECKER_BITS and KRONECKER_BITS + 1
+    # split unevenly; the first operand's window cuts the product inside
+    rng = random.Random(44)
+    packed_product = exact_series._packed_product
+
+    def run(n, first, bits, trunc):
+        top = 2**bits - 1
+        numerators = [rng.randint(-top, top) for _ in range(n - 1)] + [rng.choice((top, -top))]
+        rng.shuffle(numerators)
+        return FracSeries({first + 24 * k: F(c, 5) for k, c in enumerate(numerators)}, trunc)
+
+    def record(*args):
+        packed.append(route)
+        return packed_product(*args)
+
+    routes = (
+        {},  # as selected
+        {"KRONECKER_TERMS": 1, "KRONECKER_BITS": 10**6},  # packed
+        {"KRONECKER_TERMS": 10**6},  # dot products
+        {"DENSE_PAIRS": 10**6},  # term-pair loop
+    )
+    for n_left, total in ((63, KRONECKER_BITS), (64, KRONECKER_BITS), (64, KRONECKER_BITS + 1)):
+        a = run(n_left, 1, total // 3, 1 + 24 * n_left)
+        b = run(64, -23, total - total // 3, -23 + 24 * 104)
+        for x, y in ((a, b), (b, a)):
+            products, packed = [], []
+            for route, constants in enumerate(routes):
+                for name, value in constants.items():
+                    monkeypatch.setattr(exact_series, name, value)
+                monkeypatch.setattr(exact_series, "_packed_product", record)
+                products.append(stored(x * y))
+                monkeypatch.undo()
+            assert products[0] == products[1] == products[2] == products[3]
+            selected = n_left >= KRONECKER_TERMS and total <= KRONECKER_BITS
+            assert packed == ([0, 1] if selected else [1])
+            trunc, num, _ = products[0]
+            assert trunc == 24 * n_left - 22 and len(num) == n_left
+
+
+@pytest.mark.parametrize("total", [KRONECKER_BITS - 7, KRONECKER_BITS])
+@pytest.mark.parametrize("n", [64, 65, 104])
+def test_packed_outputs_reach_the_edge_of_their_slots(monkeypatch, n, total):
+    # runs of n equal numerators of the widest width sum to outputs up to
+    # n (2^a - 1)(2^b - 1): at 65 entries and more, with a + b = total, they
+    # need the last bit of the slot, which for total = KRONECKER_BITS - 7
+    # is the first bit of one more byte; opposite signs borrow at every slot
+    a_bits = total // 2
+    ta, tb = 2**a_bits - 1, 2 ** (total - a_bits) - 1
+    for sign in (1, -1):
+        a = FracSeries({24 * k: ta for k in range(n)}, 24 * n)
+        b = FracSeries({24 * k + 12: sign * tb for k in range(n)}, 24 * 2 * n)
+        monkeypatch.setattr(exact_series, "KRONECKER_TERMS", 10**6)
+        reference = stored(a * b)
+        monkeypatch.undo()
+        assert stored(a * b) == reference
+        assert reference[1] == {24 * k + 12: sign * (k + 1) * ta * tb for k in range(n)}
+
+
+def test_order_96_products_are_routed_by_their_widths(monkeypatch):
+    # E4 times Delta is packed; the inverses of E4 and E6, whose numerators
+    # grow with the index, keep the dot products; both as the dot products give
+    e4, e6, delta = eisenstein(4, 96), eisenstein(6, 96), eta_delta(96)[1]
+    pairs = ((e4, delta), (e4.inverse(), e6.inverse()))
+    widths = [sum(max(map(int.bit_length, s._num.values())) for s in pair) for pair in pairs]
+    assert widths[0] <= KRONECKER_BITS < 700 < widths[1]
+    packed_product = exact_series._packed_product
+    packed = []
+
+    def record(*args):
+        packed.append(args)
+        return packed_product(*args)
+
+    monkeypatch.setattr(exact_series, "_packed_product", record)
+    products = [stored(x * y) for x, y in pairs]
+    assert len(packed) == 1 and len(packed[0][0]) == len(packed[0][1]) == 96
+    monkeypatch.setattr(exact_series, "KRONECKER_TERMS", 10**6)
+    assert products == [stored(x * y) for x, y in pairs]
+    assert len(packed) == 1
 
 
 def test_one_term_products_run_the_pair_loop_at_any_length(monkeypatch):

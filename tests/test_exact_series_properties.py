@@ -7,6 +7,7 @@ not the example tests in test_exact_series.py.
 import random
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 
@@ -14,7 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from triality.exact_series import DENSE_PAIRS, FracSeries  # noqa: E402
+from triality import exact_series  # noqa: E402
+from triality.exact_series import DENSE_PAIRS, KRONECKER_BITS, KRONECKER_TERMS, FracSeries  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -81,6 +83,51 @@ dense_operands = st.one_of(
 )
 
 
+@st.composite
+def stride_run(draw, step, bits):
+    """A run of at least KRONECKER_TERMS integer terms on offset + step*k,
+    the first and the last kept and up to three gaps between, so that its
+    stride list is the run; the widest numerator has exactly `bits` bits.
+    The numerators are random of at most that width, or all 2^bits - 1 or
+    all 1 - 2^bits, whose products with another such run fill the slots as
+    far as they can: runs of one sign sum to the largest outputs, and runs
+    of opposite signs make every output negative.  Trunc lies just past the
+    last term, which cuts a product inside its support, or far past it."""
+    offset = draw(st.integers(-60, 40))
+    n = draw(st.integers(KRONECKER_TERMS, KRONECKER_TERMS + 40))
+    gaps = draw(st.sets(st.integers(1, n - 2), max_size=3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = 2**bits - 1
+    numerators = draw(st.sampled_from([None, [top] * n, [-top] * n]))
+    if numerators is None:
+        numerators = [rng.randint(-top, top) or 1 for _ in range(n - 1)] + [rng.choice((top, -top))]
+    terms = {offset + step * k: c for k, c in enumerate(numerators) if k not in gaps}
+    return FracSeries(terms, offset + step * n + draw(st.sampled_from([0, step - 1, 200 * step])))
+
+
+@st.composite
+def packed_operands(draw):
+    """Two runs on one stride, 1, 12 or 24, whose widest numerators total
+    KRONECKER_BITS - 1, KRONECKER_BITS or KRONECKER_BITS + 1 bits, or 12,
+    or KRONECKER_BITS - 7, where the 7-bit count of 64 to 104 entries takes
+    a whole byte more, split either way.  One draw in five is instead the
+    run of n equal terms against (1 - x)(1 - x^n) on the stride, n + 2
+    entries: their product cancels to 0 everywhere but at 1, x^n and x^(2n)."""
+    step = draw(st.sampled_from([1, 12, 24]))
+    total = draw(st.sampled_from([12, KRONECKER_BITS - 7, KRONECKER_BITS - 1, KRONECKER_BITS, KRONECKER_BITS + 1]))
+    bits = draw(st.integers(1, total - 1))
+    if draw(st.integers(0, 4)):
+        return draw(stride_run(step, bits)), draw(stride_run(step, total - bits))
+    n = draw(st.integers(KRONECKER_TERMS, KRONECKER_TERMS + 40))
+    va, vb = draw(st.integers(-60, 40)), draw(st.integers(-60, 40))
+    ca, cb = 2**bits - 1, 2 ** (total - bits) - 1
+    past = draw(st.sampled_from([0, 300 * step]))
+    a = FracSeries({va + step * k: ca for k in range(n)}, va + step * n + past)
+    cancel = ((0, cb), (1, -cb), (n, -cb), (n + 1, cb))
+    b = FracSeries({vb + step * k: c for k, c in cancel}, vb + step * (n + 2) + past)
+    return a, b
+
+
 def naive_product(a, b):
     trunc = min(a.trunc + b.valuation, b.trunc + a.valuation)
     terms, right = {}, b.terms
@@ -115,6 +162,23 @@ def test_products_past_the_pair_selection_equal_the_naive_convolution(operands):
     assert len(a.terms) * len(b.terms) >= DENSE_PAIRS
     terms, trunc = naive_product(a, b)
     for prod in (a * b, b * a):
+        assert prod.trunc == trunc
+        assert prod.terms == terms
+        assert canonical(prod)
+
+
+@PROPERTY
+@given(packed_operands())
+def test_packed_products_equal_the_naive_convolution(operands):
+    # both stride lists hold at least KRONECKER_TERMS entries, so the widths
+    # alone choose between the packed product and the dot products
+    a, b = operands
+    widest = sum(max(abs(c.numerator) for c in s.terms.values()).bit_length() for s in operands)
+    terms, trunc = naive_product(a, b)
+    for x, y in ((a, b), (b, a)):
+        with mock.patch.object(exact_series, "_packed_product", wraps=exact_series._packed_product) as spy:
+            prod = x * y
+        assert spy.called == (widest <= KRONECKER_BITS)
         assert prod.trunc == trunc
         assert prod.terms == terms
         assert canonical(prod)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -7,7 +8,7 @@ import pytest
 from triality._poly import (
     PowerTable, SparsePoly, bounded_monomials, compose, jacobian, stored, taylor_shift,
 )
-from triality import sw_curve, verify
+from triality import exact_series, invariant_ring, sw_curve, verify
 from triality.covariants import gordan_generators
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta
 from triality.invariant_ring import (
@@ -539,6 +540,44 @@ def evaluation_inputs():
         C0 ** -1 * C1 ** 2 * D0 + C0 ** 2 * C1 ** 2 * D0 ** -1,
     ]
     return [(0, p) for p in ab_inputs] + [(1, p) for p in cd_inputs]
+
+
+def evaluation_digest(order):
+    """SHA-256 of the stored coefficients and windows of the twelve frame
+    variables and the recoveries (both frames) at this order, every series
+    built afresh: the kept tables that hold series are emptied first."""
+    for cache in (
+        exact_series.eisenstein, exact_series.eta_delta, exact_series.e_series,
+        invariant_ring.klmn, invariant_ring.modular_in_klmn, _frame_values,
+    ):
+        cache.cache_clear()
+    ab, cd = recovery_polys()
+    inputs = [(evaluate_ab, p) for p in (*map(CurvePolyAB.variable, range(6)), *ab)]
+    inputs += [(evaluate_cd, p) for p in (*map(CurvePolyCD.variable, range(6)), *cd)]
+    digest = hashlib.sha256()
+    for evaluate, p in inputs:
+        value = evaluate(p, order)
+        terms = sorted((exps, s.trunc, sorted(s._num.items()), s._den) for exps, s in value.terms.items())
+        digest.update(repr((value.weight, value.degree, terms)).encode())
+    return digest.hexdigest()
+
+
+def test_packed_products_leave_every_order_96_value_unchanged(monkeypatch):
+    # the same stored values and windows with the packed product as with the
+    # dot products alone, KRONECKER_TERMS out of reach of every product
+    packed_product = exact_series._packed_product
+    packed = []
+
+    def record(*args):
+        packed.append(len(args[0]))
+        return packed_product(*args)
+
+    monkeypatch.setattr(exact_series, "_packed_product", record)
+    digest = evaluation_digest(96)
+    assert packed and min(packed) >= exact_series.KRONECKER_TERMS
+    packed.clear()
+    monkeypatch.setattr(exact_series, "KRONECKER_TERMS", 10**6)
+    assert evaluation_digest(96) == digest and not packed
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 24, 96])
