@@ -18,10 +18,10 @@ grading rule for a monomial under a weight row; `weighted_degree` applies
 it to every term, is the one homogeneity check of the package (mostly on a
 weight row its class declares), and raises NotHomogeneousError.  The
 polynomials with q-series coefficients live in `invariant_ring` and share
-the term kernels (`add_terms`, `mul_terms`, `derivative_terms`,
-square-and-multiply `power`), `monomial_degree`, `compose` and `jacobian`,
-the one determinant of a matrix of partials, by `ring_det`, a plain
-cofactor expansion (every caller's matrix is 4x4).  `PowerTable` is
+the term kernels (`add_terms`, `mul_terms`, square-and-multiply `power`),
+`monomial_degree` and `compose`, but only a `SparsePoly` differentiates:
+`jacobian`, the one determinant of a matrix of partials, by `ring_det`, a
+plain cofactor expansion (every caller's matrix is 4x4).  `PowerTable` is
 the one home of monomial images: it windows each image once by the
 target's `one` and keeps each power it builds; its `monomial` may return
 a kept power or `one`, which every caller copies into a new value.

@@ -11,17 +11,18 @@ every monomial's degree against the declared one; arithmetic results go
 through the trusted `_new` and sums through the one-pass `_sum`, where
 the first summand nonzero within its window fixes the grading.  Either
 raises `_poly.NotHomogeneousError`, the one error for gradings that
-disagree.  The term kernels (product, derivative, square-and-multiply)
-are `_poly`'s.
+disagree.  The term kernels (product, square-and-multiply) are `_poly`'s;
+a series polynomial is never differentiated.
 
 `Invariant` is the element over the Weyl generators I2, I4, I6, I~4
 (degrees 2, 4, 6, 4).  The module provides its exponent-shift injection,
 which converts the cusp condition into plain q-regularity, and the
 resulting three-way classification (invariant / weak only / neither).
-`KLMNPoly` is the element over the four fundamental weak invariants
-K, L, M, N, which generate freely over the level-1 forms E4, E6
-(Wirthmueller).  `ModularKLMN` needs no window: it is the rational
-polynomial in K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a
+`WeylForm` is its exact form over M(Gamma(2)) = Q[e1, e2], in which
+`klmn_forms` writes the four fundamental weak invariants K, L, M, N once.
+`KLMNPoly` is the element over K, L, M, N, which generate freely over the
+level-1 forms E4, E6 (Wirthmueller).  `ModularKLMN` needs no window: it is
+the rational polynomial in K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a
 K,L,M,N polynomial with coefficients in Q[E4^+-1, E6^+-1, Delta] is, for
 every order at once.  Its value at an order is `ModularKLMN.evaluate`:
 the `KLMNPoly` `compose(form, modular_in_klmn(order))`, with K, L, M, N
@@ -37,8 +38,10 @@ when its normal form has no negative power of E4 or E6.
 `change_generators` reads each monomial's image from a `_poly.PowerTable`,
 which windows each image once by its `one`; the image may be a kept power,
 and its coefficient scales it into a new value.  Each kept image set has
-one cached builder per order, which returns its table: `klmn` (K, L, M, N
-over `Invariant.one`, read by `KLMNPoly.evaluate`), `weyl_in_klmn` (over
+one cached builder per order, which returns its table: `weyl_and_e`
+(formal I2, I4, I6, I~4 and the series e1, e2 over `Invariant.one`, read
+by `WeylForm.evaluate`), `klmn` (the values of `klmn_forms`, read by
+`KLMNPoly.evaluate` and `verify`), `weyl_in_klmn` (over
 `KLMNPoly.one`, read by `express_in_klmn`) and `modular_in_klmn` (formal
 K, L, M, N and the series E4, E6, Delta over `KLMNPoly.one`, read by
 `_modular_basis` and by `ModularKLMN.evaluate`).
@@ -55,8 +58,7 @@ from functools import lru_cache
 
 from . import _poly
 from ._poly import (
-    PowerTable, SparsePoly, _grlex_key, add_terms, derivative_terms, format_monomial,
-    monomial_degree, mul_terms, power,
+    PowerTable, SparsePoly, _grlex_key, add_terms, format_monomial, monomial_degree, mul_terms, power,
 )
 from .exact_series import LATTICE, FracSeries, e_series, eisenstein, eta_delta
 from .weyl_poly import I_DEGREES, IPoly
@@ -240,14 +242,6 @@ class SeriesPoly:
             {e: s.truncate(trunc) for e, s in self.terms.items()}, self.weight, self.degree
         )
 
-    def derivative(self, i):
-        """Formal partial with respect to the i-th generator."""
-        return self._new(
-            derivative_terms(self.terms, i),
-            self.weight - self.WEIGHTS[i],
-            self.degree - self.DEGREES[i],
-        )
-
     # -- output ---------------------------------------------------------------
 
     def _sorted_monomials(self):
@@ -289,12 +283,6 @@ class Invariant(SeriesPoly):
 
     # bound here too, so this class's own __dict__ holds its multiply for tracers
     __mul__ = __rmul__ = SeriesPoly.__mul__
-
-    @classmethod
-    def from_ipoly_series(cls, ipoly, series, weight):
-        """ipoly (homogeneous) times a single series of the given weight."""
-        degree = ipoly.weighted_degree(I_DEGREES)
-        return cls({e: series * c for e, c in ipoly.terms.items()}, weight, degree)
 
     # -- the injection and classification -----------------------------------
 
@@ -347,37 +335,49 @@ class Invariant(SeriesPoly):
 
 # -- the fundamental weak invariants -------------------------------------------
 
-# building blocks of degree 4: T1 + T2 + T3 = 0
-T_POLYS = (
-    IPoly({(0, 1, 0, 0): Fraction(1, 6), (2, 0, 0, 0): Fraction(-1, 24)}),
-    IPoly({(0, 1, 0, 0): Fraction(-1, 12), (0, 0, 0, 1): Fraction(-1, 2), (2, 0, 0, 0): Fraction(1, 48)}),
-    IPoly({(0, 1, 0, 0): Fraction(-1, 12), (0, 0, 0, 1): Fraction(1, 2), (2, 0, 0, 0): Fraction(1, 48)}),
-)
+
+class WeylForm(SparsePoly):
+    """Rational polynomial in I2, I4, I6, I~4 and the weight-2 forms e1, e2
+    (e3 = -e1 - e2): an `Invariant` for every order at once.  The Weyl
+    generators come first, so `_poly.jacobian` differentiates by them."""
+
+    nvars = 6
+    names = Invariant.NAMES + ("e1", "e2")
+
+    def evaluate(self, order):
+        """The `Invariant` value at this order: `compose` over `weyl_and_e`."""
+        return _poly.compose(self, weyl_and_e(order))
+
+
+@lru_cache(maxsize=None)
+def weyl_and_e(order):
+    """The power table of the six `WeylForm` generators at the given order,
+    over `Invariant.one`: formal I2, I4, I6, I~4 and the series e1, e2."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    trunc = LATTICE * order
+    images = [Invariant.variable(i, trunc) for i in range(4)]
+    images += [Invariant.from_series(e, 2) for e in e_series(order)[:2]]
+    return PowerTable(images, Invariant.one(trunc))
+
+
+@lru_cache(maxsize=None)
+def klmn_forms():
+    """K, L, M, N as `WeylForm`s: K = I2, L = sum e_i T_i, M = 12 sum e_i^2 T_i,
+    N = I6/4 - I2 I4/24 + I2^3/96, with T1 = I4/6 - I2^2/24 and T2, T3 =
+    -T1/2 -+ I~4/2; gradings (weight, degree) (0,2), (2,4), (4,4), (0,6)."""
+    I2, I4, I6, I4t, e1, e2 = (WeylForm.variable(i) for i in range(6))
+    T1 = I4 / 6 - I2 * I2 / 24
+    pairs = tuple(zip((e1, e2, -e1 - e2), (T1, -T1 / 2 - I4t / 2, -T1 / 2 + I4t / 2)))
+    L = WeylForm._sum(e * t for e, t in pairs)
+    M = WeylForm._sum(e * e * t for e, t in pairs) * 12
+    return I2, L, M, I6 / 4 - I2 * I4 / 24 + I2 ** 3 / 96
 
 
 @lru_cache(maxsize=None)
 def klmn(order):
-    """The power table of the four fundamental weak invariants K, L, M, N at
-    the given order, over `Invariant.one`; `.images` holds the four.
-
-    K = I2,  L = sum e_i T_i,  M = 12 sum e_i^2 T_i,
-    N = I6/4 - I2 I4/24 + I2^3/96;
-    gradings (weight, degree) = (0,2), (2,4), (4,4), (0,6).
-    """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    trunc = LATTICE * order
-    one = FracSeries.constant(1, trunc)
-    es = e_series(order)
-    K = Invariant.variable(0, trunc)
-    L = Invariant._sum(Invariant.from_ipoly_series(t, e, 2) for e, t in zip(es, T_POLYS))
-    M = Invariant._sum(Invariant.from_ipoly_series(t, e * e, 4) for e, t in zip(es, T_POLYS)) * 12
-    N = Invariant.from_ipoly_series(
-        IPoly({(0, 0, 1, 0): Fraction(1, 4), (1, 1, 0, 0): Fraction(-1, 24), (3, 0, 0, 0): Fraction(1, 96)}),
-        one,
-        0,
-    )
-    return PowerTable((K, L, M, N), Invariant.one(trunc))
+    """The power table of `klmn_forms` at this order; `.images` holds the four."""
+    return PowerTable((f.evaluate(order) for f in klmn_forms()), Invariant.one(LATTICE * order))
 
 
 # -- polynomials in formal K, L, M, N -------------------------------------------

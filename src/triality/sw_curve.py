@@ -36,9 +36,9 @@ keeps them exactly, as `invariant_ring.ModularKLMN` forms with Delta in
 them, in one pair of tables for every order.  `exact_ab` composes over the
 ab table and takes the Delta-free normal form
 (`invariant_ring.reduce_delta`), with no series built; `jacobian_klmn`
-differentiates in rationals and goes to series once at the end, by
-`compose` over `invariant_ring.modular_in_klmn`; `_frame_values` takes each
-form to its value at an order by `ModularKLMN.evaluate`.
+differentiates in rationals and goes to series once at the end, by the
+determinant's `ModularKLMN.evaluate`; `_frame_values` takes each form to
+its value at an order the same way.
 
 `_frame_values` has one cached builder per order, which returns the six
 values of each frame over `Invariant.one`, so every series power is built
@@ -65,7 +65,7 @@ from operator import sub
 
 from ._poly import PowerTable, SparsePoly, compose, jacobian, stored, taylor_shift
 from .exact_series import LATTICE
-from .invariant_ring import ONE_EXPS, Invariant, ModularKLMN, modular_in_klmn, reduce_delta
+from .invariant_ring import Invariant, ModularKLMN, reduce_delta
 
 
 class CurvePolyAB(SparsePoly):
@@ -244,7 +244,7 @@ def _evaluate(p, table):
             parts.append(table.monomial(exps) * n)
             continue
         units = Invariant._sum(table.monomial(tuple(map(sub, e, core))) * n for e, n in group)
-        s = units.terms[ONE_EXPS]
+        s = units.constant_series()
         image = table.monomial(core)
         scaled = {e: (c * s).truncate(c.trunc) for e, c in image.terms.items()}
         parts.append(Invariant._new(scaled, image.weight + units.weight, image.degree))
@@ -263,6 +263,7 @@ def evaluate_ab(p, order):
 
 
 def evaluate_cd(p, order):
+    """`evaluate_ab` for a cd-frame polynomial, over the cd frame's values."""
     return _evaluate(p, _frame_values(order)[1])
 
 
@@ -273,7 +274,5 @@ def jacobian_klmn(order):
     as plain series: both are constant as K,L,M,N-polynomials.
     """
     ab, cd = (table.images for table in _frame_forms())
-    det_ab = jacobian((ab[1], ab[3], ab[4], ab[5]))
-    det_cd = jacobian((cd[1], cd[2], cd[4], cd[5]))
-    modular = modular_in_klmn(order)
-    return tuple(compose(det, modular).constant_series() for det in (det_ab, det_cd))
+    dets = jacobian((ab[1], ab[3], ab[4], ab[5])), jacobian((cd[1], cd[2], cd[4], cd[5]))
+    return tuple(det.evaluate(order).constant_series() for det in dets)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import NotHomogeneousError, PowerTable, bounded_monomials, compose
+from triality._poly import NotHomogeneousError, PowerTable, bounded_monomials, compose, jacobian
 from triality.exact_series import (
     LATTICE, FracSeries, e_series, eisenstein, eta_delta,
 )
@@ -17,14 +17,17 @@ from triality.invariant_ring import (
     KLMNPoly,
     ModularKLMN,
     NoRepresentationError,
+    WeylForm,
     express_in_klmn,
     fit_coefficients,
     klmn,
+    klmn_forms,
     modular_in_klmn,
     reduce_delta,
+    weyl_and_e,
     weyl_in_klmn,
 )
-from triality.weyl_poly import IPoly
+from triality.weyl_poly import I_DEGREES, IPoly
 
 
 def test_klmn_definitions(KLMN, order):
@@ -73,6 +76,50 @@ def test_klmn_matches_building_blocks(KLMN, order):
     assert L.terms[(0, 1, 0, 0)] == es[0] / 6 - es[1] / 12 - es[2] / 12
     # I~4-coefficient of M: 12(-e2^2/2 + e3^2/2)
     assert M.terms[(0, 0, 0, 1)] == 6 * (es[2] * es[2] - es[1] * es[1])
+
+
+# the series assembly of K, L, M, N that `klmn_forms` replaced, kept as a
+# reference: each T_i an IPoly, times the series e_i (or e_i^2)
+T_POLYS = (
+    IPoly({(0, 1, 0, 0): F(1, 6), (2, 0, 0, 0): F(-1, 24)}),
+    IPoly({(0, 1, 0, 0): F(-1, 12), (0, 0, 0, 1): F(-1, 2), (2, 0, 0, 0): F(1, 48)}),
+    IPoly({(0, 1, 0, 0): F(-1, 12), (0, 0, 0, 1): F(1, 2), (2, 0, 0, 0): F(1, 48)}),
+)
+
+
+def series_assembled_klmn(order):
+    trunc = LATTICE * order
+
+    def times(ipoly, series, weight):
+        return Invariant({e: series * c for e, c in ipoly.terms.items()}, weight, ipoly.weighted_degree(I_DEGREES))
+
+    es = e_series(order)
+    K = Invariant.variable(0, trunc)
+    L = Invariant._sum(times(t, e, 2) for e, t in zip(es, T_POLYS))
+    M = Invariant._sum(times(t, e * e, 4) for e, t in zip(es, T_POLYS)) * 12
+    N = times(IPoly({(0, 0, 1, 0): F(1, 4), (1, 1, 0, 0): F(-1, 24), (3, 0, 0, 0): F(1, 96)}),
+              FracSeries.constant(1, trunc), 0)
+    return PowerTable((K, L, M, N), Invariant.one(trunc)).images
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 24, 96])
+def test_klmn_matches_the_series_assembly(order):
+    # the exact forms, composed at the order, keep every stored series and window
+    for value, reference in zip(klmn(order).images, series_assembled_klmn(order)):
+        assert (value.weight, value.degree) == (reference.weight, reference.degree)
+        assert set(value.terms) == set(reference.terms)
+        for exps, series in value.terms.items():
+            ref = reference.terms[exps]
+            assert (series.trunc, series.valuation, len(series.terms)) == (ref.trunc, ref.valuation, len(ref.terms))
+            assert dict(series.terms) == dict(ref.terms)
+
+
+def test_klmn_jacobian_is_pi_over_four():
+    # det d(K,L,M,N)/d(I2,I4,I6,I~4) = (e1 - e2)(e2 - e3)(e3 - e1)/4 exactly,
+    # with e3 = -e1 - e2; its value is -eta^12/16
+    e1, e2 = WeylForm.variable(4), WeylForm.variable(5)
+    e3 = -e1 - e2
+    assert jacobian(klmn_forms()) == (e1 - e2) * (e2 - e3) * (e3 - e1) / 4
 
 
 def test_l_leading_parts(KLMN):
@@ -200,7 +247,7 @@ def test_express_refuses_windows_below_q2(trunc):
         express_in_klmn(phi)
 
 
-@pytest.mark.parametrize("build", [klmn, weyl_in_klmn])
+@pytest.mark.parametrize("build", [klmn, weyl_and_e, weyl_in_klmn])
 def test_generators_refuse_orders_below_two(build):
     with pytest.raises(ValueError, match="order must be >= 2"):
         build(1)
@@ -369,7 +416,7 @@ def test_table1_builds_tables_at_its_own_order_alone(monkeypatch):
 
     order = 24
     caches = (
-        klmn, weyl_in_klmn, modular_in_klmn, invariant_ring._modular_basis,
+        klmn, weyl_and_e, weyl_in_klmn, modular_in_klmn, invariant_ring._modular_basis,
         sw_curve._frame_forms, sw_curve._frame_values,
     )
     for cache in caches:

@@ -106,6 +106,18 @@ def test_wrappers_stay_gone():
     assert 2 * A0 / 2 == A0
 
 
+def test_every_jacobian_is_taken_on_exact_forms():
+    # differentiate exactly, then go to series once through the form's evaluate:
+    # no series polynomial differentiates, and sw_curve reads no series table
+    for cls in (invariant_ring.SeriesPoly, Invariant, invariant_ring.KLMNPoly):
+        assert not hasattr(cls, "derivative")
+    assert not hasattr(Invariant, "from_ipoly_series")
+    assert not hasattr(invariant_ring, "T_POLYS")
+    imports = [n for n in ast.walk(module_trees()["sw_curve.py"]) if isinstance(n, ast.ImportFrom)]
+    imported = {a.name for n in imports if n.module == "invariant_ring" for a in n.names}
+    assert imported and not imported & {"modular_in_klmn", "ONE_EXPS"}
+
+
 def test_package_root_exports_the_documented_names():
     # the README's library example is the one list of names the root exports
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -166,12 +178,15 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
         assert not hasattr(owner, name)
     order = 5
     klmn, weyl = invariant_ring.klmn(order), invariant_ring.weyl_in_klmn(order)
-    modular = invariant_ring.modular_in_klmn(order)
+    modular, weyl_e = invariant_ring.modular_in_klmn(order), invariant_ring.weyl_and_e(order)
     # the frame forms are exact and order-free: one table pair for every order
     assert not inspect.signature(sw_curve._frame_forms).parameters
     forms = sw_curve._frame_forms()
     assert invariant_ring.klmn(order) is klmn and invariant_ring.weyl_in_klmn(order) is weyl
-    assert invariant_ring.modular_in_klmn(order) is modular
+    assert invariant_ring.modular_in_klmn(order) is modular and invariant_ring.weyl_and_e(order) is weyl_e
+    # K, L, M, N are exact and order-free: one set of forms for every order
+    assert not inspect.signature(invariant_ring.klmn_forms).parameters
+    assert invariant_ring.klmn_forms() is invariant_ring.klmn_forms()
     assert sw_curve._frame_forms() is forms and len(forms) == 2
     # the Delta reduction is exact and order-free too: one table for the process
     assert not inspect.signature(invariant_ring._delta_reduction).parameters
@@ -189,8 +204,9 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
         and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "PowerTable" for c in ast.walk(node))
     }
     assert builders == {"_hat_powers"}
-    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, modular, *forms, reduction, hats))
+    assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, modular, weyl_e, *forms, reduction, hats))
     assert type(modular.one) is invariant_ring.KLMNPoly and len(modular.images) == 7
+    assert type(weyl_e.one) is Invariant and len(weyl_e.images) == 6
     assert all(type(t.one) is invariant_ring.ModularKLMN for t in (*forms, reduction))
     assert reduction.one == invariant_ring.ModularKLMN.one()
 
@@ -205,8 +221,10 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
         call(*args)
         return asked[:]
 
+    # K, L, M, N go to series through the table of the WeylForm generators;
     # a form goes to series through the modular table and then klmn; its
     # rewrite reads the Weyl table, and the modular one to evaluate it back
+    assert any(t is weyl_e for t in tables_asked(invariant_ring.klmn.__wrapped__, order))
     rep = invariant_ring.ModularKLMN.monomial((1, 0, 0, 0, 0, 0, 1))
     asked_by_evaluate = tables_asked(rep.evaluate, order)
     assert any(t is modular for t in asked_by_evaluate) and any(t is klmn for t in asked_by_evaluate)

@@ -223,6 +223,43 @@ def test_recovery_polynomials_are_one_another_in_the_other_frame():
     assert tuple(map(cd_to_ab, CD_RECOVERY)) == ab_polys
 
 
+def exact_identities(normal_form):
+    """The curve and Jacobian identities on exact forms, each side taken to
+    normal_form first: the 8 recoveries of `verify.RECOVERY` (each polynomial
+    over the ab forms and its `ab_to_cd` image over the cd forms), the 6 frame
+    changes (each ab variable's image over the cd forms) and the 2 frame
+    Jacobians, as three lists of verdicts."""
+    ab, cd = _frame_forms()
+    K, L, M, N, E4, E6, D = (ModularKLMN.variable(i) for i in range(7))
+
+    def same(a, b):
+        return normal_form(a) == normal_form(b)
+
+    recoveries = [
+        same(compose(poly, table), D ** k * (K, L, M, N)[i])
+        for _, k, i, ab_poly in verify.RECOVERY
+        for poly, table in ((ab_poly, ab), (ab_to_cd(ab_poly), cd))
+    ]
+    changes = [same(compose(ab_to_cd(CurvePolyAB.variable(i)), cd), ab.images[i]) for i in range(6)]
+    jacobians = [
+        same(jacobian([ab.images[i] for i in (1, 3, 4, 5)]), D ** 3 * E4 ** -1 / -16),
+        same(jacobian([cd.images[i] for i in (1, 2, 4, 5)]), D ** 3 * E6 ** -1 * F(-3, 4)),
+    ]
+    return recoveries, changes, jacobians
+
+
+def test_curve_and_jacobian_identities_hold_exactly():
+    # the `verify curve` recoveries and frame changes and the `verify jacobians`
+    # frame determinants, decided on the Delta-free normal forms with no window
+    assert exact_identities(reduce_delta) == ([True] * 8, [True] * 6, [True] * 2)
+
+
+def test_the_exact_identities_need_the_delta_relation():
+    # negative control: with E4, E6 and Delta free, E4^3 - E6^2 = 1728 Delta
+    # is not applied, and most of them fail
+    assert [sum(verdicts) for verdicts in exact_identities(lambda form: form)] == [2, 3, 0]
+
+
 def test_negative_exponent_guards():
     with pytest.raises(ValueError):
         CurvePolyAB({(0, -1, 0, 0, 0, 0): 1})  # a2 never goes Laurent

@@ -9,7 +9,7 @@ import pytest
 from triality import _poly, sw_curve
 from triality._poly import PowerTable, _grlex_key, compose, jacobian, monomial_degree, ring_det
 from triality.exact_series import FracSeries
-from triality.invariant_ring import T_POLYS, Invariant, klmn
+from triality.invariant_ring import Invariant, klmn_forms
 from triality.weyl_poly import (
     I_DEGREES,
     IPoly,
@@ -103,9 +103,25 @@ def test_round_trip_on_random_ipolys():
         assert zpoly_to_ipoly(ipoly_to_zpoly(p)) == p
 
 
+def t_polynomials():
+    """T1, T2, T3 read back off L = sum e_i T_i and M = 12 sum e_i^2 T_i of
+    `klmn_forms`: at (e1, e2) = (1, 0) or (0, 1), e3 = -1, so L = T_i - T3 and
+    M/12 = T_i + T3 for i = 1 or 2.  Also returns the second reading of T3."""
+    _, L, M, _ = klmn_forms()
+    readings = []
+    for e in ((1, 0), (0, 1)):
+        table = PowerTable([IPoly.variable(i) for i in range(4)] + [IPoly.constant(x) for x in e], IPoly.one())
+        readings.append((compose(L, table), compose(M, table) / 12))
+    (l1, m1), (l2, m2) = readings
+    return (l1 + m1) / 2, (l2 + m2) / 2, (m1 - l1) / 2, (m2 - l2) / 2
+
+
 def test_t_polynomials_sum_to_zero():
-    total = T_POLYS[0] + T_POLYS[1] + T_POLYS[2]
-    assert ipoly_to_zpoly(total).is_zero
+    t1, t2, t3, t3_again = t_polynomials()
+    assert t3 == t3_again
+    assert ipoly_to_zpoly(t1 + t2 + t3).is_zero
+    assert t1 == IPoly({(0, 1, 0, 0): F(1, 6), (2, 0, 0, 0): F(-1, 24)})
+    assert t2 - t3 == -IPoly.variable(3)
 
 
 def test_degree_six_combination_point_value():
@@ -189,7 +205,7 @@ def test_each_jacobian_enters_ring_det_once(monkeypatch):
 
     monkeypatch.setattr(_poly, "ring_det", counted)
     jacobian(weyl_generators())
-    jacobian(klmn(4).images)
+    jacobian(klmn_forms())
     assert calls == [4, 4]
     sw_curve.jacobian_klmn(4)
     assert calls == [4, 4, 4, 4]
