@@ -24,8 +24,8 @@ resulting three-way classification (invariant / weak only / neither).
 level-1 forms E4, E6 (Wirthmueller).  `ModularKLMN` needs no window: it is
 the rational polynomial in K, L, M, N, E4, E6, Delta (Laurent in E4 and E6) that a
 K,L,M,N polynomial with coefficients in Q[E4^+-1, E6^+-1, Delta] is, for
-every order at once.  Its value at an order is `ModularKLMN.evaluate`:
-the `KLMNPoly` `compose(form, modular_in_klmn(order))`, with K, L, M, N
+every order at once.  Its value at an order is `ModularKLMN.evaluate`: the
+E4, E6, Delta part of each K,L,M,N monomial summed into one series, then `klmn`
 substituted.  `express_in_klmn` rewrites an invariant exactly, as the
 `ModularKLMN` form it equals: a change of generators, then a fit of each
 coefficient into rationals on E4^a E6^b Delta^j (`fit_coefficients`),
@@ -41,10 +41,10 @@ and its coefficient scales it into a new value.  Each kept image set has
 one cached builder per order, which returns its table: `weyl_and_e`
 (formal I2, I4, I6, I~4 and the series e1, e2 over `Invariant.one`, read
 by `WeylForm.evaluate`), `klmn` (the values of `klmn_forms`, read by
-`KLMNPoly.evaluate` and `verify`), `weyl_in_klmn` (over
-`KLMNPoly.one`, read by `express_in_klmn`) and `modular_in_klmn` (formal
-K, L, M, N and the series E4, E6, Delta over `KLMNPoly.one`, read by
-`_modular_basis` and by `ModularKLMN.evaluate`).
+`ModularKLMN.evaluate` and `verify`), `weyl_in_klmn` (over
+`KLMNPoly.one`, read by `express_in_klmn`) and `modular_in_klmn` (the
+plain series E4, E6, Delta over the unit series, read by `_modular_basis`
+and by `ModularKLMN.evaluate`).
 `SeriesPoly.variable` is the one formal generator, graded by its class's
 rows.  So every series power is built once per order, and a table at one
 order never serves another, whose window differs; the order-free
@@ -397,10 +397,6 @@ class KLMNPoly(SeriesPoly):
     # bound here too, so this class's own __dict__ holds its multiply for tracers
     __mul__ = __rmul__ = SeriesPoly.__mul__
 
-    def evaluate(self, order):
-        """Substitute the actual K, L, M, N invariants at the given order."""
-        return self.change_generators(klmn(order))
-
 
 @lru_cache(maxsize=None)
 def weyl_in_klmn(order):
@@ -410,7 +406,11 @@ def weyl_in_klmn(order):
     The inverse of `klmn`: I2 = K, I4 = 6 T1 + K^2/4, I6 = 4N + K T1 and
     I~4 = -T1 - 2 T2, where (T1, T2) solve L = (e1-e3) T1 + (e2-e3) T2 and
     M = 12 (e1^2-e3^2) T1 + 12 (e2^2-e3^2) T2, a 2x2 system of determinant
-    -3 eta^12.  Dividing by it costs up to one power of q of window.
+    -3 eta^12.  Dividing by it costs up to one power of q of window.  T1, T2
+    stay on this solve, not on exact forms over Q[e1, e2]: T2's denominator
+    holds e2 - e3 = theta2^4/4, of valuation q^(1/2), because I~4 = T3 - T2
+    is the q^(1/2)-odd part, and T1 alone over its unit denominator
+    -12 (e1 - e2)(e3 - e1) would move the kept windows.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -449,22 +449,23 @@ class ModularKLMN(SparsePoly):
     degree = property(lambda self: self.weighted_degree(self.DEGREES))
 
     def evaluate(self, order):
-        """The `Invariant` value at this order, through `modular_in_klmn` and `klmn`."""
-        return _poly.compose(self, modular_in_klmn(order)).evaluate(order)
+        """The `Invariant` value at this order: each K,L,M,N monomial's E4, E6,
+        Delta part summed into one series, then the sums taken through `klmn` once."""
+        table, sums = modular_in_klmn(order), {}
+        for exps, c in self.terms.items():
+            add_terms(sums, {exps[:4]: table.monomial(exps[4:]) * c})
+        return KLMNPoly._new(sums, self.weight, self.degree).change_generators(klmn(order))
 
 
 @lru_cache(maxsize=None)
 def modular_in_klmn(order):
-    """The power table of the seven `ModularKLMN` generators at the given
-    order, over `KLMNPoly.one`: formal K, L, M, N and the series E4, E6 and
-    Delta, which `ModularKLMN.evaluate` composes a form over."""
+    """The power table of the series E4, E6 and Delta at the given order,
+    over the unit series: each E4^a E6^b Delta^j that `ModularKLMN.evaluate`
+    and `_modular_basis` read is built once per order."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    trunc = LATTICE * order
-    modular = ((eisenstein(4, order), 4), (eisenstein(6, order), 6), (eta_delta(order)[1], 12))
-    images = [KLMNPoly.variable(i, trunc) for i in range(4)]
-    images += [KLMNPoly.from_series(series, weight) for series, weight in modular]
-    return PowerTable(images, KLMNPoly.one(trunc))
+    images = (eisenstein(4, order), eisenstein(6, order), eta_delta(order)[1])
+    return PowerTable(images, FracSeries.constant(1, LATTICE * order))
 
 
 @lru_cache(maxsize=None)
@@ -492,8 +493,7 @@ def _modular_basis(weight, order):
         if rest % 2 == 0 and rest != 2:
             b = rest % 4 // 2
             a = (rest - 6 * b) // 4
-            power = table.monomial((0, 0, 0, 0, a, b, j)).constant_series()
-            basis.append((a, b, j, power.truncate(LATTICE * order)))
+            basis.append((a, b, j, table.monomial((a, b, j))))
     return tuple(basis)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from triality._poly import NotHomogeneousError, PowerTable, bounded_monomials, compose, jacobian
+from triality._poly import NotHomogeneousError, PowerTable, add_terms, bounded_monomials, compose, jacobian
 from triality.exact_series import (
     LATTICE, FracSeries, e_series, eisenstein, eta_delta,
 )
@@ -47,9 +47,18 @@ def test_klmn_definitions(KLMN, order):
         assert set(series.terms) == {0}
 
 
+def modular_sums(form, table):
+    """The `KLMNPoly` in formal K, L, M, N of a `ModularKLMN` form, each K,L,M,N
+    monomial's E4^a E6^b Delta^j part summed into one series over table."""
+    sums = {}
+    for exps, c in form.terms.items():
+        add_terms(sums, {exps[:4]: table.monomial(exps[4:]) * c})
+    return KLMNPoly(sums, form.weight, form.degree)
+
+
 def test_generators_are_graded_by_their_rows():
     # a formal generator reads its grading off WEIGHTS and DEGREES, and the
-    # modular table holds the seven ModularKLMN generators in its row order
+    # modular table holds the plain series E4, E6, Delta in ModularKLMN's row order
     trunc = LATTICE * 5
     for cls in (Invariant, KLMNPoly):
         for i in range(4):
@@ -57,15 +66,43 @@ def test_generators_are_graded_by_their_rows():
             assert (g.weight, g.degree) == (cls.WEIGHTS[i], cls.DEGREES[i])
             assert g.terms == {tuple(int(j == i) for j in range(4)): FracSeries.constant(1, trunc)}
     table = modular_in_klmn(5)
-    gradings = [(g.weight, g.degree) for g in table.images]
-    assert gradings == list(zip(ModularKLMN.WEIGHTS, ModularKLMN.DEGREES))
     E4, E6, D = eisenstein(4, 5), eisenstein(6, 5), eta_delta(5)[1]
-    assert [g.constant_series() for g in table.images[4:]] == [E4, E6, D]
-    # a form's value is the sum of its monomials' values, over its denominator once
+    assert all(type(g) is FracSeries for g in (table.one, *table.images))
+    # one windows E4 and E6 to its own window; Delta, of valuation q, stays 23 steps wider
+    assert [(g.trunc, g) for g in table.images] == [(trunc, E4), (trunc, E6), (trunc + 23, D)]
+    assert (table.one.trunc, table.one) == (trunc, FracSeries.constant(1, trunc))
+    # a form's value sums each K,L,M,N monomial's modular part, then goes through klmn once
     K, L, M, N, e4, e6, delta = (ModularKLMN.variable(i) for i in range(7))
-    value = compose((K * K * delta * e4 ** -1 - L * e6 * 3) / 24, table)
+    value = ((K * K * delta * e4 ** -1 - L * e6 * 3) / 24).evaluate(5)
     assert (value.weight, value.degree) == (8, 4)
-    assert value.terms == {(2, 0, 0, 0): D * E4.inverse() / 24, (0, 1, 0, 0): E6 * F(-1, 8)}
+    series = KLMNPoly({(2, 0, 0, 0): D * E4.inverse() / 24, (0, 1, 0, 0): E6 * F(-1, 8)}, 8, 4)
+    assert value.to_json() == series.change_generators(klmn(5)).to_json()
+
+
+def test_a_form_sums_its_modular_parts_before_klmn(monkeypatch):
+    # table1's <f,g>^2 at a warm order: the two modular parts on L are one
+    # series before klmn is asked for L, and no series polynomial is multiplied
+    order = 24
+    table, modular = klmn(order), modular_in_klmn(order)
+    K, L, M, N, E4, E6, D = (ModularKLMN.variable(i) for i in range(7))
+    form = (M * E4 * E6 - L * (E6 ** 2 + D * 576)) / 3456
+    form.evaluate(order)
+    asked, products = [], []
+    monomial = PowerTable.monomial
+    monkeypatch.setattr(PowerTable, "monomial", lambda t, exps: asked.append((t, exps)) or monomial(t, exps))
+    for cls in (KLMNPoly, Invariant):
+        multiply = cls.__mul__
+        counted = lambda *args, multiply=multiply: products.append(args) or multiply(*args)
+        monkeypatch.setattr(cls, "__mul__", counted)
+        monkeypatch.setattr(cls, "__rmul__", counted)
+    value = form.evaluate(order)
+    assert products == []
+    assert sorted(exps for t, exps in asked if t is table) == [(0, 0, 1, 0), (0, 1, 0, 0)]
+    assert {t for t, _ in asked} == {table, modular}
+    monkeypatch.undo()
+    e4, e6, delta = modular.images
+    sums = {(0, 0, 1, 0): e4 * e6 / 3456, (0, 1, 0, 0): (e6 * e6 + delta * 576) / -3456}
+    assert value.to_json() == KLMNPoly(sums, 14, 4).change_generators(table).to_json()
 
 
 def test_klmn_matches_building_blocks(KLMN, order):
@@ -280,7 +317,7 @@ def test_express_rejects_outside_ring(KLMN, delta, E4):
 def test_klmn_poly_evaluate_round_trip(KLMN, order, delta, E4):
     K, L, M, N = KLMN
     rep = KLMNPoly({(1, 0, 0, 0): delta / 12}, 12, 2)
-    value = rep.evaluate(order)
+    value = rep.change_generators(klmn(order))
     assert value == K.scale_series(delta / 12, 12)
 
 
@@ -300,7 +337,7 @@ def test_express_reports_ambiguity_on_shallow_windows():
     # a monomial the value leaves out must be pinned down too: Delta^2 * L
     # vanishes below q^2, so E4^5 E6 K^2 is not determined at order 2
     e4, e6 = eisenstein(4, 2), eisenstein(6, 2)
-    value = KLMNPoly({(2, 0, 0, 0): e4 ** 5 * e6}, 26, 4).evaluate(2)
+    value = KLMNPoly({(2, 0, 0, 0): e4 ** 5 * e6}, 26, 4).change_generators(klmn(2))
     with pytest.raises(AmbiguousRepresentationError):
         express_in_klmn(value)
 
@@ -388,7 +425,7 @@ def test_express_in_klmn_fits_at_its_input_window():
     for order in (2, 3, 4):
         for label, p in ((g.label, g.image) for g in gordan_generators()):
             try:
-                fit_coefficients(compose(compose(p, _frame_forms()[0]), modular_in_klmn(order)), order)
+                fit_coefficients(modular_sums(compose(p, _frame_forms()[0]), modular_in_klmn(order)), order)
                 continue
             except AmbiguousRepresentationError:
                 pass
@@ -446,7 +483,7 @@ def test_weyl_generators_in_klmn_evaluate_back(order, eta):
         for exps, degree in zip(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (2, 4, 6, 4))
     ]
     for image, generator in zip(weyl_in_klmn(order).images, weyl):
-        value = image.evaluate(order)
+        value = image.change_generators(klmn(order))
         # dividing by the determinant, of valuation q^(1/2), costs at most q
         assert min(value.common_trunc(), generator.common_trunc()) >= trunc - 24
         assert value == generator
@@ -521,7 +558,7 @@ def test_kept_series_tables_match_fresh_ones():
     def check(calls):
         for rewrite, (order, rep) in calls:
             trunc = LATTICE * order
-            value = rep.evaluate(order)
+            value = rep.change_generators(klmn(order))
             fresh = rep.change_generators(PowerTable(klmn(order).images, Invariant.one(trunc)))
             assert value.to_json() == fresh.to_json()
             assert trunc <= value.common_trunc() < rep.common_trunc()
@@ -529,14 +566,15 @@ def test_kept_series_tables_match_fresh_ones():
                 result = express_in_klmn(value)
                 weyl = PowerTable(weyl_in_klmn(order).images, KLMNPoly.one(trunc))
                 assert result == fit_coefficients(value.change_generators(weyl), order)
-                modular = PowerTable(modular_in_klmn(order).images, KLMNPoly.one(trunc))
-                series = compose(result, modular)
+                modular = PowerTable(modular_in_klmn(order).images, FracSeries.constant(1, trunc))
+                series = modular_sums(result, modular)
                 assert series == rep and series.common_trunc() >= trunc
+                assert result.evaluate(order).to_json() == series.change_generators(klmn(order)).to_json()
                 assert (result.weight, result.degree) == (rep.weight, rep.degree)
             # each order's kept tables serve that order alone
             assert klmn(order).one.common_trunc() == trunc
             assert weyl_in_klmn(order).one.common_trunc() == trunc
-            assert modular_in_klmn(order).one.common_trunc() == trunc
+            assert modular_in_klmn(order).one.trunc == trunc
 
     check()
 
@@ -544,14 +582,14 @@ def test_kept_series_tables_match_fresh_ones():
 def test_kept_series_results_own_their_terms(order, delta):
     # mutating a result must not reach the kept tables behind the next call
     rep = KLMNPoly({(1, 0, 0, 0): delta / 12}, 12, 2)
-    before = rep.evaluate(order).to_json()
-    value = rep.evaluate(order)
+    before = rep.change_generators(klmn(order)).to_json()
+    value = rep.change_generators(klmn(order))
     stored = [power.terms for cache in klmn(order).powers for power in cache.values()]
     assert all(value.terms is not terms for terms in stored)
     value.terms.clear()
-    assert rep.evaluate(order).to_json() == before
+    assert rep.change_generators(klmn(order)).to_json() == before
     # a rewrite is an exact form, and its value is a new series polynomial
-    phi = rep.evaluate(order)
+    phi = rep.change_generators(klmn(order))
     result = express_in_klmn(phi)
     with pytest.raises(TypeError):
         result.terms[(1, 0, 0, 0, 0, 0, 1)] = 7

@@ -81,10 +81,12 @@ def test_wrappers_stay_gone():
     assert not hasattr(Invariant, "t_action")
     assert not hasattr(FracSeries, "flip_half_powers")
     assert not hasattr(exact_series, "UnsupportedLatticeError")
-    # a form's value at an order is compose over modular_in_klmn, and a kernel
-    # is LinearSolver.of_columns(columns).integer_kernel()
+    # a form's value at an order is ModularKLMN.evaluate, a KLMNPoly's is its
+    # change_generators(klmn(order)), and a kernel is
+    # LinearSolver.of_columns(columns).integer_kernel()
     for name in ("series_form", "_modular_powers"):
         assert not hasattr(invariant_ring, name)
+    assert not hasattr(invariant_ring.KLMNPoly, "evaluate")
     # the Weyl route's rewrite is exact, so verify compares it with no series
     for name in ("compose", "modular_in_klmn"):
         assert not hasattr(verify, name)
@@ -205,7 +207,7 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     }
     assert builders == {"_hat_powers"}
     assert all(isinstance(t, _poly.PowerTable) for t in (klmn, weyl, modular, weyl_e, *forms, reduction, hats))
-    assert type(modular.one) is invariant_ring.KLMNPoly and len(modular.images) == 7
+    assert all(type(x) is FracSeries for x in (modular.one, *modular.images)) and len(modular.images) == 3
     assert type(weyl_e.one) is Invariant and len(weyl_e.images) == 6
     assert all(type(t.one) is invariant_ring.ModularKLMN for t in (*forms, reduction))
     assert reduction.one == invariant_ring.ModularKLMN.one()
@@ -240,7 +242,7 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     assert any(t is modular for t in tables_asked(sw_curve._frame_values, order))
 
     # the forms compose exactly and go to series once, through the modular
-    # table: the only series polynomials multiplied are its constants
+    # table of plain series: no series polynomial in formal K, L, M, N is multiplied
     products = []
     multiply = invariant_ring.KLMNPoly.__mul__
 
@@ -252,10 +254,10 @@ def test_each_kept_image_set_is_its_power_table(monkeypatch):
     monkeypatch.setattr(invariant_ring.KLMNPoly, "__rmul__", counted)
     sw_curve.exact_ab(p)
     assert products == []
-    sw_curve.jacobian_klmn(order)
-    assert products
-    for operands in products:
-        assert all(isinstance(x, (int, Fraction)) or set(x.terms) == {invariant_ring.ONE_EXPS} for x in operands)
+    assert any(t is modular for t in tables_asked(sw_curve.jacobian_klmn, order))
+    sw_curve._frame_values.cache_clear()
+    assert any(t is modular for t in tables_asked(sw_curve._frame_values, order))
+    assert products == []
 
 
 def test_table1_membership_multiplies_no_series(monkeypatch):

@@ -12,7 +12,7 @@ from triality import exact_series, invariant_ring, sw_curve, verify
 from triality.covariants import gordan_generators
 from triality.exact_series import LATTICE, FracSeries, eisenstein, eta_delta
 from triality.invariant_ring import (
-    ONE_EXPS, Invariant, KLMNPoly, ModularKLMN, modular_in_klmn, reduce_delta,
+    ONE_EXPS, Invariant, KLMNPoly, ModularKLMN, klmn, modular_in_klmn, reduce_delta,
 )
 from triality.sw_curve import (
     CurvePolyAB,
@@ -408,8 +408,9 @@ def test_kept_frame_value_results_own_their_terms():
 @lru_cache(maxsize=None)
 def series_built_forms(order):
     """The twelve frame forms as `KLMNPoly` power tables built on series at
-    this order, term by term from E4, E6, Delta and the two inverses: the
-    oracle for the exact forms and every composition over them."""
+    this order, term by term from E4, E6, Delta and the two inverses: taken
+    through `klmn`, the oracle for the exact forms' values and every
+    composition over them."""
     e4, e6 = eisenstein(4, order), eisenstein(6, order)
     delta = eta_delta(order)[1]
     e4i, e6i = e4.inverse(), e6.inverse()
@@ -439,13 +440,15 @@ def series_built_forms(order):
 
 
 def stored_series(series):
-    return stored(series), series.trunc
+    return stored(series), series.trunc, series.valuation, len(series.terms)
 
 
-def assert_matches_series_built(value, oracle):
-    """value has the oracle's grading, and each monomial both hold has the
-    same stored series (numerators, denominator and trunc); a monomial only
-    the oracle holds cancelled exactly, so its series is zero in its window."""
+def assert_matches_series_built(value, oracle, order):
+    """value is the `Invariant` the oracle gives through `klmn` at this order:
+    the same grading, and each monomial both hold has the same stored series
+    (numerators, denominator, trunc, valuation and term count); a monomial
+    only the oracle holds cancelled exactly, so its series is zero in its window."""
+    oracle = oracle.change_generators(klmn(order))
     assert (value.weight, value.degree) == (oracle.weight, oracle.degree)
     assert set(value.terms) <= set(oracle.terms)
     for exps, series in oracle.terms.items():
@@ -459,9 +462,9 @@ def assert_matches_series_built(value, oracle):
 def test_exact_frame_forms_evaluate_to_the_series_built_forms(order):
     for exact, built in zip(_frame_forms(), series_built_forms(order)):
         for form, oracle in zip(exact.images, built.images):
-            value = compose(form, modular_in_klmn(order))
-            assert set(value.terms) == set(oracle.terms)
-            assert_matches_series_built(value, oracle)
+            value = form.evaluate(order)
+            assert set(value.terms) == set(oracle.change_generators(klmn(order)).terms)
+            assert_matches_series_built(value, oracle, order)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 24])
@@ -469,7 +472,7 @@ def test_compose_over_frame_forms_matches_the_series_built_table(order):
     polys = [g.image for g in gordan_generators()] + list(recovery_polys()[0])
     for p in polys:
         assert_matches_series_built(
-            compose(compose(p, _frame_forms()[0]), modular_in_klmn(order)), compose(p, series_built_forms(order)[0])
+            compose(p, _frame_forms()[0]).evaluate(order), compose(p, series_built_forms(order)[0]), order
         )
 
 
@@ -482,7 +485,7 @@ def test_compose_over_frame_forms_matches_the_series_built_table_on_graded_polys
     @given(st.sampled_from([2, 3, 4, 5, 6, 24]), graded_polys(st, CurvePolyAB))
     def check(order, p):
         assert_matches_series_built(
-            compose(compose(p, _frame_forms()[0]), modular_in_klmn(order)), compose(p, series_built_forms(order)[0])
+            compose(p, _frame_forms()[0]).evaluate(order), compose(p, series_built_forms(order)[0]), order
         )
 
     check()
@@ -514,7 +517,7 @@ def test_frame_forms_place_delta_canonically():
     # known below t^(24 order) with valuation t^1: Delta is known 23 steps of
     # t further than E4^3 - E6^2, which is known only below t^(24 order).
     for order in (2, 3, 24):
-        e4, e6, delta = (image.constant_series() for image in modular_in_klmn(order).images[4:])
+        e4, e6, delta = modular_in_klmn(order).images
         assert (delta.trunc, (e4 ** 3 - e6 ** 2).trunc) == (LATTICE * order + 23, LATTICE * order)
     E4, E6, D = (ModularKLMN.variable(i) for i in (4, 5, 6))
     ab, cd = (t.images for t in _frame_forms())
@@ -599,6 +602,22 @@ def evaluation_digest(order):
     return digest.hexdigest()
 
 
+# evaluation_digest(order) of the values as they stand; a change to any stored
+# coefficient or window of the frame variables or recoveries moves one of them
+EVALUATION_DIGESTS = {
+    2: "b1692a38e431dbe00368d06cd7f15970bd46f55361b41129f6fe82f7addb32e2",
+    3: "936bf3c8234f352f2c254c5d2558c060e27d82e9309cf539be12b6140f5a47da",
+    4: "4ecd433a7ac0d21610325ca2da602e73a8fb83b1e73f00881a3be65a3c7e48d2",
+    24: "bb518268f657b8cc42f07bc85656dbf28aa6c321ac490802017936ea2abb56ec",
+    96: "a36febf8a4b270d2c365b506d6ef05f37dc1f87c18323b2f86ea6767e2b5a5da",
+}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 24])
+def test_evaluation_digest_is_pinned(order):
+    assert evaluation_digest(order) == EVALUATION_DIGESTS[order]
+
+
 def test_packed_products_leave_every_order_96_value_unchanged(monkeypatch):
     # the same stored values and windows with the packed product as with the
     # dot products alone, KRONECKER_TERMS out of reach of every product
@@ -611,6 +630,7 @@ def test_packed_products_leave_every_order_96_value_unchanged(monkeypatch):
 
     monkeypatch.setattr(exact_series, "_packed_product", record)
     digest = evaluation_digest(96)
+    assert digest == EVALUATION_DIGESTS[96]
     assert packed and min(packed) >= exact_series.KRONECKER_TERMS
     packed.clear()
     monkeypatch.setattr(exact_series, "KRONECKER_TERMS", 10**6)
