@@ -493,7 +493,7 @@ def _modular_basis(weight, order):
         if rest % 2 == 0 and rest != 2:
             b = rest % 4 // 2
             a = (rest - 6 * b) // 4
-            basis.append((a, b, j, table.monomial((a, b, j))))
+            basis.append((a, b, j, table.monomial((a, b, j)).truncate(LATTICE * order)))
     return tuple(basis)
 
 

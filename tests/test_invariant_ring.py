@@ -569,7 +569,6 @@ def test_kept_series_tables_match_fresh_ones():
                 modular = PowerTable(modular_in_klmn(order).images, FracSeries.constant(1, trunc))
                 series = modular_sums(result, modular)
                 assert series == rep and series.common_trunc() >= trunc
-                assert result.evaluate(order).to_json() == series.change_generators(klmn(order)).to_json()
                 assert (result.weight, result.degree) == (rep.weight, rep.degree)
             # each order's kept tables serve that order alone
             assert klmn(order).one.common_trunc() == trunc

@@ -99,7 +99,7 @@ def series_tables(order):
     return {
         "klmn": (klmn(order), klmn(order).images, ()),
         "weyl": (weyl_in_klmn(order), weyl_in_klmn(order).images, ()),
-        "modular": (modular_in_klmn(order), modular, (0, 1)),
+        "modular": (modular_in_klmn(order), modular, (0, 1, 2)),
         "ab values": (_frame_values(order)[0], values[0], (0, 2)),
         "cd values": (_frame_values(order)[1], values[1], (0, 3)),
     }
